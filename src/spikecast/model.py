@@ -8,7 +8,6 @@ with pieces removed.
 """
 from __future__ import annotations
 
-import copy
 import json
 import math
 import warnings
@@ -199,19 +198,35 @@ def zero_params(params: ModelParams) -> ModelParams:
     return params
 
 
-def model_forward(
-    sample: WindowedSample,
+def stack_windows(
+    samples: list[WindowedSample],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, k, 1) prices, (B, k, d) news and (B,) float targets of a sample list."""
+    return (
+        np.stack([s.prices for s in samples]),
+        np.stack([s.news for s in samples]),
+        np.array([s.target for s in samples], dtype=float),
+    )
+
+
+def forward_batch(
+    prices: np.ndarray,
+    news: np.ndarray,
     params: ModelParams,
     train: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[float, dict]:
-    """Spike probability for one sample, with caches for backprop."""
+) -> tuple[np.ndarray, dict]:
+    """Spike probabilities (B,) for stacked windows, with caches for backprop.
+
+    `prices` is (B, k, 1) and `news` (B, k, d'); the no_news variant ignores
+    `news`. Each window's probability is the same in any batch.
+    """
     hyper = params.hyper
-    if sample.prices.shape != (hyper.k, 1):
+    if prices.shape[1:] != (hyper.k, 1):
         raise ContractError(
-            f"price window shape {sample.prices.shape}, expected {(hyper.k, 1)}"
+            f"price window shape {prices.shape[1:]}, expected {(hyper.k, 1)}"
         )
-    _, h_price, price_cache = lstm_forward(sample.prices, params.price_lstm)
+    _, h_price, price_cache = lstm_forward(prices, params.price_lstm)
     if not np.isfinite(h_price).all():
         raise NumericError("non-finite value in price LSTM output")
 
@@ -219,41 +234,44 @@ def model_forward(
     if params.variant == VARIANT_NO_NEWS:
         fused = h_price
     else:
-        if sample.news.shape != (hyper.k, hyper.d_prime):
+        if news.shape[1:] != (hyper.k, hyper.d_prime):
             raise ContractError(
-                f"news window shape {sample.news.shape}, "
+                f"news window shape {news.shape[1:]}, "
                 f"expected {(hyper.k, hyper.d_prime)}"
             )
-        news_hs, _, news_cache = lstm_forward(sample.news, params.news_lstm)
+        news_hs, _, news_cache = lstm_forward(news, params.news_lstm)
         cache["news"] = news_cache
         if params.variant == VARIANT_NO_ATTENTION:
-            context = news_hs.mean(axis=0)
+            context = news_hs.mean(axis=1)
         else:
             context, _, att_cache = attention_forward(news_hs, params.attention)
             cache["attention"] = att_cache
         if not np.isfinite(context).all():
             raise NumericError("non-finite value in news context vector")
-        fused = np.concatenate([h_price, context])
+        fused = np.concatenate([h_price, context], axis=1)
 
     prob, head_cache = head_forward(fused, params.head, train=train, rng=rng)
     cache["head"] = head_cache
     return prob, cache
 
 
-def model_backward(
-    params: ModelParams, cache: dict, d_prob: float
+def backward_batch(
+    params: ModelParams, cache: dict, d_prob: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Gradients for every trainable array given dLoss/dprobability."""
+    """Gradients for every trainable array, summed over the batch, given
+    dLoss/dprobability (B,)."""
     hyper = params.hyper
     head_grads, d_fused = head_backward(params.head, cache["head"], d_prob)
     grads = {f"head.{n}": g for n, g in head_grads.items()}
 
-    d_hprice = d_fused[: hyper.h]
+    batch = d_fused.shape[0]
     if params.variant != VARIANT_NO_NEWS:
-        d_context = d_fused[hyper.h :]
+        d_context = d_fused[:, hyper.h :]
         k = hyper.k
         if params.variant == VARIANT_NO_ATTENTION:
-            d_news_hs = np.tile(d_context / k, (k, 1))
+            d_news_hs = np.broadcast_to(
+                d_context[:, None, :] / k, (batch, k, d_context.shape[1])
+            )
         else:
             att_grads, d_news_hs = attention_backward(
                 params.attention, cache["attention"], d_context
@@ -262,11 +280,31 @@ def model_backward(
         news_grads = lstm_backward(params.news_lstm, cache["news"], d_news_hs)
         grads.update({f"news_lstm.{n}": g for n, g in news_grads.items()})
 
-    d_price_hs = np.zeros((hyper.k, hyper.h))
-    d_price_hs[-1] = d_hprice
+    d_price_hs = np.zeros((batch, hyper.k, hyper.h))
+    d_price_hs[:, -1] = d_fused[:, : hyper.h]
     price_grads = lstm_backward(params.price_lstm, cache["price"], d_price_hs)
     grads.update({f"price_lstm.{n}": g for n, g in price_grads.items()})
     return grads
+
+
+def model_forward(
+    sample: WindowedSample,
+    params: ModelParams,
+    train: bool = False,
+    rng: np.random.Generator | None = None,
+) -> tuple[float, dict]:
+    """Spike probability for one sample: forward_batch with B = 1."""
+    prob, cache = forward_batch(
+        sample.prices[None], sample.news[None], params, train=train, rng=rng
+    )
+    return float(prob[0]), cache
+
+
+def model_backward(
+    params: ModelParams, cache: dict, d_prob: float
+) -> dict[str, np.ndarray]:
+    """Gradients for one sample's model_forward cache: backward_batch, B = 1."""
+    return backward_batch(params, cache, np.array([d_prob], dtype=float))
 
 
 def evaluate_loss(
@@ -275,15 +313,17 @@ def evaluate_loss(
     pos_weight: float | None = None,
 ) -> float:
     """Deterministic (inference-mode) BCE over a sample list."""
-    preds = np.array([model_forward(s, params)[0] for s in samples])
     targets = np.array([s.target for s in samples], dtype=float)
-    loss, _ = bce_loss(preds, targets, pos_weight)
+    loss, _ = bce_loss(predict(params, samples), targets, pos_weight)
     return loss
 
 
 def predict(params: ModelParams, samples: list[WindowedSample]) -> np.ndarray:
     """Order-preserving spike probabilities with dropout disabled."""
-    return np.array([model_forward(s, params)[0] for s in samples])
+    if not samples:
+        return np.empty(0)
+    prices, news, _ = stack_windows(samples)
+    return forward_batch(prices, news, params)[0]
 
 
 def train(
@@ -322,8 +362,8 @@ def train(
     train_part = samples[:n_train]
     val_part = samples[n_train:]
 
-    train_targets = {s.target for s in train_part}
-    if len(train_targets) < 2:
+    train_prices, train_news, train_targets = stack_windows(train_part)
+    if len(set(train_targets)) < 2:
         warnings.warn(
             "degenerate targets: training partition is single-class; "
             "training proceeds but the classifier cannot rank",
@@ -342,31 +382,19 @@ def train(
 
     history: list[tuple[int, float, float]] = []
     best_val = math.inf
-    best_params = copy.deepcopy(params)
+    best = {name: arr.copy() for name, arr in flat.items()}
     epochs_since_best = 0
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n_train)
         loss_sum = 0.0
         for start in range(0, n_train, config.batch_size):
-            batch = [train_part[i] for i in order[start : start + config.batch_size]]
-            probs = []
-            caches = []
-            for s in batch:
-                prob, cache = model_forward(s, params, train=True, rng=rng)
-                probs.append(prob)
-                caches.append(cache)
-            targets = np.array([s.target for s in batch], dtype=float)
-            loss, d_preds = bce_loss(np.array(probs), targets, config.pos_weight)
+            batch = order[start : start + config.batch_size]
+            probs, cache = forward_batch(
+                train_prices[batch], train_news[batch], params, train=True, rng=rng
+            )
+            loss, d_preds = bce_loss(probs, train_targets[batch], config.pos_weight)
             loss_sum += loss * len(batch)
-
-            grads = None
-            for cache, d_prob in zip(caches, d_preds):
-                g = model_backward(params, cache, float(d_prob))
-                if grads is None:
-                    grads = g
-                else:
-                    for name in grads:
-                        grads[name] += g[name]
+            grads = backward_batch(params, cache, d_preds)
             clip_global_norm(grads, config.clip_norm)
             adam_step(flat, grads, state)
 
@@ -375,13 +403,15 @@ def train(
         history.append((epoch, train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
-            best_params = copy.deepcopy(params)
+            best = {name: arr.copy() for name, arr in flat.items()}
             epochs_since_best = 0
         else:
             epochs_since_best += 1
             if epochs_since_best >= config.patience:
                 break
-    return best_params, history
+    for name, arr in flat.items():
+        arr[...] = best[name]
+    return params, history
 
 
 def write_history_csv(history: list[tuple[int, float, float]], path) -> None:
@@ -462,13 +492,22 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Inverse of save_checkpoint, with integrity and version validation."""
+    """Inverse of save_checkpoint, with integrity and version validation.
+
+    Every trainable array must be present with the shape that
+    init_model(hyper, variant) gives it.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CheckpointIntegrityError(f"truncated or invalid checkpoint: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict):
+        raise CheckpointVersionError(
+            f"checkpoint is a JSON {type(doc).__name__}, "
+            f"not a {CHECKPOINT_FORMAT!r} object"
+        )
+    if doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointVersionError(
             f"unsupported checkpoint format {doc.get('format')!r}; "
             f"expected {CHECKPOINT_FORMAT!r}"
@@ -481,52 +520,38 @@ def load_checkpoint(path) -> ModelParams:
     if variant not in VARIANTS:
         raise CheckpointIntegrityError(f"unknown variant {variant!r}")
 
-    def lstm_from(obj, prefix):
-        fields = ("w_i", "w_f", "w_g", "w_o", "u_i", "u_f", "u_g", "u_o",
-                  "b_i", "b_f", "b_g", "b_o")
-        missing = [f for f in fields if f not in obj]
-        if missing:
-            raise CheckpointIntegrityError(f"{prefix}: missing arrays {missing}")
-        return LstmParams(**{f: _decode_array(obj[f], f"{prefix}.{f}") for f in fields})
-
-    price_lstm = lstm_from(doc["price_lstm"], "price_lstm")
-    news_lstm = None
-    attention = None
-    if doc.get("news_lstm") is not None:
-        news_lstm = lstm_from(doc["news_lstm"], "news_lstm")
-    if doc.get("attention") is not None:
-        a = doc["attention"]
-        attention = AttentionParams(
-            w_q=_decode_array(a["w_q"], "attention.w_q"),
-            w_k=_decode_array(a["w_k"], "attention.w_k"),
-            w_v=_decode_array(a["w_v"], "attention.w_v"),
-        )
-    h = doc["head"]
-    head = HeadParams(
-        w1=_decode_array(h["w1"], "head.w1"),
-        b1=_decode_array(h["b1"], "head.b1"),
-        w2=_decode_array(h["w2"], "head.w2"),
-        b2=_decode_array(h["b2"], "head.b2"),
-        dropout=float(doc.get("head_dropout", 0.0)),
-    )
     pca = None
-    if doc.get("pca") is not None:
-        p = doc["pca"]
-        pca = PcaBasis(
-            mean=_decode_array(p["mean"], "pca.mean"),
-            components=_decode_array(p["components"], "pca.components"),
-            explained_variance=_decode_array(p["explained_variance"],
-                                             "pca.explained_variance"),
-            fitted_on=int(p["fitted_on"]),
-        )
     norm_stats = None
-    if doc.get("norm_stats") is not None:
-        norm_stats = {
-            name: (float(rec["mean"]), float(rec["std"]))
-            for name, rec in doc["norm_stats"].items()
-        }
-    return ModelParams(
-        hyper=hyper, variant=variant, price_lstm=price_lstm, head=head,
-        news_lstm=news_lstm, attention=attention, pca=pca,
-        norm_stats=norm_stats,
-    )
+    try:
+        if doc.get("pca") is not None:
+            p = doc["pca"]
+            pca = PcaBasis(
+                mean=_decode_array(p["mean"], "pca.mean"),
+                components=_decode_array(p["components"], "pca.components"),
+                explained_variance=_decode_array(p["explained_variance"],
+                                                 "pca.explained_variance"),
+                fitted_on=int(p["fitted_on"]),
+            )
+        if doc.get("norm_stats") is not None:
+            norm_stats = {
+                name: (float(rec["mean"]), float(rec["std"]))
+                for name, rec in doc["norm_stats"].items()
+            }
+        params = init_model(hyper, variant, pca=pca, norm_stats=norm_stats)
+        params.head = replace(params.head,
+                              dropout=float(doc.get("head_dropout", 0.0)))
+    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+        raise CheckpointIntegrityError(f"malformed checkpoint: {exc!r}") from None
+
+    for name, arr in flat_params(params).items():
+        component, field = name.split(".")
+        bundle = doc.get(component)
+        if not isinstance(bundle, dict) or field not in bundle:
+            raise CheckpointIntegrityError(f"{component}: missing array {field!r}")
+        loaded = _decode_array(bundle[field], name)
+        if loaded.shape != arr.shape:
+            raise CheckpointIntegrityError(
+                f"array {name!r}: shape {loaded.shape}, model wants {arr.shape}"
+            )
+        arr[...] = loaded
+    return params

@@ -47,24 +47,28 @@ def init_attention_params(
 def attention_forward(
     states: np.ndarray, params: AttentionParams
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Attend over (k, h) states; returns (context (h_a,), weights (k, k), cache)."""
+    """Attend over (B, k, h) batches of states.
+
+    Returns (context (B, h_a), weights (B, k, k), cache). The batch axis is
+    only broadcast over, so a single (k, h) sequence gives (h_a,) and (k, k).
+    """
     states = np.asarray(states, dtype=float)
-    if states.ndim != 2 or states.shape[1] != params.h:
+    if states.ndim < 2 or states.shape[-1] != params.h:
         raise ContractError(
             f"states shape {states.shape} does not match projection rows {params.h}"
         )
-    k = states.shape[0]
+    k = states.shape[-2]
     if k < 1:
         raise ContractError("attention needs at least one state")
 
     q = states @ params.w_q
     key = states @ params.w_k
     v = states @ params.w_v
-    logits = q @ key.T / np.sqrt(params.h_a)
+    logits = q @ key.swapaxes(-1, -2) / np.sqrt(params.h_a)
     if not np.isfinite(logits).all():
         raise NumericError("non-finite attention logits")
     weights = softmax_rows(logits)
-    context = (weights @ v).sum(axis=0) / k
+    context = (weights @ v).sum(axis=-2) / k
 
     cache = {"states": states, "q": q, "k": key, "v": v, "weights": weights}
     return context, weights, cache
@@ -73,27 +77,32 @@ def attention_forward(
 def attention_backward(
     params: AttentionParams, cache: dict, d_context: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Gradients of the projections plus the upstream (k, h) state gradient."""
+    """Projection gradients summed over the batch, plus the upstream state
+    gradient shaped like the states."""
     states, q, key, v, weights = (
         cache["states"], cache["q"], cache["k"], cache["v"], cache["weights"]
     )
-    k = states.shape[0]
+    k = states.shape[-2]
     scale = 1.0 / np.sqrt(params.h_a)
 
-    # context = mean over rows of (weights @ v): every row gets d_context / k
-    d_av = np.broadcast_to(np.asarray(d_context, dtype=float) / k, v.shape)
-    d_weights = d_av @ v.T                                          # (k, k)
-    d_v = weights.T @ d_av                                          # (k, h_a)
+    # context = mean over query rows of (weights @ v), so every row of its
+    # upstream gradient is d = d_context / k. Hence each row of d_weights is
+    # the same v @ d, and d_v is the outer product of weights' column sums
+    # with d.
+    d = np.asarray(d_context, dtype=float)[..., None, :] / k          # (B, 1, h_a)
+    d_weights = d @ v.swapaxes(-1, -2)                                # (B, 1, k)
+    d_v = weights.sum(axis=-2)[..., :, None] * d                      # (B, k, h_a)
 
     # softmax backward, row-wise
-    d_logits = weights * (d_weights - (d_weights * weights).sum(axis=1, keepdims=True))
+    d_logits = weights * (d_weights - (weights * d_weights).sum(axis=-1, keepdims=True))
     d_q = d_logits @ key * scale
-    d_k = d_logits.T @ q * scale
+    d_k = d_logits.swapaxes(-1, -2) @ q * scale
 
+    rows = states.reshape(-1, params.h).T
     grads = {
-        "w_q": states.T @ d_q,
-        "w_k": states.T @ d_k,
-        "w_v": states.T @ d_v,
+        "w_q": rows @ d_q.reshape(-1, params.h_a),
+        "w_k": rows @ d_k.reshape(-1, params.h_a),
+        "w_v": rows @ d_v.reshape(-1, params.h_a),
     }
     d_states = d_q @ params.w_q.T + d_k @ params.w_k.T + d_v @ params.w_v.T
     return grads, d_states

@@ -50,29 +50,32 @@ def head_forward(
     params: HeadParams,
     train: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[float, dict]:
-    """Probability of a spike for one fused vector.
+) -> tuple[np.ndarray, dict]:
+    """Spike probabilities (B,) for a (B, n_in) batch of fused vectors.
 
     Dropout uses inverted scaling (kept units divided by 1 - p) and is active
-    only in train mode; inference is deterministic.
+    only in train mode; inference is deterministic. The mask is drawn as one
+    (B, n_hidden) block, the same draws as one row per vector in turn.
     """
     fused = np.asarray(fused, dtype=float)
-    if fused.shape != (params.input_size,):
+    if fused.ndim != 2 or fused.shape[1] != params.input_size:
         raise ContractError(
-            f"fused vector shape {fused.shape}, head expects ({params.input_size},)"
+            f"fused batch shape {fused.shape}, head expects (B, {params.input_size})"
         )
-    pre = fused @ params.w1 + params.b1
+    # One vector product per row, so a row's result does not depend on the
+    # size of its batch.
+    pre = np.vecmat(fused, params.w1) + params.b1
     act = relu(pre)
     if train and params.dropout > 0.0:
         if rng is None:
             raise ConfigError("train-mode dropout requires an rng")
-        keep = rng.random(act.shape[0]) >= params.dropout
+        keep = rng.random(act.shape) >= params.dropout
         mask = keep / (1.0 - params.dropout)
     else:
         mask = np.ones_like(act)
     dropped = act * mask
-    logit = float(dropped @ params.w2 + params.b2[0])
-    prob = float(sigmoid(np.array([logit]))[0])
+    logit = np.vecdot(dropped, params.w2) + params.b2[0]
+    prob = sigmoid(logit)
     cache = {
         "fused": fused, "pre": pre, "mask": mask,
         "dropped": dropped, "prob": prob,
@@ -81,19 +84,20 @@ def head_forward(
 
 
 def head_backward(
-    params: HeadParams, cache: dict, d_prob: float
+    params: HeadParams, cache: dict, d_prob: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Gradients given dLoss/dprobability; returns (grads, dLoss/dfused)."""
+    """Gradients summed over the batch given dLoss/dprobability (B,);
+    returns (grads, dLoss/dfused (B, n_in))."""
     prob = cache["prob"]
     d_logit = d_prob * prob * (1.0 - prob)
-    d_dropped = d_logit * params.w2
+    d_dropped = d_logit[:, None] * params.w2
     d_act = d_dropped * cache["mask"]
     d_pre = d_act * (cache["pre"] > 0.0)
     grads = {
-        "w1": np.outer(cache["fused"], d_pre),
-        "b1": d_pre,
-        "w2": d_logit * cache["dropped"],
-        "b2": np.array([d_logit]),
+        "w1": cache["fused"].T @ d_pre,
+        "b1": d_pre.sum(axis=0),
+        "w2": d_logit @ cache["dropped"],
+        "b2": d_logit.sum(keepdims=True),
     }
-    d_fused = params.w1 @ d_pre
+    d_fused = d_pre @ params.w1.T
     return grads, d_fused

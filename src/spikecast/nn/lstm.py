@@ -11,7 +11,9 @@ Initial hidden and cell state are zero.
 
 The parameters are stored per gate, as above. The kernels join the four
 blocks into one W (m, 4h), U (h, 4h) and b (4h,) on every call, so each step
-costs one matrix product and one sigmoid call instead of four of each.
+costs one matrix product and one sigmoid call instead of four of each. The
+kernels are batch-first: they run B sequences of one length together, and
+the backward pass returns the gradients summed over the batch.
 """
 from __future__ import annotations
 
@@ -104,46 +106,49 @@ def _fused(params: LstmParams, kind: str) -> np.ndarray:
 def lstm_forward(
     sequence: np.ndarray, params: LstmParams
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Run the recurrence over a (k, m) sequence.
+    """Run the recurrence over a (B, k, m) batch of sequences.
 
-    Returns (all hidden states (k, h), final hidden state (h,), cache for
-    backprop).
+    Returns (all hidden states (B, k, h), final hidden states (B, h), cache
+    for backprop).
     """
     sequence = np.asarray(sequence, dtype=float)
-    if sequence.ndim != 2 or sequence.shape[1] != params.input_size:
+    if sequence.ndim != 3 or sequence.shape[2] != params.input_size:
         raise ContractError(
-            f"sequence shape {sequence.shape} does not match "
-            f"declared input size {params.input_size}"
+            f"sequence batch shape {sequence.shape} does not match "
+            f"(B, k, {params.input_size})"
         )
     if not np.isfinite(sequence).all():
         raise NumericError("non-finite value in LSTM input sequence")
-    k = sequence.shape[0]
+    n, k, _ = sequence.shape
     h = params.hidden_size
     w, u, b = _fused(params, "w"), _fused(params, "u"), _fused(params, "b")
 
-    # Input projections of every step at once. The loop adds h_prev @ U,
+    # Input projections of every step at once, in the buffer where each step
+    # then writes its activations (o | i | f | g). The loop adds h_prev @ U,
     # then b: the order in which the docstring's recurrence sums them.
-    pre_x = sequence @ w                     # (k, 4h)
-    gates = np.empty((k, 4 * h))             # activated o | i | f | g
-    hs = np.zeros((k + 1, h))                # row 0: the initial state
-    cs = np.zeros((k + 1, h))
-    tanh_cs = np.empty((k, h))
-    o, i, f, g = (gates[:, n * h : (n + 1) * h] for n in range(4))
-    for t in range(k):
-        a = pre_x[t] + hs[t] @ u + b
-        gates[t, : 3 * h] = sigmoid(a[: 3 * h])
-        np.tanh(a[3 * h :], out=g[t])
-        c = cs[t + 1]
-        np.multiply(f[t], cs[t], out=c)
-        c += i[t] * g[t]
-        np.tanh(c, out=tanh_cs[t])
-        np.multiply(o[t], tanh_cs[t], out=hs[t + 1])
+    gates = (sequence @ w).swapaxes(0, 1)    # (k, B, 4h): step t is one view
+    hs, cs = np.zeros((2, k + 1, n, h))      # step 0: the initial state
+    tanh_cs = np.empty((k, n, h))
+    o, i, f, g = (gates[..., j * h : (j + 1) * h] for j in range(4))
+    steps = zip(gates, o, i, f, g, hs, hs[1:], cs, cs[1:], tanh_cs)
+    for gate, o_t, i_t, f_t, g_t, h_prev, h_t, c_prev, c_t, tc_t in steps:
+        # One vector-matrix product per sequence, so a sequence's result
+        # does not depend on the size of its batch.
+        a = np.vecmat(h_prev, u)
+        a += gate
+        a += b
+        gate[:, : 3 * h] = sigmoid(a[:, : 3 * h])
+        np.tanh(a[:, 3 * h :], out=g_t)
+        np.multiply(f_t, c_prev, out=c_t)
+        c_t += i_t * g_t
+        np.tanh(c_t, out=tc_t)
+        np.multiply(o_t, tc_t, out=h_t)
 
     cache = {
         "sequence": sequence, "gates": gates,
         "hs": hs, "cs": cs, "tanh_cs": tanh_cs,
     }
-    return hs[1:], hs[-1].copy(), cache
+    return hs[1:].swapaxes(0, 1), hs[-1].copy(), cache
 
 
 def lstm_backward(
@@ -151,44 +156,54 @@ def lstm_backward(
 ) -> dict[str, np.ndarray]:
     """BPTT given upstream gradients for every hidden state.
 
-    `d_hs` is (k, h); for a final-state-only consumer all rows but the last
-    are zero. Returns gradients keyed like LstmParams.arrays().
+    `d_hs` is (B, k, h); for a final-state-only consumer all steps but the
+    last are zero. Returns gradients summed over the batch, keyed like
+    LstmParams.arrays().
     """
     seq, gates = cache["sequence"], cache["gates"]
     hs, cs, tanh_cs = cache["hs"], cache["cs"], cache["tanh_cs"]
-    k, h = tanh_cs.shape
+    k, n, h = tanh_cs.shape
     d_hs = np.asarray(d_hs, dtype=float)
-    if d_hs.shape != (k, h):
-        raise ContractError(f"d_hs shape {d_hs.shape}, expected {(k, h)}")
+    if d_hs.shape != (n, k, h):
+        raise ContractError(f"d_hs shape {d_hs.shape}, expected {(n, k, h)}")
 
     # Everything but the recurrence is elementwise over steps, so it is done
     # for all steps at once: each gate's pre-activation gradient is dh (gate
     # o) or dc (gates i, f, g) times a factor known from the forward pass.
-    o, i, f, g = (gates[:, n * h : (n + 1) * h] for n in range(4))
-    sig = gates.reshape(k, 4, h)[:, :3]      # the o, i, f blocks
-    factor = np.empty((k, 4, h))
-    np.multiply(sig, 1.0 - sig, out=factor[:, :3])
-    factor[:, 0] *= tanh_cs
-    factor[:, 1] *= g
-    factor[:, 2] *= cs[:-1]
-    np.multiply(i, 1.0 - g**2, out=factor[:, 3])
+    o, i, f, g = (gates[..., j * h : (j + 1) * h] for j in range(4))
+    sig = gates.reshape(k, n, 4, h)[:, :, :3]  # the o, i, f blocks
+    factor = np.empty((k, n, 4, h))
+    np.multiply(sig, 1.0 - sig, out=factor[:, :, :3])
+    factor[:, :, 0] *= tanh_cs
+    factor[:, :, 1] *= g
+    factor[:, :, 2] *= cs[:-1]
+    np.multiply(i, 1.0 - g**2, out=factor[:, :, 3])
     d_tanh_c = o * (1.0 - tanh_cs**2)        # dc contribution of dh
     u_t = _fused(params, "u").T
 
-    da = np.empty((k, 4 * h))                # pre-activation grads o | i | f | g
-    dh_next = np.zeros(h)
-    dc_next = np.zeros(h)
-    for t in reversed(range(k)):
-        dh = d_hs[t] + dh_next
-        dc = dc_next + dh * d_tanh_c[t]
-        row = da[t]
-        np.multiply(dh, factor[t, 0], out=row[:h])
-        np.multiply(dc, factor[t, 1:], out=row[h:].reshape(3, h))
-        dh_next = row @ u_t
-        dc_next = dc * f[t]
+    da = np.empty((k, n, 4 * h))             # pre-activation grads o | i | f | g
+    da_o = da[..., :h]
+    da_ifg = da[..., h:].reshape(k, n, 3, h)
+    dh_next = np.zeros((n, h))
+    dc_next = np.zeros((n, h))
+    steps = list(zip(d_hs.swapaxes(0, 1), d_tanh_c, factor[:, :, 0],
+                     factor[:, :, 1:], da, da_o, da_ifg, f))
+    for d_hs_t, d_tanh_c_t, fo_t, fifg_t, da_t, da_o_t, da_ifg_t, f_t in steps[::-1]:
+        dh = d_hs_t + dh_next
+        dc = dc_next + dh * d_tanh_c_t
+        np.multiply(dh, fo_t, out=da_o_t)
+        np.multiply(dc[:, None], fifg_t, out=da_ifg_t)
+        dh_next = da_t @ u_t
+        dc_next = dc * f_t
 
-    fused = {"w": seq.T @ da, "u": hs[:-1].T @ da, "b": da.sum(axis=0)}
+    # Sum over the batch and the steps in one product per fused block.
+    da = da.reshape(k * n, 4 * h)
+    fused = {
+        "w": seq.swapaxes(0, 1).reshape(k * n, -1).T @ da,
+        "u": hs[:-1].reshape(k * n, h).T @ da,
+        "b": da.sum(axis=0),
+    }
     return {
-        name: fused[kind][..., n * h : (n + 1) * h]
-        for name, kind, n in _GRAD_BLOCKS
+        name: fused[kind][..., j * h : (j + 1) * h]
+        for name, kind, j in _GRAD_BLOCKS
     }

@@ -5,14 +5,14 @@ import numpy as np
 
 
 def sigmoid(x):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    exp is only taken of -|x|, so it never overflows: 1 / (1 + e) for
+    x >= 0 and e / (1 + e) below, with e = exp(-|x|).
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))  # -|x|; a NaN keeps its sign bit
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def relu(x):
@@ -20,7 +20,7 @@ def relu(x):
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for stability."""
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    """Softmax over the last axis with max-subtraction for stability."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)

@@ -2,6 +2,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from spikecast.model import (
     ModelHyper,
     TrainConfig,
     WindowedSample,
+    backward_batch,
     evaluate_loss,
     flat_params,
+    forward_batch,
     init_model,
     load_checkpoint,
     make_windows,
@@ -29,6 +32,7 @@ from spikecast.model import (
     predict,
     reduce_samples,
     save_checkpoint,
+    stack_windows,
     train,
     write_history_csv,
     zero_params,
@@ -208,6 +212,52 @@ class TestBackward:
             prob, cache = model_forward(samples[0], params)
             grads = model_backward(params, cache, 1.0)
             assert set(grads) == set(flat_params(params)), variant
+
+
+class TestBatch:
+    """forward_batch/backward_batch against the B = 1 wrappers."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_train_mode_probs_match_wrapper(self, variant):
+        samples = tiny_samples(n=14)[:8]
+        params = init_model(replace(HYPER_SMALL, dropout=0.5), variant)
+        prices, news, _ = stack_windows(samples)
+        probs, _ = forward_batch(prices, news, params, train=True,
+                                 rng=np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        singles = [model_forward(s, params, train=True, rng=rng)[0] for s in samples]
+        np.testing.assert_array_equal(probs, singles)
+        assert not np.array_equal(probs, predict(params, samples))  # dropout drew
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gradients_are_sum_of_per_sample(self, variant):
+        samples = tiny_samples(n=14)[:8]
+        params = init_model(replace(HYPER_SMALL, dropout=0.5), variant)
+        prices, news, targets = stack_windows(samples)
+        probs, cache = forward_batch(prices, news, params, train=True,
+                                     rng=np.random.default_rng(4))
+        _, d_preds = bce_loss(probs, targets)
+        grads = backward_batch(params, cache, d_preds)
+
+        rng = np.random.default_rng(4)
+        total = {name: np.zeros_like(arr) for name, arr in flat_params(params).items()}
+        for s, d in zip(samples, d_preds):
+            _, c = model_forward(s, params, train=True, rng=rng)
+            for name, g in model_backward(params, c, float(d)).items():
+                total[name] += g
+        assert set(grads) == set(total)
+        for name, want in total.items():
+            assert np.abs(grads[name] - want).max() <= 1e-12, name
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_predict_independent_of_chunking(self, variant):
+        samples = tiny_samples(n=24)
+        params = init_model(HYPER_SMALL, variant)
+        whole = predict(params, samples)
+        for size in (1, 3, 8):
+            chunked = np.concatenate([predict(params, samples[i : i + size])
+                                      for i in range(0, len(samples), size)])
+            np.testing.assert_array_equal(chunked, whole)
 
 
 class TestPredict:
@@ -422,6 +472,32 @@ class TestCheckpoint:
         del doc["price_lstm"]["u_f"]
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointIntegrityError, match="u_f"):
+            load_checkpoint(path)
+
+    def test_json_array_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2, 3]\n")
+        with pytest.raises(CheckpointVersionError, match="list"):
+            load_checkpoint(path)
+
+    def test_missing_attention_array_rejected(self, tmp_path):
+        params = self._trained("full")
+        path = tmp_path / "model.json"
+        save_checkpoint(params, path)
+        doc = json.loads(path.read_text())
+        del doc["attention"]["w_q"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError, match="w_q"):
+            load_checkpoint(path)
+
+    def test_wrong_array_shape_rejected(self, tmp_path):
+        params = self._trained("no_news")  # h=4: price_lstm.w_i is (1, 4)
+        path = tmp_path / "model.json"
+        save_checkpoint(params, path)
+        doc = json.loads(path.read_text())
+        doc["price_lstm"]["w_i"] = {"shape": [2, 2], "data": [0.1, 0.2, 0.3, 0.4]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError, match=r"price_lstm\.w_i"):
             load_checkpoint(path)
 
     def test_retrain_after_reload_is_deterministic(self, tmp_path):

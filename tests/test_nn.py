@@ -28,6 +28,22 @@ class TestOps:
         assert sigmoid(np.array([-1000.0]))[0] == 0.0
         assert sigmoid(np.array([0.0]))[0] == 0.5
 
+    def test_sigmoid_bitwise_equals_masked_form(self):
+        # Reference: the masked gather/scatter form of the stable sigmoid.
+        def masked(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        grid = np.array([0.0, 1e-300, 1.0, 30.0, 709.0, 745.0, np.inf])
+        grid = np.concatenate([grid, -grid, [np.nan]])
+        grid = np.concatenate([grid, np.linspace(-40.0, 40.0, 801)])
+        assert sigmoid(grid).tobytes() == masked(grid).tobytes()
+        assert np.signbit(grid[7]) and sigmoid(grid[7:8])[0] == 0.5  # -0.0
+
     def test_relu(self):
         got = relu(np.array([-2.0, 0.0, 3.0]))
         assert list(got) == [0.0, 0.0, 3.0]
@@ -50,10 +66,11 @@ class TestLstm:
     def test_shapes_and_cache(self):
         rng = np.random.default_rng(1)
         params = init_lstm_params(3, 5, rng)
-        seq = rng.normal(size=(7, 3))
+        seq = rng.normal(size=(2, 7, 3))
         hs, last, cache = lstm_forward(seq, params)
-        assert hs.shape == (7, 5)
-        assert np.array_equal(last, hs[-1])
+        assert hs.shape == (2, 7, 5)
+        assert last.shape == (2, 5)
+        assert np.array_equal(last, hs[:, -1])
 
     def test_forget_bias_ones(self):
         params = init_lstm_params(2, 4, np.random.default_rng(2))
@@ -63,21 +80,23 @@ class TestLstm:
         params = init_lstm_params(2, 3, np.random.default_rng(3))
         for arr in params.arrays().values():
             arr[:] = 0.0
-        hs, last, _ = lstm_forward(np.ones((4, 2)), params)
+        hs, last, _ = lstm_forward(np.ones((1, 4, 2)), params)
         assert np.all(hs == 0.0)
 
     def test_rejects_bad_input(self):
         params = init_lstm_params(2, 3, np.random.default_rng(4))
         with pytest.raises(ContractError):
-            lstm_forward(np.ones((4, 5)), params)
+            lstm_forward(np.ones((1, 4, 5)), params)
+        with pytest.raises(ContractError):
+            lstm_forward(np.ones((4, 2)), params)  # no batch axis
         with pytest.raises(NumericError):
-            lstm_forward(np.array([[1.0, np.nan]]), params)
+            lstm_forward(np.array([[[1.0, np.nan]]]), params)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
         params = init_lstm_params(2, 4, rng)
-        seq = rng.normal(size=(5, 2))
-        d_hs = rng.normal(size=(5, 4))
+        seq = rng.normal(size=(3, 5, 2))
+        d_hs = rng.normal(size=(3, 5, 4))
 
         def closure():
             hs, _, cache = lstm_forward(seq, params)
@@ -94,23 +113,27 @@ class TestLstm:
         p = init_lstm_params(3, 5, rng)
         for arr in p.arrays().values():
             arr[...] = rng.normal(size=arr.shape)
-        seq = rng.normal(size=(6, 3))
+        seq = rng.normal(size=(2, 6, 3))
 
         def sig(z):
             return 1.0 / (1.0 + np.exp(-z))
 
-        h, c, expected = np.zeros(5), np.zeros(5), []
-        for x in seq:
-            i = sig(x @ p.w_i + h @ p.u_i + p.b_i)
-            f = sig(x @ p.w_f + h @ p.u_f + p.b_f)
-            g = np.tanh(x @ p.w_g + h @ p.u_g + p.b_g)
-            o = sig(x @ p.w_o + h @ p.u_o + p.b_o)
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            expected.append(h)
+        expected = []
+        for one in seq:
+            h, c, states = np.zeros(5), np.zeros(5), []
+            for x in one:
+                i = sig(x @ p.w_i + h @ p.u_i + p.b_i)
+                f = sig(x @ p.w_f + h @ p.u_f + p.b_f)
+                g = np.tanh(x @ p.w_g + h @ p.u_g + p.b_g)
+                o = sig(x @ p.w_o + h @ p.u_o + p.b_o)
+                c = f * c + i * g
+                h = o * np.tanh(c)
+                states.append(h)
+            expected.append(states)
+        expected = np.array(expected)
         hs, last, cache = lstm_forward(seq, p)
-        assert np.abs(hs - np.array(expected)).max() < 1e-12
-        assert np.abs(last - expected[-1]).max() < 1e-12
+        assert np.abs(hs - expected).max() < 1e-12
+        assert np.abs(last - expected[:, -1]).max() < 1e-12
 
         grads = lstm_backward(p, cache, rng.normal(size=hs.shape))
         assert list(grads) == list(p.arrays())
@@ -122,41 +145,48 @@ class TestAttention:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(6)
         params = init_attention_params(4, 3, rng)
-        states = rng.normal(size=(5, 4))
+        states = rng.normal(size=(2, 5, 4))
         _, weights, _ = attention_forward(states, params)
-        assert weights.shape == (5, 5)
-        assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-6)
+        assert weights.shape == (2, 5, 5)
+        assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_zero_query_key_uniform(self):
         rng = np.random.default_rng(7)
         params = init_attention_params(4, 3, rng)
         params.w_q[:] = 0.0
         params.w_k[:] = 0.0
-        states = rng.normal(size=(6, 4))
+        states = rng.normal(size=(2, 6, 4))
         context, weights, _ = attention_forward(states, params)
         assert np.all(weights == 1.0 / 6.0)
         v = states @ params.w_v
-        assert np.allclose(context, v.mean(axis=0), atol=1e-12)
+        assert np.allclose(context, v.mean(axis=1), atol=1e-12)
 
     def test_context_is_mean_over_positions(self):
         rng = np.random.default_rng(8)
         params = init_attention_params(3, 2, rng)
-        states = rng.normal(size=(4, 3))
+        states = rng.normal(size=(3, 4, 3))
         context, weights, _ = attention_forward(states, params)
         v = states @ params.w_v
-        assert np.allclose(context, (weights @ v).mean(axis=0), atol=1e-12)
+        assert np.allclose(context, (weights @ v).mean(axis=1), atol=1e-12)
+        # the batch axis is only broadcast over: one (k, h) sequence at a time
+        # gives the same rows
+        for b in range(3):
+            one, one_weights, _ = attention_forward(states[b], params)
+            assert one.shape == (2,) and one_weights.shape == (4, 4)
+            assert np.array_equal(one, context[b])
+            assert np.array_equal(one_weights, weights[b])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
         params = init_attention_params(4, 3, rng)
-        states = rng.normal(size=(5, 4))
-        probe = rng.normal(size=3)
+        states = rng.normal(size=(2, 5, 4))
+        probe = rng.normal(size=(2, 3))
         bundle = dict(params.arrays())
         bundle["states"] = states
 
         def closure():
             context, _, cache = attention_forward(states, params)
-            loss = float(context @ probe)
+            loss = float((context * probe).sum())
             grads, d_states = attention_backward(params, cache, probe)
             grads = dict(grads)
             grads["states"] = d_states
@@ -170,16 +200,17 @@ class TestHead:
     def test_inference_deterministic(self):
         rng = np.random.default_rng(10)
         params = init_head_params(6, 4, 0.5, rng)
-        x = rng.normal(size=6)
+        x = rng.normal(size=(3, 6))
         p1, _ = head_forward(x, params)
         p2, _ = head_forward(x, params)
-        assert p1 == p2
-        assert 0.0 < p1 < 1.0
+        assert p1.shape == (3,)
+        assert np.array_equal(p1, p2)
+        assert np.all((0.0 < p1) & (p1 < 1.0))
 
     def test_train_mode_requires_rng(self):
         params = init_head_params(4, 3, 0.5, np.random.default_rng(11))
         with pytest.raises(ConfigError):
-            head_forward(np.zeros(4), params, train=True, rng=None)
+            head_forward(np.zeros((1, 4)), params, train=True, rng=None)
 
     def test_invalid_dropout(self):
         with pytest.raises(ConfigError):
@@ -190,15 +221,15 @@ class TestHead:
     def test_inverted_dropout_preserves_expectation(self):
         rng = np.random.default_rng(13)
         params = init_head_params(5, 16, 0.3, rng)
-        x = rng.normal(size=5)
+        x = rng.normal(size=(1, 5))
         _, cache = head_forward(x, params)
-        reference = cache["dropped"]  # inference: mask of ones
+        reference = cache["dropped"][0]  # inference: mask of ones
         draws = np.random.default_rng(99)
         total = np.zeros(16)
         trials = 20000
         for _ in range(trials):
             _, c = head_forward(x, params, train=True, rng=draws)
-            total += c["dropped"]
+            total += c["dropped"][0]
         mean_activation = total / trials
         # E[mask * h / (1-p)] = h
         tol = 0.05 * np.abs(reference).max() + 0.02
@@ -207,14 +238,14 @@ class TestHead:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(14)
         params = init_head_params(5, 4, 0.0, rng)
-        x = rng.normal(size=5)
+        x = rng.normal(size=(3, 5))
         bundle = dict(params.arrays())
         bundle["x"] = x
 
         def closure():
             prob, cache = head_forward(x, params)
-            loss, d_preds = bce_loss(np.array([prob]), np.array([1.0]))
-            grads, d_x = head_backward(params, cache, float(d_preds[0]))
+            loss, d_preds = bce_loss(prob, np.array([1.0, 0.0, 1.0]))
+            grads, d_x = head_backward(params, cache, d_preds)
             grads = dict(grads)
             grads["x"] = d_x
             return loss, grads
