@@ -200,7 +200,8 @@ def _cmd_label(args, out: Path) -> list[str]:
 
 
 def _read_labels_csv(path) -> SpikeLabelSet:
-    rows = list(csv.DictReader(open(path)))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     expected = ["year", "avg_price", "pct_change", "spike"]
     if not rows or list(rows[0].keys()) != expected:
         raise ParseError(f"{path}: expected header {','.join(expected)}")

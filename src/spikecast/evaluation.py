@@ -271,9 +271,43 @@ def _fold_auc(scores, labels, fold: int, variant: str) -> float | None:
         warnings.warn(
             f"variant {variant} fold {fold}: single-class test labels, "
             "AUC excluded from the mean",
-            stacklevel=3,
+            stacklevel=4,
         )
         return None
+
+
+def _run_folds(samples, variant, fit_score, fits_pca: bool, n_folds: int,
+               d_prime: int, threshold: float) -> EvalReport:
+    """Expanding-window folds scored by fit_score(train_s, test_s, basis).
+
+    With fits_pca, each fold refits PCA on its training rows and reduces
+    both parts; otherwise basis is None.
+    """
+    plan = time_series_split(len(samples), n_folds)
+    results = []
+    for idx, ((tr_lo, tr_hi), (te_lo, te_hi)) in enumerate(plan.folds, start=1):
+        train_s = samples[tr_lo:tr_hi]
+        test_s = samples[te_lo:te_hi]
+        pca_years = None
+        basis = None
+        if fits_pca:
+            pca_years, basis = fit_fold_pca(train_s, d_prime)
+            train_s = reduce_samples(train_s, basis)
+            test_s = reduce_samples(test_s, basis)
+        scores = fit_score(train_s, test_s, basis)
+        labels = np.array([s.target for s in test_s])
+        results.append(FoldResult(
+            fold=idx,
+            n_train=len(train_s),
+            n_test=len(test_s),
+            train_anchor_span=(train_s[0].anchor_year, train_s[-1].anchor_year),
+            test_anchor_span=(test_s[0].anchor_year, test_s[-1].anchor_year),
+            auc=_fold_auc(scores, labels, idx, variant),
+            metrics=classification_metrics(scores, labels, threshold),
+            pca_train_years=pca_years,
+            pca_basis=basis,
+        ))
+    return _summarize(variant, threshold, n_folds, results)
 
 
 def run_cv(
@@ -288,32 +322,14 @@ def run_cv(
     """Expanding-window CV of one model variant with per-fold PCA refits."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
-    plan = time_series_split(len(samples), n_folds)
-    results = []
-    for idx, ((tr_lo, tr_hi), (te_lo, te_hi)) in enumerate(plan.folds, start=1):
-        train_s = samples[tr_lo:tr_hi]
-        test_s = samples[te_lo:te_hi]
-        pca_years = None
-        basis = None
-        if variant not in (VARIANT_NO_PCA, VARIANT_NO_NEWS):
-            pca_years, basis = fit_fold_pca(train_s, d_prime)
-            train_s = reduce_samples(train_s, basis)
-            test_s = reduce_samples(test_s, basis)
+
+    def fit_score(train_s, test_s, basis):
         params, _ = train(train_s, config, hyper=hyper, variant=variant, pca=basis)
-        scores = predict(params, test_s)
-        labels = np.array([s.target for s in test_s])
-        results.append(FoldResult(
-            fold=idx,
-            n_train=len(train_s),
-            n_test=len(test_s),
-            train_anchor_span=(train_s[0].anchor_year, train_s[-1].anchor_year),
-            test_anchor_span=(test_s[0].anchor_year, test_s[-1].anchor_year),
-            auc=_fold_auc(scores, labels, idx, variant),
-            metrics=classification_metrics(scores, labels, threshold),
-            pca_train_years=pca_years,
-            pca_basis=basis,
-        ))
-    return _summarize(variant, threshold, n_folds, results)
+        return predict(params, test_s)
+
+    return _run_folds(samples, variant, fit_score,
+                      variant not in (VARIANT_NO_PCA, VARIANT_NO_NEWS),
+                      n_folds, d_prime, threshold)
 
 
 # --- logistic-regression baseline ---------------------------------------------
@@ -365,31 +381,14 @@ def baseline_logreg(
     iters: int = 500,
 ) -> EvalReport:
     """Logistic regression under the exact fold plan and metrics of run_cv."""
-    plan = time_series_split(len(samples), n_folds)
-    results = []
-    for idx, ((tr_lo, tr_hi), (te_lo, te_hi)) in enumerate(plan.folds, start=1):
-        train_s = samples[tr_lo:tr_hi]
-        test_s = samples[te_lo:te_hi]
-        pca_years, basis = fit_fold_pca(train_s, d_prime)
-        train_r = reduce_samples(train_s, basis)
-        test_r = reduce_samples(test_s, basis)
-        x_train = sample_features(train_r)
-        y_train = np.array([s.target for s in train_r], dtype=float)
-        w, b = fit_logreg(x_train, y_train, l2=l2, lr=lr, iters=iters)
-        scores = logreg_scores(w, b, sample_features(test_r))
-        labels = np.array([s.target for s in test_r])
-        results.append(FoldResult(
-            fold=idx,
-            n_train=len(train_r),
-            n_test=len(test_r),
-            train_anchor_span=(train_r[0].anchor_year, train_r[-1].anchor_year),
-            test_anchor_span=(test_r[0].anchor_year, test_r[-1].anchor_year),
-            auc=_fold_auc(scores, labels, idx, BASELINE_VARIANT),
-            metrics=classification_metrics(scores, labels, threshold),
-            pca_train_years=pca_years,
-            pca_basis=basis,
-        ))
-    return _summarize(BASELINE_VARIANT, threshold, n_folds, results)
+    def fit_score(train_s, test_s, basis):
+        y_train = np.array([s.target for s in train_s], dtype=float)
+        w, b = fit_logreg(sample_features(train_s), y_train,
+                          l2=l2, lr=lr, iters=iters)
+        return logreg_scores(w, b, sample_features(test_s))
+
+    return _run_folds(samples, BASELINE_VARIANT, fit_score, True,
+                      n_folds, d_prime, threshold)
 
 
 # --- artifact writers ----------------------------------------------------------

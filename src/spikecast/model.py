@@ -42,7 +42,7 @@ from .nn import (
 from .nn.optim import adam_step, clip_global_norm, init_adam
 from .pca import PcaBasis, transform_rows
 
-CHECKPOINT_FORMAT = "spikecast-checkpoint/1"
+CHECKPOINT_FORMAT = "spikecast-checkpoint/2"
 
 VARIANT_FULL = "full"
 VARIANT_NO_ATTENTION = "no_attention"
@@ -445,12 +445,11 @@ def _decode_array(obj, name: str) -> np.ndarray:
     return arr
 
 
-def _encode_bundle(arrays: dict[str, np.ndarray]) -> dict:
-    return {name: _encode_array(arr) for name, arr in arrays.items()}
-
-
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Versioned JSON checkpoint; save -> load -> save is byte-identical."""
+    """Versioned JSON checkpoint; save -> load -> save is byte-identical.
+
+    Every trainable array is stored under its flat_params name.
+    """
     doc = {
         "format": CHECKPOINT_FORMAT,
         "variant": params.variant,
@@ -463,12 +462,11 @@ def save_checkpoint(params: ModelParams, path) -> None:
             "seed": params.hyper.seed,
         },
         "pca": None,
-        "price_lstm": _encode_bundle(params.price_lstm.arrays()),
-        "news_lstm": None,
-        "attention": None,
-        "head": _encode_bundle(params.head.arrays()),
         "head_dropout": params.head.dropout,
         "norm_stats": None,
+        "arrays": {
+            name: _encode_array(arr) for name, arr in flat_params(params).items()
+        },
     }
     if params.pca is not None:
         doc["pca"] = {
@@ -477,10 +475,6 @@ def save_checkpoint(params: ModelParams, path) -> None:
             "explained_variance": _encode_array(params.pca.explained_variance),
             "fitted_on": params.pca.fitted_on,
         }
-    if params.news_lstm is not None:
-        doc["news_lstm"] = _encode_bundle(params.news_lstm.arrays())
-    if params.attention is not None:
-        doc["attention"] = _encode_bundle(params.attention.arrays())
     if params.norm_stats is not None:
         doc["norm_stats"] = {
             name: {"mean": float(m), "std": float(s)}
@@ -543,12 +537,13 @@ def load_checkpoint(path) -> ModelParams:
     except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
         raise CheckpointIntegrityError(f"malformed checkpoint: {exc!r}") from None
 
+    arrays = doc.get("arrays")
+    if not isinstance(arrays, dict):
+        raise CheckpointIntegrityError("checkpoint has no 'arrays' object")
     for name, arr in flat_params(params).items():
-        component, field = name.split(".")
-        bundle = doc.get(component)
-        if not isinstance(bundle, dict) or field not in bundle:
-            raise CheckpointIntegrityError(f"{component}: missing array {field!r}")
-        loaded = _decode_array(bundle[field], name)
+        if name not in arrays:
+            raise CheckpointIntegrityError(f"missing array {name!r}")
+        loaded = _decode_array(arrays[name], name)
         if loaded.shape != arr.shape:
             raise CheckpointIntegrityError(
                 f"array {name!r}: shape {loaded.shape}, model wants {arr.shape}"

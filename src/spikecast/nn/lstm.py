@@ -9,16 +9,15 @@ Per step, with x the input row and h/c the previous hidden and cell state:
 
 Initial hidden and cell state are zero.
 
-The parameters are stored per gate, as above. The kernels join the four
-blocks into one W (m, 4h), U (h, 4h) and b (4h,) on every call, so each step
-costs one matrix product and one sigmoid call instead of four of each. The
-kernels are batch-first: they run B sequences of one length together, and
-the backward pass returns the gradients summed over the batch.
+The parameters are stored fused: W (m, 4h), U (h, 4h) and b (4h,) hold the
+four gates' blocks side by side in GATE_ORDER, so each step costs one matrix
+product and one sigmoid call instead of four of each. The kernels are
+batch-first: they run B sequences of one length together, and the backward
+pass returns the gradients summed over the batch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,81 +25,53 @@ from ..errors import ContractError, NumericError
 from .ops import sigmoid
 
 
+# Column order of the gate blocks. It keeps the three sigmoid gates (o, i, f)
+# contiguous for the forward pass, and the three gates that the cell-state
+# gradient reaches (i, f, g) contiguous for the backward pass.
+GATE_ORDER = ("o", "i", "f", "g")
+
+
 @dataclass
 class LstmParams:
-    """Weights for one LSTM: input->gate, hidden->gate, and gate biases."""
+    """Weights for one LSTM: input->gate, hidden->gate, and gate biases, each
+    with the four gate blocks side by side in GATE_ORDER."""
 
-    w_i: np.ndarray  # (m, h)
-    w_f: np.ndarray
-    w_g: np.ndarray
-    w_o: np.ndarray
-    u_i: np.ndarray  # (h, h)
-    u_f: np.ndarray
-    u_g: np.ndarray
-    u_o: np.ndarray
-    b_i: np.ndarray  # (h,)
-    b_f: np.ndarray
-    b_g: np.ndarray
-    b_o: np.ndarray
+    w: np.ndarray  # (m, 4h)
+    u: np.ndarray  # (h, 4h)
+    b: np.ndarray  # (4h,)
 
     @property
     def input_size(self) -> int:
-        return self.w_i.shape[0]
+        return self.w.shape[0]
 
     @property
     def hidden_size(self) -> int:
-        return self.w_i.shape[1]
+        return self.u.shape[0]
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            name: getattr(self, name)
-            for name in (
-                "w_i", "w_f", "w_g", "w_o",
-                "u_i", "u_f", "u_g", "u_o",
-                "b_i", "b_f", "b_g", "b_o",
-            )
-        }
+        return {"w": self.w, "u": self.u, "b": self.b}
 
 
 def init_lstm_params(
     input_size: int, hidden_size: int, rng: np.random.Generator
 ) -> LstmParams:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init; forget-gate bias +1."""
-    def mat(fan_in, shape):
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init; forget-gate bias +1.
+
+    The blocks are drawn gate by gate in i, f, g, o order, all of W first,
+    then all of U, so a seed gives the same weights whatever GATE_ORDER is.
+    """
+    def draw(fan_in, rows):
         bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
+        blocks = {gate: rng.uniform(-bound, bound, size=(rows, h))
+                  for gate in "ifgo"}
+        return np.concatenate([blocks[gate] for gate in GATE_ORDER], axis=1)
 
     m, h = input_size, hidden_size
-    params = LstmParams(
-        w_i=mat(m, (m, h)), w_f=mat(m, (m, h)),
-        w_g=mat(m, (m, h)), w_o=mat(m, (m, h)),
-        u_i=mat(h, (h, h)), u_f=mat(h, (h, h)),
-        u_g=mat(h, (h, h)), u_o=mat(h, (h, h)),
-        b_i=np.zeros(h), b_f=np.ones(h), b_g=np.zeros(h), b_o=np.zeros(h),
-    )
-    return params
-
-
-# Column order of the fused gate blocks. It keeps the three sigmoid gates
-# (o, i, f) contiguous for the forward pass, and the three gates that the
-# cell-state gradient reaches (i, f, g) contiguous for the backward pass.
-FUSED_ORDER = ("o", "i", "f", "g")
-_BLOCKS = {
-    kind: attrgetter(*(f"{kind}_{gate}" for gate in FUSED_ORDER))
-    for kind in ("w", "u", "b")
-}
-
-# (name, kind, fused block index) of each array, in LstmParams field order.
-_GRAD_BLOCKS = tuple(
-    (field.name, field.name[0], FUSED_ORDER.index(field.name[2]))
-    for field in fields(LstmParams)
-)
-
-
-def _fused(params: LstmParams, kind: str) -> np.ndarray:
-    """The `kind` ("w", "u" or "b") blocks side by side in FUSED_ORDER:
-    W (m, 4h), U (h, 4h) or b (4h,)."""
-    return np.concatenate(_BLOCKS[kind](params), axis=-1)
+    w = draw(m, m)
+    u = draw(h, h)
+    b = np.zeros(4 * h)
+    b.reshape(4, h)[GATE_ORDER.index("f")] = 1.0
+    return LstmParams(w=w, u=u, b=b)
 
 
 def lstm_forward(
@@ -121,7 +92,7 @@ def lstm_forward(
         raise NumericError("non-finite value in LSTM input sequence")
     n, k, _ = sequence.shape
     h = params.hidden_size
-    w, u, b = _fused(params, "w"), _fused(params, "u"), _fused(params, "b")
+    w, u, b = params.w, params.u, params.b
 
     # Input projections of every step at once, in the buffer where each step
     # then writes its activations (o | i | f | g). The loop adds h_prev @ U,
@@ -179,7 +150,7 @@ def lstm_backward(
     factor[:, :, 2] *= cs[:-1]
     np.multiply(i, 1.0 - g**2, out=factor[:, :, 3])
     d_tanh_c = o * (1.0 - tanh_cs**2)        # dc contribution of dh
-    u_t = _fused(params, "u").T
+    u_t = params.u.T
 
     da = np.empty((k, n, 4 * h))             # pre-activation grads o | i | f | g
     da_o = da[..., :h]
@@ -196,14 +167,10 @@ def lstm_backward(
         dh_next = da_t @ u_t
         dc_next = dc * f_t
 
-    # Sum over the batch and the steps in one product per fused block.
+    # Sum over the batch and the steps in one product per array.
     da = da.reshape(k * n, 4 * h)
-    fused = {
+    return {
         "w": seq.swapaxes(0, 1).reshape(k * n, -1).T @ da,
         "u": hs[:-1].reshape(k * n, h).T @ da,
         "b": da.sum(axis=0),
-    }
-    return {
-        name: fused[kind][..., j * h : (j + 1) * h]
-        for name, kind, j in _GRAD_BLOCKS
     }

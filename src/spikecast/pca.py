@@ -1,9 +1,8 @@
 """PCA projection for news embeddings via covariance eigendecomposition.
 
-The eigensolver is a cyclic Jacobi iteration on the (symmetric) covariance
-matrix: repeated plane rotations zero out off-diagonal entries until the
-matrix is numerically diagonal. Slow for huge matrices, rock solid for the
-d <= a-few-hundred regime this pipeline lives in.
+The symmetric covariance matrix is decomposed by LAPACK through
+numpy.linalg.eigh, so a fit costs one O(d^3) library call at any embedding
+width.
 """
 from __future__ import annotations
 
@@ -12,9 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, RankError
-
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -33,53 +29,6 @@ class PcaBasis:
     @property
     def d_prime(self) -> int:
         return self.components.shape[1]
-
-
-def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues descending and
-    eigenvectors as columns. Deterministic for a given input.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ContractError(f"matrix must be square, got {a.shape}")
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-
-    scale = np.abs(a).max() or 1.0
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= _JACOBI_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= _JACOBI_TOL * scale * 1e-4:
-                    continue
-                # Rotation angle that annihilates a[p, q].
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-
-    eigvals = a.diagonal().copy()
-    order = np.argsort(-eigvals, kind="stable")
-    return eigvals[order], v[:, order]
 
 
 def fit_pca(rows: np.ndarray, d_prime: int) -> PcaBasis:
@@ -109,9 +58,9 @@ def fit_pca(rows: np.ndarray, d_prime: int) -> PcaBasis:
     if total_var <= 0.0:
         raise RankError("zero covariance: all rows identical")
 
-    eigvals, eigvecs = jacobi_eigh(cov)
-    components = eigvecs[:, :d_prime].copy()
-    variance = np.maximum(eigvals[:d_prime], 0.0)
+    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending eigenvalues
+    components = eigvecs[:, ::-1][:, :d_prime].copy()
+    variance = np.maximum(eigvals[::-1][:d_prime], 0.0)
     for j in range(d_prime):
         col = components[:, j]
         if col[np.argmax(np.abs(col))] < 0:

@@ -196,7 +196,7 @@ class TestTrain:
         out = tmp_path / "train"
         assert run_cli("train", *model_args(corpus, out)) == 0
         doc = json.loads((out / "checkpoint.json").read_text())
-        assert doc["format"] == "spikecast-checkpoint/1"
+        assert doc["format"] == "spikecast-checkpoint/2"
         assert doc["variant"] == "full"
         assert doc["pca"] is not None
         history = (out / "history.csv").read_text().splitlines()
@@ -215,7 +215,8 @@ class TestTrain:
         assert run_cli("train", *model_args(corpus, out),
                        "--variant", "no_news") == 0
         doc = json.loads((out / "checkpoint.json").read_text())
-        assert doc["pca"] is None and doc["news_lstm"] is None
+        assert doc["pca"] is None
+        assert not [name for name in doc["arrays"] if name.startswith("news_lstm.")]
 
 
 class TestEval:

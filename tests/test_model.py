@@ -435,6 +435,30 @@ class TestCheckpoint:
         with pytest.raises(CheckpointVersionError):
             load_checkpoint(path)
 
+    def test_v1_document_rejected(self, tmp_path):
+        # The /1 layout: one block per component, each LSTM stored per gate.
+        params = self._trained("no_news")
+        path = tmp_path / "model.json"
+        save_checkpoint(params, path)
+        doc = json.loads(path.read_text())
+        old = {key: doc[key] for key in ("variant", "hyper", "pca",
+                                         "head_dropout", "norm_stats")}
+        old.update(format="spikecast-checkpoint/1", price_lstm={}, head={},
+                   news_lstm=None, attention=None)
+        h = params.hyper.h
+        for name, arr in flat_params(params).items():
+            component, field = name.split(".")
+            if component == "head":
+                old["head"][field] = doc["arrays"][name]
+                continue
+            for j, gate in enumerate("oifg"):  # stored column order
+                block = arr[..., j * h : (j + 1) * h]
+                old[component][f"{field}_{gate}"] = {
+                    "shape": list(block.shape), "data": block.ravel().tolist()}
+        path.write_text(json.dumps(old))
+        with pytest.raises(CheckpointVersionError, match="checkpoint/1"):
+            load_checkpoint(path)
+
     def test_truncated_rejected(self, tmp_path):
         params = self._trained("no_news")
         path = tmp_path / "model.json"
@@ -449,7 +473,7 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(params, path)
         doc = json.loads(path.read_text())
-        doc["head"]["w1"]["data"] = doc["head"]["w1"]["data"][:-1]
+        doc["arrays"]["head.w1"]["data"] = doc["arrays"]["head.w1"]["data"][:-1]
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointIntegrityError, match="w1"):
             load_checkpoint(path)
@@ -459,7 +483,7 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(params, path)
         doc = json.loads(path.read_text())
-        doc["head"]["w1"]["data"][0] = 1e999  # json reads this as Infinity
+        doc["arrays"]["head.w1"]["data"][0] = 1e999  # json reads this as Infinity
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointIntegrityError, match="finite"):
             load_checkpoint(path)
@@ -469,9 +493,9 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(params, path)
         doc = json.loads(path.read_text())
-        del doc["price_lstm"]["u_f"]
+        del doc["arrays"]["price_lstm.u"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointIntegrityError, match="u_f"):
+        with pytest.raises(CheckpointIntegrityError, match=r"price_lstm\.u"):
             load_checkpoint(path)
 
     def test_json_array_rejected(self, tmp_path):
@@ -485,19 +509,19 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(params, path)
         doc = json.loads(path.read_text())
-        del doc["attention"]["w_q"]
+        del doc["arrays"]["attention.w_q"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointIntegrityError, match="w_q"):
+        with pytest.raises(CheckpointIntegrityError, match=r"attention\.w_q"):
             load_checkpoint(path)
 
     def test_wrong_array_shape_rejected(self, tmp_path):
-        params = self._trained("no_news")  # h=4: price_lstm.w_i is (1, 4)
+        params = self._trained("no_news")  # h=4: price_lstm.w is (1, 16)
         path = tmp_path / "model.json"
         save_checkpoint(params, path)
         doc = json.loads(path.read_text())
-        doc["price_lstm"]["w_i"] = {"shape": [2, 2], "data": [0.1, 0.2, 0.3, 0.4]}
+        doc["arrays"]["price_lstm.w"] = {"shape": [4, 4], "data": [0.1] * 16}
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointIntegrityError, match=r"price_lstm\.w_i"):
+        with pytest.raises(CheckpointIntegrityError, match=r"price_lstm\.w\b"):
             load_checkpoint(path)
 
     def test_retrain_after_reload_is_deterministic(self, tmp_path):

@@ -74,7 +74,26 @@ class TestLstm:
 
     def test_forget_bias_ones(self):
         params = init_lstm_params(2, 4, np.random.default_rng(2))
-        assert np.all(params.b_f == 1.0)
+        b_o, b_i, b_f, b_g = params.b.reshape(4, 4)  # stored order o | i | f | g
+        assert np.all(b_f == 1.0)
+        assert not np.any([b_o, b_i, b_g])
+
+    def test_init_matches_per_gate_draw_order(self):
+        # The reference draw: W blocks gate by gate in i, f, g, o order, then
+        # the U blocks, then constant biases; stored side by side as o | i | f | g.
+        m, h = 3, 5
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            params = init_lstm_params(m, h, rng)
+            ref = np.random.default_rng(seed)
+            bw, bu = 1.0 / np.sqrt(m), 1.0 / np.sqrt(h)
+            w = {g: ref.uniform(-bw, bw, size=(m, h)) for g in "ifgo"}
+            u = {g: ref.uniform(-bu, bu, size=(h, h)) for g in "ifgo"}
+            b = {"o": np.zeros(h), "i": np.zeros(h), "f": np.ones(h), "g": np.zeros(h)}
+            for got, blocks in ((params.w, w), (params.u, u), (params.b, b)):
+                want = np.concatenate([blocks[g] for g in "oifg"], axis=-1)
+                assert got.tobytes() == want.tobytes()
+            assert rng.random() == ref.random()  # later draws are unchanged too
 
     def test_zero_params_zero_output(self):
         params = init_lstm_params(2, 3, np.random.default_rng(3))
@@ -108,7 +127,7 @@ class TestLstm:
 
     def test_matches_per_gate_recurrence(self):
         # A kernel that swapped gate blocks consistently would still pass the
-        # finite-difference check; this pins each named array to its gate.
+        # finite-difference check; this pins each column block to its gate.
         rng = np.random.default_rng(6)
         p = init_lstm_params(3, 5, rng)
         for arr in p.arrays().values():
@@ -118,14 +137,21 @@ class TestLstm:
         def sig(z):
             return 1.0 / (1.0 + np.exp(-z))
 
+        def gate(arr, name):  # stored column order o | i | f | g
+            j = "oifg".index(name)
+            return arr[..., j * 5 : (j + 1) * 5]
+
+        w_i, w_f, w_g, w_o = (gate(p.w, n) for n in "ifgo")
+        u_i, u_f, u_g, u_o = (gate(p.u, n) for n in "ifgo")
+        b_i, b_f, b_g, b_o = (gate(p.b, n) for n in "ifgo")
         expected = []
         for one in seq:
             h, c, states = np.zeros(5), np.zeros(5), []
             for x in one:
-                i = sig(x @ p.w_i + h @ p.u_i + p.b_i)
-                f = sig(x @ p.w_f + h @ p.u_f + p.b_f)
-                g = np.tanh(x @ p.w_g + h @ p.u_g + p.b_g)
-                o = sig(x @ p.w_o + h @ p.u_o + p.b_o)
+                i = sig(x @ w_i + h @ u_i + b_i)
+                f = sig(x @ w_f + h @ u_f + b_f)
+                g = np.tanh(x @ w_g + h @ u_g + b_g)
+                o = sig(x @ w_o + h @ u_o + b_o)
                 c = f * c + i * g
                 h = o * np.tanh(c)
                 states.append(h)
@@ -136,7 +162,7 @@ class TestLstm:
         assert np.abs(last - expected[:, -1]).max() < 1e-12
 
         grads = lstm_backward(p, cache, rng.normal(size=hs.shape))
-        assert list(grads) == list(p.arrays())
+        assert list(grads) == list(p.arrays()) == ["w", "u", "b"]
         for name, arr in p.arrays().items():
             assert grads[name].shape == arr.shape, name
 

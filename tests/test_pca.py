@@ -1,9 +1,9 @@
-"""Hand-rolled PCA against the library eigendecomposition oracle."""
+"""PCA against the definitional eigendecomposition oracle."""
 import numpy as np
 import pytest
 
 from spikecast.errors import RankError
-from spikecast.pca import fit_pca, jacobi_eigh, transform, transform_rows
+from spikecast.pca import fit_pca, transform, transform_rows
 
 
 def oracle_basis(rows: np.ndarray, d_prime: int):
@@ -14,31 +14,6 @@ def oracle_basis(rows: np.ndarray, d_prime: int):
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     return mean, evecs[:, order[:d_prime]], evals[order[:d_prime]]
-
-
-class TestJacobi:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_library_eigh(self, seed):
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, 10))
-        m = rng.normal(size=(d, d))
-        a = (m + m.T) / 2
-        evals, evecs = jacobi_eigh(a)
-        ref = np.sort(np.linalg.eigvalsh(a))[::-1]
-        assert np.allclose(evals, ref, atol=1e-10)
-        # eigen equation and orthogonality
-        assert np.allclose(a @ evecs, evecs * evals, atol=1e-9)
-        assert np.allclose(evecs.T @ evecs, np.eye(d), atol=1e-10)
-
-    def test_descending_order(self):
-        a = np.diag([1.0, 5.0, 3.0])
-        evals, _ = jacobi_eigh(a)
-        assert list(evals) == [5.0, 3.0, 1.0]
-
-    def test_already_diagonal(self):
-        evals, evecs = jacobi_eigh(np.diag([2.0, 2.0]))
-        assert np.allclose(evals, [2.0, 2.0])
-        assert np.allclose(np.abs(evecs), np.eye(2))
 
 
 class TestFitPca:
