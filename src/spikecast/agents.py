@@ -35,7 +35,6 @@ class AgentConfig:
     in_flight_limit: int = 1
     fallback_policy: str = "skip"
     commodities: tuple[str, ...] = ("crude oil", "natural gas", "coal")
-    credential_env: str = "NEWS_BACKEND_KEY"
 
     def __post_init__(self):
         if self.max_retries < 1:

@@ -17,6 +17,8 @@ from typing import Protocol, runtime_checkable
 from .errors import BackendError, ConfigError
 
 _YEAR_RE = re.compile(r"\b(1[0-9]{3}|2[0-9]{3})\b")
+# Environment variable holding the credential of every non-mock backend.
+CREDENTIAL_ENV = "NEWS_BACKEND_KEY"
 
 
 @dataclass(frozen=True)
@@ -145,17 +147,11 @@ def register_backend(name: str, factory: type) -> None:
     _REGISTRY[name] = factory
 
 
-def get_backend(
-    name: str,
-    seed: int = 0,
-    dim: int = 64,
-    credential_env: str = "NEWS_BACKEND_KEY",
-) -> TextBackend:
+def get_backend(name: str, seed: int = 0, dim: int = 64) -> TextBackend:
     """Resolve a backend by name.
 
-    Non-mock backends require a credential in the named environment
-    variable; the value is passed to the factory and never written to any
-    artifact.
+    Non-mock backends require a credential in $NEWS_BACKEND_KEY; the value
+    is passed to the factory and never written to any artifact.
     """
     if name == "mock":
         return MockBackend(seed=seed, dim=dim)
@@ -163,9 +159,9 @@ def get_backend(
     if factory is None:
         known = ", ".join(sorted(_REGISTRY))
         raise ConfigError(f"unknown backend {name!r}; registered: {known}")
-    key = os.environ.get(credential_env)
+    key = os.environ.get(CREDENTIAL_ENV)
     if not key:
         raise ConfigError(
-            f"backend {name!r} needs a credential in ${credential_env}"
+            f"backend {name!r} needs a credential in ${CREDENTIAL_ENV}"
         )
     return factory(api_key=key, seed=seed, dim=dim)

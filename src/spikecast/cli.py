@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -280,17 +281,7 @@ def _load_aligned(args):
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        alpha=args.alpha,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        patience=args.patience,
-        weight_decay=args.weight_decay,
-        seed=args.seed,
-        validation_fraction=args.validation_fraction,
-        pos_weight=args.pos_weight,
-        clip_norm=args.clip_norm,
-    )
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
 def _hyper(args) -> ModelHyper:
@@ -399,18 +390,20 @@ def _cmd_report(args, out: Path) -> list[str]:
                   "year,avg_price,pct_change,spike")
         outputs.append("plot_spikes.csv")
     if args.summary:
-        doc = json.loads(Path(args.summary).read_text())
         lines = ["variant,mean_auc,std_auc,mean_f1_w,std_f1_w"]
-        for variant in sorted(doc):
-            block = doc[variant]
-            mean, std = block.get("mean", {}), block.get("std", {})
-            cells = [
-                "" if "auc" not in mean else _fmt(mean["auc"]),
-                "" if "auc" not in std else _fmt(std["auc"]),
-                "" if "f1_w" not in mean else _fmt(mean["f1_w"]),
-                "" if "f1_w" not in std else _fmt(std["f1_w"]),
-            ]
-            lines.append(f"{variant}," + ",".join(cells))
+        try:
+            doc = json.loads(Path(args.summary).read_text())
+            for variant in sorted(doc):
+                mean, std = doc[variant].get("mean", {}), doc[variant].get("std", {})
+                cells = [
+                    "" if "auc" not in mean else _fmt(mean["auc"]),
+                    "" if "auc" not in std else _fmt(std["auc"]),
+                    "" if "f1_w" not in mean else _fmt(mean["f1_w"]),
+                    "" if "f1_w" not in std else _fmt(std["f1_w"]),
+                ]
+                lines.append(f"{variant}," + ",".join(cells))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"{args.summary}: not an ablation summary: {exc}") from None
         (out / "plot_ablation.csv").write_text("\n".join(lines) + "\n")
         outputs.append("plot_ablation.csv")
     if args.roc:
@@ -462,38 +455,27 @@ def load_config_file(path) -> dict[str, str]:
 
 def _apply_config(subparsers: dict[str, argparse.ArgumentParser],
                   overrides: dict[str, str]) -> None:
-    known: set[str] = set()
-    coercers: dict[str, object] = {}
+    """Make each override the default of every option with its name, coerced
+    the way that option coerces its command-line value."""
+    applied = set()
     for sp in subparsers.values():
         for action in sp._actions:
-            if action.dest in ("help", "command"):
+            raw = overrides.get(action.dest)
+            if raw is None or action.dest == "help":
                 continue
-            known.add(action.dest)
-            if action.type is not None:
-                coercers.setdefault(action.dest, action.type)
-            elif isinstance(action, argparse._StoreTrueAction):
-                coercers.setdefault(action.dest, "bool")
-    unknown = sorted(set(overrides) - known)
+            if isinstance(action, argparse._StoreTrueAction):
+                action.default = raw.lower() in ("1", "true", "yes", "on")
+            elif action.type is None:
+                action.default = raw
+            else:
+                try:
+                    action.default = action.type(raw)
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    raise ConfigError(f"config key {action.dest}: {exc}") from None
+            applied.add(action.dest)
+    unknown = sorted(set(overrides) - applied)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    for sp in subparsers.values():
-        dests = {a.dest for a in sp._actions}
-        defaults = {}
-        for key, raw in overrides.items():
-            if key not in dests:
-                continue
-            coerce = coercers.get(key)
-            if coerce == "bool":
-                defaults[key] = raw.lower() in ("1", "true", "yes", "on")
-            elif coerce is not None:
-                try:
-                    defaults[key] = coerce(raw)
-                except (ValueError, argparse.ArgumentTypeError) as exc:
-                    raise ConfigError(f"config key {key}: {exc}") from None
-            else:
-                defaults[key] = raw
-        if defaults:
-            sp.set_defaults(**defaults)
 
 
 # --- parser assembly -------------------------------------------------------------

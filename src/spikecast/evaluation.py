@@ -84,56 +84,47 @@ def time_series_split(n: int, n_folds: int = 5) -> FoldPlan:
     return FoldPlan(n=n, n_folds=n_folds, folds=tuple(folds))
 
 
-def roc_auc(scores, labels) -> float:
-    """Rank-based AUC: (concordant + half of tied pairs) / (pos * neg).
-
-    Computed from average ranks, which equals the all-pairs count exactly:
-    tied ranks are half-integers and every intermediate sum stays exactly
-    representable at realistic sizes.
-    """
+def _counts_by_score(scores, labels):
+    """Positives and negatives at each distinct score, highest score first."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ConfigError("scores and labels must be equal-length 1-D sequences")
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if n_pos + n_neg != labels.size:
+    if np.isnan(scores).any():
+        raise ConfigError("scores must not be NaN")
+    pos, neg = labels == 1, labels == 0
+    if not (pos | neg).all():
         raise ConfigError("labels must be 0/1")
+    distinct, index = np.unique(scores, return_inverse=True)
+    index = distinct.size - 1 - index
+    return (np.bincount(index[pos], minlength=distinct.size),
+            np.bincount(index[neg], minlength=distinct.size))
+
+
+def roc_auc(scores, labels) -> float:
+    """Rank-based AUC: (concordant + half of tied pairs) / (pos * neg).
+
+    Each negative counts the positives scored above it plus half of those
+    tied with it. Every term is an integer or a half, so the sum is exact.
+    """
+    pos, neg = _counts_by_score(scores, labels)
+    n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"AUC undefined: {n_pos} positives, {n_neg} negatives"
         )
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average of 1-based ranks
-        i = j + 1
-    rank_sum_pos = float(ranks[labels == 1].sum())
-    u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    above = np.cumsum(pos) - pos
+    return int((neg * (2 * above + pos)).sum()) / (2 * n_pos * n_neg)
 
 
 def roc_curve(scores, labels) -> list[tuple[float, float]]:
     """(fpr, tpr) staircase from (0,0) to (1,1), thresholds descending."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
+    pos, neg = _counts_by_score(scores, labels)
+    n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("ROC undefined with a single class")
-    points = [(0.0, 0.0)]
-    for t in sorted(set(scores.tolist()), reverse=True):
-        pred = scores >= t
-        tp = int((pred & (labels == 1)).sum())
-        fp = int((pred & (labels == 0)).sum())
-        points.append((fp / n_neg, tp / n_pos))
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
-    return points
+    fpr, tpr = np.cumsum(neg) / n_neg, np.cumsum(pos) / n_pos
+    return [(0.0, 0.0)] + list(zip(fpr.tolist(), tpr.tolist()))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import math
 import os
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import StoreError, ValidationError
@@ -61,39 +61,65 @@ class EmbeddingVector:
             raise ValidationError(f"year {self.year}: non-finite embedding values")
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise StoreError(f"cannot write {path}: {exc}") from exc
-
-
-class SummaryStore:
-    """One summary per year; load-merge-rewrite with byte-stable output."""
+class _YearStore:
+    """The JSONL format both stores share: one JSON object per line, at most
+    one record per year, written in ascending year order and swapped into
+    place atomically."""
 
     def __init__(self, path):
         self.path = Path(path)
-        self._records: dict[int, NewsSummary] = {}
-        self._lock = threading.Lock()
+        self._records: dict[int, object] = {}
         if self.path.exists():
             self._load()
 
-    def _load(self) -> None:
+    def _entries(self) -> list[tuple[int, object]]:
+        """(line number, parsed JSON) for every non-blank line of the file."""
         try:
             lines = self.path.read_text().splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise StoreError(f"cannot read {self.path}: {exc}") from exc
+        entries = []
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                entries.append((lineno, json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise StoreError(f"{self.path}:{lineno}: invalid JSON: {exc}") from None
+        return entries
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def get(self, year: int):
+        return self._records.get(year)
+
+    def records(self) -> list:
+        return [self._records[y] for y in sorted(self._records)]
+
+    def _dump(self, encode, *header: dict) -> None:
+        """Write the header objects, then encode(record) for each year."""
+        lines = [json.dumps(obj) for obj in header]
+        lines += [json.dumps(encode(r)) for r in self.records()]
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=f".{self.path.name}.")
+            with os.fdopen(fd, "w") as fh:
+                fh.write("".join(line + "\n" for line in lines))
+            os.replace(tmp, self.path)
+        except OSError as exc:
+            raise StoreError(f"cannot write {self.path}: {exc}") from exc
+
+
+class SummaryStore(_YearStore):
+    """One summary per year; load-merge-rewrite with byte-stable output."""
+
+    def __init__(self, path):
+        self._lock = threading.Lock()
+        super().__init__(path)
+
+    def _load(self) -> None:
+        for lineno, obj in self._entries():
             if not isinstance(obj, dict) or set(obj) != set(SUMMARY_FIELDS):
                 raise StoreError(
                     f"{self.path}:{lineno}: record fields must be exactly "
@@ -113,20 +139,8 @@ class SummaryStore:
                 raise StoreError(f"{self.path}:{lineno}: {exc}") from None
             self._records[rec.year] = rec
 
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def get(self, year: int) -> NewsSummary | None:
-        return self._records.get(year)
-
-    def years(self) -> list[int]:
-        return sorted(self._records)
-
     def verified_years(self) -> set[int]:
         return {y for y, r in self._records.items() if r.verified}
-
-    def records(self) -> list[NewsSummary]:
-        return [self._records[y] for y in sorted(self._records)]
 
     def upsert(self, summary: NewsSummary) -> None:
         """Insert or replace a year's record.
@@ -137,92 +151,56 @@ class SummaryStore:
         """
         with self._lock:
             old = self._records.get(summary.year)
-            if (
-                old is not None
-                and old.summary == summary.summary
-                and old.verified == summary.verified
-                and old.retries == summary.retries
-                and old.backend_id == summary.backend_id
-                and old.commodities == summary.commodities
-            ):
+            if old is not None and replace(old, created_at=summary.created_at) == summary:
                 return
             self._records[summary.year] = summary
 
     def write(self) -> None:
-        lines = []
-        for year in sorted(self._records):
-            r = self._records[year]
-            lines.append(json.dumps({
-                "year": r.year,
-                "commodities": list(r.commodities),
-                "summary": r.summary,
-                "verified": r.verified,
-                "retries": r.retries,
-                "backend_id": r.backend_id,
-                "created_at": r.created_at,
-            }))
-        _atomic_write(self.path, "".join(line + "\n" for line in lines))
+        self._dump(lambda r: {name: getattr(r, name) for name in SUMMARY_FIELDS})
 
 
-class EmbeddingStore:
+class EmbeddingStore(_YearStore):
     """Header line fixing the dimension, then one vector per year."""
 
     def __init__(self, path, dim: int | None = None):
-        self.path = Path(path)
         self.dim = dim
-        self._records: dict[int, EmbeddingVector] = {}
-        if self.path.exists():
-            self._load()
+        super().__init__(path)
 
     def _load(self) -> None:
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError as exc:
-            raise StoreError(f"cannot read {self.path}: {exc}") from exc
-        if not lines:
+        entries = self._entries()
+        if not entries:
             return
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"{self.path}:1: invalid header: {exc}") from None
-        if not isinstance(header, dict) or header.get("format") != EMBEDDING_FORMAT:
+        lineno, header = entries[0]
+        if (lineno != 1 or not isinstance(header, dict)
+                or header.get("format") != EMBEDDING_FORMAT):
             raise StoreError(
                 f"{self.path}:1: expected header with format={EMBEDDING_FORMAT!r}"
             )
-        stored_dim = int(header.get("dim", 0))
+        stored_dim = header.get("dim")
+        if type(stored_dim) is not int or stored_dim < 1:
+            raise StoreError(
+                f"{self.path}:1: header dim must be a positive integer, "
+                f"got {stored_dim!r}"
+            )
         if self.dim is not None and stored_dim != self.dim:
             raise StoreError(
                 f"{self.path}: store dim {stored_dim} != requested {self.dim}"
             )
         self.dim = stored_dim
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
+        for lineno, obj in entries[1:]:
             try:
-                obj = json.loads(line)
                 rec = EmbeddingVector(
                     year=int(obj["year"]),
                     dim=int(obj["dim"]),
                     values=tuple(float(v) for v in obj["values"]),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise StoreError(f"{self.path}:{lineno}: {exc}") from None
-            except ValidationError as exc:
+            except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 raise StoreError(f"{self.path}:{lineno}: {exc}") from None
             if rec.dim != self.dim:
                 raise StoreError(
                     f"{self.path}:{lineno}: dim {rec.dim} != store dim {self.dim}"
                 )
             self._records[rec.year] = rec
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def get(self, year: int) -> EmbeddingVector | None:
-        return self._records.get(year)
-
-    def records(self) -> list[EmbeddingVector]:
-        return [self._records[y] for y in sorted(self._records)]
 
     def put(self, vector: EmbeddingVector) -> None:
         if self.dim is None:
@@ -236,12 +214,8 @@ class EmbeddingStore:
     def write(self) -> None:
         if self.dim is None:
             raise StoreError("cannot write an embedding store with no dimension")
-        lines = [json.dumps({"format": EMBEDDING_FORMAT, "dim": self.dim})]
-        for year in sorted(self._records):
-            r = self._records[year]
-            lines.append(json.dumps({
-                "year": r.year,
-                "dim": r.dim,
-                "values": [float(v) for v in r.values],
-            }))
-        _atomic_write(self.path, "".join(line + "\n" for line in lines))
+        self._dump(
+            lambda r: {"year": r.year, "dim": r.dim,
+                       "values": [float(v) for v in r.values]},
+            {"format": EMBEDDING_FORMAT, "dim": self.dim},
+        )

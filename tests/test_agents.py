@@ -331,6 +331,12 @@ class TestSummaryStore:
         with pytest.raises(StoreError, match=":2"):
             SummaryStore(path)
 
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n")
+        with pytest.raises(StoreError, match="cannot read"):
+            SummaryStore(path)
+
     def test_upsert_preserves_created_at_on_identical_outcome(self, tmp_path):
         store = SummaryStore(tmp_path / "s.jsonl")
         first = NewsSummary(1970, ("oil",), "Same text", True, 0, "m", "t0")
@@ -341,6 +347,26 @@ class TestSummaryStore:
         changed = NewsSummary(1970, ("oil",), "New text", True, 0, "m", "t2")
         store.upsert(changed)
         assert store.get(1970).created_at == "t2"
+
+    def test_written_bytes(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        store = SummaryStore(path)
+        store.upsert(NewsSummary(1971, ("coal",), "Second year", False, 2,
+                                 "mock-s0-d8", "t1"))
+        store.upsert(NewsSummary(1970, ("oil", "gas"), 'First "quoted" caf\u00e9',
+                                 True, 0, "mock", "t0"))
+        store.write()
+        expected = (
+            b'{"year": 1970, "commodities": ["oil", "gas"], "summary": '
+            b'"First \\"quoted\\" caf\\u00e9", "verified": true, "retries": 0, '
+            b'"backend_id": "mock", "created_at": "t0"}\n'
+            b'{"year": 1971, "commodities": ["coal"], "summary": "Second year", '
+            b'"verified": false, "retries": 2, "backend_id": "mock-s0-d8", '
+            b'"created_at": "t1"}\n'
+        )
+        assert path.read_bytes() == expected
+        SummaryStore(path).write()
+        assert path.read_bytes() == expected
 
 
 class TestEmbeddingStore:
@@ -372,6 +398,29 @@ class TestEmbeddingStore:
         )
         with pytest.raises(StoreError, match="dim"):
             EmbeddingStore(path)
+
+    @pytest.mark.parametrize("dim", ["", ', "dim": "abc"', ', "dim": null', ', "dim": 0'],
+                             ids=["missing", "string", "null", "zero"])
+    def test_bad_header_dim_rejected(self, tmp_path, dim):
+        path = tmp_path / "e.jsonl"
+        path.write_text('{"format": "spikecast-embeddings/1"%s}\n' % dim)
+        with pytest.raises(StoreError, match=r"e\.jsonl:1: header dim"):
+            EmbeddingStore(path)
+
+    def test_written_bytes(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        store = EmbeddingStore(path)
+        store.put(EmbeddingVector(1961, 3, (0.5, -1.25, 1e-20)))
+        store.put(EmbeddingVector(1960, 3, (0.1, 2.0, -0.0)))
+        store.write()
+        expected = (
+            b'{"format": "spikecast-embeddings/1", "dim": 3}\n'
+            b'{"year": 1960, "dim": 3, "values": [0.1, 2.0, -0.0]}\n'
+            b'{"year": 1961, "dim": 3, "values": [0.5, -1.25, 1e-20]}\n'
+        )
+        assert path.read_bytes() == expected
+        EmbeddingStore(path).write()
+        assert path.read_bytes() == expected
 
     def test_vector_validation(self):
         with pytest.raises(ValidationError):

@@ -287,6 +287,14 @@ class TestReport:
         assert run_cli("report", "--roc", bogus, "--out", tmp_path / "r") == 1
         assert "fpr,tpr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["not json\n", '{"full": [0.5]}\n'],
+                             ids=["not-json", "block-not-object"])
+    def test_malformed_summary_exits_one(self, tmp_path, capsys, text):
+        summary = tmp_path / "summary.json"
+        summary.write_text(text)
+        assert run_cli("report", "--summary", summary, "--out", tmp_path / "r") == 1
+        assert str(summary) in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_input_is_validation_error(self, tmp_path, capsys):

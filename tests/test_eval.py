@@ -155,6 +155,12 @@ class TestRocAuc:
         with pytest.raises(ConfigError):
             roc_auc([0.1, 0.2], [1, 2])
 
+    def test_nan_scores_rejected(self):
+        with pytest.raises(ConfigError, match="NaN"):
+            roc_auc([0.1, float("nan"), float("nan")], [0, 1, 0])
+        with pytest.raises(ConfigError, match="NaN"):
+            roc_curve([0.1, float("nan"), float("nan")], [0, 1, 0])
+
     @settings(max_examples=120, deadline=None)
     @given(st.lists(
         st.tuples(
