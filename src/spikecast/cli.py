@@ -56,6 +56,7 @@ from .ingest import (
     align_dataset,
 )
 from .model import (
+    PCA_VARIANTS,
     ModelHyper,
     TrainConfig,
     VARIANTS,
@@ -165,10 +166,18 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _read_text(path) -> str:
+    """Contents of a UTF-8 text input file; any other encoding is a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 # --- subcommand bodies ---------------------------------------------------------
 
 def _cmd_ingest(args, out: Path) -> list[str]:
-    table = parse_price_table(Path(args.infile).read_text())
+    table = parse_price_table(_read_text(args.infile))
     normalized = normalize_table(table)
     lines = ["year," + ",".join(normalized.commodities)]
     for i, year in enumerate(normalized.years):
@@ -186,7 +195,7 @@ def _cmd_ingest(args, out: Path) -> list[str]:
 
 
 def _cmd_label(args, out: Path) -> list[str]:
-    table = parse_price_table(Path(args.infile).read_text())
+    table = parse_price_table(_read_text(args.infile))
     averages = raw_average(table)
     labels = label_spikes(averages, threshold_pct=args.threshold)
     changes = pct_changes(averages)
@@ -201,8 +210,7 @@ def _cmd_label(args, out: Path) -> list[str]:
 
 
 def _read_labels_csv(path) -> SpikeLabelSet:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = list(csv.DictReader(_read_text(path).splitlines()))
     expected = ["year", "avg_price", "pct_change", "spike"]
     if not rows or list(rows[0].keys()) != expected:
         raise ParseError(f"{path}: expected header {','.join(expected)}")
@@ -273,7 +281,7 @@ def _cmd_reduce(args, out: Path) -> list[str]:
 
 
 def _load_aligned(args):
-    table = parse_price_table(Path(args.prices).read_text())
+    table = parse_price_table(_read_text(args.prices))
     composite = composite_average(normalize_table(table))
     labels = _read_labels_csv(args.labels)
     store = EmbeddingStore(args.embeddings)
@@ -294,7 +302,7 @@ def _cmd_train(args, out: Path) -> list[str]:
     dataset = _load_aligned(args)
     samples = make_windows(dataset, args.k)
     basis = None
-    if args.variant not in ("no_pca", "no_news"):
+    if args.variant in PCA_VARIANTS:
         _, basis = fit_fold_pca(samples, args.dim)
         samples = reduce_samples(samples, basis)
     params, history = train(
@@ -311,7 +319,7 @@ def _cmd_eval(args, out: Path) -> list[str]:
     samples = make_windows(dataset, args.k)
     train_s, test_s = holdout_split(samples, args.holdout)
     basis = None
-    if args.variant not in ("no_pca", "no_news"):
+    if args.variant in PCA_VARIANTS:
         _, basis = fit_fold_pca(train_s, args.dim)
         train_s = reduce_samples(train_s, basis)
         test_s = reduce_samples(test_s, basis)
@@ -372,7 +380,7 @@ def _cmd_ablate(args, out: Path) -> list[str]:
 
 
 def _copy_csv(src: Path, dst: Path, expected_header: str) -> None:
-    text = Path(src).read_text()
+    text = _read_text(src)
     first = text.splitlines()[0] if text else ""
     if first != expected_header:
         raise ParseError(f"{src}: expected header {expected_header!r}, got {first!r}")
@@ -392,7 +400,7 @@ def _cmd_report(args, out: Path) -> list[str]:
     if args.summary:
         lines = ["variant,mean_auc,std_auc,mean_f1_w,std_f1_w"]
         try:
-            doc = json.loads(Path(args.summary).read_text())
+            doc = json.loads(_read_text(args.summary))
             for variant in sorted(doc):
                 mean, std = doc[variant].get("mean", {}), doc[variant].get("std", {})
                 cells = [
@@ -435,8 +443,8 @@ def load_config_file(path) -> dict[str, str]:
     """Flat `key = value` lines; '#' comments and blank lines ignored."""
     values = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

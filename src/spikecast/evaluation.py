@@ -18,8 +18,7 @@ from .errors import ConfigError, InsufficientDataError, UndefinedMetricError
 from .model import (
     ModelHyper,
     TrainConfig,
-    VARIANT_NO_NEWS,
-    VARIANT_NO_PCA,
+    PCA_VARIANTS,
     VARIANTS,
     WindowedSample,
     predict,
@@ -318,24 +317,26 @@ def run_cv(
         params, _ = train(train_s, config, hyper=hyper, variant=variant, pca=basis)
         return predict(params, test_s)
 
-    return _run_folds(samples, variant, fit_score,
-                      variant not in (VARIANT_NO_PCA, VARIANT_NO_NEWS),
+    return _run_folds(samples, variant, fit_score, variant in PCA_VARIANTS,
                       n_folds, d_prime, threshold)
 
 
 # --- logistic-regression baseline ---------------------------------------------
 
+def _logreg_grad(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, l2: float):
+    """Probabilities and the (dw, db) gradient of logreg_loss_grad's loss."""
+    p = sigmoid(x @ w + b)
+    resid = (p - y) / y.size
+    return p, x.T @ resid + l2 * w, float(resid.sum())
+
+
 def logreg_loss_grad(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
                      l2: float = 0.0):
     """Mean logistic loss with an L2 penalty on the weights (not the bias)."""
-    z = x @ w + b
-    p = sigmoid(z)
+    p, dw, db = _logreg_grad(w, b, x, y, l2)
     eps = 1e-12
     loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
     loss += 0.5 * l2 * float(w @ w)
-    resid = (p - y) / y.size
-    dw = x.T @ resid + l2 * w
-    db = float(resid.sum())
     return loss, dw, db
 
 
@@ -345,7 +346,7 @@ def fit_logreg(x: np.ndarray, y: np.ndarray, l2: float = 1e-3,
     w = np.zeros(x.shape[1])
     b = 0.0
     for _ in range(iters):
-        _, dw, db = logreg_loss_grad(w, b, x, y, l2)
+        _, dw, db = _logreg_grad(w, b, x, y, l2)
         w -= lr * dw
         b -= lr * db
     return w, b

@@ -206,27 +206,25 @@ def normalize_table(table: PriceTable) -> PriceTable:
     return PriceTable(table.years, table.commodities, np.column_stack(cols))
 
 
-def composite_average(table: PriceTable) -> PriceSeries:
-    """Per-year mean of present z-scores; drops years where every cell is missing.
-
-    The input must already be normalized per commodity (see normalize_table).
-    """
+def _yearly_mean(table: PriceTable, name: str, kind: str) -> PriceSeries:
+    """Per-year mean of present cells; drops years where every cell is missing."""
     if not table.commodities or not table.years:
         raise ValidationError("empty table")
     keep = (~np.isnan(table.values)).any(axis=1)
     means = np.nanmean(table.values[keep], axis=1)
     years = tuple(y for y, k in zip(table.years, keep) if k)
-    return PriceSeries("composite", years, means, NORMALIZED)
+    return PriceSeries(name, years, means, kind)
+
+
+def composite_average(table: PriceTable) -> PriceSeries:
+    """Per-year mean of present z-scores; the input must already be normalized
+    per commodity (see normalize_table)."""
+    return _yearly_mean(table, "composite", NORMALIZED)
 
 
 def raw_average(table: PriceTable) -> PriceSeries:
     """Per-year mean of present raw prices (the averaged-price series for labeling)."""
-    if not table.commodities or not table.years:
-        raise ValidationError("empty table")
-    keep = (~np.isnan(table.values)).any(axis=1)
-    means = np.nanmean(table.values[keep], axis=1)
-    years = tuple(y for y, k in zip(table.years, keep) if k)
-    return PriceSeries("average", years, means, RAW)
+    return _yearly_mean(table, "average", RAW)
 
 
 def pct_changes(series: PriceSeries) -> dict[int, float]:

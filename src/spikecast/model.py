@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,6 +49,8 @@ VARIANT_NO_ATTENTION = "no_attention"
 VARIANT_NO_PCA = "no_pca"
 VARIANT_NO_NEWS = "no_news"
 VARIANTS = (VARIANT_FULL, VARIANT_NO_ATTENTION, VARIANT_NO_PCA, VARIANT_NO_NEWS)
+# Variants that read PCA-reduced news: no_pca reads raw news, no_news none.
+PCA_VARIANTS = (VARIANT_FULL, VARIANT_NO_ATTENTION)
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,9 @@ class ModelHyper:
 
 @dataclass
 class ModelParams:
-    """Complete trainable state of one model variant."""
+    """Complete trainable state of one model variant. Built only by init_model:
+    `theta` holds every trainable value in flat_params order, and every
+    flat_params array is a view of it."""
 
     hyper: ModelHyper
     variant: str
@@ -90,6 +94,7 @@ class ModelParams:
     attention: AttentionParams | None = None
     pca: PcaBasis | None = None
     norm_stats: dict[str, tuple[float, float]] | None = None
+    theta: np.ndarray = field(init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -173,11 +178,18 @@ def init_model(
         attention = init_attention_params(hyper.h, hyper.h_a, rng)
         fused = hyper.h + hyper.h_a
     head = init_head_params(fused, hyper.h, hyper.dropout, rng)
-    return ModelParams(
+    params = ModelParams(
         hyper=hyper, variant=variant, price_lstm=price_lstm, head=head,
         news_lstm=news_lstm, attention=attention, pca=pca,
         norm_stats=norm_stats,
     )
+    flat = flat_params(params)
+    params.theta = np.concatenate(list(flat.values()), axis=None)
+    ends = np.cumsum([arr.size for arr in flat.values()])
+    for (name, arr), view in zip(flat.items(), np.split(params.theta, ends[:-1])):
+        component, attr = name.split(".")
+        setattr(getattr(params, component), attr, view.reshape(arr.shape))
+    return params
 
 
 def flat_params(params: ModelParams) -> dict[str, np.ndarray]:
@@ -193,8 +205,7 @@ def flat_params(params: ModelParams) -> dict[str, np.ndarray]:
 
 def zero_params(params: ModelParams) -> ModelParams:
     """Zero every trainable array in place (testing aid). Returns params."""
-    for arr in flat_params(params).values():
-        arr[:] = 0.0
+    params.theta[...] = 0.0
     return params
 
 
@@ -371,18 +382,18 @@ def train(
         )
 
     params = init_model(hyper, variant, pca=pca, norm_stats=norm_stats)
+    theta = params.theta
     flat = flat_params(params)
-    state = init_adam(
-        flat,
-        alpha=config.alpha,
-        weight_decay=config.weight_decay,
-        decay_keys={"head.w1", "head.w2"},
-    )
+    decayed = [np.full(arr.size, name in ("head.w1", "head.w2"))
+               for name, arr in flat.items()]
+    state = init_adam(theta, alpha=config.alpha, weight_decay=config.weight_decay,
+                      decay_mask=np.concatenate(decayed))
+    grad = np.empty_like(theta)
     rng = np.random.default_rng(config.seed)
 
     history: list[tuple[int, float, float]] = []
     best_val = math.inf
-    best = {name: arr.copy() for name, arr in flat.items()}
+    best = theta.copy()
     epochs_since_best = 0
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n_train)
@@ -395,22 +406,22 @@ def train(
             loss, d_preds = bce_loss(probs, train_targets[batch], config.pos_weight)
             loss_sum += loss * len(batch)
             grads = backward_batch(params, cache, d_preds)
-            clip_global_norm(grads, config.clip_norm)
-            adam_step(flat, grads, state)
+            np.concatenate([grads[name] for name in flat], axis=None, out=grad)
+            clip_global_norm(grad, config.clip_norm)
+            adam_step(theta, grad, state)
 
         train_loss = loss_sum / n_train
         val_loss = evaluate_loss(params, val_part, config.pos_weight)
         history.append((epoch, train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
-            best = {name: arr.copy() for name, arr in flat.items()}
+            best = theta.copy()
             epochs_since_best = 0
         else:
             epochs_since_best += 1
             if epochs_since_best >= config.patience:
                 break
-    for name, arr in flat.items():
-        arr[...] = best[name]
+    theta[...] = best
     return params, history
 
 

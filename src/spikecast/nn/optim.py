@@ -1,96 +1,77 @@
-"""Adam with bias correction and selective L2 weight decay."""
+"""Adam with bias correction and selective L2 weight decay, on one flat
+parameter vector."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ContractError, NumericError
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
 class AdamState:
     """First/second-moment accumulators plus hyperparameters.
 
-    `decay_keys` names the parameters that receive L2 decay (the dense-layer
-    weights); decay is added to their gradients as lambda * theta.
+    `decay_mask` marks the entries of theta that receive L2 decay (the
+    dense-layer weights); decay is added to their gradients as
+    weight_decay * theta.
     """
 
+    m: np.ndarray
+    v: np.ndarray
+    decay_mask: np.ndarray
     alpha: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
-    decay_keys: frozenset = frozenset()
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
 
 
 def init_adam(
-    params: dict[str, np.ndarray],
+    theta: np.ndarray,
     alpha: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
-    decay_keys=(),
+    decay_mask: np.ndarray | None = None,
 ) -> AdamState:
-    state = AdamState(
-        alpha=alpha, beta1=beta1, beta2=beta2, eps=eps,
-        weight_decay=weight_decay, decay_keys=frozenset(decay_keys),
-    )
-    for name, arr in params.items():
-        state.m[name] = np.zeros_like(arr)
-        state.v[name] = np.zeros_like(arr)
-    return state
+    if decay_mask is None:
+        decay_mask = np.zeros(theta.shape, dtype=bool)
+    return AdamState(m=np.zeros_like(theta), v=np.zeros_like(theta),
+                     decay_mask=decay_mask, alpha=alpha, weight_decay=weight_decay)
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update, applied to `params` in place.
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update, applied to `theta` in place.
 
-    Refuses the whole step (no mutation) if any gradient is non-finite.
+    The decay term is added to `grad` in place. Refuses the whole step (no
+    mutation) if the shapes differ or any gradient is non-finite.
     """
-    if set(params) != set(state.m):
-        raise ContractError("parameter keys do not match optimizer state")
-    for name in params:
-        if name not in grads:
-            raise ContractError(f"missing gradient for {name!r}")
-        if params[name].shape != grads[name].shape:
-            raise ContractError(
-                f"gradient shape mismatch for {name!r}: "
-                f"{grads[name].shape} vs {params[name].shape}"
-            )
-        if not np.isfinite(grads[name]).all():
-            raise NumericError(f"non-finite gradient for {name!r}; step refused")
+    if not theta.shape == grad.shape == state.m.shape:
+        raise ContractError(f"gradient shape {grad.shape}, parameters "
+                            f"{theta.shape}, optimizer state {state.m.shape}")
+    if not np.isfinite(grad).all():
+        raise NumericError("non-finite gradient; step refused")
 
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for name, theta in params.items():
-        g = grads[name]
-        if state.weight_decay and name in state.decay_keys:
-            g = g + state.weight_decay * theta
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        theta -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return params, state
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    if state.weight_decay:
+        np.add(grad, state.weight_decay * theta, out=grad, where=state.decay_mask)
+    m, v = state.m, state.v
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * grad * grad
+    theta -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so the global L2 norm is <= max_norm."""
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+def clip_global_norm(grad: np.ndarray, max_norm: float) -> float:
+    """Scale `grad` in place so its L2 norm is <= max_norm; returns the norm
+    before scaling."""
+    total = float(np.sqrt(grad @ grad))
     if max_norm > 0 and total > max_norm:
-        factor = max_norm / total
-        for g in grads.values():
-            g *= factor
+        grad *= max_norm / total
     return total

@@ -327,6 +327,29 @@ class TestExitCodes:
         bad.write_text("year,a\n1960,oops\n")
         assert run_cli("label", "--in", bad, "--out", tmp_path / "o") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--in", "{bad}"],
+        ["label", "--in", "{bad}"],
+        ["train", "--prices", "{bad}", "--labels", "{labels}",
+         "--embeddings", "{embeddings}"],
+        ["train", "--prices", "{prices}", "--labels", "{bad}",
+         "--embeddings", "{embeddings}"],
+        ["report", "--labels", "{bad}"],
+        ["report", "--summary", "{bad}"],
+        ["report", "--roc", "{bad}"],
+        ["report", "--history", "{bad}"],
+        ["distill", "--years", "1970:1970", "--config", "{bad}"],
+    ], ids=["ingest", "label", "train-prices", "train-labels", "report-labels",
+            "report-summary", "report-roc", "report-history", "config"])
+    def test_non_utf8_input_exits_one(self, corpus, tmp_path, capsys, argv):
+        bad = tmp_path / "utf16.csv"
+        bad.write_bytes("year,avg_price,pct_change,spike\n".encode("utf-16"))
+        paths = {name: corpus[name] for name in ("prices", "labels", "embeddings")}
+        argv = [a.format(bad=bad, **paths) for a in argv]
+        assert run_cli(*argv, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
 
 class TestConfigFile:
     def test_parse(self, tmp_path):

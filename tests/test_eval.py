@@ -38,6 +38,7 @@ from spikecast.model import (
     WindowedSample,
     make_windows,
 )
+from spikecast.nn import sigmoid
 
 from conftest import pairwise_auc, planted_dataset
 
@@ -346,6 +347,22 @@ class TestLogregBaseline:
         up, _, _ = logreg_loss_grad(w, b + eps, x, y, l2=0.3)
         dn, _, _ = logreg_loss_grad(w, b - eps, x, y, l2=0.3)
         assert db == pytest.approx((up - dn) / (2 * eps), abs=1e-7)
+
+    def test_fit_matches_loss_grad_loop_bitwise(self):
+        # The descent loop as it was when fit_logreg still called
+        # logreg_loss_grad and discarded the loss.
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(49, 21))
+        y = (rng.random(49) < 0.4).astype(float)
+        w_ref, b_ref = np.zeros(21), 0.0
+        for _ in range(500):
+            p = sigmoid(x @ w_ref + b_ref)
+            resid = (p - y) / y.size
+            w_ref -= 0.5 * (x.T @ resid + 1e-3 * w_ref)
+            b_ref -= 0.5 * float(resid.sum())
+        w, b = fit_logreg(x, y)
+        assert np.array_equal(w.view(np.int64), w_ref.view(np.int64))
+        assert b == b_ref
 
     def test_zero_iterations_scores_half(self):
         x = np.array([[1.0], [2.0]])

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import spikecast.model as model_module
 from spikecast.errors import (
     CheckpointIntegrityError,
     CheckpointVersionError,
@@ -121,6 +122,16 @@ class TestInitModel:
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
             init_model(HYPER_SMALL, "bigger")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_flat_params_are_views_of_theta(self, variant):
+        params = init_model(HYPER_SMALL, variant)
+        flat = flat_params(params)
+        assert params.theta.size == sum(arr.size for arr in flat.values())
+        for name, arr in flat.items():
+            assert np.shares_memory(arr, params.theta), name
+        np.testing.assert_array_equal(
+            params.theta, np.concatenate(list(flat.values()), axis=None))
 
 
 class TestForward:
@@ -289,6 +300,24 @@ class TestTrain:
         for name, arr in flat_params(p1).items():
             np.testing.assert_array_equal(arr, flat_params(p2)[name])
 
+    def test_deterministic_when_clipping_fires(self, monkeypatch):
+        original = model_module.clip_global_norm
+        norms = []
+
+        def recording_clip(grad, max_norm):
+            norms.append(original(grad, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(model_module, "clip_global_norm", recording_clip)
+        samples = tiny_samples(n=20)
+        config = replace(self.CONFIG, clip_norm=0.05)
+        p1, h1 = train(samples, config, HYPER_SMALL, "full")
+        fired = sum(n > config.clip_norm for n in norms)
+        p2, h2 = train(samples, config, HYPER_SMALL, "full")
+        assert fired > 0
+        assert h1 == h2
+        assert np.array_equal(p1.theta.view(np.int64), p2.theta.view(np.int64))
+
     def test_seed_changes_outcome(self):
         samples = tiny_samples(n=20)
         _, h1 = train(samples, self.CONFIG, HYPER_SMALL, "full")
@@ -400,6 +429,14 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded.pca.components,
                                           params.pca.components)
             assert loaded.pca.fitted_on == params.pca.fitted_on
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_loaded_arrays_are_views_of_theta(self, variant, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(self._trained(variant), path)
+        loaded = load_checkpoint(path)
+        for name, arr in flat_params(loaded).items():
+            assert np.shares_memory(arr, loaded.theta), name
 
     def test_save_load_save_byte_identical(self, tmp_path):
         params = self._trained("full", pca=True)

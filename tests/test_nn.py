@@ -321,64 +321,119 @@ class TestBce:
             bce_loss(np.array([]), np.array([]))
 
 
+def _parent_adam_step(params, grads, state, decay_keys):
+    """The per-array Adam loop the flat update replaced, kept as its reference."""
+    state["step"] += 1
+    t = state["step"]
+    bc1 = 1.0 - 0.9 ** t
+    bc2 = 1.0 - 0.999 ** t
+    for name, theta in params.items():
+        g = grads[name]
+        if state["weight_decay"] and name in decay_keys:
+            g = g + state["weight_decay"] * theta
+        m = state["m"][name]
+        v = state["v"][name]
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * g * g
+        theta -= state["alpha"] * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+
+
 class TestAdam:
     def test_first_step_size_is_alpha(self):
         # with bias correction the first update is alpha * sign(g) (up to eps)
-        params = {"w": np.array([1.0, 1.0])}
-        grads = {"w": np.array([0.3, -700.0])}
-        state = init_adam(params, alpha=0.1)
-        adam_step(params, grads, state)
-        assert np.allclose(params["w"], [1.0 - 0.1, 1.0 + 0.1], atol=1e-6)
+        theta = np.array([1.0, 1.0])
+        state = init_adam(theta, alpha=0.1)
+        adam_step(theta, np.array([0.3, -700.0]), state)
+        assert np.allclose(theta, [1.0 - 0.1, 1.0 + 0.1], atol=1e-6)
 
     def test_converges_on_quadratic_bowl(self):
-        params = {"w": np.array([5.0, -3.0])}
-        state = init_adam(params, alpha=0.05)
+        theta = np.array([5.0, -3.0])
+        state = init_adam(theta, alpha=0.05)
         for _ in range(2000):
-            grads = {"w": 2.0 * params["w"]}
-            adam_step(params, grads, state)
-        assert np.abs(params["w"]).max() < 1e-3
+            adam_step(theta, 2.0 * theta, state)
+        assert np.abs(theta).max() < 1e-3
 
     def test_weight_decay_only_on_selected(self):
-        params = {"a": np.array([2.0]), "b": np.array([2.0])}
-        state = init_adam(params, alpha=0.0, weight_decay=0.5, decay_keys={"a"})
-        before_a, before_b = params["a"].copy(), params["b"].copy()
-        adam_step(params, {"a": np.array([0.0]), "b": np.array([0.0])}, state)
-        # alpha=0 freezes values, but moments must see decay only for "a"
-        assert state.m["a"][0] != 0.0
-        assert state.m["b"][0] == 0.0
-        assert np.array_equal(params["a"], before_a)
-        assert np.array_equal(params["b"], before_b)
+        theta = np.array([2.0, 2.0])
+        state = init_adam(theta, alpha=0.0, weight_decay=0.5,
+                          decay_mask=np.array([True, False]))
+        adam_step(theta, np.array([0.0, 0.0]), state)
+        # alpha=0 freezes values, but moments must see decay only for entry 0
+        assert state.m[0] != 0.0
+        assert state.m[1] == 0.0
+        assert np.array_equal(theta, [2.0, 2.0])
 
     def test_refuses_nonfinite_gradients(self):
-        params = {"w": np.array([1.0])}
-        state = init_adam(params)
-        before = params["w"].copy()
+        theta = np.array([1.0, 2.0])
+        state = init_adam(theta, weight_decay=0.5, decay_mask=np.array([True, True]))
+        grad = np.array([0.1, np.nan])
         with pytest.raises(NumericError, match="refused"):
-            adam_step(params, {"w": np.array([np.nan])}, state)
-        assert np.array_equal(params["w"], before)
+            adam_step(theta, grad, state)
+        assert np.array_equal(theta, [1.0, 2.0])
+        assert np.array_equal(grad, [0.1, np.nan], equal_nan=True)
+        assert not state.m.any() and not state.v.any()
+        assert state.step == 0
+
+    def test_refuses_shape_mismatch(self):
+        theta = np.array([1.0, 2.0])
+        state = init_adam(theta)
+        with pytest.raises(ContractError, match="shape"):
+            adam_step(theta, np.array([0.1]), state)
+        assert np.array_equal(theta, [1.0, 2.0])
         assert state.step == 0
 
     def test_step_counter(self):
-        params = {"w": np.array([1.0])}
-        state = init_adam(params)
-        adam_step(params, {"w": np.array([0.1])}, state)
-        adam_step(params, {"w": np.array([0.1])}, state)
+        theta = np.array([1.0])
+        state = init_adam(theta)
+        adam_step(theta, np.array([0.1]), state)
+        adam_step(theta, np.array([0.1]), state)
         assert state.step == 2
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_bitwise_equal_to_per_array_loop(self, weight_decay):
+        rng = np.random.default_rng(21)
+        shapes = {"a.w": (3, 8), "a.b": (8,), "head.w1": (5, 4), "head.b1": (4,),
+                  "head.w2": (4,)}
+        decay_keys = {"head.w1", "head.w2"}
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        ref = {"step": 0, "alpha": 0.01, "weight_decay": weight_decay,
+               "m": {n: np.zeros_like(a) for n, a in params.items()},
+               "v": {n: np.zeros_like(a) for n, a in params.items()}}
+        theta = np.concatenate(list(params.values()), axis=None)
+        mask = np.concatenate([np.full(a.size, n in decay_keys)
+                               for n, a in params.items()])
+        state = init_adam(theta, alpha=0.01, weight_decay=weight_decay,
+                          decay_mask=mask)
+        for _ in range(25):
+            grads = {n: rng.normal(scale=3.0, size=a.shape) for n, a in params.items()}
+            _parent_adam_step(params, grads, ref, decay_keys)
+            adam_step(theta, np.concatenate(list(grads.values()), axis=None), state)
+            expected = np.concatenate(list(params.values()), axis=None)
+            assert np.array_equal(theta.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(state.m, np.concatenate(list(ref["m"].values()), axis=None))
+        assert np.array_equal(state.v, np.concatenate(list(ref["v"].values()), axis=None))
 
 
 class TestClip:
     def test_noop_below_threshold(self):
-        grads = {"w": np.array([0.3, 0.4])}  # norm 0.5
-        norm = clip_global_norm(grads, 1.0)
+        grad = np.array([0.3, 0.4])  # norm 0.5
+        norm = clip_global_norm(grad, 1.0)
         assert norm == pytest.approx(0.5)
-        assert np.allclose(grads["w"], [0.3, 0.4])
+        assert np.array_equal(grad, [0.3, 0.4])
 
     def test_scales_to_max_norm(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}  # norm 5
-        norm = clip_global_norm(grads, 1.0)
+        grad = np.array([3.0, 4.0])  # norm 5
+        norm = clip_global_norm(grad, 1.0)
         assert norm == pytest.approx(5.0)
-        total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
-        assert total == pytest.approx(1.0)
+        assert np.sqrt(grad @ grad) == pytest.approx(1.0)
+        assert np.allclose(grad, [0.6, 0.8])
+
+    def test_nonpositive_max_norm_disables(self):
+        grad = np.array([3.0, 4.0])
+        assert clip_global_norm(grad, 0.0) == pytest.approx(5.0)
+        assert np.array_equal(grad, [3.0, 4.0])
 
 
 class TestGradCheck:
