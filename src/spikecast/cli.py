@@ -39,13 +39,11 @@ from .evaluation import (
     holdout_split,
     roc_auc,
     run_cv,
-    unique_year_rows,
     write_report_csv,
     write_roc_csv,
     write_summary_json,
 )
 from .ingest import (
-    PriceSeries,
     SpikeLabelSet,
     composite_average,
     label_spikes,
@@ -328,7 +326,7 @@ def _cmd_eval(args, out: Path) -> list[str]:
         variant=args.variant, pca=basis,
     )
     scores = predict(params, test_s)
-    labels = np.array([s.target for s in test_s])
+    labels = test_s.targets
     block = classification_metrics(scores, labels, args.threshold)
     outputs = ["metrics.json"]
     try:
@@ -598,16 +596,10 @@ def main(argv=None) -> int:
         _write_manifest(args, out, inputs, outputs, started)
         print(f"{args.command}: wrote {', '.join(sorted(outputs))} to {out}")
         return 0
-    except UsageError as exc:
+    except (UsageError, *VALIDATION_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SpikecastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SpikecastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from .model import (
     TrainConfig,
     PCA_VARIANTS,
     VARIANTS,
-    WindowedSample,
+    Windows,
     predict,
     reduce_samples,
     train,
@@ -52,8 +52,8 @@ class FoldPlan:
 
 
 def holdout_split(
-    samples: list[WindowedSample], fraction: float = 0.20
-) -> tuple[list[WindowedSample], list[WindowedSample]]:
+    samples: Windows, fraction: float = 0.20
+) -> tuple[Windows, Windows]:
     """Chronological split: test = last ceil(fraction * n) samples."""
     if not 0.0 < fraction <= 0.5:
         raise ConfigError(f"holdout fraction must be in (0, 0.5], got {fraction}")
@@ -230,17 +230,15 @@ def _summarize(variant, threshold, n_folds, fold_results) -> EvalReport:
     )
 
 
-def unique_year_rows(samples: list[WindowedSample]) -> tuple[tuple[int, ...], np.ndarray]:
-    """Deduplicated (year, news-vector) rows across overlapping windows."""
-    by_year: dict[int, np.ndarray] = {}
-    for s in samples:
-        for year, row in zip(s.years, s.news):
-            by_year.setdefault(year, row)
-    years = tuple(sorted(by_year))
-    return years, np.array([by_year[y] for y in years])
+def unique_year_rows(samples: Windows) -> tuple[tuple[int, ...], np.ndarray]:
+    """Deduplicated (year, news-vector) rows across overlapping windows, in
+    year order; each row is taken from the year's first occurrence."""
+    years, first = np.unique(samples.years, return_index=True)
+    rows = samples.news.reshape(-1, samples.news.shape[-1])[first]
+    return tuple(years.tolist()), rows
 
 
-def fit_fold_pca(train_samples: list[WindowedSample], d_prime: int):
+def fit_fold_pca(train_samples: Windows, d_prime: int):
     """PCA basis from a fold's training rows only, capped to a feasible rank."""
     years, rows = unique_year_rows(train_samples)
     cap = min(d_prime, rows.shape[1], rows.shape[0] - 1)
@@ -285,13 +283,13 @@ def _run_folds(samples, variant, fit_score, fits_pca: bool, n_folds: int,
             train_s = reduce_samples(train_s, basis)
             test_s = reduce_samples(test_s, basis)
         scores = fit_score(train_s, test_s, basis)
-        labels = np.array([s.target for s in test_s])
+        labels = test_s.targets
         results.append(FoldResult(
             fold=idx,
             n_train=len(train_s),
             n_test=len(test_s),
-            train_anchor_span=(train_s[0].anchor_year, train_s[-1].anchor_year),
-            test_anchor_span=(test_s[0].anchor_year, test_s[-1].anchor_year),
+            train_anchor_span=tuple(train_s.anchor_years[[0, -1]].tolist()),
+            test_anchor_span=tuple(test_s.anchor_years[[0, -1]].tolist()),
             auc=_fold_auc(scores, labels, idx, variant),
             metrics=classification_metrics(scores, labels, threshold),
             pca_train_years=pca_years,
@@ -301,7 +299,7 @@ def _run_folds(samples, variant, fit_score, fits_pca: bool, n_folds: int,
 
 
 def run_cv(
-    samples: list[WindowedSample],
+    samples: Windows,
     variant: str,
     config: TrainConfig,
     hyper: ModelHyper | None = None,
@@ -356,15 +354,14 @@ def logreg_scores(w: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
     return sigmoid(x @ w + b)
 
 
-def sample_features(samples: list[WindowedSample]) -> np.ndarray:
-    """Flattened price window concatenated with the window-mean news vector."""
-    return np.array([
-        np.concatenate([s.prices.ravel(), s.news.mean(axis=0)]) for s in samples
-    ])
+def sample_features(samples: Windows) -> np.ndarray:
+    """Per window: flattened prices concatenated with the mean news vector."""
+    return np.concatenate([samples.prices[..., 0], samples.news.mean(axis=1)],
+                          axis=1)
 
 
 def baseline_logreg(
-    samples: list[WindowedSample],
+    samples: Windows,
     n_folds: int = 5,
     d_prime: int = 16,
     threshold: float = 0.5,
@@ -374,8 +371,7 @@ def baseline_logreg(
 ) -> EvalReport:
     """Logistic regression under the exact fold plan and metrics of run_cv."""
     def fit_score(train_s, test_s, basis):
-        y_train = np.array([s.target for s in train_s], dtype=float)
-        w, b = fit_logreg(sample_features(train_s), y_train,
+        w, b = fit_logreg(sample_features(train_s), train_s.targets,
                           l2=l2, lr=lr, iters=iters)
         return logreg_scores(w, b, sample_features(test_s))
 

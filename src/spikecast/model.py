@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CheckpointIntegrityError,
@@ -51,21 +52,37 @@ VARIANT_NO_NEWS = "no_news"
 VARIANTS = (VARIANT_FULL, VARIANT_NO_ATTENTION, VARIANT_NO_PCA, VARIANT_NO_NEWS)
 # Variants that read PCA-reduced news: no_pca reads raw news, no_news none.
 PCA_VARIANTS = (VARIANT_FULL, VARIANT_NO_ATTENTION)
+# Windows per predict forward pass: each chunk's LSTM and attention caches
+# are freed before the next, so inference memory does not grow with N.
+PREDICT_CHUNK = 16
 
 
 @dataclass(frozen=True)
-class WindowedSample:
-    """One training triple: k past prices, k past news vectors, next-step label."""
+class Windows:
+    """N training triples, batch-first: k past prices and k past news vectors
+    per window, and the label of the step after it."""
 
-    prices: np.ndarray        # (k, 1)
-    news: np.ndarray          # (k, d); raw embeddings until reduced
-    target: int               # spike label for the step after the window
-    anchor_year: int          # last year inside the window
-    years: tuple[int, ...]    # all years inside the window
+    prices: np.ndarray        # (N, k, 1)
+    news: np.ndarray          # (N, k, d); raw embeddings until reduced
+    targets: np.ndarray       # (N,) int spike labels
+    years: np.ndarray         # (N, k) int years inside each window
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __getitem__(self, idx) -> Windows:
+        """The windows at a slice or an index array."""
+        return Windows(self.prices[idx], self.news[idx], self.targets[idx],
+                       self.years[idx])
 
     @property
     def k(self) -> int:
-        return self.prices.shape[0]
+        return self.prices.shape[1]
+
+    @property
+    def anchor_years(self) -> np.ndarray:
+        """(N,) last year inside each window."""
+        return self.years[:, -1]
 
 
 @dataclass(frozen=True)
@@ -120,11 +137,11 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
 
 
-def make_windows(dataset: AlignedDataset, k: int) -> list[WindowedSample]:
+def make_windows(dataset: AlignedDataset, k: int) -> Windows:
     """Slide a length-k window over the aligned years.
 
-    Produces exactly T - k samples; each window's target is the label of the
-    step immediately after it.
+    Produces exactly T - k windows; each window's target is the label of the
+    step immediately after it. The arrays are copies, not views of dataset.
     """
     t_len = len(dataset)
     if k < 1:
@@ -133,26 +150,22 @@ def make_windows(dataset: AlignedDataset, k: int) -> list[WindowedSample]:
         raise InsufficientDataError(
             f"need more than k={k} aligned steps, got {t_len}"
         )
-    samples = []
-    for i in range(k - 1, t_len - 1):
-        lo = i - k + 1
-        samples.append(
-            WindowedSample(
-                prices=dataset.prices[lo : i + 1].reshape(k, 1).copy(),
-                news=dataset.embeddings[lo : i + 1].copy(),
-                target=int(dataset.labels[i + 1]),
-                anchor_year=int(dataset.years[i]),
-                years=tuple(dataset.years[lo : i + 1]),
-            )
-        )
-    return samples
+
+    def slide(a: np.ndarray) -> np.ndarray:
+        """(T, ...) -> (T - k, k, ...): window i holds a[i : i + k]."""
+        return np.moveaxis(sliding_window_view(a[:-1], k, axis=0), -1, 1).copy()
+
+    return Windows(
+        prices=slide(dataset.prices.reshape(-1, 1)),
+        news=slide(dataset.embeddings),
+        targets=np.array(dataset.labels[k:], dtype=int),
+        years=slide(np.array(dataset.years, dtype=int)),
+    )
 
 
-def reduce_samples(
-    samples: list[WindowedSample], basis: PcaBasis
-) -> list[WindowedSample]:
-    """Project every sample's news window onto a fitted PCA basis."""
-    return [replace(s, news=transform_rows(basis, s.news)) for s in samples]
+def reduce_samples(windows: Windows, basis: PcaBasis) -> Windows:
+    """Project every window's news onto a fitted PCA basis."""
+    return replace(windows, news=transform_rows(basis, windows.news))
 
 
 def init_model(
@@ -207,17 +220,6 @@ def zero_params(params: ModelParams) -> ModelParams:
     """Zero every trainable array in place (testing aid). Returns params."""
     params.theta[...] = 0.0
     return params
-
-
-def stack_windows(
-    samples: list[WindowedSample],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(B, k, 1) prices, (B, k, d) news and (B,) float targets of a sample list."""
-    return (
-        np.stack([s.prices for s in samples]),
-        np.stack([s.news for s in samples]),
-        np.array([s.target for s in samples], dtype=float),
-    )
 
 
 def forward_batch(
@@ -299,14 +301,14 @@ def backward_batch(
 
 
 def model_forward(
-    sample: WindowedSample,
+    window: Windows,
     params: ModelParams,
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, dict]:
-    """Spike probability for one sample: forward_batch with B = 1."""
+    """Spike probability for a one-window batch w[i : i + 1]."""
     prob, cache = forward_batch(
-        sample.prices[None], sample.news[None], params, train=train, rng=rng
+        window.prices, window.news, params, train=train, rng=rng
     )
     return float(prob[0]), cache
 
@@ -314,31 +316,33 @@ def model_forward(
 def model_backward(
     params: ModelParams, cache: dict, d_prob: float
 ) -> dict[str, np.ndarray]:
-    """Gradients for one sample's model_forward cache: backward_batch, B = 1."""
+    """Gradients for one window's model_forward cache: backward_batch, B = 1."""
     return backward_batch(params, cache, np.array([d_prob], dtype=float))
 
 
 def evaluate_loss(
     params: ModelParams,
-    samples: list[WindowedSample],
+    windows: Windows,
     pos_weight: float | None = None,
 ) -> float:
-    """Deterministic (inference-mode) BCE over a sample list."""
-    targets = np.array([s.target for s in samples], dtype=float)
-    loss, _ = bce_loss(predict(params, samples), targets, pos_weight)
+    """Deterministic (inference-mode) BCE over a window set."""
+    loss, _ = bce_loss(predict(params, windows), windows.targets, pos_weight)
     return loss
 
 
-def predict(params: ModelParams, samples: list[WindowedSample]) -> np.ndarray:
+def predict(params: ModelParams, windows: Windows) -> np.ndarray:
     """Order-preserving spike probabilities with dropout disabled."""
-    if not samples:
+    if not len(windows):
         return np.empty(0)
-    prices, news, _ = stack_windows(samples)
-    return forward_batch(prices, news, params)[0]
+    return np.concatenate([
+        forward_batch(windows.prices[i : i + PREDICT_CHUNK],
+                      windows.news[i : i + PREDICT_CHUNK], params)[0]
+        for i in range(0, len(windows), PREDICT_CHUNK)
+    ])
 
 
 def train(
-    samples: list[WindowedSample],
+    windows: Windows,
     config: TrainConfig,
     hyper: ModelHyper | None = None,
     variant: str = VARIANT_FULL,
@@ -347,21 +351,20 @@ def train(
 ) -> tuple[ModelParams, list[tuple[int, float, float]]]:
     """Mini-batch Adam on BCE with early stopping on a chronological tail.
 
-    The last `validation_fraction` of `samples` (which must be in
+    The last `validation_fraction` of `windows` (which must be in
     chronological order) is held out for validation and never shuffled into
     training. Returns the best-validation-loss parameters and the per-epoch
     (epoch, train_loss, val_loss) history. Fully reproducible given
     config.seed.
     """
-    n = len(samples)
+    n = len(windows)
     if n < 2:
         raise InsufficientDataError(f"need >= 2 samples to train, got {n}")
-    anchors = [s.anchor_year for s in samples]
-    if anchors != sorted(anchors):
+    if (np.diff(windows.anchor_years) < 0).any():
         raise ContractError("samples must be ordered chronologically")
 
-    k = samples[0].k
-    d_in = samples[0].news.shape[1]
+    k = windows.k
+    d_in = windows.news.shape[2]
     if hyper is None:
         hyper = ModelHyper(k=k, d_prime=d_in)
     hyper = replace(hyper, k=k, d_prime=d_in, seed=config.seed)
@@ -370,11 +373,10 @@ def train(
     n_train = n - n_val
     if n_train < 1:
         raise InsufficientDataError("validation split leaves no training samples")
-    train_part = samples[:n_train]
-    val_part = samples[n_train:]
+    train_part = windows[:n_train]
+    val_part = windows[n_train:]
 
-    train_prices, train_news, train_targets = stack_windows(train_part)
-    if len(set(train_targets)) < 2:
+    if train_part.targets.min() == train_part.targets.max():
         warnings.warn(
             "degenerate targets: training partition is single-class; "
             "training proceeds but the classifier cannot rank",
@@ -399,11 +401,11 @@ def train(
         order = rng.permutation(n_train)
         loss_sum = 0.0
         for start in range(0, n_train, config.batch_size):
-            batch = order[start : start + config.batch_size]
+            batch = train_part[order[start : start + config.batch_size]]
             probs, cache = forward_batch(
-                train_prices[batch], train_news[batch], params, train=True, rng=rng
+                batch.prices, batch.news, params, train=True, rng=rng
             )
-            loss, d_preds = bce_loss(probs, train_targets[batch], config.pos_weight)
+            loss, d_preds = bce_loss(probs, batch.targets, config.pos_weight)
             loss_sum += loss * len(batch)
             grads = backward_batch(params, cache, d_preds)
             np.concatenate([grads[name] for name in flat], axis=None, out=grad)

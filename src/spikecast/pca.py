@@ -80,9 +80,9 @@ def transform(basis: PcaBasis, vector: np.ndarray) -> np.ndarray:
 
 
 def transform_rows(basis: PcaBasis, rows: np.ndarray) -> np.ndarray:
-    """Project a row matrix of embeddings onto the basis."""
+    """Project embeddings (..., d) onto the basis: (..., d')."""
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != basis.d:
+    if rows.ndim < 2 or rows.shape[-1] != basis.d:
         raise ContractError(
             f"rows shape {rows.shape} does not match basis dim {basis.d}"
         )

@@ -39,6 +39,56 @@ def pairwise_auc(scores, labels) -> float:
     return total / (len(pos) * len(neg))
 
 
+def reference_windows(dataset, k: int):
+    """make_windows one window at a time, as the definition reads.
+
+    Returns a list of (prices (k, 1), news (k, d), target, anchor_year,
+    years) tuples, one per window.
+    """
+    out = []
+    for i in range(k - 1, len(dataset) - 1):
+        lo = i - k + 1
+        out.append((
+            dataset.prices[lo : i + 1].reshape(k, 1).copy(),
+            dataset.embeddings[lo : i + 1].copy(),
+            int(dataset.labels[i + 1]),
+            int(dataset.years[i]),
+            tuple(dataset.years[lo : i + 1]),
+        ))
+    return out
+
+
+def reference_reduce(windows, basis):
+    """reduce_samples on a reference_windows list: one projection per window."""
+    return [(p, (news - basis.mean) @ basis.components, t, a, y)
+            for p, news, t, a, y in windows]
+
+
+def reference_unique_year_rows(windows):
+    """unique_year_rows on a reference_windows list: first row seen per year."""
+    by_year = {}
+    for _, news, _, _, years in windows:
+        for year, row in zip(years, news):
+            by_year.setdefault(year, row)
+    years = tuple(sorted(by_year))
+    return years, np.array([by_year[y] for y in years])
+
+
+def reference_sample_features(windows):
+    """sample_features on a reference_windows list, one row per window."""
+    return np.array([np.concatenate([p.ravel(), news.mean(axis=0)])
+                     for p, news, _, _, _ in windows])
+
+
+def assert_same_bits(got, want):
+    """Equal shape, dtype kind and bytes: no rounding difference tolerated."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.dtype.kind == want.dtype.kind
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(
+        want.astype(got.dtype)).tobytes()
+
+
 def planted_dataset(
     n: int = 64,
     d: int = 12,

@@ -26,7 +26,7 @@ from spikecast.ingest import PriceSeries, label_spikes
 from spikecast.model import (
     ModelHyper,
     TrainConfig,
-    WindowedSample,
+    Windows,
     evaluate_loss,
     flat_params,
     init_model,
@@ -67,19 +67,20 @@ def _draw_differentiable_batch(rng, params):
     least 1e-3 away, two orders of magnitude beyond the step's reach.
     """
     for _ in range(64):
-        batch = [
-            WindowedSample(
-                prices=rng.normal(size=(3, 1)),
-                news=rng.normal(size=(3, 2)),
-                target=int(rng.integers(0, 2)),
-                anchor_year=1962 + i,
-                years=(1960 + i, 1961 + i, 1962 + i),
-            )
-            for i in range(3)
+        draws = [
+            (rng.normal(size=(3, 1)), rng.normal(size=(3, 2)),
+             int(rng.integers(0, 2)))
+            for _ in range(3)
         ]
+        batch = Windows(
+            prices=np.stack([p for p, _, _ in draws]),
+            news=np.stack([n for _, n, _ in draws]),
+            targets=np.array([t for _, _, t in draws]),
+            years=np.array([(1960 + i, 1961 + i, 1962 + i) for i in range(3)]),
+        )
         margin = min(
-            float(np.abs(model_forward(s, params)[1]["head"]["pre"]).min())
-            for s in batch
+            float(np.abs(model_forward(batch[i : i + 1], params)[1]["head"]["pre"]).min())
+            for i in range(len(batch))
         )
         if margin > 1e-3:
             return batch
@@ -95,12 +96,12 @@ def test_criterion_01_gradient_correctness(capsys):
         params = init_model(replace(hyper_base, seed=seed), "full")
         batch = _draw_differentiable_batch(rng, params)
         flat = flat_params(params)
-        targets = np.array([s.target for s in batch], dtype=float)
+        targets = np.array(batch.targets, dtype=float)
 
         def loss_and_grads():
             probs, caches = [], []
-            for s in batch:
-                p, c = model_forward(s, params)
+            for i in range(len(batch)):
+                p, c = model_forward(batch[i : i + 1], params)
                 probs.append(p)
                 caches.append(c)
             loss, d_preds = bce_loss(np.array(probs), targets)
@@ -293,8 +294,7 @@ def test_criterion_08_leakage_guards(capsys):
         for fold, ((tr_lo, tr_hi), (te_lo, te_hi)) in zip(report.folds, plan.folds):
             train_s = samples[tr_lo:tr_hi]
             test_s = samples[te_lo:te_hi]
-            if not (max(s.anchor_year for s in train_s)
-                    < min(s.anchor_year for s in test_s)):
+            if not (train_s.anchor_years.max() < test_s.anchor_years.min()):
                 chronology_ok = False
             if fold.train_anchor_span[1] >= fold.test_anchor_span[0]:
                 chronology_ok = False

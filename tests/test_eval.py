@@ -35,12 +35,19 @@ from spikecast.evaluation import (
 from spikecast.model import (
     ModelHyper,
     TrainConfig,
-    WindowedSample,
+    Windows,
     make_windows,
 )
 from spikecast.nn import sigmoid
 
-from conftest import pairwise_auc, planted_dataset
+from conftest import (
+    assert_same_bits,
+    pairwise_auc,
+    planted_dataset,
+    reference_sample_features,
+    reference_unique_year_rows,
+    reference_windows,
+)
 
 
 def windows(n=30, k=3, d=4, seed=0, **kw):
@@ -110,7 +117,10 @@ class TestHoldout:
         samples = windows(n=62, k=2)  # 60 windows
         train, test = holdout_split(samples, 0.20)
         assert (len(train), len(test)) == (48, 12)
-        assert train + test == samples
+        for name in ("prices", "news", "targets", "years"):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(train, name), getattr(test, name)]),
+                getattr(samples, name))
 
     def test_ceil_rounding(self):
         samples = windows(n=12, k=2)  # 10 windows
@@ -119,7 +129,7 @@ class TestHoldout:
 
     def test_chronology(self):
         train, test = holdout_split(windows(n=40, k=3), 0.2)
-        assert max(s.anchor_year for s in train) < min(s.anchor_year for s in test)
+        assert train.anchor_years.max() < test.anchor_years.min()
 
     def test_errors(self):
         samples = windows(n=12, k=2)
@@ -267,6 +277,19 @@ class TestUniqueYearRows:
         ds = planted_dataset(n=12, d=4)
         np.testing.assert_array_equal(rows, ds.embeddings[:11])
 
+    @pytest.mark.parametrize("n,d,k", [(12, 4, 3), (30, 6, 1), (64, 128, 16)])
+    def test_matches_per_window_reference(self, n, d, k):
+        ds = planted_dataset(n=n, d=d, seed=k)
+        samples = make_windows(ds, k)
+        want = reference_windows(ds, k)
+        for idx in (slice(None), slice(3, None), np.arange(len(samples))[::-2]):
+            years, rows = unique_year_rows(samples[idx])
+            want_years, want_rows = reference_unique_year_rows(
+                [want[i] for i in np.arange(len(want))[idx]])
+            assert years == want_years
+            assert all(type(y) is int for y in years)
+            assert_same_bits(rows, want_rows)
+
 
 class TestFitFoldPca:
     def test_rank_cap_warns(self):
@@ -377,13 +400,19 @@ class TestLogregBaseline:
         assert roc_auc(logreg_scores(w, b, x.reshape(-1, 1)), y.astype(int)) == 1.0
 
     def test_sample_features_layout(self):
-        s = WindowedSample(
-            prices=np.array([[1.0], [2.0]]),
-            news=np.array([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]),
-            target=1, anchor_year=1961, years=(1960, 1961),
+        s = Windows(
+            prices=np.array([[[1.0], [2.0]]]),
+            news=np.array([[[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]]),
+            targets=np.array([1]), years=np.array([[1960, 1961]]),
         )
-        feats = sample_features([s])
+        feats = sample_features(s)
         np.testing.assert_array_equal(feats, [[1.0, 2.0, 2.0, 3.0, 4.0]])
+
+    @pytest.mark.parametrize("n,d,k", [(12, 4, 3), (30, 6, 1), (64, 128, 16)])
+    def test_sample_features_match_per_window_reference(self, n, d, k):
+        ds = planted_dataset(n=n, d=d, seed=k)
+        assert_same_bits(sample_features(make_windows(ds, k)),
+                         reference_sample_features(reference_windows(ds, k)))
 
     def test_report_structure(self):
         samples = windows(n=33, k=3)
@@ -407,11 +436,9 @@ class TestLogregBaseline:
 class TestSingleClassFold:
     def _rigged_samples(self):
         samples = windows(n=27, k=3)  # 24 windows -> 3 folds of test size 6
-        rigged = []
-        for i, s in enumerate(samples):
-            target = 0 if i >= 18 else i % 2  # last test block single-class
-            rigged.append(replace(s, target=target))
-        return rigged
+        i = np.arange(len(samples))
+        targets = np.where(i >= 18, 0, i % 2)  # last test block single-class
+        return replace(samples, targets=targets)
 
     def test_auc_excluded_with_warning(self):
         with pytest.warns(UserWarning, match="single-class"):

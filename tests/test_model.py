@@ -2,6 +2,7 @@
 import copy
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,10 +18,11 @@ from spikecast.errors import (
 )
 from spikecast.model import (
     CHECKPOINT_FORMAT,
+    PREDICT_CHUNK,
     VARIANTS,
     ModelHyper,
     TrainConfig,
-    WindowedSample,
+    Windows,
     backward_batch,
     evaluate_loss,
     flat_params,
@@ -33,7 +35,6 @@ from spikecast.model import (
     predict,
     reduce_samples,
     save_checkpoint,
-    stack_windows,
     train,
     write_history_csv,
     zero_params,
@@ -41,7 +42,12 @@ from spikecast.model import (
 from spikecast.nn import bce_loss, grad_check
 from spikecast.pca import fit_pca
 
-from conftest import planted_dataset
+from conftest import (
+    assert_same_bits,
+    planted_dataset,
+    reference_reduce,
+    reference_windows,
+)
 
 HYPER_SMALL = ModelHyper(k=3, d_prime=2, h=4, h_a=4, dropout=0.0, seed=7)
 
@@ -56,27 +62,29 @@ class TestMakeWindows:
         ds = planted_dataset(n=10, d=4)
         samples = make_windows(ds, k=3)
         assert len(samples) == 7
-        assert all(s.prices.shape == (3, 1) for s in samples)
-        assert all(s.news.shape == (3, 4) for s in samples)
+        assert samples.prices.shape[1:] == (3, 1)
+        assert samples.news.shape[1:] == (3, 4)
 
     def test_alignment(self):
         ds = planted_dataset(n=10, d=4)
         samples = make_windows(ds, k=3)
-        first = samples[0]
-        assert first.years == (1960, 1961, 1962)
-        assert first.anchor_year == 1962
-        assert first.target == int(ds.labels[3])
-        np.testing.assert_array_equal(first.prices[:, 0], ds.prices[:3])
-        np.testing.assert_array_equal(first.news, ds.embeddings[:3])
-        last = samples[-1]
-        assert last.anchor_year == 1968
-        assert last.target == int(ds.labels[9])
+        assert tuple(samples.years[0]) == (1960, 1961, 1962)
+        assert samples.anchor_years[0] == 1962
+        assert samples.targets[0] == int(ds.labels[3])
+        np.testing.assert_array_equal(samples.prices[0, :, 0], ds.prices[:3])
+        np.testing.assert_array_equal(samples.news[0], ds.embeddings[:3])
+        assert samples.anchor_years[-1] == 1968
+        assert samples.targets[-1] == int(ds.labels[9])
 
     def test_windows_are_copies(self):
         ds = planted_dataset(n=10, d=4)
         samples = make_windows(ds, k=3)
-        samples[0].prices[0, 0] = 999.0
+        samples.prices[0, 0, 0] = 999.0
+        samples.news[0, 0, 0] = 999.0
         assert ds.prices[0] != 999.0
+        assert ds.embeddings[0, 0] != 999.0
+        assert samples.prices.flags.c_contiguous
+        assert samples.news.flags.c_contiguous
 
     def test_errors(self):
         ds = planted_dataset(n=5, d=2)
@@ -91,9 +99,45 @@ class TestMakeWindows:
         basis = fit_pca(ds.embeddings, 3)
         samples = make_windows(ds, k=4)
         reduced = reduce_samples(samples, basis)
-        assert all(s.news.shape == (4, 3) for s in reduced)
-        assert all(r.target == s.target for r, s in zip(reduced, samples))
-        assert samples[0].news.shape == (4, 6)  # originals untouched
+        assert reduced.news.shape[1:] == (4, 3)
+        np.testing.assert_array_equal(reduced.targets, samples.targets)
+        assert samples.news.shape[1:] == (4, 6)  # originals untouched
+
+    @pytest.mark.parametrize("n,d,k", [(10, 4, 3), (5, 2, 4), (64, 16, 5),
+                                       (40, 128, 16), (12, 3, 1)])
+    def test_matches_per_window_reference(self, n, d, k):
+        ds = planted_dataset(n=n, d=d, seed=n)
+        windows = make_windows(ds, k)
+        want = reference_windows(ds, k)
+        assert len(windows) == len(want)
+        for field, got in enumerate((windows.prices, windows.news,
+                                     windows.targets, windows.anchor_years,
+                                     windows.years)):
+            assert_same_bits(got, [w[field] for w in want])
+
+    @pytest.mark.parametrize("n,d,k,d_prime", [(20, 6, 4, 3), (64, 16, 5, 8),
+                                               (64, 128, 5, 16), (40, 32, 16, 16)])
+    def test_reduce_matches_per_window_reference(self, n, d, k, d_prime):
+        ds = planted_dataset(n=n, d=d, seed=k)
+        basis = fit_pca(ds.embeddings, d_prime)
+        reduced = reduce_samples(make_windows(ds, k), basis)
+        want = reference_reduce(reference_windows(ds, k), basis)
+        assert_same_bits(reduced.news, [w[1] for w in want])
+
+
+class TestWindows:
+    def test_slice_and_index_array_select_windows(self):
+        samples = make_windows(planted_dataset(n=12, d=3), k=3)
+        assert samples.k == 3
+        for idx in (slice(2, 6), np.array([5, 0, 7])):
+            part = samples[idx]
+            assert isinstance(part, Windows)
+            np.testing.assert_array_equal(part.prices, samples.prices[idx])
+            np.testing.assert_array_equal(part.news, samples.news[idx])
+            np.testing.assert_array_equal(part.targets, samples.targets[idx])
+            np.testing.assert_array_equal(part.anchor_years,
+                                          samples.years[idx][:, -1])
+        assert len(samples[2:6]) == 4 and len(samples[np.array([1])]) == 1
 
 
 class TestInitModel:
@@ -139,51 +183,45 @@ class TestForward:
         samples = tiny_samples()
         for variant in VARIANTS:
             params = zero_params(init_model(HYPER_SMALL, variant))
-            prob, _ = model_forward(samples[0], params)
+            prob, _ = model_forward(samples[0:1], params)
             assert prob == 0.5, variant
 
     def test_probability_range(self):
         samples = tiny_samples()
         params = init_model(HYPER_SMALL, "full")
-        for s in samples:
-            prob, _ = model_forward(s, params)
+        for i in range(len(samples)):
+            prob, _ = model_forward(samples[i : i + 1], params)
             assert 0.0 < prob < 1.0
 
     def test_no_news_ignores_news_stream(self):
         samples = tiny_samples()
         params = init_model(HYPER_SMALL, "no_news")
-        s = samples[0]
+        s = samples[0:1]
         base, _ = model_forward(s, params)
-        scrambled = WindowedSample(
-            prices=s.prices, news=s.news * -3.0 + 1.0, target=s.target,
-            anchor_year=s.anchor_year, years=s.years,
-        )
+        scrambled = replace(s, news=s.news * -3.0 + 1.0)
         assert model_forward(scrambled, params)[0] == base
 
     def test_full_variant_reads_news(self):
         samples = tiny_samples()
         params = init_model(HYPER_SMALL, "full")
-        s = samples[0]
+        s = samples[0:1]
         base, _ = model_forward(s, params)
-        scrambled = WindowedSample(
-            prices=s.prices, news=s.news * -3.0 + 1.0, target=s.target,
-            anchor_year=s.anchor_year, years=s.years,
-        )
+        scrambled = replace(s, news=s.news * -3.0 + 1.0)
         assert model_forward(scrambled, params)[0] != base
 
     def test_shape_contract(self):
         samples = tiny_samples(k=3, d=2)
         params = init_model(ModelHyper(k=4, d_prime=2, h=4, h_a=4), "full")
         with pytest.raises(ContractError):
-            model_forward(samples[0], params)
+            model_forward(samples[0:1], params)
         params = init_model(ModelHyper(k=3, d_prime=5, h=4, h_a=4), "full")
         with pytest.raises(ContractError):
-            model_forward(samples[0], params)
+            model_forward(samples[0:1], params)
 
     def test_inference_is_deterministic_despite_dropout_rate(self):
         hyper = ModelHyper(k=3, d_prime=2, h=4, h_a=4, dropout=0.5, seed=7)
         params = init_model(hyper, "full")
-        s = tiny_samples()[0]
+        s = tiny_samples()[0:1]
         assert model_forward(s, params)[0] == model_forward(s, params)[0]
 
 
@@ -194,13 +232,13 @@ class TestBackward:
         params = init_model(HYPER_SMALL, variant)
         flat = flat_params(params)
         batch = samples[:4]
-        targets = np.array([s.target for s in batch], dtype=float)
+        targets = np.array(batch.targets, dtype=float)
 
         def loss_and_grads():
             probs = []
             caches = []
-            for s in batch:
-                p, c = model_forward(s, params)
+            for i in range(len(batch)):
+                p, c = model_forward(batch[i : i + 1], params)
                 probs.append(p)
                 caches.append(c)
             loss, d_preds = bce_loss(np.array(probs), targets)
@@ -220,7 +258,7 @@ class TestBackward:
         samples = tiny_samples()
         for variant in VARIANTS:
             params = init_model(HYPER_SMALL, variant)
-            prob, cache = model_forward(samples[0], params)
+            prob, cache = model_forward(samples[0:1], params)
             grads = model_backward(params, cache, 1.0)
             assert set(grads) == set(flat_params(params)), variant
 
@@ -232,11 +270,11 @@ class TestBatch:
     def test_train_mode_probs_match_wrapper(self, variant):
         samples = tiny_samples(n=14)[:8]
         params = init_model(replace(HYPER_SMALL, dropout=0.5), variant)
-        prices, news, _ = stack_windows(samples)
-        probs, _ = forward_batch(prices, news, params, train=True,
+        probs, _ = forward_batch(samples.prices, samples.news, params, train=True,
                                  rng=np.random.default_rng(3))
         rng = np.random.default_rng(3)
-        singles = [model_forward(s, params, train=True, rng=rng)[0] for s in samples]
+        singles = [model_forward(samples[i : i + 1], params, train=True, rng=rng)[0]
+                   for i in range(len(samples))]
         np.testing.assert_array_equal(probs, singles)
         assert not np.array_equal(probs, predict(params, samples))  # dropout drew
 
@@ -244,16 +282,16 @@ class TestBatch:
     def test_gradients_are_sum_of_per_sample(self, variant):
         samples = tiny_samples(n=14)[:8]
         params = init_model(replace(HYPER_SMALL, dropout=0.5), variant)
-        prices, news, targets = stack_windows(samples)
-        probs, cache = forward_batch(prices, news, params, train=True,
+        targets = np.array(samples.targets, dtype=float)
+        probs, cache = forward_batch(samples.prices, samples.news, params, train=True,
                                      rng=np.random.default_rng(4))
         _, d_preds = bce_loss(probs, targets)
         grads = backward_batch(params, cache, d_preds)
 
         rng = np.random.default_rng(4)
         total = {name: np.zeros_like(arr) for name, arr in flat_params(params).items()}
-        for s, d in zip(samples, d_preds):
-            _, c = model_forward(s, params, train=True, rng=rng)
+        for i, d in enumerate(d_preds):
+            _, c = model_forward(samples[i : i + 1], params, train=True, rng=rng)
             for name, g in model_backward(params, c, float(d)).items():
                 total[name] += g
         assert set(grads) == set(total)
@@ -263,12 +301,30 @@ class TestBatch:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_predict_independent_of_chunking(self, variant):
         samples = tiny_samples(n=24)
+        assert len(samples) > PREDICT_CHUNK
         params = init_model(HYPER_SMALL, variant)
         whole = predict(params, samples)
+        np.testing.assert_array_equal(
+            whole, forward_batch(samples.prices, samples.news, params)[0])
         for size in (1, 3, 8):
             chunked = np.concatenate([predict(params, samples[i : i + size])
                                       for i in range(0, len(samples), size)])
             np.testing.assert_array_equal(chunked, whole)
+
+    def test_predict_peak_memory_is_bounded(self):
+        ds = planted_dataset(n=160, d=16, seed=3)
+        samples = make_windows(ds, k=16)  # 144 windows
+        params = init_model(ModelHyper(k=16, d_prime=16, h=32, h_a=32), "full")
+        tracemalloc.start()
+        try:
+            predict(params, samples)
+            _, chunked = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            forward_batch(samples.prices, samples.news, params)
+            _, whole = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chunked < whole / 2, (chunked, whole)
 
 
 class TestPredict:
@@ -277,14 +333,15 @@ class TestPredict:
         params = init_model(HYPER_SMALL, "full")
         probs = predict(params, samples)
         assert probs.shape == (len(samples),)
-        singles = [model_forward(s, params)[0] for s in samples]
+        singles = [model_forward(samples[i : i + 1], params)[0]
+                   for i in range(len(samples))]
         np.testing.assert_array_equal(probs, singles)
 
     def test_evaluate_loss_matches_bce(self):
         samples = tiny_samples()
         params = init_model(HYPER_SMALL, "full")
         probs = predict(params, samples)
-        targets = np.array([s.target for s in samples], dtype=float)
+        targets = np.array(samples.targets, dtype=float)
         expected, _ = bce_loss(probs, targets)
         assert evaluate_loss(params, samples) == pytest.approx(expected, rel=1e-12)
 
@@ -328,14 +385,13 @@ class TestTrain:
 
     def test_unsorted_samples_rejected(self):
         samples = tiny_samples(n=20)
-        shuffled = [samples[3], samples[0]] + samples[4:]
+        shuffled = samples[np.r_[3, 0, 4:len(samples)]]
         with pytest.raises(ContractError, match="chronolog"):
             train(shuffled, self.CONFIG, HYPER_SMALL, "full")
 
     def test_single_class_training_warns(self):
         samples = tiny_samples(n=20)
-        flat = [WindowedSample(s.prices, s.news, 0, s.anchor_year, s.years)
-                for s in samples]
+        flat = replace(samples, targets=np.zeros_like(samples.targets))
         with pytest.warns(UserWarning, match="single-class"):
             train(flat, self.CONFIG, HYPER_SMALL, "full")
 
@@ -370,7 +426,7 @@ class TestTrain:
                              patience=50, seed=0)
         best, _ = train(samples, config, hyper, "full")
         probs = predict(best, samples)
-        targets = np.array([s.target for s in samples])
+        targets = samples.targets
         acc = ((probs > 0.5).astype(int) == targets).mean()
         assert acc >= 0.85
 
@@ -406,7 +462,7 @@ class TestCheckpoint:
         if pca and variant not in ("no_pca", "no_news"):
             basis = fit_pca(ds.embeddings, 2)
             samples = reduce_samples(samples, basis)
-        d_in = samples[0].news.shape[1]
+        d_in = samples.news.shape[2]
         hyper = ModelHyper(k=3, d_prime=d_in, h=4, h_a=4, dropout=0.1)
         config = TrainConfig(alpha=1e-2, batch_size=4, epochs=3, patience=3)
         best, _ = train(samples, config, hyper, variant, pca=basis,
