@@ -111,10 +111,10 @@ def generate_summary(
 
 
 def fact_check(draft: NewsSummary, backend: TextBackend) -> Verdict:
-    """Binary verdict on a draft's exact text."""
+    """Binary verdict on the fact-check prompt built around a draft's text."""
     if not draft.summary.strip():
         raise InvalidDraftError(f"year {draft.year}: cannot fact-check an empty draft")
-    verdict = backend.verify(draft.summary)
+    verdict = backend.verify(build_fact_check_prompt(draft.summary))
     if verdict.value not in (0, 1):
         raise BackendError(f"backend returned non-binary verdict {verdict.value!r}")
     return verdict

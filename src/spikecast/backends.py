@@ -41,7 +41,9 @@ class TextBackend(Protocol):
 
     def generate(self, prompt: str) -> str: ...
 
-    def verify(self, summary: str) -> Verdict: ...
+    def verify(self, prompt: str) -> Verdict:
+        """Verdict on the fact-check prompt that agents.build_fact_check_prompt
+        builds around a draft summary."""
 
     def embed(self, text: str) -> list[float]: ...
 
@@ -110,8 +112,9 @@ class MockBackend:
             f"Analysts tied price moves to {w[3]} constraints and {w[4]} trends."
         )
 
-    def verify(self, summary: str) -> Verdict:
-        year = self._year_of(summary)
+    def verify(self, prompt: str) -> Verdict:
+        """Verdict keyed on the first year in the prompt."""
+        year = self._year_of(prompt)
         with self._lock:
             seen = self.verify_calls.get(year, 0)
             self.verify_calls[year] = seen + 1

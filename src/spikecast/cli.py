@@ -60,7 +60,6 @@ from .model import (
     VARIANTS,
     make_windows,
     predict,
-    reduce_samples,
     save_checkpoint,
     train,
     write_history_csv,
@@ -217,7 +216,7 @@ def _read_labels_csv(path) -> SpikeLabelSet:
         labels = tuple(int(r["spike"]) for r in rows)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return SpikeLabelSet(years=years, labels=labels, threshold_pct=25.0)
+    return SpikeLabelSet(years=years, labels=labels)
 
 
 def _cmd_distill(args, out: Path) -> list[str]:
@@ -302,7 +301,6 @@ def _cmd_train(args, out: Path) -> list[str]:
     basis = None
     if args.variant in PCA_VARIANTS:
         _, basis = fit_fold_pca(samples, args.dim)
-        samples = reduce_samples(samples, basis)
     params, history = train(
         samples, _train_config(args), hyper=_hyper(args),
         variant=args.variant, pca=basis,
@@ -319,8 +317,6 @@ def _cmd_eval(args, out: Path) -> list[str]:
     basis = None
     if args.variant in PCA_VARIANTS:
         _, basis = fit_fold_pca(train_s, args.dim)
-        train_s = reduce_samples(train_s, basis)
-        test_s = reduce_samples(test_s, basis)
     params, _ = train(
         train_s, _train_config(args), hyper=_hyper(args),
         variant=args.variant, pca=basis,

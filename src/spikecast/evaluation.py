@@ -202,9 +202,6 @@ class EvalReport:
     auc_folds_excluded: int
 
 
-METRIC_KEYS = ("auc", "accuracy", "precision_w", "recall_w", "f1_w")
-
-
 def _summarize(variant, threshold, n_folds, fold_results) -> EvalReport:
     cols = {
         "accuracy": [f.metrics.accuracy for f in fold_results],
@@ -268,8 +265,8 @@ def _run_folds(samples, variant, fit_score, fits_pca: bool, n_folds: int,
                d_prime: int, threshold: float) -> EvalReport:
     """Expanding-window folds scored by fit_score(train_s, test_s, basis).
 
-    With fits_pca, each fold refits PCA on its training rows and reduces
-    both parts; otherwise basis is None.
+    Both parts hold raw news. With fits_pca, each fold refits PCA on its
+    training rows; otherwise basis is None.
     """
     plan = time_series_split(len(samples), n_folds)
     results = []
@@ -280,8 +277,6 @@ def _run_folds(samples, variant, fit_score, fits_pca: bool, n_folds: int,
         basis = None
         if fits_pca:
             pca_years, basis = fit_fold_pca(train_s, d_prime)
-            train_s = reduce_samples(train_s, basis)
-            test_s = reduce_samples(test_s, basis)
         scores = fit_score(train_s, test_s, basis)
         labels = test_s.targets
         results.append(FoldResult(
@@ -371,6 +366,8 @@ def baseline_logreg(
 ) -> EvalReport:
     """Logistic regression under the exact fold plan and metrics of run_cv."""
     def fit_score(train_s, test_s, basis):
+        train_s = reduce_samples(train_s, basis)
+        test_s = reduce_samples(test_s, basis)
         w, b = fit_logreg(sample_features(train_s), train_s.targets,
                           l2=l2, lr=lr, iters=iters)
         return logreg_scores(w, b, sample_features(test_s))

@@ -81,7 +81,6 @@ class SpikeLabelSet:
 
     years: tuple[int, ...]
     labels: tuple[int, ...]
-    threshold_pct: float = DEFAULT_SPIKE_THRESHOLD_PCT
 
     def __post_init__(self):
         if len(self.years) != len(self.labels):
@@ -258,7 +257,7 @@ def label_spikes(
     changes = pct_changes(series)
     years = tuple(sorted(changes))
     labels = tuple(1 if changes[y] > threshold_pct else 0 for y in years)
-    return SpikeLabelSet(years, labels, threshold_pct)
+    return SpikeLabelSet(years, labels)
 
 
 def align_dataset(

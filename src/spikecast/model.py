@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -66,6 +66,9 @@ class Windows:
     news: np.ndarray          # (N, k, d); raw embeddings until reduced
     targets: np.ndarray       # (N,) int spike labels
     years: np.ndarray         # (N, k) int years inside each window
+
+    # An int index would drop the batch axis, so iteration is refused.
+    __iter__ = None
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -331,9 +334,14 @@ def evaluate_loss(
 
 
 def predict(params: ModelParams, windows: Windows) -> np.ndarray:
-    """Order-preserving spike probabilities with dropout disabled."""
+    """Order-preserving spike probabilities with dropout disabled.
+
+    `windows` hold raw news; a model with a PCA basis projects it first.
+    """
     if not len(windows):
         return np.empty(0)
+    if params.pca is not None:
+        windows = reduce_samples(windows, params.pca)
     return np.concatenate([
         forward_batch(windows.prices[i : i + PREDICT_CHUNK],
                       windows.news[i : i + PREDICT_CHUNK], params)[0]
@@ -351,6 +359,8 @@ def train(
 ) -> tuple[ModelParams, list[tuple[int, float, float]]]:
     """Mini-batch Adam on BCE with early stopping on a chronological tail.
 
+    `windows` hold raw news. With `pca`, their news is projected onto it
+    once and the model keeps the basis, so predict projects raw news too.
     The last `validation_fraction` of `windows` (which must be in
     chronological order) is held out for validation and never shuffled into
     training. Returns the best-validation-loss parameters and the per-epoch
@@ -362,6 +372,8 @@ def train(
         raise InsufficientDataError(f"need >= 2 samples to train, got {n}")
     if (np.diff(windows.anchor_years) < 0).any():
         raise ContractError("samples must be ordered chronologically")
+    if pca is not None:
+        windows = reduce_samples(windows, pca)
 
     k = windows.k
     d_in = windows.news.shape[2]
@@ -383,7 +395,8 @@ def train(
             stacklevel=2,
         )
 
-    params = init_model(hyper, variant, pca=pca, norm_stats=norm_stats)
+    # The basis is attached after the loop: evaluate_loss reads reduced news.
+    params = init_model(hyper, variant, norm_stats=norm_stats)
     theta = params.theta
     flat = flat_params(params)
     decayed = [np.full(arr.size, name in ("head.w1", "head.w2"))
@@ -424,6 +437,7 @@ def train(
             if epochs_since_best >= config.patience:
                 break
     theta[...] = best
+    params.pca = pca
     return params, history
 
 
@@ -436,26 +450,27 @@ def write_history_csv(history: list[tuple[int, float, float]], path) -> None:
 
 # --- checkpoint serialization -------------------------------------------------
 
+# The PcaBasis arrays, in the order a checkpoint stores them.
+_PCA_ARRAYS = ("mean", "components", "explained_variance")
+
+
 def _encode_array(arr: np.ndarray) -> dict:
     a = np.asarray(arr, dtype=float)
-    return {"shape": list(a.shape), "data": [float(x) for x in a.reshape(-1)]}
+    return {"shape": list(a.shape), "data": a.reshape(-1).tolist()}
 
 
-def _decode_array(obj, name: str) -> np.ndarray:
-    try:
-        shape = tuple(int(s) for s in obj["shape"])
-        data = obj["data"]
-    except (KeyError, TypeError, ValueError):
-        raise CheckpointIntegrityError(f"malformed array record for {name!r}") from None
-    expected = int(np.prod(shape)) if shape else 1
-    if len(data) != expected:
+def _decode_array(obj, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The stored array `name`, which must have `shape` and finite values."""
+    stored = tuple(obj["shape"])
+    data = np.array(obj["data"], dtype=float)
+    if stored != shape or data.shape != (math.prod(shape),):
         raise CheckpointIntegrityError(
-            f"array {name!r}: shape {shape} wants {expected} values, got {len(data)}"
+            f"array {name!r}: shape {stored} with {data.size} values, "
+            f"model wants {shape}"
         )
-    arr = np.asarray(data, dtype=float).reshape(shape)
-    if not np.isfinite(arr).all():
+    if not np.isfinite(data).all():
         raise CheckpointIntegrityError(f"array {name!r} contains non-finite values")
-    return arr
+    return data.reshape(shape)
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -466,14 +481,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     doc = {
         "format": CHECKPOINT_FORMAT,
         "variant": params.variant,
-        "hyper": {
-            "k": params.hyper.k,
-            "d_prime": params.hyper.d_prime,
-            "h": params.hyper.h,
-            "h_a": params.hyper.h_a,
-            "dropout": params.hyper.dropout,
-            "seed": params.hyper.seed,
-        },
+        "hyper": asdict(params.hyper),
         "pca": None,
         "head_dropout": params.head.dropout,
         "norm_stats": None,
@@ -482,12 +490,9 @@ def save_checkpoint(params: ModelParams, path) -> None:
         },
     }
     if params.pca is not None:
-        doc["pca"] = {
-            "mean": _encode_array(params.pca.mean),
-            "components": _encode_array(params.pca.components),
-            "explained_variance": _encode_array(params.pca.explained_variance),
-            "fitted_on": params.pca.fitted_on,
-        }
+        doc["pca"] = {name: _encode_array(getattr(params.pca, name))
+                      for name in _PCA_ARRAYS}
+        doc["pca"]["fitted_on"] = params.pca.fitted_on
     if params.norm_stats is not None:
         doc["norm_stats"] = {
             name: {"mean": float(m), "std": float(s)}
@@ -501,65 +506,48 @@ def save_checkpoint(params: ModelParams, path) -> None:
 def load_checkpoint(path) -> ModelParams:
     """Inverse of save_checkpoint, with integrity and version validation.
 
-    Every trainable array must be present with the shape that
-    init_model(hyper, variant) gives it.
+    Every stored array must have the shape the model implies: each trainable
+    array the shape init_model(hyper, variant) gives it, and the PCA block
+    mean (d,), components (d, d') and explained_variance (d',), where
+    d' = hyper.d_prime.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CheckpointIntegrityError(f"truncated or invalid checkpoint: {exc}") from None
-    if not isinstance(doc, dict):
-        raise CheckpointVersionError(
-            f"checkpoint is a JSON {type(doc).__name__}, "
-            f"not a {CHECKPOINT_FORMAT!r} object"
-        )
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointVersionError(
-            f"unsupported checkpoint format {doc.get('format')!r}; "
-            f"expected {CHECKPOINT_FORMAT!r}"
-        )
-    try:
+        if not isinstance(doc, dict):
+            raise CheckpointVersionError(
+                f"checkpoint is a JSON {type(doc).__name__}, "
+                f"not a {CHECKPOINT_FORMAT!r} object"
+            )
+        if doc.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointVersionError(
+                f"unsupported checkpoint format {doc.get('format')!r}; "
+                f"expected {CHECKPOINT_FORMAT!r}"
+            )
         hyper = ModelHyper(**doc["hyper"])
-        variant = doc["variant"]
-    except (KeyError, TypeError) as exc:
-        raise CheckpointIntegrityError(f"malformed checkpoint header: {exc}") from None
-    if variant not in VARIANTS:
-        raise CheckpointIntegrityError(f"unknown variant {variant!r}")
-
-    pca = None
-    norm_stats = None
-    try:
+        pca = None
         if doc.get("pca") is not None:
             p = doc["pca"]
+            d = len(p["mean"]["data"])
+            shapes = ((d,), (d, hyper.d_prime), (hyper.d_prime,))
             pca = PcaBasis(
-                mean=_decode_array(p["mean"], "pca.mean"),
-                components=_decode_array(p["components"], "pca.components"),
-                explained_variance=_decode_array(p["explained_variance"],
-                                                 "pca.explained_variance"),
+                *(_decode_array(p[name], f"pca.{name}", shape)
+                  for name, shape in zip(_PCA_ARRAYS, shapes)),
                 fitted_on=int(p["fitted_on"]),
             )
+        norm_stats = None
         if doc.get("norm_stats") is not None:
             norm_stats = {
                 name: (float(rec["mean"]), float(rec["std"]))
                 for name, rec in doc["norm_stats"].items()
             }
-        params = init_model(hyper, variant, pca=pca, norm_stats=norm_stats)
+        params = init_model(hyper, doc["variant"], pca=pca, norm_stats=norm_stats)
         params.head = replace(params.head,
                               dropout=float(doc.get("head_dropout", 0.0)))
+        for name, arr in flat_params(params).items():
+            arr[...] = _decode_array(doc["arrays"][name], name, arr.shape)
     except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+        # ValueError covers json.JSONDecodeError and UnicodeDecodeError; a
+        # missing array is a KeyError that names it.
         raise CheckpointIntegrityError(f"malformed checkpoint: {exc!r}") from None
-
-    arrays = doc.get("arrays")
-    if not isinstance(arrays, dict):
-        raise CheckpointIntegrityError("checkpoint has no 'arrays' object")
-    for name, arr in flat_params(params).items():
-        if name not in arrays:
-            raise CheckpointIntegrityError(f"missing array {name!r}")
-        loaded = _decode_array(arrays[name], name)
-        if loaded.shape != arr.shape:
-            raise CheckpointIntegrityError(
-                f"array {name!r}: shape {loaded.shape}, model wants {arr.shape}"
-            )
-        arr[...] = loaded
     return params

@@ -211,7 +211,7 @@ class TestOrchestrate:
         store = SummaryStore(tmp_path / "s.jsonl")
         result = orchestrate(config(years=(1960,)), b, store, CLOCK)
         accepted = [s for s, v in seen if v == 1]
-        assert result[1960].summary in accepted
+        assert build_fact_check_prompt(result[1960].summary) in accepted
 
     def test_placeholder_policy(self, tmp_path):
         path = tmp_path / "s.jsonl"

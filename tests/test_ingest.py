@@ -196,7 +196,7 @@ class TestAlign:
 
     def test_intersection(self):
         prices = PriceSeries("c", (1960, 1961, 1962), np.array([0.1, 0.2, 0.3]), NORMALIZED)
-        labels = SpikeLabelSet(years=(1961, 1962, 1963), labels=(0, 1, 0), threshold_pct=25.0)
+        labels = SpikeLabelSet(years=(1961, 1962, 1963), labels=(0, 1, 0))
         embs = [self._emb(y) for y in (1960, 1961, 1962)]
         ds = align_dataset(prices, labels, embs)
         assert ds.years == (1961, 1962)
@@ -206,7 +206,7 @@ class TestAlign:
 
     def test_empty_intersection_reports_spans(self):
         prices = PriceSeries("c", (1960, 1961), np.array([0.1, 0.2]), NORMALIZED)
-        labels = SpikeLabelSet(years=(1970, 1971), labels=(0, 1), threshold_pct=25.0)
+        labels = SpikeLabelSet(years=(1970, 1971), labels=(0, 1))
         embs = [self._emb(1980)]
         with pytest.raises(AlignmentError) as err:
             align_dataset(prices, labels, embs)
@@ -215,7 +215,7 @@ class TestAlign:
 
     def test_dim_mismatch(self):
         prices = PriceSeries("c", (1960, 1961), np.array([0.1, 0.2]), NORMALIZED)
-        labels = SpikeLabelSet(years=(1960, 1961), labels=(0, 1), threshold_pct=25.0)
+        labels = SpikeLabelSet(years=(1960, 1961), labels=(0, 1))
         embs = [self._emb(1960), self._emb(1961, values=(0.1, 0.2, 0.3))]
         with pytest.raises(ValidationError, match="dim"):
             align_dataset(prices, labels, embs)
@@ -224,7 +224,7 @@ class TestAlign:
         prices = PriceSeries(
             "c", (1960, 1961, 1962), np.array([0.1, math.nan, 0.3]), NORMALIZED
         )
-        labels = SpikeLabelSet(years=(1960, 1961, 1962), labels=(0, 1, 0), threshold_pct=25.0)
+        labels = SpikeLabelSet(years=(1960, 1961, 1962), labels=(0, 1, 0))
         embs = [self._emb(y) for y in (1960, 1961, 1962)]
         ds = align_dataset(prices, labels, embs)
         assert ds.years == (1960, 1962)

@@ -139,6 +139,12 @@ class TestWindows:
                                           samples.years[idx][:, -1])
         assert len(samples[2:6]) == 4 and len(samples[np.array([1])]) == 1
 
+    def test_iteration_refused(self):
+        # An int index would yield windows without their batch axis.
+        samples = make_windows(planted_dataset(n=12, d=3), k=3)
+        with pytest.raises(TypeError):
+            list(samples)
+
 
 class TestInitModel:
     def test_fused_width_per_variant(self):
@@ -345,6 +351,15 @@ class TestPredict:
         expected, _ = bce_loss(probs, targets)
         assert evaluate_loss(params, samples) == pytest.approx(expected, rel=1e-12)
 
+    def test_applies_model_pca_to_raw_windows(self):
+        ds = planted_dataset(n=24, d=6, seed=2)
+        raw = make_windows(ds, k=3)
+        basis = fit_pca(ds.embeddings, 2)
+        params = init_model(HYPER_SMALL, "full", pca=basis)
+        reduced = reduce_samples(raw, basis)
+        want, _ = forward_batch(reduced.prices, reduced.news, params)
+        assert_same_bits(predict(params, raw), want)
+
 
 class TestTrain:
     CONFIG = TrainConfig(alpha=1e-2, batch_size=4, epochs=6, patience=3, seed=3)
@@ -374,6 +389,18 @@ class TestTrain:
         assert fired > 0
         assert h1 == h2
         assert np.array_equal(p1.theta.view(np.int64), p2.theta.view(np.int64))
+
+    @pytest.mark.parametrize("variant", ["full", "no_attention"])
+    def test_pca_is_applied_inside_train(self, variant):
+        ds = planted_dataset(n=24, d=6, seed=4)
+        raw = make_windows(ds, k=3)
+        basis = fit_pca(ds.embeddings, 2)
+        p1, h1 = train(raw, self.CONFIG, HYPER_SMALL, variant, pca=basis)
+        p2, h2 = train(reduce_samples(raw, basis), self.CONFIG, HYPER_SMALL, variant)
+        assert_same_bits(p1.theta, p2.theta)
+        assert_same_bits(h1, h2)
+        assert p1.pca is basis and p2.pca is None
+        assert p1.hyper.d_prime == basis.d_prime
 
     def test_seed_changes_outcome(self):
         samples = tiny_samples(n=20)
@@ -461,7 +488,6 @@ class TestCheckpoint:
         basis = None
         if pca and variant not in ("no_pca", "no_news"):
             basis = fit_pca(ds.embeddings, 2)
-            samples = reduce_samples(samples, basis)
         d_in = samples.news.shape[2]
         hyper = ModelHyper(k=3, d_prime=d_in, h=4, h_a=4, dropout=0.1)
         config = TrainConfig(alpha=1e-2, batch_size=4, epochs=3, patience=3)
@@ -616,6 +642,30 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointIntegrityError, match=r"price_lstm\.w\b"):
             load_checkpoint(path)
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(CheckpointIntegrityError):
+            load_checkpoint(path)
+
+    def test_pca_block_must_match_hyper(self, tmp_path):
+        params = self._trained("full", pca=True)  # hyper.d_prime == 2
+        path = tmp_path / "model.json"
+        save_checkpoint(params, path)
+        doc = json.loads(path.read_text())
+        doc["pca"]["mean"] = {"shape": [5], "data": [0.0] * 5}
+        doc["pca"]["components"] = {"shape": [6, 3], "data": [0.1] * 18}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError, match=r"pca\.components"):
+            load_checkpoint(path)
+
+    def test_loaded_pca_model_scores_raw_windows(self, tmp_path):
+        params = self._trained("full", pca=True)
+        raw = tiny_samples(n=24, d=6, seed=5)
+        path = tmp_path / "model.json"
+        save_checkpoint(params, path)
+        assert_same_bits(predict(load_checkpoint(path), raw), predict(params, raw))
 
     def test_retrain_after_reload_is_deterministic(self, tmp_path):
         """A loaded checkpoint carries everything needed to reproduce itself."""
