@@ -84,7 +84,7 @@ def time_series_split(n: int, n_folds: int = 5) -> FoldPlan:
 
 
 def _counts_by_score(scores, labels):
-    """Positives and negatives at each distinct score, highest score first."""
+    """Positives and negatives at each distinct score, and the scores; highest first."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
@@ -97,7 +97,7 @@ def _counts_by_score(scores, labels):
     distinct, index = np.unique(scores, return_inverse=True)
     index = distinct.size - 1 - index
     return (np.bincount(index[pos], minlength=distinct.size),
-            np.bincount(index[neg], minlength=distinct.size))
+            np.bincount(index[neg], minlength=distinct.size), distinct[::-1])
 
 
 def roc_auc(scores, labels) -> float:
@@ -106,7 +106,7 @@ def roc_auc(scores, labels) -> float:
     Each negative counts the positives scored above it plus half of those
     tied with it. Every term is an integer or a half, so the sum is exact.
     """
-    pos, neg = _counts_by_score(scores, labels)
+    pos, neg, _ = _counts_by_score(scores, labels)
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
@@ -118,7 +118,7 @@ def roc_auc(scores, labels) -> float:
 
 def roc_curve(scores, labels) -> list[tuple[float, float]]:
     """(fpr, tpr) staircase from (0,0) to (1,1), thresholds descending."""
-    pos, neg = _counts_by_score(scores, labels)
+    pos, neg, _ = _counts_by_score(scores, labels)
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("ROC undefined with a single class")
@@ -144,17 +144,13 @@ def classification_metrics(scores, labels, threshold: float = 0.5) -> MetricBloc
 
     Per-class metrics with zero denominators are defined as 0.
     """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    if labels.size == 0:
+    pos, neg, distinct = _counts_by_score(scores, labels)
+    pred = distinct > threshold
+    tp, fp = int(pos[pred].sum()), int(neg[pred].sum())
+    fn, tn = int(pos[~pred].sum()), int(neg[~pred].sum())
+    n = tp + fp + fn + tn
+    if n == 0:
         raise InsufficientDataError("cannot compute metrics on an empty set")
-    pred = scores > threshold
-    pos = labels == 1
-    tp = int((pred & pos).sum())
-    fp = int((pred & ~pos).sum())
-    fn = int((~pred & pos).sum())
-    tn = int((~pred & ~pos).sum())
-    n = labels.size
 
     def _prf(tp_c, fp_c, fn_c):
         prec = tp_c / (tp_c + fp_c) if tp_c + fp_c else 0.0

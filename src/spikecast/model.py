@@ -235,32 +235,31 @@ def forward_batch(
     """Spike probabilities (B,) for stacked windows, with caches for backprop.
 
     `prices` is (B, k, 1) and `news` (B, k, d'); the no_news variant ignores
-    `news`. Each window's probability is the same in any batch.
+    `news`. The price and news LSTMs run as one two-stream recurrence. Each
+    window's probability is the same in any batch.
     """
     hyper = params.hyper
     if prices.shape[1:] != (hyper.k, 1):
         raise ContractError(
             f"price window shape {prices.shape[1:]}, expected {(hyper.k, 1)}"
         )
-    _, h_price, price_cache = lstm_forward(prices, params.price_lstm)
+    streams = (prices,) if params.variant == VARIANT_NO_NEWS else (prices, news)
+    if len(streams) == 2 and news.shape[1:] != (hyper.k, hyper.d_prime):
+        raise ContractError(f"news window shape {news.shape[1:]}, "
+                            f"expected {(hyper.k, hyper.d_prime)}")
+    lstms = (params.price_lstm, params.news_lstm)[: len(streams)]
+    hs, (h_price, *_), lstm_cache = lstm_forward(streams, lstms)
     if not np.isfinite(h_price).all():
         raise NumericError("non-finite value in price LSTM output")
 
-    cache: dict = {"price": price_cache}
+    cache: dict = {"lstm": lstm_cache}
     if params.variant == VARIANT_NO_NEWS:
         fused = h_price
     else:
-        if news.shape[1:] != (hyper.k, hyper.d_prime):
-            raise ContractError(
-                f"news window shape {news.shape[1:]}, "
-                f"expected {(hyper.k, hyper.d_prime)}"
-            )
-        news_hs, _, news_cache = lstm_forward(news, params.news_lstm)
-        cache["news"] = news_cache
         if params.variant == VARIANT_NO_ATTENTION:
-            context = news_hs.mean(axis=1)
+            context = hs[1].mean(axis=1)
         else:
-            context, _, att_cache = attention_forward(news_hs, params.attention)
+            context, _, att_cache = attention_forward(hs[1], params.attention)
             cache["attention"] = att_cache
         if not np.isfinite(context).all():
             raise NumericError("non-finite value in news context vector")
@@ -281,6 +280,9 @@ def backward_batch(
     grads = {f"head.{n}": g for n, g in head_grads.items()}
 
     batch = d_fused.shape[0]
+    d_price_hs = np.zeros((batch, hyper.k, hyper.h))
+    d_price_hs[:, -1] = d_fused[:, : hyper.h]
+    d_hs = (d_price_hs,)
     if params.variant != VARIANT_NO_NEWS:
         d_context = d_fused[:, hyper.h :]
         k = hyper.k
@@ -293,13 +295,12 @@ def backward_batch(
                 params.attention, cache["attention"], d_context
             )
             grads.update({f"attention.{n}": g for n, g in att_grads.items()})
-        news_grads = lstm_backward(params.news_lstm, cache["news"], d_news_hs)
-        grads.update({f"news_lstm.{n}": g for n, g in news_grads.items()})
+        d_hs = (d_price_hs, d_news_hs)
 
-    d_price_hs = np.zeros((batch, hyper.k, hyper.h))
-    d_price_hs[:, -1] = d_fused[:, : hyper.h]
-    price_grads = lstm_backward(params.price_lstm, cache["price"], d_price_hs)
-    grads.update({f"price_lstm.{n}": g for n, g in price_grads.items()})
+    lstms = (params.price_lstm, params.news_lstm)[: len(d_hs)]
+    lstm_grads = lstm_backward(lstms, cache["lstm"], d_hs)
+    for component, stream_grads in zip(("price_lstm", "news_lstm"), lstm_grads):
+        grads.update({f"{component}.{n}": g for n, g in stream_grads.items()})
     return grads
 
 
@@ -403,7 +404,7 @@ def train(
                for name, arr in flat.items()]
     state = init_adam(theta, alpha=config.alpha, weight_decay=config.weight_decay,
                       decay_mask=np.concatenate(decayed))
-    grad = np.empty_like(theta)
+    grad = state.scratch[0]  # the gradient vector, reused by adam_step once read
     rng = np.random.default_rng(config.seed)
 
     history: list[tuple[int, float, float]] = []
@@ -422,6 +423,7 @@ def train(
             loss_sum += loss * len(batch)
             grads = backward_batch(params, cache, d_preds)
             np.concatenate([grads[name] for name in flat], axis=None, out=grad)
+            del cache, grads  # not held through the next forward or evaluate_loss
             clip_global_norm(grad, config.clip_norm)
             adam_step(theta, grad, state)
 
@@ -454,11 +456,6 @@ def write_history_csv(history: list[tuple[int, float, float]], path) -> None:
 _PCA_ARRAYS = ("mean", "components", "explained_variance")
 
 
-def _encode_array(arr: np.ndarray) -> dict:
-    a = np.asarray(arr, dtype=float)
-    return {"shape": list(a.shape), "data": a.reshape(-1).tolist()}
-
-
 def _decode_array(obj, name: str, shape: tuple[int, ...]) -> np.ndarray:
     """The stored array `name`, which must have `shape` and finite values."""
     stored = tuple(obj["shape"])
@@ -473,6 +470,25 @@ def _decode_array(obj, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return data.reshape(shape)
 
 
+def _write_json(fh, obj) -> None:
+    """Write json.dumps(obj) to fh, with each array as {"shape": [...], "data":
+    [row-major values]}, in pieces of at most 256 values: the C encoder's
+    speed (json.dump and indent use Python's) without every value's text."""
+    if isinstance(obj, dict) and obj:
+        for sep, (key, value) in zip(["{"] + [", "] * len(obj), obj.items()):
+            fh.write(f"{sep}{json.dumps(key)}: ")
+            _write_json(fh, value)
+        fh.write("}")
+    elif isinstance(obj, np.ndarray):
+        data = np.asarray(obj, dtype=float).reshape(-1)
+        fh.write(f'{{"shape": {json.dumps(list(obj.shape))}, "data": [')
+        for i in range(0, data.size, 256):
+            fh.write((", " if i else "") + json.dumps(data[i : i + 256].tolist())[1:-1])
+        fh.write("]}")
+    else:
+        fh.write(json.dumps(obj))
+
+
 def save_checkpoint(params: ModelParams, path) -> None:
     """Versioned JSON checkpoint; save -> load -> save is byte-identical.
 
@@ -485,13 +501,10 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "pca": None,
         "head_dropout": params.head.dropout,
         "norm_stats": None,
-        "arrays": {
-            name: _encode_array(arr) for name, arr in flat_params(params).items()
-        },
+        "arrays": flat_params(params),
     }
     if params.pca is not None:
-        doc["pca"] = {name: _encode_array(getattr(params.pca, name))
-                      for name in _PCA_ARRAYS}
+        doc["pca"] = {name: getattr(params.pca, name) for name in _PCA_ARRAYS}
         doc["pca"]["fitted_on"] = params.pca.fitted_on
     if params.norm_stats is not None:
         doc["norm_stats"] = {
@@ -499,7 +512,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
             for name, (m, s) in params.norm_stats.items()
         }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        _write_json(fh, doc)
         fh.write("\n")
 
 

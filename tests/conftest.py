@@ -4,7 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from spikecast.errors import ContractError, NumericError
 from spikecast.ingest import AlignedDataset
+from spikecast.nn.ops import sigmoid
 
 
 def brute_force_spikes(values: np.ndarray, threshold_pct: float = 25.0):
@@ -78,6 +80,104 @@ def reference_sample_features(windows):
     """sample_features on a reference_windows list, one row per window."""
     return np.array([np.concatenate([p.ravel(), news.mean(axis=0)])
                      for p, news, _, _, _ in windows])
+
+
+def reference_lstm_forward(
+    sequence: np.ndarray, params
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """lstm_forward for one stream, one LSTM per call (the unfused kernel).
+
+    Returns (all hidden states (B, k, h), final hidden states (B, h), cache
+    for backprop).
+    """
+    sequence = np.asarray(sequence, dtype=float)
+    if sequence.ndim != 3 or sequence.shape[2] != params.input_size:
+        raise ContractError(
+            f"sequence batch shape {sequence.shape} does not match "
+            f"(B, k, {params.input_size})"
+        )
+    if not np.isfinite(sequence).all():
+        raise NumericError("non-finite value in LSTM input sequence")
+    n, k, _ = sequence.shape
+    h = params.hidden_size
+    w, u, b = params.w, params.u, params.b
+
+    # Input projections of every step at once, in the buffer where each step
+    # then writes its activations (o | i | f | g). The loop adds h_prev @ U,
+    # then b: the order in which the docstring's recurrence sums them.
+    gates = (sequence @ w).swapaxes(0, 1)    # (k, B, 4h): step t is one view
+    hs, cs = np.zeros((2, k + 1, n, h))      # step 0: the initial state
+    tanh_cs = np.empty((k, n, h))
+    o, i, f, g = (gates[..., j * h : (j + 1) * h] for j in range(4))
+    steps = zip(gates, o, i, f, g, hs, hs[1:], cs, cs[1:], tanh_cs)
+    for gate, o_t, i_t, f_t, g_t, h_prev, h_t, c_prev, c_t, tc_t in steps:
+        # One vector-matrix product per sequence, so a sequence's result
+        # does not depend on the size of its batch.
+        a = np.vecmat(h_prev, u)
+        a += gate
+        a += b
+        gate[:, : 3 * h] = sigmoid(a[:, : 3 * h])
+        np.tanh(a[:, 3 * h :], out=g_t)
+        np.multiply(f_t, c_prev, out=c_t)
+        c_t += i_t * g_t
+        np.tanh(c_t, out=tc_t)
+        np.multiply(o_t, tc_t, out=h_t)
+
+    cache = {
+        "sequence": sequence, "gates": gates,
+        "hs": hs, "cs": cs, "tanh_cs": tanh_cs,
+    }
+    return hs[1:].swapaxes(0, 1), hs[-1].copy(), cache
+
+
+def reference_lstm_backward(
+    params, cache: dict, d_hs: np.ndarray
+) -> dict[str, np.ndarray]:
+    """lstm_backward for one stream: BPTT given a (B, k, h) d_hs. Returns
+    gradients summed over the batch, keyed like LstmParams.arrays()."""
+    seq, gates = cache["sequence"], cache["gates"]
+    hs, cs, tanh_cs = cache["hs"], cache["cs"], cache["tanh_cs"]
+    k, n, h = tanh_cs.shape
+    d_hs = np.asarray(d_hs, dtype=float)
+    if d_hs.shape != (n, k, h):
+        raise ContractError(f"d_hs shape {d_hs.shape}, expected {(n, k, h)}")
+
+    # Everything but the recurrence is elementwise over steps, so it is done
+    # for all steps at once: each gate's pre-activation gradient is dh (gate
+    # o) or dc (gates i, f, g) times a factor known from the forward pass.
+    o, i, f, g = (gates[..., j * h : (j + 1) * h] for j in range(4))
+    sig = gates.reshape(k, n, 4, h)[:, :, :3]  # the o, i, f blocks
+    factor = np.empty((k, n, 4, h))
+    np.multiply(sig, 1.0 - sig, out=factor[:, :, :3])
+    factor[:, :, 0] *= tanh_cs
+    factor[:, :, 1] *= g
+    factor[:, :, 2] *= cs[:-1]
+    np.multiply(i, 1.0 - g**2, out=factor[:, :, 3])
+    d_tanh_c = o * (1.0 - tanh_cs**2)        # dc contribution of dh
+    u_t = params.u.T
+
+    da = np.empty((k, n, 4 * h))             # pre-activation grads o | i | f | g
+    da_o = da[..., :h]
+    da_ifg = da[..., h:].reshape(k, n, 3, h)
+    dh_next = np.zeros((n, h))
+    dc_next = np.zeros((n, h))
+    steps = list(zip(d_hs.swapaxes(0, 1), d_tanh_c, factor[:, :, 0],
+                     factor[:, :, 1:], da, da_o, da_ifg, f))
+    for d_hs_t, d_tanh_c_t, fo_t, fifg_t, da_t, da_o_t, da_ifg_t, f_t in steps[::-1]:
+        dh = d_hs_t + dh_next
+        dc = dc_next + dh * d_tanh_c_t
+        np.multiply(dh, fo_t, out=da_o_t)
+        np.multiply(dc[:, None], fifg_t, out=da_ifg_t)
+        dh_next = da_t @ u_t
+        dc_next = dc * f_t
+
+    # Sum over the batch and the steps in one product per array.
+    da = da.reshape(k * n, 4 * h)
+    return {
+        "w": seq.swapaxes(0, 1).reshape(k * n, -1).T @ da,
+        "u": hs[:-1].reshape(k * n, h).T @ da,
+        "b": da.sum(axis=0),
+    }
 
 
 def assert_same_bits(got, want):

@@ -261,6 +261,18 @@ class TestClassificationMetrics:
         with pytest.raises(InsufficientDataError):
             classification_metrics([], [])
 
+    @pytest.mark.parametrize("scores, labels", [
+        ([0.9, np.nan, 0.1], [1, 1, 0]),    # NaN counted as a negative before
+        ([0.9, 0.2, 0.1], [1, 2, 0]),       # label 2 counted as a negative
+        ([0.9, 0.2, 0.1], [1, 0]),          # raw broadcast ValueError before
+        ([[0.9, 0.1]], [[1, 0]]),
+    ])
+    def test_invalid_input_rejected_like_roc_auc(self, scores, labels):
+        with pytest.raises(ConfigError):
+            classification_metrics(scores, labels)
+        with pytest.raises(ConfigError):
+            roc_auc(scores, labels)
+
     def test_float_fields(self):
         m = classification_metrics([0.9, 0.1], [1, 0])
         for value in (m.accuracy, m.precision_weighted, m.recall_weighted,

@@ -528,6 +528,37 @@ class TestCheckpoint:
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_indented_checkpoint_loads(self, tmp_path):
+        # Files written with indent=2 (the layout before the compact one)
+        # hold the same document, so they load to the same bits.
+        params = self._trained("full", pca=True)
+        compact, indented = tmp_path / "a.json", tmp_path / "b.json"
+        save_checkpoint(params, compact)
+        indented.write_text(json.dumps(json.loads(compact.read_text()), indent=2) + "\n")
+        loaded = load_checkpoint(indented)
+        assert_same_bits(loaded.theta, params.theta)
+        for name in ("mean", "components", "explained_variance"):
+            assert_same_bits(getattr(loaded.pca, name), getattr(params.pca, name))
+        again = tmp_path / "c.json"
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == compact.read_bytes()
+
+    def test_compact_file_is_json_dumps_of_its_document(self, tmp_path):
+        # At the default widths the arrays are longer than one written piece.
+        rng = np.random.default_rng(7)
+        params = init_model(ModelHyper(k=3, d_prime=16), "full", norm_stats={})
+        params.theta[...] = rng.normal(size=params.theta.size)
+        params.pca = fit_pca(rng.normal(size=(40, 24)), 16)
+        path = tmp_path / "model.json"
+        save_checkpoint(params, path)
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text)) + "\n"
+        assert len(json.loads(text)["arrays"]["news_lstm.u"]["data"]) == 32 * 128
+        loaded = load_checkpoint(path)
+        assert_same_bits(loaded.theta, params.theta)
+        assert_same_bits(loaded.pca.components, params.pca.components)
+        assert loaded.norm_stats == {}
+
     def test_loaded_predictions_match(self, tmp_path):
         params = self._trained("full")
         samples = tiny_samples(n=24, d=6, seed=5)

@@ -1,4 +1,6 @@
 """Neural kernels against finite-difference and closed-form oracles."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from spikecast.nn import (
     softmax_rows,
 )
 from spikecast.nn.optim import adam_step, clip_global_norm, init_adam
+
+from conftest import assert_same_bits, reference_lstm_backward, reference_lstm_forward
 
 
 class TestOps:
@@ -67,7 +71,7 @@ class TestLstm:
         rng = np.random.default_rng(1)
         params = init_lstm_params(3, 5, rng)
         seq = rng.normal(size=(2, 7, 3))
-        hs, last, cache = lstm_forward(seq, params)
+        (hs,), (last,), cache = lstm_forward((seq,), (params,))
         assert hs.shape == (2, 7, 5)
         assert last.shape == (2, 5)
         assert np.array_equal(last, hs[:, -1])
@@ -99,17 +103,17 @@ class TestLstm:
         params = init_lstm_params(2, 3, np.random.default_rng(3))
         for arr in params.arrays().values():
             arr[:] = 0.0
-        hs, last, _ = lstm_forward(np.ones((1, 4, 2)), params)
+        (hs,), (last,), _ = lstm_forward((np.ones((1, 4, 2)),), (params,))
         assert np.all(hs == 0.0)
 
     def test_rejects_bad_input(self):
         params = init_lstm_params(2, 3, np.random.default_rng(4))
         with pytest.raises(ContractError):
-            lstm_forward(np.ones((1, 4, 5)), params)
+            lstm_forward((np.ones((1, 4, 5)),), (params,))
         with pytest.raises(ContractError):
-            lstm_forward(np.ones((4, 2)), params)  # no batch axis
+            lstm_forward((np.ones((4, 2)),), (params,))  # no batch axis
         with pytest.raises(NumericError):
-            lstm_forward(np.array([[[1.0, np.nan]]]), params)
+            lstm_forward((np.array([[[1.0, np.nan]]]),), (params,))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -118,9 +122,9 @@ class TestLstm:
         d_hs = rng.normal(size=(3, 5, 4))
 
         def closure():
-            hs, _, cache = lstm_forward(seq, params)
+            (hs,), _, cache = lstm_forward((seq,), (params,))
             loss = float((hs * d_hs).sum())
-            return loss, lstm_backward(params, cache, d_hs)
+            return loss, lstm_backward((params,), cache, (d_hs,))[0]
 
         worst = grad_check(closure, params.arrays(), rng=np.random.default_rng(0))
         assert worst < 1e-4
@@ -157,14 +161,90 @@ class TestLstm:
                 states.append(h)
             expected.append(states)
         expected = np.array(expected)
-        hs, last, cache = lstm_forward(seq, p)
+        (hs,), (last,), cache = lstm_forward((seq,), (p,))
         assert np.abs(hs - expected).max() < 1e-12
         assert np.abs(last - expected[:, -1]).max() < 1e-12
 
-        grads = lstm_backward(p, cache, rng.normal(size=hs.shape))
+        (grads,) = lstm_backward((p,), cache, (rng.normal(size=hs.shape),))
         assert list(grads) == list(p.arrays()) == ["w", "u", "b"]
         for name, arr in p.arrays().items():
             assert grads[name].shape == arr.shape, name
+
+
+class TestLstmStreams:
+    """S streams in one recurrence equal S single-stream runs, bit for bit."""
+
+    H = 32
+
+    @staticmethod
+    def _run(seqs, params, d_hs):
+        hs, last, cache = lstm_forward(seqs, params)
+        return hs, last, lstm_backward(params, cache, d_hs)
+
+    @pytest.mark.parametrize("m", [1, 16, 128])
+    @pytest.mark.parametrize("k", [1, 5, 16])
+    @pytest.mark.parametrize("batch", [1, 3, 8, 16])
+    def test_fused_equals_reference(self, batch, k, m):
+        rng = np.random.default_rng(batch * 10_000 + k * 1_000 + m)
+        widths = (1, m)  # the model's price and news streams
+        params = tuple(init_lstm_params(w, self.H, rng) for w in widths)
+        for p in params:
+            p.b[...] = rng.normal(scale=0.5, size=p.b.shape)
+        seqs = tuple(rng.normal(size=(batch, k, w)) for w in widths)
+        d_hs = tuple(rng.normal(size=(batch, k, self.H)) for _ in widths)
+
+        want = []
+        for seq, p, d in zip(seqs, params, d_hs):
+            hs, last, cache = reference_lstm_forward(seq, p)
+            want.append((hs, last, reference_lstm_backward(p, cache, d)))
+        for streams in ((0, 1), (1,), (0,)):
+            got = self._run(tuple(seqs[j] for j in streams),
+                            tuple(params[j] for j in streams),
+                            tuple(d_hs[j] for j in streams))
+            for pos, j in enumerate(streams):
+                hs, last, grads = want[j]
+                assert_same_bits(got[0][pos], hs)
+                assert_same_bits(got[1][pos], last)
+                assert list(got[2][pos]) == ["w", "u", "b"]
+                for name in ("w", "u", "b"):
+                    assert_same_bits(got[2][pos][name], grads[name])
+
+    def _pair(self, rng, batch=(2, 2), k=(4, 4), h=(3, 3)):
+        params = (init_lstm_params(1, h[0], rng), init_lstm_params(2, h[1], rng))
+        seqs = (rng.normal(size=(batch[0], k[0], 1)),
+                rng.normal(size=(batch[1], k[1], 2)))
+        return seqs, params
+
+    def test_streams_must_share_batch_steps_and_hidden(self):
+        rng = np.random.default_rng(9)
+        for bad in ({"batch": (2, 3)}, {"k": (4, 5)}, {"h": (3, 4)}):
+            seqs, params = self._pair(rng, **bad)
+            with pytest.raises(ContractError):
+                lstm_forward(seqs, params)
+        seqs, params = self._pair(rng)
+        with pytest.raises(ContractError):
+            lstm_forward(seqs, params[:1])  # one LSTM for two streams
+        with pytest.raises(ContractError):
+            lstm_forward((), ())
+
+    def test_d_hs_must_match_stream_count(self):
+        rng = np.random.default_rng(10)
+        seqs, params = self._pair(rng)
+        hs, _, cache = lstm_forward(seqs, params)
+        for d_hs in ((hs[0],), (hs[0], hs[1], hs[1])):
+            with pytest.raises(ContractError):
+                lstm_backward(params, cache, d_hs)
+        with pytest.raises(ContractError):
+            lstm_backward(params, cache, (hs[0], hs[1][:, :-1]))
+        assert len(lstm_backward(params, cache, tuple(hs))) == 2
+
+    @pytest.mark.parametrize("stream", [0, 1])
+    def test_non_finite_in_either_stream(self, stream):
+        rng = np.random.default_rng(11)
+        seqs, params = self._pair(rng)
+        seqs[stream][1, 2, 0] = np.inf
+        with pytest.raises(NumericError):
+            lstm_forward(seqs, params)
 
 
 class TestAttention:
@@ -340,6 +420,23 @@ def _parent_adam_step(params, grads, state, decay_keys):
         theta -= state["alpha"] * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
 
 
+def _allocating_adam_step(theta, grad, state):
+    """The flat update as array expressions, one temporary each: the
+    reference for the scratch-buffer adam_step."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - 0.9 ** t
+    bc2 = 1.0 - 0.999 ** t
+    if state.weight_decay:
+        np.add(grad, state.weight_decay * theta, out=grad, where=state.decay_mask)
+    m, v = state.m, state.v
+    m *= 0.9
+    m += (1.0 - 0.9) * grad
+    v *= 0.999
+    v += (1.0 - 0.999) * grad * grad
+    theta -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+
+
 class TestAdam:
     def test_first_step_size_is_alpha(self):
         # with bias correction the first update is alpha * sign(g) (up to eps)
@@ -414,6 +511,59 @@ class TestAdam:
             assert np.array_equal(theta.view(np.int64), expected.view(np.int64))
         assert np.array_equal(state.m, np.concatenate(list(ref["m"].values()), axis=None))
         assert np.array_equal(state.v, np.concatenate(list(ref["v"].values()), axis=None))
+
+
+    def test_scratch_step_equals_allocating_step(self):
+        rng = np.random.default_rng(22)
+        n = 300
+        theta = rng.normal(size=n)
+        ref_theta = theta.copy()
+        mask = rng.random(n) < 0.3
+        state = init_adam(theta, alpha=0.01, weight_decay=1e-2, decay_mask=mask)
+        ref = init_adam(ref_theta, alpha=0.01, weight_decay=1e-2, decay_mask=mask)
+        for _ in range(50):
+            grad = rng.normal(scale=3.0, size=n)
+            ref_grad = grad.copy()
+            adam_step(theta, grad, state)
+            _allocating_adam_step(ref_theta, ref_grad, ref)
+            assert_same_bits(theta, ref_theta)
+            assert_same_bits(grad, ref_grad)  # decay lands in grad as before
+        assert_same_bits(state.m, ref.m)
+        assert_same_bits(state.v, ref.v)
+
+    def test_gradient_in_scratch_row(self):
+        # train gathers each gradient into state.scratch[0]; the step must
+        # read it before reusing the row.
+        rng = np.random.default_rng(24)
+        n = 300
+        theta = rng.normal(size=n)
+        ref_theta = theta.copy()
+        mask = rng.random(n) < 0.3
+        state = init_adam(theta, alpha=0.01, weight_decay=1e-2, decay_mask=mask)
+        ref = init_adam(ref_theta, alpha=0.01, weight_decay=1e-2, decay_mask=mask)
+        for _ in range(20):
+            grad = rng.normal(scale=3.0, size=n)
+            state.scratch[0] = grad
+            adam_step(theta, state.scratch[0], state)
+            adam_step(ref_theta, grad, ref)
+            assert_same_bits(theta, ref_theta)
+        assert_same_bits(state.m, ref.m)
+        assert_same_bits(state.v, ref.v)
+
+    def test_step_allocates_less_than_one_vector(self):
+        n = 50_000
+        rng = np.random.default_rng(23)
+        theta = rng.normal(size=n)
+        state = init_adam(theta, weight_decay=1e-4, decay_mask=rng.random(n) < 0.5)
+        grad = rng.normal(size=n)
+        adam_step(theta, grad, state)
+        tracemalloc.start()
+        try:
+            adam_step(theta, grad, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < theta.nbytes
 
 
 class TestClip:
