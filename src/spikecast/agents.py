@@ -17,9 +17,11 @@ from datetime import datetime, timezone
 from importlib import resources
 from typing import Callable
 
+import numpy as np
+
 from .backends import TextBackend, Verdict
 from .errors import BackendError, ConfigError, InvalidDraftError, ValidationError
-from .stores import EmbeddingStore, EmbeddingVector, NewsSummary, SummaryStore
+from .stores import EmbeddingStore, NewsSummary, SummaryStore
 
 log = logging.getLogger(__name__)
 
@@ -209,20 +211,19 @@ def orchestrate(
 
 
 def embed_summaries(
-    summaries: dict[int, NewsSummary] | list[NewsSummary],
+    summaries: list[NewsSummary],
     backend: TextBackend,
-    store: EmbeddingStore | None = None,
-) -> list[EmbeddingVector]:
-    """Embed verified summaries, one uniform-dimension vector per year."""
-    records = list(summaries.values()) if isinstance(summaries, dict) else list(summaries)
-    unverified = [s.year for s in records if not s.verified]
+    store: EmbeddingStore,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Embed verified summaries into `store`, write it, and return its
+    (years (n,), vectors (n, d)) matrix."""
+    unverified = [s.year for s in summaries if not s.verified]
     if unverified:
         raise ValidationError(
             f"cannot embed unverified summaries for years {sorted(unverified)}"
         )
-    vectors = []
     dim = None
-    for s in sorted(records, key=lambda r: r.year):
+    for s in sorted(summaries, key=lambda r: r.year):
         values = backend.embed(s.summary)
         if dim is None:
             dim = len(values)
@@ -230,9 +231,6 @@ def embed_summaries(
             raise BackendError(
                 f"embedding dim changed from {dim} to {len(values)} at year {s.year}"
             )
-        vectors.append(EmbeddingVector(year=s.year, dim=dim, values=tuple(values)))
-    if store is not None:
-        for v in vectors:
-            store.put(v)
-        store.write()
-    return vectors
+        store.put(s.year, values)
+    store.write()
+    return store.matrix()

@@ -65,7 +65,7 @@ from .model import (
     write_history_csv,
 )
 from .pca import fit_pca, transform
-from .stores import EmbeddingStore, EmbeddingVector, SummaryStore
+from .stores import EmbeddingStore, SummaryStore
 
 VALIDATION_ERRORS = (
     ParseError, ValidationError, ConfigError, ContractError, RankError,
@@ -245,11 +245,7 @@ def _cmd_embed(args, out: Path) -> list[str]:
 
 
 def _cmd_reduce(args, out: Path) -> list[str]:
-    store = EmbeddingStore(args.embeddings)
-    records = store.records()
-    if not records:
-        raise ValidationError(f"{args.embeddings}: empty embedding store")
-    rows = np.array([r.values for r in records])
+    years, rows = EmbeddingStore(args.embeddings).matrix()
     cap = min(args.dim, rows.shape[1], rows.shape[0] - 1)
     if cap < 1:
         raise ValidationError(
@@ -258,10 +254,8 @@ def _cmd_reduce(args, out: Path) -> list[str]:
         )
     basis = fit_pca(rows, cap)
     reduced = EmbeddingStore(out / "reduced.jsonl", dim=cap)
-    for r in records:
-        vec = transform(basis, np.asarray(r.values))
-        reduced.put(EmbeddingVector(year=r.year, dim=cap,
-                                    values=tuple(float(v) for v in vec)))
+    for year, row in zip(years, rows):
+        reduced.put(year, transform(basis, row))
     reduced.write()
 
     doc = {
@@ -281,8 +275,8 @@ def _load_aligned(args):
     table = parse_price_table(_read_text(args.prices))
     composite = composite_average(normalize_table(table))
     labels = _read_labels_csv(args.labels)
-    store = EmbeddingStore(args.embeddings)
-    return align_dataset(composite, labels, store.records())
+    years, vectors = EmbeddingStore(args.embeddings).matrix()
+    return align_dataset(composite, labels, years, vectors)
 
 
 def _train_config(args) -> TrainConfig:

@@ -40,7 +40,8 @@ class PriceTable:
                 f"{len(self.years)} years x {len(self.commodities)} commodities"
             )
         if len(set(self.years)) != len(self.years):
-            raise ValidationError("duplicate years in price table")
+            dupes = sorted({y for y in self.years if self.years.count(y) > 1})
+            raise ValidationError(f"duplicate year(s) in price table: {dupes}")
         if any(b <= a for a, b in zip(self.years, self.years[1:])):
             raise ValidationError("years must be strictly increasing")
         present = values[~np.isnan(values)]
@@ -87,6 +88,9 @@ class SpikeLabelSet:
             raise ValidationError("labels length must equal years length")
         if any(v not in (0, 1) for v in self.labels):
             raise ValidationError("labels must be 0 or 1")
+        if len(set(self.years)) != len(self.years):
+            dupes = sorted({y for y in self.years if self.years.count(y) > 1})
+            raise ValidationError(f"duplicate label year(s): {dupes}")
 
     def as_dict(self) -> dict[int, int]:
         return dict(zip(self.years, self.labels))
@@ -156,9 +160,6 @@ def parse_price_table(text: str) -> PriceTable:
 
     if not rows:
         raise ParseError("no data rows")
-    if len(set(years)) != len(years):
-        dupes = sorted({y for y in years if years.count(y) > 1})
-        raise ValidationError(f"duplicate year(s): {dupes}")
     order = np.argsort(years)
     values = np.asarray(rows, dtype=float)[order]
     return PriceTable(tuple(years[i] for i in order), commodities, values)
@@ -260,43 +261,44 @@ def label_spikes(
     return SpikeLabelSet(years, labels)
 
 
+def _rows_of(years, wanted: np.ndarray) -> np.ndarray:
+    """Index in `years` (distinct, any order) of each of `wanted`."""
+    order = np.argsort(years, kind="stable")
+    return order[np.searchsorted(years, wanted, sorter=order)]
+
+
 def align_dataset(
     prices: PriceSeries,
     labels: SpikeLabelSet,
-    embeddings: list,
+    years: np.ndarray,
+    vectors: np.ndarray,
 ) -> AlignedDataset:
     """Intersect the three sources by year, ordered ascending.
 
-    `embeddings` is a list of EmbeddingVector-like objects with `year`, `dim`
-    and `values` attributes. Raises AlignmentError (listing the per-source
-    year ranges) when the intersection is empty.
+    `years` (n,) and `vectors` (n, d) are the embeddings, one row per year,
+    as EmbeddingStore.matrix hands them out. Raises AlignmentError (listing
+    the per-source year ranges) when the intersection is empty.
     """
-    price_years = {y: v for y, v in zip(prices.years, prices.values) if not math.isnan(v)}
-    label_years = labels.as_dict()
-    emb_years = {}
-    dim = None
-    for e in embeddings:
-        if dim is None:
-            dim = e.dim
-        elif e.dim != dim:
-            raise ValidationError(
-                f"embedding dim mismatch: year {e.year} has {e.dim}, expected {dim}"
-            )
-        emb_years[e.year] = np.asarray(e.values, dtype=float)
-
-    common = sorted(set(price_years) & set(label_years) & set(emb_years))
+    years = np.asarray(years)
+    if vectors.ndim != 2 or len(vectors) != len(years):
+        raise ValidationError(
+            f"embedding matrix {vectors.shape} needs one row for each of {len(years)} years")
+    price_years = np.asarray(prices.years)[~np.isnan(prices.values)].tolist()
+    emb_years = years.tolist()
+    common = sorted(set(price_years).intersection(labels.years, emb_years))
     if not common:
         def _span(ys):
             return f"{min(ys)}..{max(ys)}" if ys else "none"
         raise AlignmentError(
             "no common years: "
-            f"prices {_span(list(price_years))}, "
-            f"labels {_span(list(label_years))}, "
-            f"embeddings {_span(list(emb_years))}"
+            f"prices {_span(price_years)}, "
+            f"labels {_span(labels.years)}, "
+            f"embeddings {_span(emb_years)}"
         )
+    wanted = np.array(common)
     return AlignedDataset(
         years=tuple(common),
-        prices=np.array([price_years[y] for y in common]),
-        labels=np.array([label_years[y] for y in common], dtype=int),
-        embeddings=np.vstack([emb_years[y] for y in common]),
+        prices=prices.values[_rows_of(prices.years, wanted)],
+        labels=np.array(labels.labels, dtype=int)[_rows_of(labels.years, wanted)],
+        embeddings=vectors[_rows_of(years, wanted)],
     )

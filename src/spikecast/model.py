@@ -99,6 +99,13 @@ class ModelHyper:
     dropout: float = 0.3
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("k", "d_prime", "h", "h_a"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+
 
 @dataclass
 class ModelParams:
@@ -138,6 +145,15 @@ class TrainConfig:
             raise ConfigError("validation_fraction must be in (0, 0.5)")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        # Each bound also rejects NaN, and `< math.inf` rejects infinity.
+        if not 0.0 < self.alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.clip_norm < math.inf:  # 0: no clipping
+            raise ConfigError(f"clip_norm must be finite and >= 0, got {self.clip_norm}")
+        if self.pos_weight is not None and not 0.0 < self.pos_weight < math.inf:
+            raise ConfigError(f"pos_weight must be finite and > 0, got {self.pos_weight}")
 
 
 def make_windows(dataset: AlignedDataset, k: int) -> Windows:
@@ -217,12 +233,6 @@ def flat_params(params: ModelParams) -> dict[str, np.ndarray]:
         flat.update({f"attention.{n}": a for n, a in params.attention.arrays().items()})
     flat.update({f"head.{n}": a for n, a in params.head.arrays().items()})
     return flat
-
-
-def zero_params(params: ModelParams) -> ModelParams:
-    """Zero every trainable array in place (testing aid). Returns params."""
-    params.theta[...] = 0.0
-    return params
 
 
 def forward_batch(

@@ -7,12 +7,13 @@ the exact same bytes.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from .errors import StoreError, ValidationError
 
@@ -42,25 +43,6 @@ class NewsSummary:
             raise ValidationError("a verified summary must have non-empty text")
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    """Dense representation of one year's verified summary."""
-
-    year: int
-    dim: int
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError(f"dim must be >= 1, got {self.dim}")
-        if len(self.values) != self.dim:
-            raise ValidationError(
-                f"year {self.year}: {len(self.values)} values for dim {self.dim}"
-            )
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValidationError(f"year {self.year}: non-finite embedding values")
-
-
 class _YearStore:
     """The JSONL format both stores share: one JSON object per line, at most
     one record per year, written in ascending year order and swapped into
@@ -88,24 +70,19 @@ class _YearStore:
                 raise StoreError(f"{self.path}:{lineno}: invalid JSON: {exc}") from None
         return entries
 
-    def __len__(self) -> int:
-        return len(self._records)
+    def _check_new(self, year: int) -> None:
+        """A file holds each year once; a repeat would silently replace."""
+        if year in self._records:
+            raise ValidationError(f"year {year} repeats an earlier line")
 
-    def get(self, year: int):
-        return self._records.get(year)
-
-    def records(self) -> list:
-        return [self._records[y] for y in sorted(self._records)]
-
-    def _dump(self, encode, *header: dict) -> None:
-        """Write the header objects, then encode(record) for each year."""
-        lines = [json.dumps(obj) for obj in header]
-        lines += [json.dumps(encode(r)) for r in self.records()]
+    def _dump(self, objects) -> None:
+        """Write one JSON line per object, in order."""
+        text = "".join(json.dumps(obj) + "\n" for obj in objects)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
             fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=f".{self.path.name}.")
             with os.fdopen(fd, "w") as fh:
-                fh.write("".join(line + "\n" for line in lines))
+                fh.write(text)
             os.replace(tmp, self.path)
         except OSError as exc:
             raise StoreError(f"cannot write {self.path}: {exc}") from exc
@@ -135,9 +112,16 @@ class SummaryStore(_YearStore):
                     backend_id=str(obj["backend_id"]),
                     created_at=str(obj["created_at"]),
                 )
-            except (TypeError, ValueError, ValidationError) as exc:
+                self._check_new(rec.year)
+            except (TypeError, ValueError, OverflowError, ValidationError) as exc:
                 raise StoreError(f"{self.path}:{lineno}: {exc}") from None
             self._records[rec.year] = rec
+
+    def get(self, year: int) -> NewsSummary | None:
+        return self._records.get(year)
+
+    def records(self) -> list[NewsSummary]:
+        return [self._records[y] for y in sorted(self._records)]
 
     def verified_years(self) -> set[int]:
         return {y for y, r in self._records.items() if r.verified}
@@ -156,11 +140,12 @@ class SummaryStore(_YearStore):
             self._records[summary.year] = summary
 
     def write(self) -> None:
-        self._dump(lambda r: {name: getattr(r, name) for name in SUMMARY_FIELDS})
+        self._dump({name: getattr(r, name) for name in SUMMARY_FIELDS}
+                   for r in self.records())
 
 
 class EmbeddingStore(_YearStore):
-    """Header line fixing the dimension, then one vector per year."""
+    """Header line fixing the dimension, then one float64 row per year."""
 
     def __init__(self, path, dim: int | None = None):
         self.dim = dim
@@ -189,33 +174,41 @@ class EmbeddingStore(_YearStore):
         self.dim = stored_dim
         for lineno, obj in entries[1:]:
             try:
-                rec = EmbeddingVector(
-                    year=int(obj["year"]),
-                    dim=int(obj["dim"]),
-                    values=tuple(float(v) for v in obj["values"]),
-                )
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
+                year = int(obj["year"])
+                if obj["dim"] != self.dim:
+                    raise ValidationError(f"dim {obj['dim']!r} != store dim {self.dim}")
+                self._check_new(year)
+                self.put(year, obj["values"])
+            except (KeyError, TypeError, ValueError, OverflowError, ValidationError,
+                    StoreError) as exc:
                 raise StoreError(f"{self.path}:{lineno}: {exc}") from None
-            if rec.dim != self.dim:
-                raise StoreError(
-                    f"{self.path}:{lineno}: dim {rec.dim} != store dim {self.dim}"
-                )
-            self._records[rec.year] = rec
 
-    def put(self, vector: EmbeddingVector) -> None:
+    def put(self, year: int, values) -> None:
+        """Store `values` as `year`'s row, a float64 copy that must be finite
+        and as wide as the store; an earlier row for the year is replaced."""
+        try:
+            row = np.array(values, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"year {year}: bad embedding values: {exc}") from None
+        if row.ndim != 1 or not row.size or not np.isfinite(row).all():
+            raise ValidationError(f"year {year}: embedding is not a non-empty finite vector")
         if self.dim is None:
-            self.dim = vector.dim
-        if vector.dim != self.dim:
-            raise StoreError(
-                f"year {vector.year}: dim {vector.dim} != store dim {self.dim}"
-            )
-        self._records[vector.year] = vector
+            self.dim = row.size
+        if row.size != self.dim:
+            raise StoreError(f"year {year}: dim {row.size} != store dim {self.dim}")
+        self._records[int(year)] = row
+
+    def matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """(years (n,), vectors (n, dim)), both in ascending year order."""
+        years = sorted(self._records)
+        vectors = np.array([self._records[y] for y in years])
+        return np.array(years, dtype=int), vectors.reshape(len(years), self.dim or 0)
 
     def write(self) -> None:
         if self.dim is None:
             raise StoreError("cannot write an embedding store with no dimension")
-        self._dump(
-            lambda r: {"year": r.year, "dim": r.dim,
-                       "values": [float(v) for v in r.values]},
-            {"format": EMBEDDING_FORMAT, "dim": self.dim},
-        )
+        header = {"format": EMBEDDING_FORMAT, "dim": self.dim}
+        self._dump([header] + [
+            {"year": y, "dim": self.dim, "values": self._records[y].tolist()}
+            for y in sorted(self._records)
+        ])

@@ -1,10 +1,15 @@
 """Shared synthetic data builders and brute-force oracles."""
 from __future__ import annotations
 
+import json
+import math
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from spikecast.errors import ContractError, NumericError
+from spikecast.errors import AlignmentError, ContractError, NumericError
 from spikecast.ingest import AlignedDataset
 from spikecast.nn.ops import sigmoid
 
@@ -39,6 +44,48 @@ def pairwise_auc(scores, labels) -> float:
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def zero_params(params):
+    """Zero every trainable array of a ModelParams in place. Returns params."""
+    params.theta[...] = 0.0
+    return params
+
+
+def reference_load_embeddings(path) -> list:
+    """An embedding store file read one value at a time, as the per-year
+    record format reads: one (year, dim, values tuple) record per data line,
+    in ascending year order. Expects a well-formed file."""
+    lines = [json.loads(line) for line in Path(path).read_text().splitlines()
+             if line.strip()]
+    records = {}
+    for obj in lines[1:]:
+        values = tuple(float(v) for v in obj["values"])
+        assert len(values) == obj["dim"] == lines[0]["dim"]
+        assert all(math.isfinite(v) for v in values)
+        records[int(obj["year"])] = SimpleNamespace(
+            year=int(obj["year"]), dim=int(obj["dim"]), values=values)
+    return [records[y] for y in sorted(records)]
+
+
+def reference_align_dataset(prices, labels, embeddings) -> AlignedDataset:
+    """align_dataset through per-year dicts, on a list of records with
+    `year`, `dim` and `values` (see reference_load_embeddings)."""
+    price_years = {y: v for y, v in zip(prices.years, prices.values) if not math.isnan(v)}
+    label_years = dict(zip(labels.years, labels.labels))
+    emb_years = {}
+    for e in embeddings:
+        assert e.dim == embeddings[0].dim
+        emb_years[e.year] = np.asarray(e.values, dtype=float)
+    common = sorted(set(price_years) & set(label_years) & set(emb_years))
+    if not common:
+        raise AlignmentError("no common years")
+    return AlignedDataset(
+        years=tuple(common),
+        prices=np.array([price_years[y] for y in common]),
+        labels=np.array([label_years[y] for y in common], dtype=int),
+        embeddings=np.vstack([emb_years[y] for y in common]),
+    )
 
 
 def reference_windows(dataset, k: int):

@@ -21,7 +21,9 @@ from spikecast.errors import (
     StoreError,
     ValidationError,
 )
-from spikecast.stores import EmbeddingStore, EmbeddingVector, NewsSummary, SummaryStore
+from spikecast.stores import EmbeddingStore, NewsSummary, SummaryStore
+
+from conftest import assert_same_bits, reference_load_embeddings
 
 CLOCK = lambda: "2026-01-01T00:00:00+00:00"
 YEARS3 = (1960, 1961, 1962)
@@ -275,26 +277,49 @@ class TestEmbedSummaries:
     def test_uniform_vectors(self, tmp_path):
         b = MockBackend(seed=4, dim=16)
         store = EmbeddingStore(tmp_path / "e.jsonl")
-        vecs = embed_summaries([self._verified(1960), self._verified(1961)], b, store)
-        assert [v.year for v in vecs] == [1960, 1961]
-        assert all(v.dim == 16 for v in vecs)
-        assert EmbeddingStore(tmp_path / "e.jsonl").records() == vecs
+        years, vectors = embed_summaries(
+            [self._verified(1960), self._verified(1961)], b, store)
+        assert years.tolist() == [1960, 1961]
+        assert vectors.shape == (2, 16)
+        loaded_years, loaded = EmbeddingStore(tmp_path / "e.jsonl").matrix()
+        assert loaded_years.tolist() == years.tolist()
+        assert_same_bits(loaded, vectors)
 
-    def test_unverified_rejected(self):
+    def test_rows_in_year_order_whatever_the_input_order(self, tmp_path):
+        b = MockBackend(seed=4, dim=16)
+        years, vectors = embed_summaries(
+            [self._verified(1961), self._verified(1960)], b,
+            EmbeddingStore(tmp_path / "e.jsonl"))
+        assert years.tolist() == [1960, 1961]
+        assert_same_bits(vectors[0], b.embed(self._verified(1960).summary))
+
+    def test_unverified_rejected(self, tmp_path):
         bad = NewsSummary(
             year=1960, commodities=(), summary="x", verified=False,
             retries=5, backend_id="m", created_at="t",
         )
         with pytest.raises(ValidationError, match="1960"):
-            embed_summaries([bad], MockBackend())
+            embed_summaries([bad], MockBackend(), EmbeddingStore(tmp_path / "e.jsonl"))
 
-    def test_dim_drift_detected(self):
+    def test_dim_drift_detected(self, tmp_path):
         class Drifting(MockBackend):
             def embed(self, text):
                 return [0.0] * (8 if "1960" in text else 9)
 
+        path = tmp_path / "e.jsonl"
         with pytest.raises(BackendError, match="dim"):
-            embed_summaries([self._verified(1960), self._verified(1961)], Drifting())
+            embed_summaries([self._verified(1960), self._verified(1961)], Drifting(),
+                            EmbeddingStore(path))
+        assert not path.exists()
+
+    def test_non_finite_embedding_rejected(self, tmp_path):
+        class Broken(MockBackend):
+            def embed(self, text):
+                return [0.0, float("nan")]
+
+        with pytest.raises(ValidationError, match="1960: embedding is not a non-empty finite"):
+            embed_summaries([self._verified(1960)], Broken(),
+                            EmbeddingStore(tmp_path / "e.jsonl"))
 
 
 class TestSummaryStore:
@@ -329,6 +354,25 @@ class TestSummaryStore:
         })
         path.write_text(good + "\nnot json\n")
         with pytest.raises(StoreError, match=":2"):
+            SummaryStore(path)
+
+    def test_infinite_year_rejected(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"year": 1e400, "commodities": [], "summary": "ok", '
+                        '"verified": false, "retries": 0, "backend_id": "m", '
+                        '"created_at": "t"}\n')
+        with pytest.raises(StoreError, match=r"s\.jsonl:1: "):
+            SummaryStore(path)
+
+    def test_repeated_year_rejected(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        line = {
+            "year": 1970, "commodities": [], "summary": "ok", "verified": False,
+            "retries": 0, "backend_id": "m", "created_at": "t",
+        }
+        later = dict(line, year=1971)
+        path.write_text("\n".join(json.dumps(obj) for obj in (line, later, line)) + "\n")
+        with pytest.raises(StoreError, match=r"s\.jsonl:3: year 1970 repeats"):
             SummaryStore(path)
 
     def test_undecodable_file_rejected(self, tmp_path):
@@ -369,11 +413,32 @@ class TestSummaryStore:
         assert path.read_bytes() == expected
 
 
+def _embedding_file(path, rows: dict) -> bytes:
+    """Write an embedding store file with json alone; returns its bytes."""
+    dim = len(next(iter(rows.values())))
+    lines = [json.dumps({"format": "spikecast-embeddings/1", "dim": dim})]
+    lines += [json.dumps({"year": y, "dim": dim, "values": [float(v) for v in rows[y]]})
+              for y in sorted(rows)]
+    data = "".join(line + "\n" for line in lines).encode()
+    path.write_bytes(data)
+    return data
+
+
+def _awkward_rows(years, d, seed=0) -> dict:
+    """Rows whose values span many magnitudes, with signed zeros and
+    integral values, so every printed digit counts."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(len(years), d)) * 10.0 ** rng.integers(-300, 300, (len(years), d))
+    values[:, ::7] = -0.0
+    values[:, 1::11] = np.round(values[:, 1::11] % 1e6)
+    return {y: row for y, row in zip(years, values)}
+
+
 class TestEmbeddingStore:
     def test_header_and_round_trip(self, tmp_path):
         path = tmp_path / "e.jsonl"
         store = EmbeddingStore(path)
-        store.put(EmbeddingVector(1960, 3, (0.1, 0.2, 0.3)))
+        store.put(1960, (0.1, 0.2, 0.3))
         store.write()
         header = json.loads(path.read_text().splitlines()[0])
         assert header == {"format": "spikecast-embeddings/1", "dim": 3}
@@ -382,7 +447,7 @@ class TestEmbeddingStore:
     def test_dim_mismatch_on_put(self, tmp_path):
         store = EmbeddingStore(tmp_path / "e.jsonl", dim=3)
         with pytest.raises(StoreError, match="dim"):
-            store.put(EmbeddingVector(1960, 2, (0.1, 0.2)))
+            store.put(1960, (0.1, 0.2))
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "e.jsonl"
@@ -399,6 +464,34 @@ class TestEmbeddingStore:
         with pytest.raises(StoreError, match="dim"):
             EmbeddingStore(path)
 
+    @pytest.mark.parametrize("record", [
+        '{"year": 1960, "dim": 2, "values": [0.1]}',
+        '{"year": 1960, "dim": 2, "values": [0.1, NaN]}',
+        '{"year": 1960, "dim": 2, "values": [0.1, "x"]}',
+        '{"year": 1960, "dim": 2, "values": [[0.1, 0.2]]}',
+        '{"year": 1960, "dim": 2}',
+        '[1960, 2, [0.1, 0.2]]',
+        '{"year": 1e400, "dim": 2, "values": [0.1, 0.2]}',
+        '{"year": 1960, "dim": 3, "values": [0.1, 0.2]}',
+    ], ids=["short", "nan", "string", "nested", "no-values", "not-object", "year-inf",
+            "dim-field"])
+    def test_bad_record_names_its_line(self, tmp_path, record):
+        path = tmp_path / "e.jsonl"
+        path.write_text('{"format": "spikecast-embeddings/1", "dim": 2}\n'
+                        '{"year": 1959, "dim": 2, "values": [0.1, 0.2]}\n'
+                        + record + "\n")
+        with pytest.raises(StoreError, match=r"e\.jsonl:3: "):
+            EmbeddingStore(path)
+
+    def test_repeated_year_rejected(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        path.write_text('{"format": "spikecast-embeddings/1", "dim": 2}\n'
+                        '{"year": 1960, "dim": 2, "values": [0.1, 0.2]}\n'
+                        '{"year": 1961, "dim": 2, "values": [0.1, 0.2]}\n'
+                        '{"year": 1960, "dim": 2, "values": [0.3, 0.4]}\n')
+        with pytest.raises(StoreError, match=r"e\.jsonl:4: year 1960 repeats"):
+            EmbeddingStore(path)
+
     @pytest.mark.parametrize("dim", ["", ', "dim": "abc"', ', "dim": null', ', "dim": 0'],
                              ids=["missing", "string", "null", "zero"])
     def test_bad_header_dim_rejected(self, tmp_path, dim):
@@ -410,8 +503,8 @@ class TestEmbeddingStore:
     def test_written_bytes(self, tmp_path):
         path = tmp_path / "e.jsonl"
         store = EmbeddingStore(path)
-        store.put(EmbeddingVector(1961, 3, (0.5, -1.25, 1e-20)))
-        store.put(EmbeddingVector(1960, 3, (0.1, 2.0, -0.0)))
+        store.put(1961, (0.5, -1.25, 1e-20))
+        store.put(1960, (0.1, 2.0, -0.0))
         store.write()
         expected = (
             b'{"format": "spikecast-embeddings/1", "dim": 3}\n'
@@ -422,11 +515,63 @@ class TestEmbeddingStore:
         EmbeddingStore(path).write()
         assert path.read_bytes() == expected
 
-    def test_vector_validation(self):
-        with pytest.raises(ValidationError):
-            EmbeddingVector(1960, 2, (0.1,))
-        with pytest.raises(ValidationError):
-            EmbeddingVector(1960, 1, (float("nan"),))
+    def test_vector_validation(self, tmp_path):
+        """A row must match the store's width and hold finite numbers; a
+        rejected put leaves the store as it was."""
+        store = EmbeddingStore(tmp_path / "e.jsonl", dim=2)
+        with pytest.raises(StoreError, match="dim 1 != store dim 2"):
+            store.put(1960, (0.1,))
+        for bad in ((0.1, float("nan")), (0.1, float("inf")), ((0.1, 0.2),), (),
+                    ("a", "b")):
+            with pytest.raises(ValidationError, match="year 1960"):
+                store.put(1960, bad)
+        assert store.matrix()[0].size == 0
+
+    def test_second_width_rejected(self, tmp_path):
+        store = EmbeddingStore(tmp_path / "e.jsonl")
+        store.put(1960, (0.1, 0.2))
+        with pytest.raises(StoreError, match="dim 3 != store dim 2"):
+            store.put(1961, (0.1, 0.2, 0.3))
+
+    def test_put_copies_and_replaces(self, tmp_path):
+        store = EmbeddingStore(tmp_path / "e.jsonl")
+        row = np.array([0.1, 0.2])
+        store.put(np.int64(1960), row)
+        row[0] = 9.0
+        store.put(1961, (0.5, 0.6))
+        store.put(1961, (0.7, 0.8))
+        years, vectors = store.matrix()
+        assert years.tolist() == [1960, 1961]
+        assert vectors.tolist() == [[0.1, 0.2], [0.7, 0.8]]
+
+    def test_empty_matrix(self, tmp_path):
+        years, vectors = EmbeddingStore(tmp_path / "e.jsonl", dim=4).matrix()
+        assert years.shape == (0,) and vectors.shape == (0, 4)
+
+    @pytest.mark.parametrize("d", [1, 3, 768, 3072])
+    def test_load_matches_reference(self, tmp_path, d):
+        path = tmp_path / "e.jsonl"
+        rows = _awkward_rows((1962, 1960, 1965, 1961), d, seed=d)
+        _embedding_file(path, rows)
+        years, vectors = EmbeddingStore(path).matrix()
+        want = reference_load_embeddings(path)
+        assert years.tolist() == [r.year for r in want]
+        assert_same_bits(vectors, np.array([r.values for r in want]))
+
+    def test_write_load_write_bytes_at_768(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        rows = _awkward_rows(range(1960, 2024), 768, seed=7)
+        data = _embedding_file(path, rows)
+        EmbeddingStore(path).write()
+        assert path.read_bytes() == data
+        other = tmp_path / "other.jsonl"
+        store = EmbeddingStore(other)
+        for year in reversed(sorted(rows)):
+            store.put(year, rows[year])
+        store.write()
+        assert other.read_bytes() == data
+        EmbeddingStore(other).write()
+        assert other.read_bytes() == data
 
 
 class TestAgentConfig:

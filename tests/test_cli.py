@@ -190,6 +190,13 @@ class TestReduce:
         lines = (out / "reduced.jsonl").read_text().splitlines()
         assert json.loads(lines[0])["dim"] == 8  # embedding width is the cap
 
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_too_few_vectors_exits_one(self, corpus, tmp_path, capsys, rows):
+        store = tmp_path / "embeddings.jsonl"
+        store.write_text("".join(corpus["embeddings"].read_text().splitlines(True)[:1 + rows]))
+        assert run_cli("reduce", "--embeddings", store, "--out", tmp_path / "o") == 1
+        assert f"{rows} vectors cannot support" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_artifacts(self, corpus, tmp_path):
@@ -326,6 +333,43 @@ class TestExitCodes:
         bad = tmp_path / "prices.csv"
         bad.write_text("year,a\n1960,oops\n")
         assert run_cli("label", "--in", bad, "--out", tmp_path / "o") == 1
+
+    def test_repeated_label_year_exits_one(self, corpus, tmp_path, capsys):
+        lines = corpus["labels"].read_text().splitlines()
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n".join(lines + [lines[3]]) + "\n")
+        repeated = lines[3].split(",")[0]
+        args = model_args(corpus, tmp_path / "o")
+        args[args.index("--labels") + 1] = labels
+        assert run_cli("train", *args) == 1
+        err = capsys.readouterr().err
+        assert f"duplicate label year(s): [{repeated}]" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("store,argv", [
+        ("summaries", ["embed", "--summaries"]),
+        ("embeddings", ["reduce", "--embeddings"]),
+    ])
+    def test_repeated_store_year_is_corrupt_store(self, corpus, tmp_path, capsys,
+                                                  store, argv):
+        lines = corpus[store].read_text().splitlines()
+        path = tmp_path / corpus[store].name
+        path.write_text("\n".join(lines + [lines[2]]) + "\n")
+        assert run_cli(*argv, path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"{path.name}:{len(lines) + 1}: year" in err and "repeats" in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--h", "0"), ("--h-a", "0"), ("--dropout", "1.0"),
+        ("--alpha", "nan"), ("--clip-norm", "-1"), ("--weight-decay", "-1"),
+        ("--pos-weight", "0"),
+    ])
+    def test_bad_model_flag_exits_one(self, corpus, tmp_path, capsys, flag, value):
+        name = flag.lstrip("-").replace("-", "_")
+        assert run_cli("train", *model_args(corpus, tmp_path / "o"),
+                       flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be") and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["ingest", "--in", "{bad}"],

@@ -6,13 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_spikes
+from conftest import (
+    assert_same_bits,
+    brute_force_spikes,
+    reference_align_dataset,
+    reference_load_embeddings,
+)
 from spikecast.errors import (
     AlignmentError,
     DegenerateSeriesError,
     InsufficientDataError,
     KindError,
     ParseError,
+    StoreError,
     ValidationError,
 )
 from spikecast.ingest import (
@@ -30,7 +36,7 @@ from spikecast.ingest import (
     series_stats,
     zscore_normalize,
 )
-from spikecast.stores import EmbeddingVector
+from spikecast.stores import EmbeddingStore
 
 
 class TestParse:
@@ -189,42 +195,88 @@ class TestLabels:
         s = PriceSeries("avg", (1960, 1961), np.array([100.0, 150.0]), RAW)
         assert pct_changes(s) == {1961: pytest.approx(50.0)}
 
+    def test_repeated_year_rejected(self):
+        with pytest.raises(ValidationError, match=r"duplicate label year\(s\): \[1961\]"):
+            SpikeLabelSet(years=(1960, 1961, 1962, 1961), labels=(0, 1, 0, 0))
+
 
 class TestAlign:
-    def _emb(self, year, values=(0.1, 0.2)):
-        return EmbeddingVector(year=year, dim=len(values), values=tuple(values))
+    def _embs(self, years, d=2):
+        """Embedding pair with a distinct row per year: row i is i + 0.5."""
+        years = np.array(years)
+        return years, np.arange(len(years) * d, dtype=float).reshape(-1, d) // d + 0.5
 
     def test_intersection(self):
         prices = PriceSeries("c", (1960, 1961, 1962), np.array([0.1, 0.2, 0.3]), NORMALIZED)
         labels = SpikeLabelSet(years=(1961, 1962, 1963), labels=(0, 1, 0))
-        embs = [self._emb(y) for y in (1960, 1961, 1962)]
-        ds = align_dataset(prices, labels, embs)
+        ds = align_dataset(prices, labels, *self._embs((1960, 1961, 1962)))
         assert ds.years == (1961, 1962)
         assert list(ds.labels) == [0, 1]
         assert ds.embeddings.shape == (2, 2)
+        assert ds.embeddings[:, 0].tolist() == [1.5, 2.5]
         assert len(ds) == 2
 
     def test_empty_intersection_reports_spans(self):
         prices = PriceSeries("c", (1960, 1961), np.array([0.1, 0.2]), NORMALIZED)
         labels = SpikeLabelSet(years=(1970, 1971), labels=(0, 1))
-        embs = [self._emb(1980)]
         with pytest.raises(AlignmentError) as err:
-            align_dataset(prices, labels, embs)
+            align_dataset(prices, labels, *self._embs((1980,)))
         msg = str(err.value)
         assert "1960..1961" in msg and "1970..1971" in msg and "1980" in msg
 
-    def test_dim_mismatch(self):
+    def test_dim_mismatch(self, tmp_path):
+        """Rows of two widths cannot reach alignment: the store refuses the
+        second width, and align_dataset refuses a matrix that does not hold
+        one row per year."""
+        store = EmbeddingStore(tmp_path / "e.jsonl")
+        store.put(1960, (0.1, 0.2))
+        with pytest.raises(StoreError, match="dim"):
+            store.put(1961, (0.1, 0.2, 0.3))
         prices = PriceSeries("c", (1960, 1961), np.array([0.1, 0.2]), NORMALIZED)
         labels = SpikeLabelSet(years=(1960, 1961), labels=(0, 1))
-        embs = [self._emb(1960), self._emb(1961, values=(0.1, 0.2, 0.3))]
-        with pytest.raises(ValidationError, match="dim"):
-            align_dataset(prices, labels, embs)
+        years, vectors = self._embs((1960, 1961))
+        for bad in (vectors[:1], vectors.ravel()):
+            with pytest.raises(ValidationError, match="one row for each of 2 years"):
+                align_dataset(prices, labels, years, bad)
 
     def test_missing_price_year_excluded(self):
         prices = PriceSeries(
             "c", (1960, 1961, 1962), np.array([0.1, math.nan, 0.3]), NORMALIZED
         )
         labels = SpikeLabelSet(years=(1960, 1961, 1962), labels=(0, 1, 0))
-        embs = [self._emb(y) for y in (1960, 1961, 1962)]
-        ds = align_dataset(prices, labels, embs)
+        ds = align_dataset(prices, labels, *self._embs((1960, 1961, 1962)))
         assert ds.years == (1960, 1962)
+
+    def test_sources_in_any_order(self):
+        prices = PriceSeries("c", (1960, 1961, 1962), np.array([0.1, 0.2, 0.3]), NORMALIZED)
+        labels = SpikeLabelSet(years=(1962, 1960, 1961), labels=(1, 0, 0))
+        years, vectors = self._embs((1962, 1961, 1960))
+        ds = align_dataset(prices, labels, years, vectors)
+        assert ds.years == (1960, 1961, 1962)
+        assert ds.labels.tolist() == [0, 0, 1]
+        assert ds.embeddings[:, 0].tolist() == [2.5, 1.5, 0.5]
+
+    @pytest.mark.parametrize("d", [1, 16, 768, 3072])
+    def test_matches_reference(self, tmp_path, d):
+        """Store file -> matrix -> align_dataset equals the per-year dict
+        path bit for bit, with gaps, NaN prices and shuffled label rows."""
+        rng = np.random.default_rng(d)
+        price_years = tuple(range(1950, 2020))
+        values = rng.normal(size=len(price_years))
+        values[rng.choice(len(values), 9, replace=False)] = math.nan
+        prices = PriceSeries("c", price_years, values, NORMALIZED)
+        label_years = rng.permutation(np.arange(1955, 2024)).tolist()
+        labels = SpikeLabelSet(tuple(label_years),
+                               tuple(int(v) for v in rng.integers(0, 2, len(label_years))))
+        store = EmbeddingStore(tmp_path / "e.jsonl")
+        for year in rng.permutation(np.arange(1960, 2024))[:50]:
+            store.put(year, rng.normal(size=d) * 10.0 ** rng.integers(-30, 30, d))
+        store.write()
+
+        got = align_dataset(prices, labels, *EmbeddingStore(store.path).matrix())
+        want = reference_align_dataset(
+            prices, labels, reference_load_embeddings(store.path))
+        assert got.years == want.years and len(got) > 30
+        assert all(type(y) is int for y in got.years)
+        for name in ("prices", "labels", "embeddings"):
+            assert_same_bits(getattr(got, name), getattr(want, name))

@@ -37,7 +37,6 @@ from spikecast.model import (
     save_checkpoint,
     train,
     write_history_csv,
-    zero_params,
 )
 from spikecast.nn import bce_loss, grad_check
 from spikecast.pca import fit_pca
@@ -47,6 +46,7 @@ from conftest import (
     planted_dataset,
     reference_reduce,
     reference_windows,
+    zero_params,
 )
 
 HYPER_SMALL = ModelHyper(k=3, d_prime=2, h=4, h_a=4, dropout=0.0, seed=7)
@@ -172,6 +172,18 @@ class TestInitModel:
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
             init_model(HYPER_SMALL, "bigger")
+
+    @pytest.mark.parametrize("field,value", [
+        ("k", 0), ("d_prime", 0), ("h", 0), ("h", -1), ("h_a", 0),
+        ("dropout", 1.0), ("dropout", -0.1), ("dropout", math.nan),
+    ])
+    def test_hyper_validation(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            replace(HYPER_SMALL, **{field: value})
+
+    def test_hyper_edges_accepted(self):
+        hyper = ModelHyper(k=1, d_prime=1, h=1, h_a=1, dropout=0.0)
+        assert init_model(hyper, "full").head.w1.shape == (2, 1)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_flat_params_are_views_of_theta(self, variant):
@@ -472,6 +484,22 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", 0.0), ("alpha", -1e-3), ("alpha", math.nan), ("alpha", math.inf),
+        ("weight_decay", -1e-4), ("weight_decay", math.nan), ("weight_decay", math.inf),
+        ("clip_norm", -1.0), ("clip_norm", math.nan), ("clip_norm", math.inf),
+        ("pos_weight", 0.0), ("pos_weight", -2.0), ("pos_weight", math.nan),
+        ("pos_weight", math.inf),
+    ])
+    def test_optimizer_config_validation(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_optimizer_config_edges_accepted(self):
+        config = TrainConfig(weight_decay=0.0, clip_norm=0.0, pos_weight=None)
+        assert config.clip_norm == 0.0  # 0 means no clipping
+        assert TrainConfig(pos_weight=3.0).pos_weight == 3.0
+
     def test_history_csv(self, tmp_path):
         path = tmp_path / "history.csv"
         write_history_csv([(1, 0.7, 0.69), (2, 0.6, 0.66)], path)
@@ -678,6 +706,17 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(CheckpointIntegrityError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value", [("h", 0), ("dropout", 1.0)])
+    def test_invalid_hyper_rejected(self, tmp_path, field, value):
+        params = self._trained("no_news")
+        path = tmp_path / "model.json"
+        save_checkpoint(params, path)
+        doc = json.loads(path.read_text())
+        doc["hyper"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError, match=field):
             load_checkpoint(path)
 
     def test_pca_block_must_match_hyper(self, tmp_path):
