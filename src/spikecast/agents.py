@@ -9,6 +9,7 @@ unchanged unless some year's outcome actually changes.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -58,7 +59,9 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+@functools.cache
 def _template(name: str) -> str:
+    """A packaged prompt, read once per process."""
     return (resources.files("spikecast") / "prompts" / name).read_text()
 
 

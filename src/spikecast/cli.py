@@ -240,7 +240,9 @@ def _cmd_embed(args, out: Path) -> list[str]:
     verified = [r for r in store.records() if r.verified]
     if not verified:
         raise ValidationError(f"{args.summaries}: no verified summaries to embed")
-    embed_summaries(verified, backend, EmbeddingStore(out / "embeddings.jsonl"))
+    # A fresh store: a --force rerun replaces the old rows, not merges with them.
+    embed_summaries(verified, backend,
+                    EmbeddingStore(out / "embeddings.jsonl", load=False))
     return ["embeddings.jsonl"]
 
 
@@ -253,7 +255,7 @@ def _cmd_reduce(args, out: Path) -> list[str]:
             "any reduced dimension"
         )
     basis = fit_pca(rows, cap)
-    reduced = EmbeddingStore(out / "reduced.jsonl", dim=cap)
+    reduced = EmbeddingStore(out / "reduced.jsonl", dim=cap, load=False)
     for year, row in zip(years, rows):
         reduced.put(year, transform(basis, row))
     reduced.write()

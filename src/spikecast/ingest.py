@@ -72,6 +72,10 @@ class PriceSeries:
         object.__setattr__(self, "years", tuple(int(y) for y in self.years))
         if values.ndim != 1 or len(values) != len(self.years):
             raise ValidationError("values length must equal years length")
+        if len(set(self.years)) != len(self.years):
+            dupes = sorted({y for y in self.years if self.years.count(y) > 1})
+            raise ValidationError(
+                f"duplicate year(s) in series {self.commodity!r}: {dupes}")
         if self.kind not in (RAW, NORMALIZED):
             raise ValidationError(f"unknown series kind {self.kind!r}")
 

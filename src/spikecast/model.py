@@ -29,6 +29,7 @@ from .nn import (
     AttentionParams,
     HeadParams,
     LstmParams,
+    LstmStreams,
     attention_backward,
     attention_forward,
     bce_loss,
@@ -110,8 +111,9 @@ class ModelHyper:
 @dataclass
 class ModelParams:
     """Complete trainable state of one model variant. Built only by init_model:
-    `theta` holds every trainable value in flat_params order, and every
-    flat_params array is a view of it."""
+    `theta` holds every trainable value, and every flat_params array is a
+    view of it. `lstm` holds the variant's LSTM streams (price, then news) as
+    views of theta too; see _bind for the order of theta."""
 
     hyper: ModelHyper
     variant: str
@@ -122,6 +124,7 @@ class ModelParams:
     pca: PcaBasis | None = None
     norm_stats: dict[str, tuple[float, float]] | None = None
     theta: np.ndarray = field(init=False, repr=False)
+    lstm: LstmStreams = field(init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -210,18 +213,46 @@ def init_model(
         attention = init_attention_params(hyper.h, hyper.h_a, rng)
         fused = hyper.h + hyper.h_a
     head = init_head_params(fused, hyper.h, hyper.dropout, rng)
-    params = ModelParams(
+    drawn = ModelParams(
         hyper=hyper, variant=variant, price_lstm=price_lstm, head=head,
         news_lstm=news_lstm, attention=attention, pca=pca,
         norm_stats=norm_stats,
     )
-    flat = flat_params(params)
-    params.theta = np.concatenate(list(flat.values()), axis=None)
-    ends = np.cumsum([arr.size for arr in flat.values()])
-    for (name, arr), view in zip(flat.items(), np.split(params.theta, ends[:-1])):
-        component, attr = name.split(".")
-        setattr(getattr(params, component), attr, view.reshape(arr.shape))
+    flat = flat_params(drawn)
+    params = _bind(drawn, np.empty(sum(arr.size for arr in flat.values())))
+    for name, arr in flat_params(params).items():
+        arr[...] = flat[name]
     return params
+
+
+def _bind(params: ModelParams, theta: np.ndarray) -> ModelParams:
+    """A ModelParams like `params` whose trainable arrays are views of the
+    vector `theta`, which holds them in this order: each LSTM stream's w,
+    then every stream's u, then every stream's b, then attention and head
+    as flat_params lists them. So `lstm.u` and `lstm.b` are single (S, h, 4h)
+    and (S, 4h) views. Binding a gradient vector gives gradient views of the
+    same names and layout."""
+    cursor = 0
+
+    def take(shape):
+        nonlocal cursor
+        start, cursor = cursor, cursor + math.prod(shape)
+        return theta[start:cursor].reshape(shape)
+
+    streams = [c for c in ("price_lstm", "news_lstm") if getattr(params, c) is not None]
+    s, h = len(streams), params.hyper.h
+    lstm = LstmStreams(tuple(take(getattr(params, c).w.shape) for c in streams),
+                       take((s, h, 4 * h)), take((s, 4 * h)))
+    bound = replace(params, **{c: lstm.stream(j) for j, c in enumerate(streams)})
+    for name in ("attention", "head"):
+        part = getattr(params, name)
+        if part is not None:
+            setattr(bound, name, replace(part, **{
+                attr: take(arr.shape) for attr, arr in part.arrays().items()}))
+    if cursor != theta.size:
+        raise ContractError(f"theta has {theta.size} values, the model {cursor}")
+    bound.theta, bound.lstm = theta, lstm
+    return bound
 
 
 def flat_params(params: ModelParams) -> dict[str, np.ndarray]:
@@ -257,8 +288,7 @@ def forward_batch(
     if len(streams) == 2 and news.shape[1:] != (hyper.k, hyper.d_prime):
         raise ContractError(f"news window shape {news.shape[1:]}, "
                             f"expected {(hyper.k, hyper.d_prime)}")
-    lstms = (params.price_lstm, params.news_lstm)[: len(streams)]
-    hs, (h_price, *_), lstm_cache = lstm_forward(streams, lstms)
+    hs, (h_price, *_), lstm_cache = lstm_forward(streams, params.lstm)
     if not np.isfinite(h_price).all():
         raise NumericError("non-finite value in price LSTM output")
 
@@ -281,13 +311,19 @@ def forward_batch(
 
 
 def backward_batch(
-    params: ModelParams, cache: dict, d_prob: np.ndarray
-) -> dict[str, np.ndarray]:
+    params: ModelParams, cache: dict, d_prob: np.ndarray,
+    out: ModelParams | None = None,
+) -> ModelParams:
     """Gradients for every trainable array, summed over the batch, given
-    dLoss/dprobability (B,)."""
+    dLoss/dprobability (B,).
+
+    They are written into `out`, a ModelParams of params' layout bound to a
+    gradient vector (a fresh one if None), and returned in it: `out.theta`
+    is the gradient vector, and flat_params(out) names its parts.
+    """
     hyper = params.hyper
-    head_grads, d_fused = head_backward(params.head, cache["head"], d_prob)
-    grads = {f"head.{n}": g for n, g in head_grads.items()}
+    grads = _bind(params, np.empty_like(params.theta)) if out is None else out
+    _, d_fused = head_backward(params.head, cache["head"], d_prob, out=grads.head)
 
     batch = d_fused.shape[0]
     d_price_hs = np.zeros((batch, hyper.k, hyper.h))
@@ -301,16 +337,12 @@ def backward_batch(
                 d_context[:, None, :] / k, (batch, k, d_context.shape[1])
             )
         else:
-            att_grads, d_news_hs = attention_backward(
-                params.attention, cache["attention"], d_context
+            _, d_news_hs = attention_backward(
+                params.attention, cache["attention"], d_context, out=grads.attention
             )
-            grads.update({f"attention.{n}": g for n, g in att_grads.items()})
         d_hs = (d_price_hs, d_news_hs)
 
-    lstms = (params.price_lstm, params.news_lstm)[: len(d_hs)]
-    lstm_grads = lstm_backward(lstms, cache["lstm"], d_hs)
-    for component, stream_grads in zip(("price_lstm", "news_lstm"), lstm_grads):
-        grads.update({f"{component}.{n}": g for n, g in stream_grads.items()})
+    lstm_backward(params.lstm, cache["lstm"], d_hs, out=grads.lstm)
     return grads
 
 
@@ -330,8 +362,9 @@ def model_forward(
 def model_backward(
     params: ModelParams, cache: dict, d_prob: float
 ) -> dict[str, np.ndarray]:
-    """Gradients for one window's model_forward cache: backward_batch, B = 1."""
-    return backward_batch(params, cache, np.array([d_prob], dtype=float))
+    """Gradients for one window's model_forward cache, keyed like
+    flat_params: backward_batch, B = 1."""
+    return flat_params(backward_batch(params, cache, np.array([d_prob], dtype=float)))
 
 
 def evaluate_loss(
@@ -409,12 +442,14 @@ def train(
     # The basis is attached after the loop: evaluate_loss reads reduced news.
     params = init_model(hyper, variant, norm_stats=norm_stats)
     theta = params.theta
-    flat = flat_params(params)
-    decayed = [np.full(arr.size, name in ("head.w1", "head.w2"))
-               for name, arr in flat.items()]
+    decayed = _bind(params, np.zeros(theta.shape, dtype=bool))
+    decayed.head.w1[...] = True
+    decayed.head.w2[...] = True
     state = init_adam(theta, alpha=config.alpha, weight_decay=config.weight_decay,
-                      decay_mask=np.concatenate(decayed))
-    grad = state.scratch[0]  # the gradient vector, reused by adam_step once read
+                      decay_mask=decayed.theta)
+    # The gradient vector is adam_step's scratch row 0, which a step reads
+    # before it writes there; backward_batch writes into it through `grads`.
+    grads = _bind(params, state.scratch[0])
     rng = np.random.default_rng(config.seed)
 
     history: list[tuple[int, float, float]] = []
@@ -431,11 +466,10 @@ def train(
             )
             loss, d_preds = bce_loss(probs, batch.targets, config.pos_weight)
             loss_sum += loss * len(batch)
-            grads = backward_batch(params, cache, d_preds)
-            np.concatenate([grads[name] for name in flat], axis=None, out=grad)
-            del cache, grads  # not held through the next forward or evaluate_loss
-            clip_global_norm(grad, config.clip_norm)
-            adam_step(theta, grad, state)
+            backward_batch(params, cache, d_preds, out=grads)
+            del cache  # not held through the next forward or evaluate_loss
+            clip_global_norm(grads.theta, config.clip_norm)
+            adam_step(theta, grads.theta, state)
 
         train_loss = loss_sum / n_train
         val_loss = evaluate_loss(params, val_part, config.pos_weight)

@@ -5,7 +5,7 @@ architecture is small and fixed, so a general autodiff engine would be
 dead weight. `gradcheck` is the safety net that keeps the hand math honest.
 """
 from .ops import relu, sigmoid, softmax_rows
-from .lstm import LstmParams, init_lstm_params, lstm_forward, lstm_backward
+from .lstm import LstmParams, LstmStreams, init_lstm_params, lstm_forward, lstm_backward
 from .attention import (
     AttentionParams,
     init_attention_params,
@@ -22,6 +22,7 @@ __all__ = [
     "sigmoid",
     "softmax_rows",
     "LstmParams",
+    "LstmStreams",
     "init_lstm_params",
     "lstm_forward",
     "lstm_backward",

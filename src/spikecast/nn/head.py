@@ -84,20 +84,22 @@ def head_forward(
 
 
 def head_backward(
-    params: HeadParams, cache: dict, d_prob: np.ndarray
+    params: HeadParams, cache: dict, d_prob: np.ndarray,
+    out: HeadParams | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Gradients summed over the batch given dLoss/dprobability (B,);
-    returns (grads, dLoss/dfused (B, n_in))."""
+    """Gradients summed over the batch given dLoss/dprobability (B,), written
+    into `out`'s arrays (fresh ones if None); returns (out.arrays(),
+    dLoss/dfused (B, n_in))."""
+    if out is None:
+        out = HeadParams(*(np.empty_like(a) for a in params.arrays().values()))
     prob = cache["prob"]
     d_logit = d_prob * prob * (1.0 - prob)
     d_dropped = d_logit[:, None] * params.w2
     d_act = d_dropped * cache["mask"]
     d_pre = d_act * (cache["pre"] > 0.0)
-    grads = {
-        "w1": cache["fused"].T @ d_pre,
-        "b1": d_pre.sum(axis=0),
-        "w2": d_logit @ cache["dropped"],
-        "b2": d_logit.sum(keepdims=True),
-    }
+    np.matmul(cache["fused"].T, d_pre, out=out.w1)
+    np.add.reduce(d_pre, axis=0, out=out.b1)
+    np.matmul(d_logit, cache["dropped"], out=out.w2)
+    np.add.reduce(d_logit, keepdims=True, out=out.b2)
     d_fused = d_pre @ params.w1.T
-    return grads, d_fused
+    return out.arrays(), d_fused

@@ -28,9 +28,14 @@ def bce_loss(
     if not ((targets == 0.0) | (targets == 1.0)).all():
         raise ContractError("targets must be 0 or 1")
 
-    w = 1.0 if pos_weight is None else float(pos_weight)
+    # Each temporary is computed once and reused, and the mean is add.reduce
+    # / n, the sum np.mean takes: same values, fewer numpy calls.
     n = preds.size
-    p = np.clip(preds, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    loss = -np.mean(w * targets * np.log(p) + (1.0 - targets) * np.log(1.0 - p))
-    d_preds = -(w * targets / p - (1.0 - targets) / (1.0 - p)) / n
+    p = np.maximum(preds, CLAMP_EPS)
+    np.minimum(p, 1.0 - CLAMP_EPS, out=p)
+    q = 1.0 - p
+    pos = targets if pos_weight is None else float(pos_weight) * targets
+    neg = 1.0 - targets
+    loss = -(np.add.reduce(pos * np.log(p) + neg * np.log(q)) / n)
+    d_preds = -(pos / p - neg / q) / n
     return float(loss), d_preds

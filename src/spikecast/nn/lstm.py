@@ -13,11 +13,15 @@ The parameters are stored fused: W (m, 4h), U (h, 4h) and b (4h,) hold the
 four gates' blocks side by side in GATE_ORDER, so each step costs one matrix
 product and one sigmoid call instead of four of each. The kernels are
 batch-first and run S streams, each with its own LSTM and input width, as one
-recurrence over B sequences of one length; the backward pass returns each
-stream's gradients summed over the batch.
+recurrence over B sequences of one length. They take the streams as one
+LstmStreams, whose U and b are (S, h, 4h) and (S, 4h) arrays, so a step reads
+every stream's recurrent weights without copying them together. The backward
+pass writes each stream's gradients, summed over the batch, into arrays of
+that same layout.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +79,33 @@ def init_lstm_params(
     return LstmParams(w=w, u=u, b=b)
 
 
+@dataclass
+class LstmStreams:
+    """S LSTMs that share a hidden size h, laid out to run as one recurrence:
+    each stream's input weights, and all streams' recurrent weights and
+    biases stacked into one array each."""
+
+    w: tuple[np.ndarray, ...]  # S arrays (m_s, 4h)
+    u: np.ndarray              # (S, h, 4h)
+    b: np.ndarray              # (S, 4h)
+
+    @classmethod
+    def stack(cls, params: Sequence[LstmParams]) -> LstmStreams:
+        """The streams of `params`: their own w arrays, and their u and b
+        copied into stacked arrays."""
+        if not params or len({p.hidden_size for p in params}) != 1:
+            raise ContractError(f"hidden sizes {[p.hidden_size for p in params]}; "
+                                "streams need one shared hidden size")
+        return cls(tuple(p.w for p in params), np.stack([p.u for p in params]),
+                   np.stack([p.b for p in params]))
+
+    def stream(self, j: int) -> LstmParams:
+        """Stream j's LSTM, as views of these arrays."""
+        return LstmParams(w=self.w[j], u=self.u[j], b=self.b[j])
+
+
 def lstm_forward(
-    sequences: tuple[np.ndarray, ...], params: tuple[LstmParams, ...]
+    sequences: tuple[np.ndarray, ...], params: LstmStreams
 ) -> tuple[list[np.ndarray], list[np.ndarray], dict]:
     """Run S LSTMs, one per stream, over their (B, k, m_s) sequence batches.
 
@@ -84,42 +113,48 @@ def lstm_forward(
     per-stream lists of all hidden states (B, k, h) and final hidden states
     (B, h), and one cache for backprop.
     """
-    if len(sequences) != len(params) or not params:
-        raise ContractError(f"{len(sequences)} sequence batches, {len(params)} LSTMs")
+    s, h = len(params.w), params.u.shape[-1] // 4
+    if len(sequences) != s or not s:
+        raise ContractError(f"{len(sequences)} sequence batches, {s} LSTMs")
+    if params.u.shape != (s, h, 4 * h) or params.b.shape != (s, 4 * h):
+        raise ContractError(f"stacked u {params.u.shape} and b {params.b.shape} "
+                            f"for {s} LSTMs")
     sequences = tuple(np.asarray(seq, dtype=float) for seq in sequences)
-    lead, h = sequences[0].shape[:2], params[0].hidden_size  # shared (B, k) and h
-    for seq, p in zip(sequences, params):
-        if seq.shape != (*lead, p.input_size) or p.hidden_size != h:
-            raise ContractError(
-                f"sequence batch shape {seq.shape}, hidden size {p.hidden_size}; "
-                f"expected {(*lead, p.input_size)}, {h}")
+    lead = sequences[0].shape[:2]  # the shared (B, k)
+    for seq, w in zip(sequences, params.w):
+        if w.ndim != 2 or w.shape[1] != 4 * h or seq.shape != (*lead, w.shape[0]):
+            raise ContractError(f"sequence batch shape {seq.shape} for input "
+                                f"weights {w.shape}, hidden size {h}")
         if not np.isfinite(seq).all():
             raise NumericError("non-finite value in LSTM input sequence")
-    s, (n, k) = len(params), lead
-    u = np.stack([p.u for p in params])[:, None]  # (S, 1, h, 4h)
-    b = np.stack([p.b for p in params])[:, None]  # (S, 1, 4h)
+    n, k = lead
+    u, b = params.u[:, None], params.b[:, None]  # (S, 1, h, 4h), (S, 1, 4h)
 
     # Input projections of every step at once, one product per stream, in
     # the buffer where each step then writes its activations (o | i | f | g).
     # The loop adds h_prev @ U, then b: the order in which the docstring's
-    # recurrence sums them.
+    # recurrence sums them. Each step's intermediates go to buffers
+    # allocated once here.
     gates = np.empty((k, s, n, 4 * h))         # step t is one (S, B, 4h) view
-    for j, (seq, p) in enumerate(zip(sequences, params)):
-        np.matmul(seq, p.w, out=gates[:, j].swapaxes(0, 1))
+    for j, (seq, w) in enumerate(zip(sequences, params.w)):
+        np.matmul(seq, w, out=gates[:, j].swapaxes(0, 1))
     hs, cs = np.zeros((2, k + 1, s, n, h))     # step 0: the initial state
     tanh_cs = np.empty((k, s, n, h))
+    a, ig = np.empty((s, n, 4 * h)), np.empty((s, n, h))
+    a_sig, a_g = a[..., : 3 * h], a[..., 3 * h :]
     o, i, f, g = (gates[..., j * h : (j + 1) * h] for j in range(4))
-    steps = zip(gates, o, i, f, g, hs, hs[1:], cs, cs[1:], tanh_cs)
-    for gate, o_t, i_t, f_t, g_t, h_prev, h_t, c_prev, c_t, tc_t in steps:
+    steps = zip(gates, gates[..., : 3 * h], o, i, f, g, hs, hs[1:], cs, cs[1:],
+                tanh_cs)
+    for gate, sig_t, o_t, i_t, f_t, g_t, h_prev, h_t, c_prev, c_t, tc_t in steps:
         # One vector-matrix product per sequence of every stream, so a
         # sequence's result depends neither on its batch nor on the others.
-        a = np.vecmat(h_prev, u)
+        np.vecmat(h_prev, u, out=a)
         a += gate
         a += b
-        gate[..., : 3 * h] = sigmoid(a[..., : 3 * h])
-        np.tanh(a[..., 3 * h :], out=g_t)
+        sigmoid(a_sig, out=sig_t)
+        np.tanh(a_g, out=g_t)
         np.multiply(f_t, c_prev, out=c_t)
-        c_t += i_t * g_t
+        c_t += np.multiply(i_t, g_t, out=ig)
         np.tanh(c_t, out=tc_t)
         np.multiply(o_t, tc_t, out=h_t)
 
@@ -128,20 +163,25 @@ def lstm_forward(
 
 
 def lstm_backward(
-    params: tuple[LstmParams, ...], cache: dict, d_hs: tuple[np.ndarray, ...]
+    params: LstmStreams, cache: dict, d_hs: tuple[np.ndarray, ...],
+    out: LstmStreams | None = None,
 ) -> list[dict[str, np.ndarray]]:
     """BPTT given upstream gradients for every hidden state of every stream.
 
     `d_hs` holds one (B, k, h) array per stream; for a final-state-only
-    consumer all steps but the last are zero. Returns one dict per stream of
-    gradients summed over the batch, keyed like LstmParams.arrays().
+    consumer all steps but the last are zero. The gradients, summed over the
+    batch, are written into `out` (fresh arrays if None). Returns one dict
+    per stream of views of them, keyed like LstmParams.arrays().
     """
     gates, hs, cs, tanh_cs = (cache[key] for key in ("gates", "hs", "cs", "tanh_cs"))
     k, s, n, h = tanh_cs.shape
     shapes = [np.shape(d) for d in d_hs]
-    if len(params) != s or shapes != [(n, k, h)] * s:
-        raise ContractError(f"d_hs shapes {shapes} for {len(params)} LSTMs; "
+    if len(params.w) != s or shapes != [(n, k, h)] * s:
+        raise ContractError(f"d_hs shapes {shapes} for {len(params.w)} LSTMs; "
                             f"expected {s} of {(n, k, h)}")
+    if out is None:
+        out = LstmStreams(tuple(np.empty_like(w) for w in params.w),
+                          np.empty_like(params.u), np.empty_like(params.b))
 
     # Everything but the recurrence is elementwise over steps, so it is done
     # for all steps at once: each gate's pre-activation gradient is dh (gate
@@ -159,23 +199,31 @@ def lstm_backward(
     factor[..., 2, :] *= cs[:-1]
     np.multiply(i, 1.0 - g**2, out=factor[..., 3, :])
     d_tanh_c = o * (1.0 - tanh_cs**2)        # dc contribution of dh
-    u_t = np.stack([p.u for p in params]).swapaxes(1, 2)  # u.T views; a copy moves bits
+    u_t = params.u.swapaxes(1, 2)            # u.T views; a copy moves bits
 
-    dh_next, dc_next = np.zeros((2, s, n, h))
-    d_hs = np.stack([np.swapaxes(d, 0, 1) for d in d_hs], axis=1, dtype=float)
+    # Step t's dh is accumulated in place into a copy of its upstream
+    # gradients; dc and the carries to the step before go to buffers
+    # allocated once.
+    d_hs = np.array(d_hs, dtype=float).transpose(2, 0, 1, 3)  # (k, S, B, h)
+    dh_next, dc_next, dc = np.zeros((3, s, n, h))
+    dc_gates = dc[..., None, :]
     steps = list(zip(d_hs, d_tanh_c, da.swapaxes(0, 1), factor[..., 0, :],
                      factor[..., 1:, :], f))
-    for d_hs_t, d_tanh_c_t, da_t, da_o_t, da_ifg_t, f_t in steps[::-1]:
-        dh = d_hs_t + dh_next
-        dc = dc_next + dh * d_tanh_c_t
+    for dh, d_tanh_c_t, da_t, da_o_t, da_ifg_t, f_t in steps[::-1]:
+        dh += dh_next
+        np.multiply(dh, d_tanh_c_t, out=dc)
+        dc += dc_next
         da_o_t *= dh
-        da_ifg_t *= dc[..., None, :]
-        dh_next = da_t @ u_t
-        dc_next = dc * f_t
+        da_ifg_t *= dc_gates
+        np.matmul(da_t, u_t, out=dh_next)
+        np.multiply(dc, f_t, out=dc_next)
 
-    # Sum over the batch and the steps in one product per array and stream.
+    # Sum over the batch and the steps in one product per array: the input
+    # weights stream by stream, u and b for all streams at once.
     da_s = da.reshape(s, k * n, 4 * h)
+    for seq, da_j, w_grad in zip(cache["sequences"], da_s, out.w):
+        np.matmul(seq.swapaxes(0, 1).reshape(k * n, -1).T, da_j, out=w_grad)
     hs_s = hs[:-1].swapaxes(0, 1).reshape(s, k * n, h)
-    return [{"w": seq.swapaxes(0, 1).reshape(k * n, -1).T @ da_j,
-             "u": hs_j.T @ da_j, "b": da_j.sum(axis=0)}
-            for seq, hs_j, da_j in zip(cache["sequences"], hs_s, da_s)]
+    np.matmul(hs_s.swapaxes(1, 2), da_s, out=out.u)
+    np.add.reduce(da_s, axis=1, out=out.b)
+    return [{"w": out.w[j], "u": out.u[j], "b": out.b[j]} for j in range(s)]

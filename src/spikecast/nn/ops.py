@@ -4,15 +4,21 @@ from __future__ import annotations
 import numpy as np
 
 
-def sigmoid(x):
-    """Numerically stable logistic function.
+def sigmoid(x, out=None):
+    """Numerically stable logistic function, written into `out` if given.
 
-    exp is only taken of -|x|, so it never overflows: 1 / (1 + e) for
-    x >= 0 and e / (1 + e) below, with e = exp(-|x|).
+    exp is only taken of non-positive values, so it never overflows:
+    exp(min(x, 0)) / (1 + exp(-|x|)), which is 1 / (1 + e) for x >= 0 and
+    e / (1 + e) below, with e = exp(-|x|). Both exponents come from one
+    minimum of x against [0; -x] and one exp; a NaN keeps its sign bit.
     """
     x = np.asarray(x, dtype=float)
-    e = np.exp(np.minimum(x, -x))  # -|x|; a NaN keeps its sign bit
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.zeros((2,) + x.shape)
+    num, denom = e[0, ...], e[1, ...]  # `...` keeps 0-d rows arrays
+    np.negative(x, out=denom)
+    np.exp(np.minimum(x, e, out=e), out=e)
+    denom += 1.0
+    return np.divide(num, denom, out=out)
 
 
 def relu(x):

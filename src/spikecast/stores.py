@@ -46,12 +46,13 @@ class NewsSummary:
 class _YearStore:
     """The JSONL format both stores share: one JSON object per line, at most
     one record per year, written in ascending year order and swapped into
-    place atomically."""
+    place atomically. With load=False the store starts empty and its first
+    write replaces whatever file is at `path`."""
 
-    def __init__(self, path):
+    def __init__(self, path, load: bool = True):
         self.path = Path(path)
         self._records: dict[int, object] = {}
-        if self.path.exists():
+        if load and self.path.exists():
             self._load()
 
     def _entries(self) -> list[tuple[int, object]]:
@@ -147,9 +148,9 @@ class SummaryStore(_YearStore):
 class EmbeddingStore(_YearStore):
     """Header line fixing the dimension, then one float64 row per year."""
 
-    def __init__(self, path, dim: int | None = None):
+    def __init__(self, path, dim: int | None = None, load: bool = True):
         self.dim = dim
-        super().__init__(path)
+        super().__init__(path, load)
 
     def _load(self) -> None:
         entries = self._entries()

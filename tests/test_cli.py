@@ -172,6 +172,18 @@ class TestEmbed:
         assert run_cli("embed", "--summaries", store, "--out", tmp_path / "e") == 1
         assert "no verified" in capsys.readouterr().err
 
+    def test_force_rerun_replaces_old_rows(self, corpus, tmp_path):
+        out = tmp_path / "embed"
+        records = corpus["summaries"].read_text().splitlines()
+        assert len(records) == 30
+        for count, extra in ((20, []), (5, ["--force"])):
+            summaries = tmp_path / f"summaries{count}.jsonl"
+            summaries.write_text("\n".join(records[:count]) + "\n")
+            assert run_cli("embed", "--summaries", summaries, "--mock-dim", "8",
+                           "--out", out, *extra) == 0
+            rows = (out / "embeddings.jsonl").read_text().splitlines()[1:]
+            assert [json.loads(r)["year"] for r in rows] == list(range(1960, 1960 + count))
+
 
 class TestReduce:
     def test_reduces_to_requested_dim(self, corpus, tmp_path):
@@ -189,6 +201,16 @@ class TestReduce:
                        "--dim", "50", "--out", out) == 0
         lines = (out / "reduced.jsonl").read_text().splitlines()
         assert json.loads(lines[0])["dim"] == 8  # embedding width is the cap
+
+    def test_force_rerun_at_another_dim(self, corpus, tmp_path):
+        out = tmp_path / "reduce"
+        for dim, extra in ((3, []), (5, ["--force"])):
+            assert run_cli("reduce", "--embeddings", corpus["embeddings"],
+                           "--dim", dim, "--out", out, *extra) == 0
+            header, *rows = map(json.loads,
+                                (out / "reduced.jsonl").read_text().splitlines())
+            assert header["dim"] == dim and len(rows) == 30
+            assert all(len(r["values"]) == dim for r in rows)
 
     @pytest.mark.parametrize("rows", [0, 1])
     def test_too_few_vectors_exits_one(self, corpus, tmp_path, capsys, rows):

@@ -199,6 +199,13 @@ class TestLabels:
         with pytest.raises(ValidationError, match=r"duplicate label year\(s\): \[1961\]"):
             SpikeLabelSet(years=(1960, 1961, 1962, 1961), labels=(0, 1, 0, 0))
 
+    def test_repeated_price_year_rejected(self):
+        # align_dataset would take one of the repeated years' prices silently.
+        with pytest.raises(ValidationError, match=r"series 'c': \[1960\]"):
+            PriceSeries("c", (1960, 1960), [1.0, 2.0])
+        with pytest.raises(ValidationError, match=r"\[1961, 1963\]"):
+            PriceSeries("c", (1961, 1962, 1963, 1961, 1963), np.arange(5.0), RAW)
+
 
 class TestAlign:
     def _embs(self, years, d=2):

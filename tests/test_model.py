@@ -1,5 +1,6 @@
 """Windowing, the dual-stream classifier, training loop, and checkpoints."""
 import copy
+import hashlib
 import json
 import math
 import tracemalloc
@@ -189,11 +190,28 @@ class TestInitModel:
     def test_flat_params_are_views_of_theta(self, variant):
         params = init_model(HYPER_SMALL, variant)
         flat = flat_params(params)
-        assert params.theta.size == sum(arr.size for arr in flat.values())
+        theta = params.theta
+        # Adding 1 through every view once leaves theta all ones only if the
+        # views cover each of its elements exactly once.
+        theta[...] = 0.0
         for name, arr in flat.items():
-            assert np.shares_memory(arr, params.theta), name
-        np.testing.assert_array_equal(
-            params.theta, np.concatenate(list(flat.values()), axis=None))
+            assert np.shares_memory(arr, theta), name
+            arr += 1.0
+        assert theta.size == sum(arr.size for arr in flat.values())
+        assert (theta == 1.0).all()
+        # The stacked LSTM arrays are views of each stream's arrays, in
+        # stream order: with distinct values in theta, equal values are
+        # the same elements.
+        theta[...] = np.arange(theta.size)
+        streams = [c for c in ("price_lstm", "news_lstm") if getattr(params, c)]
+        assert len(params.lstm.w) == len(streams) == (1 if variant == "no_news" else 2)
+        assert params.lstm.u.shape == (len(streams), HYPER_SMALL.h, 4 * HYPER_SMALL.h)
+        for j, component in enumerate(streams):
+            for attr, stacked in (("w", params.lstm.w[j]), ("u", params.lstm.u[j]),
+                                  ("b", params.lstm.b[j])):
+                view = getattr(getattr(params, component), attr)
+                assert np.shares_memory(stacked, theta)
+                np.testing.assert_array_equal(stacked, view, f"{component}.{attr}")
 
 
 class TestForward:
@@ -304,7 +322,7 @@ class TestBatch:
         probs, cache = forward_batch(samples.prices, samples.news, params, train=True,
                                      rng=np.random.default_rng(4))
         _, d_preds = bce_loss(probs, targets)
-        grads = backward_batch(params, cache, d_preds)
+        grads = flat_params(backward_batch(params, cache, d_preds))
 
         rng = np.random.default_rng(4)
         total = {name: np.zeros_like(arr) for name, arr in flat_params(params).items()}
@@ -401,6 +419,37 @@ class TestTrain:
         assert fired > 0
         assert h1 == h2
         assert np.array_equal(p1.theta.view(np.int64), p2.theta.view(np.int64))
+
+    # The history and trained weights of a run in which clipping fires at
+    # every step, as float.hex and the sha256 of the weights in flat_params
+    # order. Clipping scales by the norm of the whole gradient vector, whose
+    # sum runs in theta order, so a change of that order (or of a kernel's
+    # bits) can move them. Produced with numpy 2.4 and OpenBLAS on x86-64.
+    CLIPPED_HISTORY = [
+        (1, "0x1.5d048bc5625b9p-1", "0x1.46bf28bc69741p-1"),
+        (2, "0x1.4c8f562d3a7d5p-1", "0x1.2eea575d99545p-1"),
+        (3, "0x1.3f39cc15fa20ep-1", "0x1.13bfca39e6474p-1"),
+        (4, "0x1.30736d49fa145p-1", "0x1.e21ce3d4c75ebp-2"),
+        (5, "0x1.1e30a9d9d1d02p-1", "0x1.8c399a64161b5p-2"),
+        (6, "0x1.0891ee9ac59a9p-1", "0x1.35c3e48c8c6a7p-2"),
+    ]
+    CLIPPED_WEIGHTS_SHA256 = "e37e0d539a0fc5c8"
+
+    def test_history_pinned_when_clipping_fires(self, monkeypatch):
+        original = model_module.clip_global_norm
+        norms = []
+
+        def recording_clip(grad, max_norm):
+            norms.append(original(grad, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(model_module, "clip_global_norm", recording_clip)
+        config = replace(self.CONFIG, clip_norm=0.05)
+        params, history = train(tiny_samples(n=20), config, HYPER_SMALL, "full")
+        assert len(norms) == 24 and all(n > config.clip_norm for n in norms)
+        assert [(e, tr.hex(), va.hex()) for e, tr, va in history] == self.CLIPPED_HISTORY
+        weights = np.concatenate([a.ravel() for a in flat_params(params).values()])
+        assert hashlib.sha256(weights.tobytes()).hexdigest()[:16] == self.CLIPPED_WEIGHTS_SHA256
 
     @pytest.mark.parametrize("variant", ["full", "no_attention"])
     def test_pca_is_applied_inside_train(self, variant):

@@ -6,6 +6,7 @@ import pytest
 
 from spikecast.errors import ConfigError, ContractError, NumericError, ValidationError
 from spikecast.nn import (
+    LstmStreams,
     attention_backward,
     attention_forward,
     bce_loss,
@@ -48,6 +49,19 @@ class TestOps:
         assert sigmoid(grid).tobytes() == masked(grid).tobytes()
         assert np.signbit(grid[7]) and sigmoid(grid[7:8])[0] == 0.5  # -0.0
 
+        # The LSTM's path: out= a strided view, the first 3h columns of each
+        # row of a (..., 4h) gate buffer, from a strided view of the same
+        # shape; the last h columns stay untouched.
+        h = grid.size
+        a = np.full((2, 3, 4 * h), 7.0)
+        a[..., : 3 * h] = np.concatenate([grid, grid[::-1], -grid])
+        gates = np.full((2, 3, 4 * h), -3.0)
+        got = sigmoid(a[..., : 3 * h], out=gates[..., : 3 * h])
+        assert got is not None and np.shares_memory(got, gates)
+        want = masked(np.ascontiguousarray(a[..., : 3 * h]))
+        assert np.ascontiguousarray(gates[..., : 3 * h]).tobytes() == want.tobytes()
+        assert (gates[..., 3 * h :] == -3.0).all()
+
     def test_relu(self):
         got = relu(np.array([-2.0, 0.0, 3.0]))
         assert list(got) == [0.0, 0.0, 3.0]
@@ -71,7 +85,7 @@ class TestLstm:
         rng = np.random.default_rng(1)
         params = init_lstm_params(3, 5, rng)
         seq = rng.normal(size=(2, 7, 3))
-        (hs,), (last,), cache = lstm_forward((seq,), (params,))
+        (hs,), (last,), cache = lstm_forward((seq,), LstmStreams.stack((params,)))
         assert hs.shape == (2, 7, 5)
         assert last.shape == (2, 5)
         assert np.array_equal(last, hs[:, -1])
@@ -103,17 +117,17 @@ class TestLstm:
         params = init_lstm_params(2, 3, np.random.default_rng(3))
         for arr in params.arrays().values():
             arr[:] = 0.0
-        (hs,), (last,), _ = lstm_forward((np.ones((1, 4, 2)),), (params,))
+        (hs,), (last,), _ = lstm_forward((np.ones((1, 4, 2)),), LstmStreams.stack((params,)))
         assert np.all(hs == 0.0)
 
     def test_rejects_bad_input(self):
-        params = init_lstm_params(2, 3, np.random.default_rng(4))
+        params = LstmStreams.stack((init_lstm_params(2, 3, np.random.default_rng(4)),))
         with pytest.raises(ContractError):
-            lstm_forward((np.ones((1, 4, 5)),), (params,))
+            lstm_forward((np.ones((1, 4, 5)),), params)
         with pytest.raises(ContractError):
-            lstm_forward((np.ones((4, 2)),), (params,))  # no batch axis
+            lstm_forward((np.ones((4, 2)),), params)  # no batch axis
         with pytest.raises(NumericError):
-            lstm_forward((np.array([[[1.0, np.nan]]]),), (params,))
+            lstm_forward((np.array([[[1.0, np.nan]]]),), params)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -121,10 +135,11 @@ class TestLstm:
         seq = rng.normal(size=(3, 5, 2))
         d_hs = rng.normal(size=(3, 5, 4))
 
-        def closure():
-            (hs,), _, cache = lstm_forward((seq,), (params,))
+        def closure():  # stacks the perturbed arrays afresh each call
+            stacked = LstmStreams.stack((params,))
+            (hs,), _, cache = lstm_forward((seq,), stacked)
             loss = float((hs * d_hs).sum())
-            return loss, lstm_backward((params,), cache, (d_hs,))[0]
+            return loss, lstm_backward(stacked, cache, (d_hs,))[0]
 
         worst = grad_check(closure, params.arrays(), rng=np.random.default_rng(0))
         assert worst < 1e-4
@@ -161,11 +176,12 @@ class TestLstm:
                 states.append(h)
             expected.append(states)
         expected = np.array(expected)
-        (hs,), (last,), cache = lstm_forward((seq,), (p,))
+        stacked = LstmStreams.stack((p,))
+        (hs,), (last,), cache = lstm_forward((seq,), stacked)
         assert np.abs(hs - expected).max() < 1e-12
         assert np.abs(last - expected[:, -1]).max() < 1e-12
 
-        (grads,) = lstm_backward((p,), cache, (rng.normal(size=hs.shape),))
+        (grads,) = lstm_backward(stacked, cache, (rng.normal(size=hs.shape),))
         assert list(grads) == list(p.arrays()) == ["w", "u", "b"]
         for name, arr in p.arrays().items():
             assert grads[name].shape == arr.shape, name
@@ -178,8 +194,9 @@ class TestLstmStreams:
 
     @staticmethod
     def _run(seqs, params, d_hs):
-        hs, last, cache = lstm_forward(seqs, params)
-        return hs, last, lstm_backward(params, cache, d_hs)
+        stacked = LstmStreams.stack(params)
+        hs, last, cache = lstm_forward(seqs, stacked)
+        return hs, last, lstm_backward(stacked, cache, d_hs)
 
     @pytest.mark.parametrize("m", [1, 16, 128])
     @pytest.mark.parametrize("k", [1, 5, 16])
@@ -217,19 +234,30 @@ class TestLstmStreams:
 
     def test_streams_must_share_batch_steps_and_hidden(self):
         rng = np.random.default_rng(9)
-        for bad in ({"batch": (2, 3)}, {"k": (4, 5)}, {"h": (3, 4)}):
+        for bad in ({"batch": (2, 3)}, {"k": (4, 5)}):
             seqs, params = self._pair(rng, **bad)
             with pytest.raises(ContractError):
-                lstm_forward(seqs, params)
+                lstm_forward(seqs, LstmStreams.stack(params))
+        seqs, params = self._pair(rng, h=(3, 4))
+        with pytest.raises(ContractError):
+            LstmStreams.stack(params)
         seqs, params = self._pair(rng)
+        stacked = LstmStreams.stack(params)
         with pytest.raises(ContractError):
-            lstm_forward(seqs, params[:1])  # one LSTM for two streams
+            lstm_forward(seqs, LstmStreams.stack(params[:1]))  # one LSTM for two streams
         with pytest.raises(ContractError):
-            lstm_forward((), ())
+            lstm_forward((), LstmStreams((), np.empty((0, 3, 12)), np.empty((0, 12))))
+        for u, b in ((stacked.u[:1], stacked.b), (stacked.u, stacked.b[:, :-1]),
+                     (stacked.u[:, :, :-4], stacked.b)):
+            with pytest.raises(ContractError):
+                lstm_forward(seqs, LstmStreams(stacked.w, u, b))
+        with pytest.raises(ContractError):  # input weights of another width
+            lstm_forward(seqs, LstmStreams(stacked.w[::-1], stacked.u, stacked.b))
 
     def test_d_hs_must_match_stream_count(self):
         rng = np.random.default_rng(10)
         seqs, params = self._pair(rng)
+        params = LstmStreams.stack(params)
         hs, _, cache = lstm_forward(seqs, params)
         for d_hs in ((hs[0],), (hs[0], hs[1], hs[1])):
             with pytest.raises(ContractError):
@@ -244,7 +272,7 @@ class TestLstmStreams:
         seqs, params = self._pair(rng)
         seqs[stream][1, 2, 0] = np.inf
         with pytest.raises(NumericError):
-            lstm_forward(seqs, params)
+            lstm_forward(seqs, LstmStreams.stack(params))
 
 
 class TestAttention:
