@@ -112,19 +112,25 @@ class ModelHyper:
 class ModelParams:
     """Complete trainable state of one model variant. Built only by init_model:
     `theta` holds every trainable value, and every flat_params array is a
-    view of it. `lstm` holds the variant's LSTM streams (price, then news) as
-    views of theta too; see _bind for the order of theta."""
+    view of it; see _bind for the order of theta. `lstm` holds the variant's
+    LSTM streams, price then news; price_lstm and news_lstm view them."""
 
     hyper: ModelHyper
     variant: str
-    price_lstm: LstmParams
+    lstm: LstmStreams
     head: HeadParams
-    news_lstm: LstmParams | None = None
     attention: AttentionParams | None = None
     pca: PcaBasis | None = None
     norm_stats: dict[str, tuple[float, float]] | None = None
     theta: np.ndarray = field(init=False, repr=False)
-    lstm: LstmStreams = field(init=False, repr=False)
+
+    @property
+    def price_lstm(self) -> LstmParams:
+        return self.lstm.stream(0)
+
+    @property
+    def news_lstm(self) -> LstmParams | None:
+        return self.lstm.stream(1) if len(self.lstm.w) > 1 else None
 
 
 @dataclass(frozen=True)
@@ -200,23 +206,23 @@ def init_model(
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     rng = np.random.default_rng(hyper.seed)
-    price_lstm = init_lstm_params(1, hyper.h, rng)
-    news_lstm = None
+    lstms = [init_lstm_params(1, hyper.h, rng)]  # price, then news
     attention = None
     if variant == VARIANT_NO_NEWS:
         fused = hyper.h
     elif variant == VARIANT_NO_ATTENTION:
-        news_lstm = init_lstm_params(hyper.d_prime, hyper.h, rng)
+        lstms.append(init_lstm_params(hyper.d_prime, hyper.h, rng))
         fused = hyper.h + hyper.h  # context = temporal mean of news states
     else:
-        news_lstm = init_lstm_params(hyper.d_prime, hyper.h, rng)
+        lstms.append(init_lstm_params(hyper.d_prime, hyper.h, rng))
         attention = init_attention_params(hyper.h, hyper.h_a, rng)
         fused = hyper.h + hyper.h_a
     head = init_head_params(fused, hyper.h, hyper.dropout, rng)
     drawn = ModelParams(
-        hyper=hyper, variant=variant, price_lstm=price_lstm, head=head,
-        news_lstm=news_lstm, attention=attention, pca=pca,
-        norm_stats=norm_stats,
+        hyper=hyper, variant=variant,
+        lstm=LstmStreams(tuple(p.w for p in lstms), np.stack([p.u for p in lstms]),
+                         np.stack([p.b for p in lstms])),
+        head=head, attention=attention, pca=pca, norm_stats=norm_stats,
     )
     flat = flat_params(drawn)
     params = _bind(drawn, np.empty(sum(arr.size for arr in flat.values())))
@@ -231,7 +237,7 @@ def _bind(params: ModelParams, theta: np.ndarray) -> ModelParams:
     then every stream's u, then every stream's b, then attention and head
     as flat_params lists them. So `lstm.u` and `lstm.b` are single (S, h, 4h)
     and (S, 4h) views. Binding a gradient vector gives gradient views of the
-    same names and layout."""
+    same names and layout. This is the one place the order is written."""
     cursor = 0
 
     def take(shape):
@@ -239,11 +245,9 @@ def _bind(params: ModelParams, theta: np.ndarray) -> ModelParams:
         start, cursor = cursor, cursor + math.prod(shape)
         return theta[start:cursor].reshape(shape)
 
-    streams = [c for c in ("price_lstm", "news_lstm") if getattr(params, c) is not None]
-    s, h = len(streams), params.hyper.h
-    lstm = LstmStreams(tuple(take(getattr(params, c).w.shape) for c in streams),
-                       take((s, h, 4 * h)), take((s, 4 * h)))
-    bound = replace(params, **{c: lstm.stream(j) for j, c in enumerate(streams)})
+    lstm = params.lstm
+    bound = replace(params, lstm=LstmStreams(
+        tuple(take(w.shape) for w in lstm.w), take(lstm.u.shape), take(lstm.b.shape)))
     for name in ("attention", "head"):
         part = getattr(params, name)
         if part is not None:
@@ -251,7 +255,7 @@ def _bind(params: ModelParams, theta: np.ndarray) -> ModelParams:
                 attr: take(arr.shape) for attr, arr in part.arrays().items()}))
     if cursor != theta.size:
         raise ContractError(f"theta has {theta.size} values, the model {cursor}")
-    bound.theta, bound.lstm = theta, lstm
+    bound.theta = theta
     return bound
 
 
@@ -311,19 +315,17 @@ def forward_batch(
 
 
 def backward_batch(
-    params: ModelParams, cache: dict, d_prob: np.ndarray,
-    out: ModelParams | None = None,
-) -> ModelParams:
+    params: ModelParams, cache: dict, d_prob: np.ndarray, out: ModelParams
+) -> None:
     """Gradients for every trainable array, summed over the batch, given
     dLoss/dprobability (B,).
 
     They are written into `out`, a ModelParams of params' layout bound to a
-    gradient vector (a fresh one if None), and returned in it: `out.theta`
-    is the gradient vector, and flat_params(out) names its parts.
+    gradient vector: `out.theta` is the gradient vector, and flat_params(out)
+    names its parts.
     """
     hyper = params.hyper
-    grads = _bind(params, np.empty_like(params.theta)) if out is None else out
-    _, d_fused = head_backward(params.head, cache["head"], d_prob, out=grads.head)
+    d_fused = head_backward(params.head, cache["head"], d_prob, out=out.head)
 
     batch = d_fused.shape[0]
     d_price_hs = np.zeros((batch, hyper.k, hyper.h))
@@ -337,13 +339,12 @@ def backward_batch(
                 d_context[:, None, :] / k, (batch, k, d_context.shape[1])
             )
         else:
-            _, d_news_hs = attention_backward(
-                params.attention, cache["attention"], d_context, out=grads.attention
+            d_news_hs = attention_backward(
+                params.attention, cache["attention"], d_context, out=out.attention
             )
         d_hs = (d_price_hs, d_news_hs)
 
-    lstm_backward(params.lstm, cache["lstm"], d_hs, out=grads.lstm)
-    return grads
+    lstm_backward(params.lstm, cache["lstm"], d_hs, out=out.lstm)
 
 
 def model_forward(
@@ -363,8 +364,10 @@ def model_backward(
     params: ModelParams, cache: dict, d_prob: float
 ) -> dict[str, np.ndarray]:
     """Gradients for one window's model_forward cache, keyed like
-    flat_params: backward_batch, B = 1."""
-    return flat_params(backward_batch(params, cache, np.array([d_prob], dtype=float)))
+    flat_params: backward_batch, B = 1, into a fresh gradient vector."""
+    grads = _bind(params, np.empty_like(params.theta))
+    backward_batch(params, cache, np.array([d_prob], dtype=float), out=grads)
+    return flat_params(grads)
 
 
 def evaluate_loss(

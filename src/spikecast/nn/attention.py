@@ -76,13 +76,10 @@ def attention_forward(
 
 def attention_backward(
     params: AttentionParams, cache: dict, d_context: np.ndarray,
-    out: AttentionParams | None = None,
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    out: AttentionParams,
+) -> np.ndarray:
     """Projection gradients summed over the batch, written into `out`'s
-    arrays (fresh ones if None), plus the upstream state gradient shaped like
-    the states; returns (out.arrays(), state gradient)."""
-    if out is None:
-        out = AttentionParams(*(np.empty_like(a) for a in params.arrays().values()))
+    arrays; returns the upstream state gradient, shaped like the states."""
     states, q, key, v, weights = (
         cache["states"], cache["q"], cache["k"], cache["v"], cache["weights"]
     )
@@ -105,5 +102,4 @@ def attention_backward(
     rows = states.reshape(-1, params.h).T
     for d_proj, grad in ((d_q, out.w_q), (d_k, out.w_k), (d_v, out.w_v)):
         np.matmul(rows, d_proj.reshape(-1, params.h_a), out=grad)
-    d_states = d_q @ params.w_q.T + d_k @ params.w_k.T + d_v @ params.w_v.T
-    return out.arrays(), d_states
+    return d_q @ params.w_q.T + d_k @ params.w_k.T + d_v @ params.w_v.T

@@ -84,14 +84,10 @@ def head_forward(
 
 
 def head_backward(
-    params: HeadParams, cache: dict, d_prob: np.ndarray,
-    out: HeadParams | None = None,
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    params: HeadParams, cache: dict, d_prob: np.ndarray, out: HeadParams
+) -> np.ndarray:
     """Gradients summed over the batch given dLoss/dprobability (B,), written
-    into `out`'s arrays (fresh ones if None); returns (out.arrays(),
-    dLoss/dfused (B, n_in))."""
-    if out is None:
-        out = HeadParams(*(np.empty_like(a) for a in params.arrays().values()))
+    into `out`'s arrays; returns dLoss/dfused (B, n_in)."""
     prob = cache["prob"]
     d_logit = d_prob * prob * (1.0 - prob)
     d_dropped = d_logit[:, None] * params.w2
@@ -101,5 +97,4 @@ def head_backward(
     np.add.reduce(d_pre, axis=0, out=out.b1)
     np.matmul(d_logit, cache["dropped"], out=out.w2)
     np.add.reduce(d_logit, keepdims=True, out=out.b2)
-    d_fused = d_pre @ params.w1.T
-    return out.arrays(), d_fused
+    return d_pre @ params.w1.T

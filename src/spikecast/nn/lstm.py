@@ -21,7 +21,6 @@ that same layout.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,16 +88,6 @@ class LstmStreams:
     u: np.ndarray              # (S, h, 4h)
     b: np.ndarray              # (S, 4h)
 
-    @classmethod
-    def stack(cls, params: Sequence[LstmParams]) -> LstmStreams:
-        """The streams of `params`: their own w arrays, and their u and b
-        copied into stacked arrays."""
-        if not params or len({p.hidden_size for p in params}) != 1:
-            raise ContractError(f"hidden sizes {[p.hidden_size for p in params]}; "
-                                "streams need one shared hidden size")
-        return cls(tuple(p.w for p in params), np.stack([p.u for p in params]),
-                   np.stack([p.b for p in params]))
-
     def stream(self, j: int) -> LstmParams:
         """Stream j's LSTM, as views of these arrays."""
         return LstmParams(w=self.w[j], u=self.u[j], b=self.b[j])
@@ -164,14 +153,13 @@ def lstm_forward(
 
 def lstm_backward(
     params: LstmStreams, cache: dict, d_hs: tuple[np.ndarray, ...],
-    out: LstmStreams | None = None,
-) -> list[dict[str, np.ndarray]]:
+    out: LstmStreams,
+) -> None:
     """BPTT given upstream gradients for every hidden state of every stream.
 
     `d_hs` holds one (B, k, h) array per stream; for a final-state-only
     consumer all steps but the last are zero. The gradients, summed over the
-    batch, are written into `out` (fresh arrays if None). Returns one dict
-    per stream of views of them, keyed like LstmParams.arrays().
+    batch, are written into `out`, an LstmStreams of params' shapes.
     """
     gates, hs, cs, tanh_cs = (cache[key] for key in ("gates", "hs", "cs", "tanh_cs"))
     k, s, n, h = tanh_cs.shape
@@ -179,9 +167,6 @@ def lstm_backward(
     if len(params.w) != s or shapes != [(n, k, h)] * s:
         raise ContractError(f"d_hs shapes {shapes} for {len(params.w)} LSTMs; "
                             f"expected {s} of {(n, k, h)}")
-    if out is None:
-        out = LstmStreams(tuple(np.empty_like(w) for w in params.w),
-                          np.empty_like(params.u), np.empty_like(params.b))
 
     # Everything but the recurrence is elementwise over steps, so it is done
     # for all steps at once: each gate's pre-activation gradient is dh (gate
@@ -226,4 +211,3 @@ def lstm_backward(
     hs_s = hs[:-1].swapaxes(0, 1).reshape(s, k * n, h)
     np.matmul(hs_s.swapaxes(1, 2), da_s, out=out.u)
     np.add.reduce(da_s, axis=1, out=out.b)
-    return [{"w": out.w[j], "u": out.u[j], "b": out.b[j]} for j in range(s)]

@@ -11,6 +11,8 @@ import pytest
 
 from spikecast.errors import AlignmentError, ContractError, NumericError
 from spikecast.ingest import AlignedDataset
+from spikecast.model import _bind, flat_params, init_model
+from spikecast.nn import LstmStreams
 from spikecast.nn.ops import sigmoid
 
 
@@ -50,6 +52,52 @@ def zero_params(params):
     """Zero every trainable array of a ModelParams in place. Returns params."""
     params.theta[...] = 0.0
     return params
+
+
+def stack_streams(lstms) -> LstmStreams:
+    """The LstmStreams of separate LstmParams: their own w arrays, and their
+    u and b copied into stacked arrays."""
+    if not lstms or len({p.hidden_size for p in lstms}) != 1:
+        raise ContractError(f"hidden sizes {[p.hidden_size for p in lstms]}; "
+                            "streams need one shared hidden size")
+    return LstmStreams(tuple(p.w for p in lstms), np.stack([p.u for p in lstms]),
+                       np.stack([p.b for p in lstms]))
+
+
+def run_backward(backward, params, *args):
+    """Call a layer's backward (head, attention or LSTM) with fresh gradient
+    arrays shaped like `params`. Returns (the gradients, in a params object
+    of the same type, what the backward returns)."""
+    if isinstance(params, LstmStreams):
+        out = LstmStreams(tuple(np.empty_like(w) for w in params.w),
+                          np.empty_like(params.u), np.empty_like(params.b))
+    else:
+        out = type(params)(*(np.empty_like(a) for a in params.arrays().values()))
+    return out, backward(params, *args, out=out)
+
+
+def gradient_params(params):
+    """A ModelParams of params' layout bound to a fresh gradient vector, for
+    backward_batch to write into."""
+    return _bind(params, np.empty_like(params.theta))
+
+
+def flat_order_clip(hyper, variant):
+    """clip_global_norm for a model of (hyper, variant), with the norm summed
+    over the gradients in flat_params order instead of theta order: the
+    clipping of a layout in which theta is the flat_params concatenation."""
+    index = init_model(hyper, variant)
+    index.theta[...] = np.arange(index.theta.size)
+    order = np.concatenate([a.ravel() for a in flat_params(index).values()]).astype(np.intp)
+
+    def clip(grad, max_norm):
+        flat = grad[order]
+        total = float(np.sqrt(flat @ flat))
+        if max_norm > 0 and total > max_norm:
+            grad *= max_norm / total
+        return total
+
+    return clip
 
 
 def reference_load_embeddings(path) -> list:

@@ -1,6 +1,5 @@
 """Windowing, the dual-stream classifier, training loop, and checkpoints."""
 import copy
-import hashlib
 import json
 import math
 import tracemalloc
@@ -44,6 +43,8 @@ from spikecast.pca import fit_pca
 
 from conftest import (
     assert_same_bits,
+    flat_order_clip,
+    gradient_params,
     planted_dataset,
     reference_reduce,
     reference_windows,
@@ -322,7 +323,9 @@ class TestBatch:
         probs, cache = forward_batch(samples.prices, samples.news, params, train=True,
                                      rng=np.random.default_rng(4))
         _, d_preds = bce_loss(probs, targets)
-        grads = flat_params(backward_batch(params, cache, d_preds))
+        out = gradient_params(params)
+        backward_batch(params, cache, d_preds, out=out)
+        grads = flat_params(out)
 
         rng = np.random.default_rng(4)
         total = {name: np.zeros_like(arr) for name, arr in flat_params(params).items()}
@@ -420,22 +423,13 @@ class TestTrain:
         assert h1 == h2
         assert np.array_equal(p1.theta.view(np.int64), p2.theta.view(np.int64))
 
-    # The history and trained weights of a run in which clipping fires at
-    # every step, as float.hex and the sha256 of the weights in flat_params
-    # order. Clipping scales by the norm of the whole gradient vector, whose
-    # sum runs in theta order, so a change of that order (or of a kernel's
-    # bits) can move them. Produced with numpy 2.4 and OpenBLAS on x86-64.
-    CLIPPED_HISTORY = [
-        (1, "0x1.5d048bc5625b9p-1", "0x1.46bf28bc69741p-1"),
-        (2, "0x1.4c8f562d3a7d5p-1", "0x1.2eea575d99545p-1"),
-        (3, "0x1.3f39cc15fa20ep-1", "0x1.13bfca39e6474p-1"),
-        (4, "0x1.30736d49fa145p-1", "0x1.e21ce3d4c75ebp-2"),
-        (5, "0x1.1e30a9d9d1d02p-1", "0x1.8c399a64161b5p-2"),
-        (6, "0x1.0891ee9ac59a9p-1", "0x1.35c3e48c8c6a7p-2"),
-    ]
-    CLIPPED_WEIGHTS_SHA256 = "e37e0d539a0fc5c8"
-
     def test_history_pinned_when_clipping_fires(self, monkeypatch):
+        # Clipping scales by the norm of the whole gradient vector, whose sum
+        # runs in theta order: the one place where the order of theta can
+        # move a bit. A run that sums the norm in flat_params order (theta's
+        # order before the streams' u and b blocks were made adjacent) must
+        # give the same history bit for bit, and each weight array within a
+        # few ulps of its largest entry.
         original = model_module.clip_global_norm
         norms = []
 
@@ -444,12 +438,19 @@ class TestTrain:
             return norms[-1]
 
         monkeypatch.setattr(model_module, "clip_global_norm", recording_clip)
+        samples = tiny_samples(n=20)
         config = replace(self.CONFIG, clip_norm=0.05)
-        params, history = train(tiny_samples(n=20), config, HYPER_SMALL, "full")
+        params, history = train(samples, config, HYPER_SMALL, "full")
         assert len(norms) == 24 and all(n > config.clip_norm for n in norms)
-        assert [(e, tr.hex(), va.hex()) for e, tr, va in history] == self.CLIPPED_HISTORY
-        weights = np.concatenate([a.ravel() for a in flat_params(params).values()])
-        assert hashlib.sha256(weights.tobytes()).hexdigest()[:16] == self.CLIPPED_WEIGHTS_SHA256
+
+        monkeypatch.setattr(model_module, "clip_global_norm",
+                            flat_order_clip(HYPER_SMALL, "full"))
+        ref_params, ref_history = train(samples, config, HYPER_SMALL, "full")
+        assert ([(e, tr.hex(), va.hex()) for e, tr, va in history]
+                == [(e, tr.hex(), va.hex()) for e, tr, va in ref_history])
+        for name, want in flat_params(ref_params).items():
+            got = flat_params(params)[name]
+            assert np.abs(got - want).max() <= 4 * np.spacing(np.abs(want).max()), name
 
     @pytest.mark.parametrize("variant", ["full", "no_attention"])
     def test_pca_is_applied_inside_train(self, variant):

@@ -24,7 +24,13 @@ from spikecast.nn import (
 )
 from spikecast.nn.optim import adam_step, clip_global_norm, init_adam
 
-from conftest import assert_same_bits, reference_lstm_backward, reference_lstm_forward
+from conftest import (
+    assert_same_bits,
+    reference_lstm_backward,
+    reference_lstm_forward,
+    run_backward,
+    stack_streams,
+)
 
 
 class TestOps:
@@ -85,7 +91,7 @@ class TestLstm:
         rng = np.random.default_rng(1)
         params = init_lstm_params(3, 5, rng)
         seq = rng.normal(size=(2, 7, 3))
-        (hs,), (last,), cache = lstm_forward((seq,), LstmStreams.stack((params,)))
+        (hs,), (last,), cache = lstm_forward((seq,), stack_streams((params,)))
         assert hs.shape == (2, 7, 5)
         assert last.shape == (2, 5)
         assert np.array_equal(last, hs[:, -1])
@@ -117,11 +123,11 @@ class TestLstm:
         params = init_lstm_params(2, 3, np.random.default_rng(3))
         for arr in params.arrays().values():
             arr[:] = 0.0
-        (hs,), (last,), _ = lstm_forward((np.ones((1, 4, 2)),), LstmStreams.stack((params,)))
+        (hs,), (last,), _ = lstm_forward((np.ones((1, 4, 2)),), stack_streams((params,)))
         assert np.all(hs == 0.0)
 
     def test_rejects_bad_input(self):
-        params = LstmStreams.stack((init_lstm_params(2, 3, np.random.default_rng(4)),))
+        params = stack_streams((init_lstm_params(2, 3, np.random.default_rng(4)),))
         with pytest.raises(ContractError):
             lstm_forward((np.ones((1, 4, 5)),), params)
         with pytest.raises(ContractError):
@@ -136,10 +142,11 @@ class TestLstm:
         d_hs = rng.normal(size=(3, 5, 4))
 
         def closure():  # stacks the perturbed arrays afresh each call
-            stacked = LstmStreams.stack((params,))
+            stacked = stack_streams((params,))
             (hs,), _, cache = lstm_forward((seq,), stacked)
             loss = float((hs * d_hs).sum())
-            return loss, lstm_backward(stacked, cache, (d_hs,))[0]
+            grads, _ = run_backward(lstm_backward, stacked, cache, (d_hs,))
+            return loss, grads.stream(0).arrays()
 
         worst = grad_check(closure, params.arrays(), rng=np.random.default_rng(0))
         assert worst < 1e-4
@@ -176,12 +183,13 @@ class TestLstm:
                 states.append(h)
             expected.append(states)
         expected = np.array(expected)
-        stacked = LstmStreams.stack((p,))
+        stacked = stack_streams((p,))
         (hs,), (last,), cache = lstm_forward((seq,), stacked)
         assert np.abs(hs - expected).max() < 1e-12
         assert np.abs(last - expected[:, -1]).max() < 1e-12
 
-        (grads,) = lstm_backward(stacked, cache, (rng.normal(size=hs.shape),))
+        out, _ = run_backward(lstm_backward, stacked, cache, (rng.normal(size=hs.shape),))
+        grads = out.stream(0).arrays()
         assert list(grads) == list(p.arrays()) == ["w", "u", "b"]
         for name, arr in p.arrays().items():
             assert grads[name].shape == arr.shape, name
@@ -194,9 +202,10 @@ class TestLstmStreams:
 
     @staticmethod
     def _run(seqs, params, d_hs):
-        stacked = LstmStreams.stack(params)
+        stacked = stack_streams(params)
         hs, last, cache = lstm_forward(seqs, stacked)
-        return hs, last, lstm_backward(stacked, cache, d_hs)
+        grads, _ = run_backward(lstm_backward, stacked, cache, d_hs)
+        return hs, last, [grads.stream(j).arrays() for j in range(len(params))]
 
     @pytest.mark.parametrize("m", [1, 16, 128])
     @pytest.mark.parametrize("k", [1, 5, 16])
@@ -237,14 +246,14 @@ class TestLstmStreams:
         for bad in ({"batch": (2, 3)}, {"k": (4, 5)}):
             seqs, params = self._pair(rng, **bad)
             with pytest.raises(ContractError):
-                lstm_forward(seqs, LstmStreams.stack(params))
+                lstm_forward(seqs, stack_streams(params))
         seqs, params = self._pair(rng, h=(3, 4))
         with pytest.raises(ContractError):
-            LstmStreams.stack(params)
+            stack_streams(params)
         seqs, params = self._pair(rng)
-        stacked = LstmStreams.stack(params)
+        stacked = stack_streams(params)
         with pytest.raises(ContractError):
-            lstm_forward(seqs, LstmStreams.stack(params[:1]))  # one LSTM for two streams
+            lstm_forward(seqs, stack_streams(params[:1]))  # one LSTM for two streams
         with pytest.raises(ContractError):
             lstm_forward((), LstmStreams((), np.empty((0, 3, 12)), np.empty((0, 12))))
         for u, b in ((stacked.u[:1], stacked.b), (stacked.u, stacked.b[:, :-1]),
@@ -257,14 +266,15 @@ class TestLstmStreams:
     def test_d_hs_must_match_stream_count(self):
         rng = np.random.default_rng(10)
         seqs, params = self._pair(rng)
-        params = LstmStreams.stack(params)
+        params = stack_streams(params)
         hs, _, cache = lstm_forward(seqs, params)
         for d_hs in ((hs[0],), (hs[0], hs[1], hs[1])):
             with pytest.raises(ContractError):
-                lstm_backward(params, cache, d_hs)
+                run_backward(lstm_backward, params, cache, d_hs)
         with pytest.raises(ContractError):
-            lstm_backward(params, cache, (hs[0], hs[1][:, :-1]))
-        assert len(lstm_backward(params, cache, tuple(hs))) == 2
+            run_backward(lstm_backward, params, cache, (hs[0], hs[1][:, :-1]))
+        grads, _ = run_backward(lstm_backward, params, cache, tuple(hs))
+        assert len(grads.w) == 2 and np.isfinite(grads.u).all()
 
     @pytest.mark.parametrize("stream", [0, 1])
     def test_non_finite_in_either_stream(self, stream):
@@ -272,7 +282,7 @@ class TestLstmStreams:
         seqs, params = self._pair(rng)
         seqs[stream][1, 2, 0] = np.inf
         with pytest.raises(NumericError):
-            lstm_forward(seqs, LstmStreams.stack(params))
+            lstm_forward(seqs, stack_streams(params))
 
 
 class TestAttention:
@@ -321,8 +331,8 @@ class TestAttention:
         def closure():
             context, _, cache = attention_forward(states, params)
             loss = float((context * probe).sum())
-            grads, d_states = attention_backward(params, cache, probe)
-            grads = dict(grads)
+            out, d_states = run_backward(attention_backward, params, cache, probe)
+            grads = dict(out.arrays())
             grads["states"] = d_states
             return loss, grads
 
@@ -379,8 +389,8 @@ class TestHead:
         def closure():
             prob, cache = head_forward(x, params)
             loss, d_preds = bce_loss(prob, np.array([1.0, 0.0, 1.0]))
-            grads, d_x = head_backward(params, cache, d_preds)
-            grads = dict(grads)
+            out, d_x = run_backward(head_backward, params, cache, d_preds)
+            grads = dict(out.arrays())
             grads["x"] = d_x
             return loss, grads
 
