@@ -12,7 +12,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 from .errors import BackendError, ConfigError
 
@@ -142,29 +142,30 @@ class MockBackend:
         return values
 
 
-_REGISTRY: dict[str, type] = {"mock": MockBackend}
+_REGISTRY: dict[str, Callable[..., TextBackend]] = {"mock": MockBackend}
 
 
 def register_backend(name: str, factory: type) -> None:
-    """Expose an additional backend to get_backend and the command line."""
-    _REGISTRY[name] = factory
+    """Expose an additional backend to get_backend and the command line.
+
+    It needs a credential in $NEWS_BACKEND_KEY; the value is passed to the
+    factory and never written to any artifact.
+    """
+    def build(seed: int, dim: int) -> TextBackend:
+        key = os.environ.get(CREDENTIAL_ENV)
+        if not key:
+            raise ConfigError(
+                f"backend {name!r} needs a credential in ${CREDENTIAL_ENV}"
+            )
+        return factory(api_key=key, seed=seed, dim=dim)
+
+    _REGISTRY[name] = build
 
 
 def get_backend(name: str, seed: int = 0, dim: int = 64) -> TextBackend:
-    """Resolve a backend by name.
-
-    Non-mock backends require a credential in $NEWS_BACKEND_KEY; the value
-    is passed to the factory and never written to any artifact.
-    """
-    if name == "mock":
-        return MockBackend(seed=seed, dim=dim)
+    """Resolve a backend by name."""
     factory = _REGISTRY.get(name)
     if factory is None:
         known = ", ".join(sorted(_REGISTRY))
         raise ConfigError(f"unknown backend {name!r}; registered: {known}")
-    key = os.environ.get(CREDENTIAL_ENV)
-    if not key:
-        raise ConfigError(
-            f"backend {name!r} needs a credential in ${CREDENTIAL_ENV}"
-        )
-    return factory(api_key=key, seed=seed, dim=dim)
+    return factory(seed=seed, dim=dim)

@@ -31,14 +31,16 @@ from .errors import (
     UndefinedMetricError,
     ValidationError,
 )
+# predict, roc_auc, classification_metrics: benchmark call sites only, dropped by ROADMAP item 2.
 from .evaluation import (
     BASELINE_VARIANT,
     baseline_logreg,
-    classification_metrics,
+    classification_metrics,  # noqa: F401
     fit_fold_pca,
     holdout_split,
-    roc_auc,
+    roc_auc,  # noqa: F401
     run_cv,
+    time_series_split,
     write_report_csv,
     write_roc_csv,
     write_summary_json,
@@ -46,6 +48,7 @@ from .evaluation import (
 from .ingest import (
     SpikeLabelSet,
     composite_average,
+    duplicates,
     label_spikes,
     normalize_table,
     parse_price_table,
@@ -59,7 +62,7 @@ from .model import (
     TrainConfig,
     VARIANTS,
     make_windows,
-    predict,
+    predict,  # noqa: F401
     save_checkpoint,
     train,
     write_history_csv,
@@ -247,6 +250,8 @@ def _cmd_embed(args, out: Path) -> list[str]:
 
 
 def _cmd_reduce(args, out: Path) -> list[str]:
+    if args.dim < 1:
+        raise ConfigError(f"--dim must be >= 1, got {args.dim}")
     years, rows = EmbeddingStore(args.embeddings).matrix()
     cap = min(args.dim, rows.shape[1], rows.shape[0] - 1)
     if cap < 1:
@@ -309,33 +314,22 @@ def _cmd_train(args, out: Path) -> list[str]:
 def _cmd_eval(args, out: Path) -> list[str]:
     dataset = _load_aligned(args)
     samples = make_windows(dataset, args.k)
-    train_s, test_s = holdout_split(samples, args.holdout)
-    basis = None
-    if args.variant in PCA_VARIANTS:
-        _, basis = fit_fold_pca(train_s, args.dim)
-    params, _ = train(
-        train_s, _train_config(args), hyper=_hyper(args),
-        variant=args.variant, pca=basis,
-    )
-    scores = predict(params, test_s)
-    labels = test_s.targets
-    block = classification_metrics(scores, labels, args.threshold)
+    report = run_cv(samples, args.variant, _train_config(args),
+                    holdout_split(len(samples), args.holdout), hyper=_hyper(args),
+                    d_prime=args.dim, threshold=args.threshold)
+    (fold,) = report.folds
     outputs = ["metrics.json"]
-    try:
-        auc = roc_auc(scores, labels)
-        write_roc_csv(scores, labels, out / "roc.csv")
+    if fold.auc is not None:
+        write_roc_csv(fold.scores, samples.targets[-fold.n_test:], out / "roc.csv")
         outputs.append("roc.csv")
-    except UndefinedMetricError:
-        auc = None
-        print("warning: hold-out test labels are single-class; AUC omitted",
-              file=sys.stderr)
+    block = fold.metrics
     tp, fp, fn, tn = block.confusion
     doc = {
         "variant": args.variant,
         "holdout_fraction": args.holdout,
-        "n_train": len(train_s),
-        "n_test": len(test_s),
-        "auc": auc,
+        "n_train": fold.n_train,
+        "n_test": fold.n_test,
+        "auc": fold.auc,
         "accuracy": block.accuracy,
         "precision_weighted": block.precision_weighted,
         "recall_weighted": block.recall_weighted,
@@ -352,17 +346,17 @@ def _cmd_eval(args, out: Path) -> list[str]:
 def _cmd_ablate(args, out: Path) -> list[str]:
     dataset = _load_aligned(args)
     samples = make_windows(dataset, args.k)
+    plan = time_series_split(len(samples), args.folds)
     reports = []
     for variant in args.variants:
         if variant == BASELINE_VARIANT:
             reports.append(baseline_logreg(
-                samples, n_folds=args.folds, d_prime=args.dim,
-                threshold=args.threshold,
+                samples, plan, d_prime=args.dim, threshold=args.threshold,
             ))
         else:
             reports.append(run_cv(
-                samples, variant, _train_config(args), hyper=_hyper(args),
-                n_folds=args.folds, d_prime=args.dim, threshold=args.threshold,
+                samples, variant, _train_config(args), plan, hyper=_hyper(args),
+                d_prime=args.dim, threshold=args.threshold,
             ))
     write_report_csv(reports, out / "report.csv")
     write_summary_json(reports, out / "summary.json")
@@ -576,6 +570,8 @@ def main(argv=None) -> int:
             bad = [v for v in args.variants if v not in VARIANTS + (BASELINE_VARIANT,)]
             if bad:
                 raise ConfigError(f"unknown variants: {', '.join(bad)}")
+            if repeated := duplicates(args.variants):
+                raise ConfigError(f"repeated variants: {', '.join(repeated)}")
 
         started = _utc_stamp()
         body, input_paths = _COMMANDS[args.command]

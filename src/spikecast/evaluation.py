@@ -1,16 +1,17 @@
 """Evaluation protocol: chronological splits, metrics, CV, ablations, baseline.
 
-Two protocols are kept strictly separate: a single chronological hold-out
-(last 20% of samples) and expanding-window cross-validation. Within every
-fold the PCA basis is fitted on training rows only and recorded so the
-no-leakage property can be re-proven from the report itself.
+Two protocols share one fit-and-score loop: a single chronological hold-out
+(last 20% of samples) is a one-fold plan, expanding-window cross-validation
+a plan of n folds. Within every fold the PCA basis is fitted on training
+rows only and recorded so the no-leakage property can be re-proven from the
+report itself.
 """
 from __future__ import annotations
 
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,17 +52,14 @@ class FoldPlan:
             prev_train_end = tr_hi
 
 
-def holdout_split(
-    samples: Windows, fraction: float = 0.20
-) -> tuple[Windows, Windows]:
-    """Chronological split: test = last ceil(fraction * n) samples."""
+def holdout_split(n: int, fraction: float = 0.20) -> FoldPlan:
+    """Chronological one-fold plan: test = last ceil(fraction * n) samples."""
     if not 0.0 < fraction <= 0.5:
         raise ConfigError(f"holdout fraction must be in (0, 0.5], got {fraction}")
-    n = len(samples)
     if n < 5:
         raise InsufficientDataError(f"need at least 5 samples for a hold-out, got {n}")
-    n_test = math.ceil(fraction * n)
-    return samples[: n - n_test], samples[n - n_test :]
+    cut = n - math.ceil(fraction * n)
+    return FoldPlan(n=n, n_folds=1, folds=(((0, cut), (cut, n)),))
 
 
 def time_series_split(n: int, n_folds: int = 5) -> FoldPlan:
@@ -182,6 +180,7 @@ class FoldResult:
     test_anchor_span: tuple[int, int]
     auc: float | None
     metrics: MetricBlock
+    scores: np.ndarray = field(compare=False)  # the test part's, in order
     pca_train_years: tuple[int, ...] | None = None
     pca_basis: PcaBasis | None = None
 
@@ -257,14 +256,15 @@ def _fold_auc(scores, labels, fold: int, variant: str) -> float | None:
         return None
 
 
-def _run_folds(samples, variant, fit_score, fits_pca: bool, n_folds: int,
+def _run_folds(samples, variant, fit_score, fits_pca: bool, plan: FoldPlan,
                d_prime: int, threshold: float) -> EvalReport:
-    """Expanding-window folds scored by fit_score(train_s, test_s, basis).
+    """The folds of `plan`, each scored by fit_score(train_s, test_s, basis).
 
     Both parts hold raw news. With fits_pca, each fold refits PCA on its
     training rows; otherwise basis is None.
     """
-    plan = time_series_split(len(samples), n_folds)
+    if plan.n != len(samples):
+        raise ConfigError(f"fold plan covers {plan.n} samples, got {len(samples)}")
     results = []
     for idx, ((tr_lo, tr_hi), (te_lo, te_hi)) in enumerate(plan.folds, start=1):
         train_s = samples[tr_lo:tr_hi]
@@ -283,22 +283,23 @@ def _run_folds(samples, variant, fit_score, fits_pca: bool, n_folds: int,
             test_anchor_span=tuple(test_s.anchor_years[[0, -1]].tolist()),
             auc=_fold_auc(scores, labels, idx, variant),
             metrics=classification_metrics(scores, labels, threshold),
+            scores=scores,
             pca_train_years=pca_years,
             pca_basis=basis,
         ))
-    return _summarize(variant, threshold, n_folds, results)
+    return _summarize(variant, threshold, plan.n_folds, results)
 
 
 def run_cv(
     samples: Windows,
     variant: str,
     config: TrainConfig,
+    plan: FoldPlan,
     hyper: ModelHyper | None = None,
-    n_folds: int = 5,
     d_prime: int = 16,
     threshold: float = 0.5,
 ) -> EvalReport:
-    """Expanding-window CV of one model variant with per-fold PCA refits."""
+    """One model variant over the folds of `plan`, with per-fold PCA refits."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
 
@@ -307,7 +308,7 @@ def run_cv(
         return predict(params, test_s)
 
     return _run_folds(samples, variant, fit_score, variant in PCA_VARIANTS,
-                      n_folds, d_prime, threshold)
+                      plan, d_prime, threshold)
 
 
 # --- logistic-regression baseline ---------------------------------------------
@@ -353,14 +354,14 @@ def sample_features(samples: Windows) -> np.ndarray:
 
 def baseline_logreg(
     samples: Windows,
-    n_folds: int = 5,
+    plan: FoldPlan,
     d_prime: int = 16,
     threshold: float = 0.5,
     l2: float = 1e-3,
     lr: float = 0.5,
     iters: int = 500,
 ) -> EvalReport:
-    """Logistic regression under the exact fold plan and metrics of run_cv."""
+    """Logistic regression under the folds of `plan` and the metrics of run_cv."""
     def fit_score(train_s, test_s, basis):
         train_s = reduce_samples(train_s, basis)
         test_s = reduce_samples(test_s, basis)
@@ -369,7 +370,7 @@ def baseline_logreg(
         return logreg_scores(w, b, sample_features(test_s))
 
     return _run_folds(samples, BASELINE_VARIANT, fit_score, True,
-                      n_folds, d_prime, threshold)
+                      plan, d_prime, threshold)
 
 
 # --- artifact writers ----------------------------------------------------------

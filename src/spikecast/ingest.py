@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,11 @@ RAW = "raw"
 NORMALIZED = "normalized"
 
 
+def duplicates(values) -> list:
+    """The values that occur more than once, sorted."""
+    return sorted(v for v, count in Counter(values).items() if count > 1)
+
+
 @dataclass(frozen=True)
 class PriceTable:
     """Year-by-commodity price matrix; missing cells are NaN."""
@@ -39,8 +45,7 @@ class PriceTable:
                 f"value matrix shape {values.shape} does not match "
                 f"{len(self.years)} years x {len(self.commodities)} commodities"
             )
-        if len(set(self.years)) != len(self.years):
-            dupes = sorted({y for y in self.years if self.years.count(y) > 1})
+        if dupes := duplicates(self.years):
             raise ValidationError(f"duplicate year(s) in price table: {dupes}")
         if any(b <= a for a, b in zip(self.years, self.years[1:])):
             raise ValidationError("years must be strictly increasing")
@@ -72,8 +77,7 @@ class PriceSeries:
         object.__setattr__(self, "years", tuple(int(y) for y in self.years))
         if values.ndim != 1 or len(values) != len(self.years):
             raise ValidationError("values length must equal years length")
-        if len(set(self.years)) != len(self.years):
-            dupes = sorted({y for y in self.years if self.years.count(y) > 1})
+        if dupes := duplicates(self.years):
             raise ValidationError(
                 f"duplicate year(s) in series {self.commodity!r}: {dupes}")
         if self.kind not in (RAW, NORMALIZED):
@@ -92,8 +96,7 @@ class SpikeLabelSet:
             raise ValidationError("labels length must equal years length")
         if any(v not in (0, 1) for v in self.labels):
             raise ValidationError("labels must be 0 or 1")
-        if len(set(self.years)) != len(self.years):
-            dupes = sorted({y for y in self.years if self.years.count(y) > 1})
+        if dupes := duplicates(self.years):
             raise ValidationError(f"duplicate label year(s): {dupes}")
 
     def as_dict(self) -> dict[int, int]:
@@ -174,15 +177,7 @@ def zscore_normalize(series: PriceSeries) -> PriceSeries:
 
     Renormalizing an already-normalized series is permitted and idempotent.
     """
-    present = ~np.isnan(series.values)
-    n = int(present.sum())
-    if n < 2:
-        raise InsufficientDataError(
-            f"series {series.commodity!r} has {n} present value(s); need >= 2"
-        )
-    x = series.values[present]
-    mu = float(x.mean())
-    sigma = float(x.std())  # population (1/N)
+    mu, sigma = series_stats(series)
     if sigma <= 0.0:
         raise DegenerateSeriesError(
             f"series {series.commodity!r} is constant (sigma = 0)"
@@ -192,11 +187,12 @@ def zscore_normalize(series: PriceSeries) -> PriceSeries:
 
 
 def series_stats(series: PriceSeries) -> tuple[float, float]:
-    """Mean and population std of the present values (the z-score parameters)."""
-    present = ~np.isnan(series.values)
-    x = series.values[present]
+    """Mean and population std (1/N) of the present values: the z-score fit."""
+    x = series.values[~np.isnan(series.values)]
     if x.size < 2:
-        raise InsufficientDataError("need >= 2 present values for stats")
+        raise InsufficientDataError(
+            f"series {series.commodity!r} has {x.size} present value(s); need >= 2"
+        )
     return float(x.mean()), float(x.std())
 
 

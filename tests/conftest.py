@@ -9,9 +9,27 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spikecast.errors import AlignmentError, ContractError, NumericError
+from spikecast.errors import (
+    AlignmentError,
+    ContractError,
+    NumericError,
+    UndefinedMetricError,
+)
+from spikecast.evaluation import (
+    classification_metrics,
+    fit_fold_pca,
+    roc_auc,
+    write_roc_csv,
+)
 from spikecast.ingest import AlignedDataset
-from spikecast.model import _bind, flat_params, init_model
+from spikecast.model import (
+    PCA_VARIANTS,
+    _bind,
+    flat_params,
+    init_model,
+    predict,
+    train,
+)
 from spikecast.nn import LstmStreams
 from spikecast.nn.ops import sigmoid
 
@@ -169,6 +187,40 @@ def reference_unique_year_rows(windows):
             by_year.setdefault(year, row)
     years = tuple(sorted(by_year))
     return years, np.array([by_year[y] for y in years])
+
+
+def reference_holdout(samples, fraction, variant, config, hyper, d_prime,
+                      threshold, roc_path) -> dict:
+    """The hold-out evaluation written out step by step: slice off the last
+    ceil(fraction * n) windows, fit PCA on the training part, train, predict,
+    then the metrics. Returns the metrics.json fields after variant and
+    fraction, and writes roc.csv to roc_path when the AUC is defined."""
+    n_test = math.ceil(fraction * len(samples))
+    train_s, test_s = samples[: len(samples) - n_test], samples[len(samples) - n_test :]
+    basis = None
+    if variant in PCA_VARIANTS:
+        _, basis = fit_fold_pca(train_s, d_prime)
+    params, _ = train(train_s, config, hyper=hyper, variant=variant, pca=basis)
+    scores = predict(params, test_s)
+    labels = test_s.targets
+    block = classification_metrics(scores, labels, threshold)
+    try:
+        auc = roc_auc(scores, labels)
+        write_roc_csv(scores, labels, roc_path)
+    except UndefinedMetricError:
+        auc = None
+    tp, fp, fn, tn = block.confusion
+    return {
+        "n_train": len(train_s),
+        "n_test": len(test_s),
+        "auc": auc,
+        "accuracy": block.accuracy,
+        "precision_weighted": block.precision_weighted,
+        "recall_weighted": block.recall_weighted,
+        "f1_weighted": block.f1_weighted,
+        "confusion": {"tp": tp, "fp": fp, "fn": fn, "tn": tn},
+        "threshold": block.threshold,
+    }
 
 
 def reference_sample_features(windows):

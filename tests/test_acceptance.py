@@ -27,12 +27,12 @@ from spikecast.model import (
     ModelHyper,
     TrainConfig,
     Windows,
+    backward_batch,
     evaluate_loss,
     flat_params,
+    forward_batch,
     init_model,
     make_windows,
-    model_backward,
-    model_forward,
     train,
 )
 from spikecast.nn import (
@@ -45,7 +45,13 @@ from spikecast.nn import (
 from spikecast.pca import fit_pca
 from spikecast.stores import SummaryStore
 
-from conftest import brute_force_spikes, pairwise_auc, planted_dataset, price_csv_text
+from conftest import (
+    brute_force_spikes,
+    gradient_params,
+    pairwise_auc,
+    planted_dataset,
+    price_csv_text,
+)
 
 CLOCK = lambda: "2026-01-01T00:00:00+00:00"
 
@@ -79,7 +85,8 @@ def _draw_differentiable_batch(rng, params):
             years=np.array([(1960 + i, 1961 + i, 1962 + i) for i in range(3)]),
         )
         margin = min(
-            float(np.abs(model_forward(batch[i : i + 1], params)[1]["head"]["pre"]).min())
+            float(np.abs(forward_batch(batch.prices[i : i + 1], batch.news[i : i + 1],
+                                       params)[1]["head"]["pre"]).min())
             for i in range(len(batch))
         )
         if margin > 1e-3:
@@ -97,23 +104,23 @@ def test_criterion_01_gradient_correctness(capsys):
         batch = _draw_differentiable_batch(rng, params)
         flat = flat_params(params)
         targets = np.array(batch.targets, dtype=float)
+        grads, total = gradient_params(params), gradient_params(params)
+        total_flat = flat_params(total)
 
         def loss_and_grads():
             probs, caches = [], []
             for i in range(len(batch)):
-                p, c = model_forward(batch[i : i + 1], params)
+                window = batch[i : i + 1]
+                p, c = forward_batch(window.prices, window.news, params)
                 probs.append(p)
                 caches.append(c)
-            loss, d_preds = bce_loss(np.array(probs), targets)
-            total = None
-            for c, d in zip(caches, d_preds):
-                g = model_backward(params, c, float(d))
-                if total is None:
-                    total = g
-                else:
-                    for name in total:
-                        total[name] += g[name]
-            return loss, total
+            loss, d_preds = bce_loss(np.concatenate(probs), targets)
+            total.theta[...] = 0.0
+            for i, c in enumerate(caches):
+                backward_batch(params, c, d_preds[i : i + 1], out=grads)
+                total.theta += grads.theta
+            # grad_check keeps the first call's gradients; later calls reuse total.
+            return loss, {name: g.copy() for name, g in total_flat.items()}
 
         worst = max(worst, grad_check(loss_and_grads, flat))
     elapsed = time.perf_counter() - started
@@ -236,8 +243,9 @@ def test_criterion_06_news_ablation_direction(capsys):
     hyper = ModelHyper(k=4, d_prime=6, h=8, h_a=8, dropout=0.0)
     config = TrainConfig(alpha=2e-2, batch_size=2, epochs=120, patience=120,
                          seed=0)
-    full = run_cv(samples, "full", config, hyper, n_folds=4, d_prime=6)
-    no_news = run_cv(samples, "no_news", config, hyper, n_folds=4, d_prime=6)
+    plan = time_series_split(len(samples), 4)
+    full = run_cv(samples, "full", config, plan, hyper, d_prime=6)
+    no_news = run_cv(samples, "no_news", config, plan, hyper, d_prime=6)
     elapsed = time.perf_counter() - started
     full_auc = full.mean["auc"]
     no_news_auc = no_news.mean["auc"]
@@ -282,11 +290,11 @@ def test_criterion_08_leakage_guards(capsys):
     samples = make_windows(ds, 3)
     config = TrainConfig(alpha=1e-2, batch_size=8, epochs=2, patience=2, seed=0)
     hyper = ModelHyper(k=3, d_prime=3, h=4, h_a=4, dropout=0.0)
-    reports = [
-        run_cv(samples, "full", config, hyper, n_folds=4, d_prime=3),
-        baseline_logreg(samples, n_folds=4, d_prime=3),
-    ]
     plan = time_series_split(len(samples), 4)
+    reports = [
+        run_cv(samples, "full", config, plan, hyper, d_prime=3),
+        baseline_logreg(samples, plan, d_prime=3),
+    ]
 
     chronology_ok = True
     basis_ok = True
@@ -403,8 +411,9 @@ def test_criterion_11_beats_linear_baseline_on_xor(capsys):
     hyper = ModelHyper(k=2, d_prime=6, h=12, h_a=8, dropout=0.0)
     config = TrainConfig(alpha=2e-2, batch_size=2, epochs=150, patience=150,
                          seed=0)
-    full = run_cv(samples, "full", config, hyper, n_folds=3, d_prime=6)
-    base = baseline_logreg(samples, n_folds=3, d_prime=6)
+    plan = time_series_split(len(samples), 3)
+    full = run_cv(samples, "full", config, plan, hyper, d_prime=6)
+    base = baseline_logreg(samples, plan, d_prime=6)
     full_auc = full.mean["auc"]
     base_auc = base.mean["auc"]
     _verdict(

@@ -1,12 +1,26 @@
 """End-to-end command-line runs in scratch directories."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from spikecast.cli import load_config_file, main
+from spikecast.cli import (
+    _hyper,
+    _load_aligned,
+    _train_config,
+    build_parser,
+    load_config_file,
+    main,
+)
+from spikecast.model import VARIANTS, make_windows
 
-from conftest import brute_force_spikes, price_csv_text
+from conftest import brute_force_spikes, price_csv_text, reference_holdout
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv) -> int:
@@ -219,6 +233,12 @@ class TestReduce:
         assert run_cli("reduce", "--embeddings", store, "--out", tmp_path / "o") == 1
         assert f"{rows} vectors cannot support" in capsys.readouterr().err
 
+    def test_dim_below_one_exits_one(self, corpus, tmp_path, capsys):
+        assert run_cli("reduce", "--embeddings", corpus["embeddings"],
+                       "--dim", "0", "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert "--dim must be >= 1, got 0" in err and "vectors" not in err
+
 
 class TestTrain:
     def test_artifacts(self, corpus, tmp_path):
@@ -265,6 +285,41 @@ class TestEval:
             roc = (out / "roc.csv").read_text().splitlines()
             assert roc[0] == "fpr,tpr"
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_reference_holdout(self, corpus, tmp_path, variant):
+        out = tmp_path / "eval"
+        argv = ["eval", *model_args(corpus, out), "--variant", variant,
+                "--holdout", "0.3"]
+        assert run_cli(*argv) == 0
+        args = build_parser().parse_args([str(a) for a in argv])
+        want = reference_holdout(
+            make_windows(_load_aligned(args), args.k), args.holdout, variant,
+            _train_config(args), _hyper(args), args.dim, args.threshold,
+            tmp_path / "roc.csv")
+        assert want["auc"] is not None  # so roc.csv is compared too
+        doc = json.loads((out / "metrics.json").read_text())
+        assert doc == {"variant": variant, "holdout_fraction": 0.3, **want}
+        assert (out / "roc.csv").read_bytes() == (tmp_path / "roc.csv").read_bytes()
+
+    def test_single_class_tail_omits_auc(self, corpus, tmp_path):
+        header, *rows = corpus["labels"].read_text().splitlines()
+        rows[-12:] = [row[: row.rindex(",")] + ",0" for row in rows[-12:]]
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "eval"
+        args = model_args(corpus, out)
+        args[args.index("--labels") + 1] = labels
+        # A child process, so the warning reaches stderr as it does for a user.
+        proc = subprocess.run(
+            [sys.executable, "-m", "spikecast.cli", "eval", *map(str, args)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "single-class" in proc.stderr
+        assert json.loads((out / "metrics.json").read_text())["auc"] is None
+        assert not (out / "roc.csv").exists()
+
 
 class TestAblate:
     @pytest.mark.filterwarnings("ignore::UserWarning")  # tiny folds may be single-class
@@ -284,6 +339,12 @@ class TestAblate:
         assert run_cli("ablate", *model_args(corpus, tmp_path / "x"),
                        "--variants", "full,bogus") == 1
         assert "bogus" in capsys.readouterr().err
+
+    def test_repeated_variant_exits_one(self, corpus, tmp_path, capsys):
+        assert run_cli("ablate", *model_args(corpus, tmp_path / "x"),
+                       "--variants", "no_news,logreg,no_news") == 1
+        assert "repeated variants: no_news" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestReport:

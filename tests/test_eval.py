@@ -112,10 +112,19 @@ class TestFoldPlan:
         FoldPlan(n=10, n_folds=1, folds=(((0, 4), (6, 8)),))
 
 
+def holdout_parts(samples, fraction):
+    """The training and test windows of holdout_split's one fold."""
+    plan = holdout_split(len(samples), fraction)
+    assert plan.n_folds == len(plan.folds) == 1
+    ((tr_lo, tr_hi), (te_lo, te_hi)), = plan.folds
+    return samples[tr_lo:tr_hi], samples[te_lo:te_hi]
+
+
 class TestHoldout:
     def test_worked_example(self):
         samples = windows(n=62, k=2)  # 60 windows
-        train, test = holdout_split(samples, 0.20)
+        assert holdout_split(60, 0.20).folds == (((0, 48), (48, 60)),)
+        train, test = holdout_parts(samples, 0.20)
         assert (len(train), len(test)) == (48, 12)
         for name in ("prices", "news", "targets", "years"):
             np.testing.assert_array_equal(
@@ -124,21 +133,20 @@ class TestHoldout:
 
     def test_ceil_rounding(self):
         samples = windows(n=12, k=2)  # 10 windows
-        train, test = holdout_split(samples, 0.25)
+        train, test = holdout_parts(samples, 0.25)
         assert (len(train), len(test)) == (7, 3)  # ceil(2.5) = 3
 
     def test_chronology(self):
-        train, test = holdout_split(windows(n=40, k=3), 0.2)
+        train, test = holdout_parts(windows(n=40, k=3), 0.2)
         assert train.anchor_years.max() < test.anchor_years.min()
 
     def test_errors(self):
-        samples = windows(n=12, k=2)
         with pytest.raises(ConfigError):
-            holdout_split(samples, 0.0)
+            holdout_split(10, 0.0)
         with pytest.raises(ConfigError):
-            holdout_split(samples, 0.6)
+            holdout_split(10, 0.6)
         with pytest.raises(InsufficientDataError):
-            holdout_split(samples[:4], 0.2)
+            holdout_split(4, 0.2)
 
 
 class TestRocAuc:
@@ -324,8 +332,8 @@ class TestRunCv:
 
     def test_structure_no_news(self):
         samples = windows(n=33, k=3)  # 30 windows
-        report = run_cv(samples, "no_news", self.CONFIG, self.HYPER,
-                        n_folds=4, d_prime=3)
+        report = run_cv(samples, "no_news", self.CONFIG,
+                        time_series_split(len(samples), 4), self.HYPER, d_prime=3)
         assert report.variant == "no_news"
         assert len(report.folds) == 4
         plan = time_series_split(30, 4)
@@ -339,17 +347,16 @@ class TestRunCv:
 
     def test_no_test_anchor_precedes_training(self):
         samples = windows(n=33, k=3)
-        report = run_cv(samples, "no_news", self.CONFIG, self.HYPER,
-                        n_folds=4, d_prime=3)
+        report = run_cv(samples, "no_news", self.CONFIG,
+                        time_series_split(len(samples), 4), self.HYPER, d_prime=3)
         for fold in report.folds:
             assert fold.train_anchor_span[1] < fold.test_anchor_span[0]
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # tiny folds may be single-class
     def test_fold_pca_fits_on_train_rows_only(self):
         samples = windows(n=27, k=3, d=5)  # 24 windows
-        report = run_cv(samples, "full", self.CONFIG, self.HYPER,
-                        n_folds=3, d_prime=3)
         plan = time_series_split(len(samples), 3)
+        report = run_cv(samples, "full", self.CONFIG, plan, self.HYPER, d_prime=3)
         for fold, ((tr_lo, tr_hi), _) in zip(report.folds, plan.folds):
             years, basis = fit_fold_pca(samples[tr_lo:tr_hi], 3)
             assert fold.pca_train_years == years
@@ -358,9 +365,17 @@ class TestRunCv:
                                           basis.components)
             np.testing.assert_array_equal(fold.pca_basis.mean, basis.mean)
 
+    def test_plan_must_cover_samples(self):
+        samples = windows(n=33, k=3)  # 30 windows
+        with pytest.raises(ConfigError, match="plan covers 31 samples, got 30"):
+            run_cv(samples, "no_news", self.CONFIG, time_series_split(31, 4),
+                   self.HYPER, d_prime=3)
+        with pytest.raises(ConfigError, match="plan covers 29 samples, got 30"):
+            baseline_logreg(samples, holdout_split(29, 0.2), d_prime=3)
+
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
-            run_cv(windows(), "bilinear", self.CONFIG)
+            run_cv(windows(), "bilinear", self.CONFIG, time_series_split(28, 5))
 
 
 class TestLogregBaseline:
@@ -428,7 +443,8 @@ class TestLogregBaseline:
 
     def test_report_structure(self):
         samples = windows(n=33, k=3)
-        report = baseline_logreg(samples, n_folds=3, d_prime=3, iters=50)
+        report = baseline_logreg(samples, time_series_split(len(samples), 3),
+                                 d_prime=3, iters=50)
         assert report.variant == BASELINE_VARIANT
         assert len(report.folds) == 3
         for fold in report.folds:
@@ -437,9 +453,10 @@ class TestLogregBaseline:
 
     def test_same_fold_plan_as_model_cv(self):
         samples = windows(n=33, k=3)
-        base = baseline_logreg(samples, n_folds=4, d_prime=3, iters=5)
-        model = run_cv(samples, "no_news", TestRunCv.CONFIG, TestRunCv.HYPER,
-                       n_folds=4, d_prime=3)
+        plan = time_series_split(len(samples), 4)
+        base = baseline_logreg(samples, plan, d_prime=3, iters=5)
+        model = run_cv(samples, "no_news", TestRunCv.CONFIG, plan, TestRunCv.HYPER,
+                       d_prime=3)
         for bf, mf in zip(base.folds, model.folds):
             assert (bf.n_train, bf.n_test) == (mf.n_train, mf.n_test)
             assert bf.test_anchor_span == mf.test_anchor_span
@@ -454,7 +471,7 @@ class TestSingleClassFold:
 
     def test_auc_excluded_with_warning(self):
         with pytest.warns(UserWarning, match="single-class"):
-            report = baseline_logreg(self._rigged_samples(), n_folds=3,
+            report = baseline_logreg(self._rigged_samples(), time_series_split(24, 3),
                                      d_prime=3, iters=20)
         assert report.auc_folds_used == 2
         assert report.auc_folds_excluded == 1
@@ -464,7 +481,7 @@ class TestSingleClassFold:
 
     def test_csv_empty_cell_for_undefined_auc(self, tmp_path):
         with pytest.warns(UserWarning):
-            report = baseline_logreg(self._rigged_samples(), n_folds=3,
+            report = baseline_logreg(self._rigged_samples(), time_series_split(24, 3),
                                      d_prime=3, iters=20)
         path = tmp_path / "report.csv"
         write_report_csv([report], path)
@@ -478,7 +495,8 @@ class TestSingleClassFold:
 
 class TestWriters:
     def _report(self):
-        return baseline_logreg(windows(n=33, k=3), n_folds=3, d_prime=3, iters=20)
+        return baseline_logreg(windows(n=33, k=3), time_series_split(30, 3),
+                               d_prime=3, iters=20)
 
     def test_report_csv_row_count_and_parse(self, tmp_path):
         report = self._report()
