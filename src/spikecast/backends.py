@@ -14,6 +14,8 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
+import numpy as np
+
 from .errors import BackendError, ConfigError
 
 _YEAR_RE = re.compile(r"\b(1[0-9]{3}|2[0-9]{3})\b")
@@ -128,18 +130,14 @@ class MockBackend:
         return Verdict(0, f"rejection {seen + 1} of {needed}")
 
     def embed(self, text: str) -> list[float]:
-        """dim floats in [-1, 1), a pure function of (seed, text)."""
-        values: list[float] = []
-        block = 0
-        while len(values) < self.dim:
-            digest = hashlib.sha256(f"{self.seed}|emb|{block}|{text}".encode()).digest()
-            for i in range(0, len(digest) - 7, 8):
-                if len(values) == self.dim:
-                    break
-                u = int.from_bytes(digest[i : i + 8], "big")
-                values.append(u / 2**63 - 1.0)
-            block += 1
-        return values
+        """dim floats in [-1, 1), a pure function of (seed, text): each
+        big-endian 8-byte word u of the sha256 block digests gives
+        u / 2**63 - 1, exactly as Python's int division rounds it."""
+        blocks = b"".join(
+            hashlib.sha256(f"{self.seed}|emb|{block}|{text}".encode()).digest()
+            for block in range(-(-self.dim // 4))
+        )
+        return (np.frombuffer(blocks, ">u8")[: self.dim] / 2.0**63 - 1.0).tolist()
 
 
 _REGISTRY: dict[str, Callable[..., TextBackend]] = {"mock": MockBackend}

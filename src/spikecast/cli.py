@@ -472,85 +472,93 @@ def _apply_config(subparsers: dict[str, argparse.ArgumentParser],
 
 # --- parser assembly -------------------------------------------------------------
 
-def build_parser(overrides: dict[str, str] | None = None) -> _Parser:
+# Each subcommand's options as (flag, add_argument keywords), in help order.
+_COMMON_OPTIONS = (
+    ("--seed", dict(type=int, default=0)),
+    ("--config", dict(default=None, help="flat key = value file")),
+    ("--out", dict(default="run", help="output directory")),
+    ("--force", dict(action="store_true",
+                     help="write into an existing run directory")),
+)
+_BACKEND_OPTIONS = (
+    ("--backend", dict(default="mock")),
+    ("--mock-dim", dict(dest="mock_dim", type=int, default=64)),
+)
+_MODEL_OPTIONS = _COMMON_OPTIONS + (
+    ("--k", dict(type=int, default=5)),
+    ("--dim", dict(type=int, default=16, help="reduced news dimension")),
+    ("--h", dict(type=int, default=32)),
+    ("--h-a", dict(dest="h_a", type=int, default=32)),
+    ("--dropout", dict(type=float, default=0.3)),
+    ("--alpha", dict(type=float, default=1e-3)),
+    ("--batch-size", dict(dest="batch_size", type=int, default=8)),
+    ("--epochs", dict(type=int, default=100)),
+    ("--patience", dict(type=int, default=10)),
+    ("--weight-decay", dict(dest="weight_decay", type=float, default=1e-4)),
+    ("--validation-fraction", dict(dest="validation_fraction", type=float,
+                                   default=0.15)),
+    ("--clip-norm", dict(dest="clip_norm", type=float, default=5.0)),
+    ("--pos-weight", dict(dest="pos_weight", type=float, default=None)),
+    ("--threshold", dict(type=float, default=0.5, help="classification threshold")),
+    ("--prices", dict(required=True)),
+    ("--labels", dict(required=True)),
+    ("--embeddings", dict(required=True)),
+)
+_VARIANT_OPTION = ("--variant", dict(choices=VARIANTS, default="full"))
+
+_OPTIONS = {
+    "ingest": _COMMON_OPTIONS + (("--in", dict(dest="infile", required=True)),),
+    "label": _COMMON_OPTIONS + (
+        ("--in", dict(dest="infile", required=True)),
+        ("--threshold", dict(type=float, default=25.0,
+                             help="spike threshold in percent")),
+    ),
+    "distill": _COMMON_OPTIONS + _BACKEND_OPTIONS + (
+        ("--years", dict(type=_parse_years, default=tuple(range(1960, 2024)),
+                         help="inclusive LO:HI range")),
+        ("--max-retries", dict(dest="max_retries", type=int, default=5)),
+        ("--fallback-policy", dict(dest="fallback_policy",
+                                   choices=("skip", "placeholder"), default="skip")),
+        ("--commodities", dict(type=_parse_names,
+                               default=("crude oil", "natural gas", "coal"))),
+        ("--in-flight", dict(dest="in_flight", type=int, default=1)),
+    ),
+    "embed": _COMMON_OPTIONS + _BACKEND_OPTIONS + (
+        ("--summaries", dict(required=True)),
+    ),
+    "reduce": _COMMON_OPTIONS + (
+        ("--embeddings", dict(required=True)),
+        ("--dim", dict(type=int, default=16)),
+    ),
+    "train": _MODEL_OPTIONS + (_VARIANT_OPTION,),
+    "eval": _MODEL_OPTIONS + (
+        _VARIANT_OPTION,
+        ("--holdout", dict(type=float, default=0.20)),
+    ),
+    "ablate": _MODEL_OPTIONS + (
+        ("--variants", dict(type=_parse_names, default=VARIANTS)),
+        ("--folds", dict(type=int, default=5)),
+    ),
+    "report": _COMMON_OPTIONS + tuple(
+        (flag, dict(default=None))
+        for flag in ("--labels", "--summary", "--roc", "--history")
+    ),
+}
+
+
+def build_parser(overrides: dict[str, str] | None = None,
+                 command: str | None = None) -> _Parser:
+    """The CLI parser: every subcommand, or only `command` when it is given."""
     parser = _Parser(prog="spikecast", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--config", default=None, help="flat key = value file")
-    common.add_argument("--out", default="run", help="output directory")
-    common.add_argument("--force", action="store_true",
-                        help="write into an existing run directory")
-
-    backendish = _Parser(add_help=False)
-    backendish.add_argument("--backend", default="mock")
-    backendish.add_argument("--mock-dim", dest="mock_dim", type=int, default=64)
-
-    trainish = _Parser(add_help=False)
-    trainish.add_argument("--k", type=int, default=5)
-    trainish.add_argument("--dim", type=int, default=16,
-                          help="reduced news dimension")
-    trainish.add_argument("--h", type=int, default=32)
-    trainish.add_argument("--h-a", dest="h_a", type=int, default=32)
-    trainish.add_argument("--dropout", type=float, default=0.3)
-    trainish.add_argument("--alpha", type=float, default=1e-3)
-    trainish.add_argument("--batch-size", dest="batch_size", type=int, default=8)
-    trainish.add_argument("--epochs", type=int, default=100)
-    trainish.add_argument("--patience", type=int, default=10)
-    trainish.add_argument("--weight-decay", dest="weight_decay", type=float, default=1e-4)
-    trainish.add_argument("--validation-fraction", dest="validation_fraction",
-                          type=float, default=0.15)
-    trainish.add_argument("--clip-norm", dest="clip_norm", type=float, default=5.0)
-    trainish.add_argument("--pos-weight", dest="pos_weight", type=float, default=None)
-    trainish.add_argument("--threshold", type=float, default=0.5,
-                          help="classification threshold")
-
     sp = {}
-    sp["ingest"] = subs.add_parser("ingest", parents=[common])
-    sp["ingest"].add_argument("--in", dest="infile", required=True)
-
-    sp["label"] = subs.add_parser("label", parents=[common])
-    sp["label"].add_argument("--in", dest="infile", required=True)
-    sp["label"].add_argument("--threshold", type=float, default=25.0,
-                             help="spike threshold in percent")
-
-    sp["distill"] = subs.add_parser("distill", parents=[common, backendish])
-    sp["distill"].add_argument("--years", type=_parse_years,
-                               default=tuple(range(1960, 2024)),
-                               help="inclusive LO:HI range")
-    sp["distill"].add_argument("--max-retries", dest="max_retries", type=int, default=5)
-    sp["distill"].add_argument("--fallback-policy", dest="fallback_policy",
-                               choices=("skip", "placeholder"), default="skip")
-    sp["distill"].add_argument("--commodities", type=_parse_names,
-                               default=("crude oil", "natural gas", "coal"))
-    sp["distill"].add_argument("--in-flight", dest="in_flight", type=int, default=1)
-
-    sp["embed"] = subs.add_parser("embed", parents=[common, backendish])
-    sp["embed"].add_argument("--summaries", required=True)
-
-    sp["reduce"] = subs.add_parser("reduce", parents=[common])
-    sp["reduce"].add_argument("--embeddings", required=True)
-    sp["reduce"].add_argument("--dim", type=int, default=16)
-
-    for name in ("train", "eval", "ablate"):
-        sp[name] = subs.add_parser(name, parents=[common, trainish])
-        sp[name].add_argument("--prices", required=True)
-        sp[name].add_argument("--labels", required=True)
-        sp[name].add_argument("--embeddings", required=True)
-    sp["train"].add_argument("--variant", choices=VARIANTS, default="full")
-    sp["eval"].add_argument("--variant", choices=VARIANTS, default="full")
-    sp["eval"].add_argument("--holdout", type=float, default=0.20)
-    sp["ablate"].add_argument("--variants", type=_parse_names,
-                              default=VARIANTS)
-    sp["ablate"].add_argument("--folds", type=int, default=5)
-
-    sp["report"] = subs.add_parser("report", parents=[common])
-    sp["report"].add_argument("--labels", default=None)
-    sp["report"].add_argument("--summary", default=None)
-    sp["report"].add_argument("--roc", default=None)
-    sp["report"].add_argument("--history", default=None)
-
+    for name in (command,) if command else _OPTIONS:
+        sp[name] = subs.add_parser(name)
+        for flag, kwargs in _OPTIONS[name]:
+            sp[name].add_argument(flag, **kwargs)
+    if command:
+        # Usage lines list every command, as they do when all are registered.
+        subs.metavar = "{" + ",".join(_OPTIONS) + "}"
     if overrides:
         _apply_config(sp, overrides)
     return parser
@@ -563,7 +571,11 @@ def main(argv=None) -> int:
         pre.add_argument("--config", default=None)
         known, _ = pre.parse_known_args(argv)
         overrides = load_config_file(known.config) if known.config else {}
-        parser = build_parser(overrides)
+        # Every subcommand's parser is built only for help, an unknown
+        # command, or a config file, whose keys may belong to any command.
+        own = (argv and argv[0] in _OPTIONS and known.config is None
+               and "-h" not in argv and "--help" not in argv)
+        parser = build_parser(overrides, argv[0] if own else None)
         args = parser.parse_args(argv)
 
         if args.command == "ablate":

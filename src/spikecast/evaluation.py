@@ -244,15 +244,17 @@ def fit_fold_pca(train_samples: Windows, d_prime: int):
     return years, basis
 
 
-def _fold_auc(scores, labels, fold: int, variant: str) -> float | None:
+def _fold_auc(scores, labels, fold: int, n_folds: int, variant: str) -> float | None:
+    """The fold's AUC, or None with a warning when its test labels are one
+    class. The warning names the caller of run_cv or baseline_logreg, which
+    reach this through _run_folds."""
     try:
         return roc_auc(scores, labels)
     except UndefinedMetricError:
-        warnings.warn(
-            f"variant {variant} fold {fold}: single-class test labels, "
-            "AUC excluded from the mean",
-            stacklevel=4,
-        )
+        where, effect = (("hold-out", "AUC undefined") if n_folds == 1 else
+                         (f"fold {fold}", "AUC excluded from the mean"))
+        warnings.warn(f"variant {variant} {where}: single-class test labels, {effect}",
+                      stacklevel=4)
         return None
 
 
@@ -281,7 +283,7 @@ def _run_folds(samples, variant, fit_score, fits_pca: bool, plan: FoldPlan,
             n_test=len(test_s),
             train_anchor_span=tuple(train_s.anchor_years[[0, -1]].tolist()),
             test_anchor_span=tuple(test_s.anchor_years[[0, -1]].tolist()),
-            auc=_fold_auc(scores, labels, idx, variant),
+            auc=_fold_auc(scores, labels, idx, plan.n_folds, variant),
             metrics=classification_metrics(scores, labels, threshold),
             scores=scores,
             pca_train_years=pca_years,

@@ -22,6 +22,17 @@ SUMMARY_FIELDS = (
     "backend_id", "created_at",
 )
 EMBEDDING_FORMAT = "spikecast-embeddings/1"
+_KINDS = {int: "an integer", bool: "true or false", str: "a string", list: "a list"}
+_NUMBERS = frozenset((int, float))
+
+
+def _field(obj: dict, key: str, kind: type):
+    """obj[key], which must have exactly the JSON type `kind`: a boolean is
+    not an integer, and a number is not a string."""
+    value = obj[key]
+    if type(value) is not kind:
+        raise ValidationError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -67,7 +78,7 @@ class _YearStore:
                 continue
             try:
                 entries.append((lineno, json.loads(line)))
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an over-long integer
                 raise StoreError(f"{self.path}:{lineno}: invalid JSON: {exc}") from None
         return entries
 
@@ -104,17 +115,21 @@ class SummaryStore(_YearStore):
                     f"{SUMMARY_FIELDS}"
                 )
             try:
+                commodities = _field(obj, "commodities", list)
+                if not all(type(c) is str for c in commodities):
+                    raise ValidationError(
+                        f"commodities must be a list of strings, got {commodities!r}")
                 rec = NewsSummary(
-                    year=int(obj["year"]),
-                    commodities=tuple(str(c) for c in obj["commodities"]),
-                    summary=str(obj["summary"]),
-                    verified=bool(obj["verified"]),
-                    retries=int(obj["retries"]),
-                    backend_id=str(obj["backend_id"]),
-                    created_at=str(obj["created_at"]),
+                    year=_field(obj, "year", int),
+                    commodities=tuple(commodities),
+                    summary=_field(obj, "summary", str),
+                    verified=_field(obj, "verified", bool),
+                    retries=_field(obj, "retries", int),
+                    backend_id=_field(obj, "backend_id", str),
+                    created_at=_field(obj, "created_at", str),
                 )
                 self._check_new(rec.year)
-            except (TypeError, ValueError, OverflowError, ValidationError) as exc:
+            except ValidationError as exc:
                 raise StoreError(f"{self.path}:{lineno}: {exc}") from None
             self._records[rec.year] = rec
 
@@ -173,15 +188,39 @@ class EmbeddingStore(_YearStore):
                 f"{self.path}: store dim {stored_dim} != requested {self.dim}"
             )
         self.dim = stored_dim
+        linenos = []
         for lineno, obj in entries[1:]:
             try:
-                year = int(obj["year"])
-                if obj["dim"] != self.dim:
-                    raise ValidationError(f"dim {obj['dim']!r} != store dim {self.dim}")
+                if not isinstance(obj, dict):
+                    raise ValidationError("record is not a JSON object")
+                year = _field(obj, "year", int)
+                dim = _field(obj, "dim", int)
+                if dim != self.dim:
+                    raise ValidationError(f"dim {dim} != store dim {self.dim}")
+                values = _field(obj, "values", list)
+                if len(values) != dim:
+                    raise ValidationError(f"year {year}: {len(values)} values, dim {dim}")
+                if not _NUMBERS.issuperset(map(type, values)):
+                    raise ValidationError(f"year {year}: embedding values must be numbers")
                 self._check_new(year)
-                self.put(year, obj["values"])
-            except (KeyError, TypeError, ValueError, OverflowError, ValidationError,
-                    StoreError) as exc:
+            except (KeyError, ValidationError) as exc:
+                raise StoreError(f"{self.path}:{lineno}: {exc}") from None
+            self._records[year] = values
+            linenos.append(lineno)
+        # All rows at once; only a failure goes back through put, row by row,
+        # to find the line to name.
+        try:
+            rows = np.array(list(self._records.values()), dtype=float)
+            finite = bool(np.isfinite(rows).all())
+        except OverflowError:
+            finite = False
+        if finite:
+            self._records = dict(zip(self._records, rows))
+            return
+        for lineno, (year, values) in zip(linenos, list(self._records.items())):
+            try:
+                self.put(year, values)
+            except ValidationError as exc:
                 raise StoreError(f"{self.path}:{lineno}: {exc}") from None
 
     def put(self, year: int, values) -> None:

@@ -1,6 +1,7 @@
 """Shared synthetic data builders and brute-force oracles."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -116,6 +117,23 @@ def flat_order_clip(hyper, variant):
         return total
 
     return clip
+
+
+def reference_mock_embed(seed: int, dim: int, text: str) -> list[float]:
+    """MockBackend.embed one value at a time: each big-endian 8-byte word u
+    of sha256("{seed}|emb|{block}|{text}"), block = 0, 1, ..., gives
+    u / 2**63 - 1.0 in Python's int division."""
+    values: list[float] = []
+    block = 0
+    while len(values) < dim:
+        digest = hashlib.sha256(f"{seed}|emb|{block}|{text}".encode()).digest()
+        for i in range(0, len(digest) - 7, 8):
+            if len(values) == dim:
+                break
+            u = int.from_bytes(digest[i : i + 8], "big")
+            values.append(u / 2**63 - 1.0)
+        block += 1
+    return values
 
 
 def reference_load_embeddings(path) -> list:

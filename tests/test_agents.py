@@ -23,7 +23,11 @@ from spikecast.errors import (
 )
 from spikecast.stores import EmbeddingStore, NewsSummary, SummaryStore
 
-from conftest import assert_same_bits, reference_load_embeddings
+from conftest import (
+    assert_same_bits,
+    reference_load_embeddings,
+    reference_mock_embed,
+)
 
 CLOCK = lambda: "2026-01-01T00:00:00+00:00"
 YEARS3 = (1960, 1961, 1962)
@@ -69,6 +73,16 @@ class TestMockBackend:
         assert v1 == v2
         assert any(x != y for x, y in zip(v1, v3))
         assert all(-1.0 <= x < 1.0 for x in v1)
+
+    @pytest.mark.parametrize("dim", [1, 3, 4, 5, 16, 128, 131])
+    def test_embed_matches_reference_bits(self, dim):
+        texts = ("", "aaa", "In 1973 oil prices rose.", "caf\u00e9 \u2014 " * 40)
+        for seed in (0, 1, 951, 2**40):
+            for text in texts:
+                got = MockBackend(seed=seed, dim=dim).embed(text)
+                assert type(got) is list and all(type(v) is float for v in got)
+                want = reference_mock_embed(seed, dim, text)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_verdict_modes(self):
         text = "In 1970 things happened."
@@ -375,6 +389,24 @@ class TestSummaryStore:
         with pytest.raises(StoreError, match=r"s\.jsonl:3: year 1970 repeats"):
             SummaryStore(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("year", "1960"), ("year", 1960.0), ("year", True),
+        ("commodities", "oil"), ("commodities", ["oil", 3]),
+        ("summary", 5), ("verified", "false"), ("verified", 0),
+        ("retries", 1.9), ("retries", False), ("backend_id", None),
+        ("created_at", 0),
+    ])
+    def test_wrongly_typed_field_names_its_line(self, tmp_path, field, value):
+        path = tmp_path / "s.jsonl"
+        good = {
+            "year": 1970, "commodities": ["oil"], "summary": "ok", "verified": True,
+            "retries": 0, "backend_id": "m", "created_at": "t",
+        }
+        bad = {**good, "year": 1971, field: value}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(StoreError, match=rf"s\.jsonl:2: {field} must be"):
+            SummaryStore(path)
+
     def test_undecodable_file_rejected(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_bytes(b"\xff\xfe{}\n")
@@ -473,14 +505,35 @@ class TestEmbeddingStore:
         '[1960, 2, [0.1, 0.2]]',
         '{"year": 1e400, "dim": 2, "values": [0.1, 0.2]}',
         '{"year": 1960, "dim": 3, "values": [0.1, 0.2]}',
+        '{"year": 1960.7, "dim": 2, "values": [0.1, 0.2]}',
+        '{"year": true, "dim": 2, "values": [0.1, 0.2]}',
+        '{"year": 1960, "dim": 2.0, "values": [0.1, 0.2]}',
+        '{"year": 1960, "dim": 2, "values": ["1.5", 0.2]}',
+        '{"year": 1960, "dim": 2, "values": [1.5, true]}',
+        '{"year": 1960, "dim": 2, "values": {"a": 1, "b": 2}}',
+        '{"year": 1960, "dim": 2, "values": [1e400, 0.2]}',
+        '{"year": 1960, "dim": 2, "values": [1%s, 0.2]}' % ("0" * 400),
+        '{"year": 1960, "dim": 2, "values": [1%s, 0.2]}' % ("0" * 5000),
     ], ids=["short", "nan", "string", "nested", "no-values", "not-object", "year-inf",
-            "dim-field"])
+            "dim-field", "year-float", "year-bool", "dim-float", "value-string",
+            "value-bool", "values-object", "value-inf", "value-overflow",
+            "value-too-many-digits"])
     def test_bad_record_names_its_line(self, tmp_path, record):
         path = tmp_path / "e.jsonl"
         path.write_text('{"format": "spikecast-embeddings/1", "dim": 2}\n'
                         '{"year": 1959, "dim": 2, "values": [0.1, 0.2]}\n'
                         + record + "\n")
         with pytest.raises(StoreError, match=r"e\.jsonl:3: "):
+            EmbeddingStore(path)
+
+    @pytest.mark.parametrize("value", ["NaN", "-1e400", "1" + "0" * 400])
+    def test_bad_value_between_good_rows_names_its_line(self, tmp_path, value):
+        path = tmp_path / "e.jsonl"
+        rows = ['{"year": %d, "dim": 2, "values": [0.1, 0.2]}' % y for y in range(1960, 1965)]
+        rows[2] = '{"year": 1962, "dim": 2, "values": [0.1, %s]}' % value
+        path.write_text('{"format": "spikecast-embeddings/1", "dim": 2}\n'
+                        + "\n".join(rows) + "\n")
+        with pytest.raises(StoreError, match=r"e\.jsonl:4: year 1962: "):
             EmbeddingStore(path)
 
     def test_repeated_year_rejected(self, tmp_path):

@@ -61,6 +61,21 @@ def model_args(corpus, out):
     ]
 
 
+def run_single_class_tail(corpus, tmp_path, command, out, *extra):
+    """`command` run on labels whose last 12 years are all 0, in a child
+    process, so that warnings reach stderr as they do for a user."""
+    header, *rows = corpus["labels"].read_text().splitlines()
+    rows[-12:] = [row[: row.rindex(",")] + ",0" for row in rows[-12:]]
+    labels = tmp_path / "labels.csv"
+    labels.write_text("\n".join([header, *rows]) + "\n")
+    args = model_args(corpus, out)
+    args[args.index("--labels") + 1] = labels
+    return subprocess.run(
+        [sys.executable, "-m", "spikecast.cli", command, *map(str, args), *extra],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
 class TestIngest:
     def test_artifacts_and_manifest(self, tmp_path):
         prices = tmp_path / "prices.csv"
@@ -302,21 +317,12 @@ class TestEval:
         assert (out / "roc.csv").read_bytes() == (tmp_path / "roc.csv").read_bytes()
 
     def test_single_class_tail_omits_auc(self, corpus, tmp_path):
-        header, *rows = corpus["labels"].read_text().splitlines()
-        rows[-12:] = [row[: row.rindex(",")] + ",0" for row in rows[-12:]]
-        labels = tmp_path / "labels.csv"
-        labels.write_text("\n".join([header, *rows]) + "\n")
         out = tmp_path / "eval"
-        args = model_args(corpus, out)
-        args[args.index("--labels") + 1] = labels
-        # A child process, so the warning reaches stderr as it does for a user.
-        proc = subprocess.run(
-            [sys.executable, "-m", "spikecast.cli", "eval", *map(str, args)],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
+        proc = run_single_class_tail(corpus, tmp_path, "eval", out)
         assert proc.returncode == 0, proc.stderr
-        assert "single-class" in proc.stderr
+        assert ("cli.py" in proc.stderr and "UserWarning: variant full hold-out: "
+                "single-class test labels, AUC undefined\n" in proc.stderr)
+        assert "mean" not in proc.stderr
         assert json.loads((out / "metrics.json").read_text())["auc"] is None
         assert not (out / "roc.csv").exists()
 
@@ -334,6 +340,18 @@ class TestAblate:
         assert len(lines) == 1 + 2 * 3
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary) == {"no_news", "logreg"}
+
+    def test_single_class_fold_warns(self, corpus, tmp_path):
+        out = tmp_path / "ablate"
+        proc = run_single_class_tail(corpus, tmp_path, "ablate", out,
+                                     "--variants", "logreg", "--folds", "3")
+        assert proc.returncode == 0, proc.stderr
+        for fold in (2, 3):  # the last 12 labels cover both test blocks
+            assert (f"UserWarning: variant logreg fold {fold}: single-class test "
+                    "labels, AUC excluded from the mean\n") in proc.stderr
+        assert "cli.py" in proc.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["logreg"]["auc_folds_excluded"] == 2
 
     def test_unknown_variant_exits_one(self, corpus, tmp_path, capsys):
         assert run_cli("ablate", *model_args(corpus, tmp_path / "x"),
@@ -478,6 +496,42 @@ class TestExitCodes:
         assert str(bad) in err and "Traceback" not in err
 
 
+GOLDEN_HELP = Path(__file__).resolve().parent / "golden" / "help"
+TOP_USAGE = (
+    "usage: spikecast [-h]\n"
+    "                 {ingest,label,distill,embed,reduce,train,eval,ablate,report}\n"
+    "                 ...\n\n"
+)
+
+
+class TestParserText:
+    """What the parser prints, pinned as text: help, and usage errors."""
+
+    @pytest.mark.parametrize("command", [
+        None, "ingest", "label", "distill", "embed", "reduce", "train", "eval",
+        "ablate", "report",
+    ])
+    def test_help(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*([command] if command else []), "--help")
+        assert exc.value.code == 0
+        golden = GOLDEN_HELP / f"{command or 'spikecast'}.txt"
+        assert capsys.readouterr().out == golden.read_text()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose "
+                         "from 'ingest', 'label', 'distill', 'embed', 'reduce', "
+                         "'train', 'eval', 'ablate', 'report')"),
+        ([], "the following arguments are required: command"),
+        (["ingest", "--in", "x.csv", "--wat", "1"], "unrecognized arguments: --wat 1"),
+    ], ids=["unknown-command", "missing-command", "unknown-flag"])
+    def test_usage_error(self, monkeypatch, capsys, argv, message):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n{TOP_USAGE}"
+
+
 class TestConfigFile:
     def test_parse(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -534,6 +588,21 @@ class TestConfigFile:
         cfg.write_text("epochs = soon\n")
         assert run_cli("train", *model_args(corpus, tmp_path / "t"),
                        "--config", cfg) == 1
+
+    def test_key_of_another_command_accepted(self, corpus, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("holdout = 0.3\n")
+        out = tmp_path / "train"
+        assert run_cli("train", *model_args(corpus, out), "--config", cfg) == 0
+        assert "holdout" not in json.loads((out / "manifest.json").read_text())["config"]
+
+    def test_bad_value_of_another_commands_key_exits_one(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = abc\n")
+        assert run_cli("label", "--in", corpus["prices"], "--config", cfg,
+                       "--out", tmp_path / "o") == 1
+        assert "config key epochs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("distill", "--years", "1970:1970",

@@ -470,14 +470,28 @@ class TestSingleClassFold:
         return replace(samples, targets=targets)
 
     def test_auc_excluded_with_warning(self):
-        with pytest.warns(UserWarning, match="single-class"):
+        with pytest.warns(UserWarning, match="single-class") as caught:
             report = baseline_logreg(self._rigged_samples(), time_series_split(24, 3),
                                      d_prime=3, iters=20)
+        (warning,) = caught
+        assert str(warning.message) == ("variant logreg fold 3: single-class test "
+                                         "labels, AUC excluded from the mean")
+        assert warning.filename == __file__  # the line that called baseline_logreg
         assert report.auc_folds_used == 2
         assert report.auc_folds_excluded == 1
         assert report.folds[-1].auc is None
         assert report.folds[0].auc is not None
         assert "auc" in report.mean  # mean over the two defined folds
+
+    def test_holdout_auc_undefined_with_warning(self):
+        with pytest.warns(UserWarning, match="single-class") as caught:
+            report = run_cv(self._rigged_samples(), "no_news", TestRunCv.CONFIG,
+                            holdout_split(24, 0.25), TestRunCv.HYPER, d_prime=3)
+        (warning,) = caught
+        assert str(warning.message) == ("variant no_news hold-out: single-class "
+                                        "test labels, AUC undefined")
+        assert warning.filename == __file__  # the line that called run_cv
+        assert report.folds[0].auc is None
 
     def test_csv_empty_cell_for_undefined_auc(self, tmp_path):
         with pytest.warns(UserWarning):
