@@ -571,10 +571,9 @@ def main(argv=None) -> int:
         pre.add_argument("--config", default=None)
         known, _ = pre.parse_known_args(argv)
         overrides = load_config_file(known.config) if known.config else {}
-        # Every subcommand's parser is built only for help, an unknown
-        # command, or a config file, whose keys may belong to any command.
-        own = (argv and argv[0] in _OPTIONS and known.config is None
-               and "-h" not in argv and "--help" not in argv)
+        # Every subcommand's parser is built only for an unknown command or
+        # a config file, whose keys may belong to any command.
+        own = argv and argv[0] in _OPTIONS and known.config is None
         parser = build_parser(overrides, argv[0] if own else None)
         args = parser.parse_args(argv)
 

@@ -188,7 +188,6 @@ class EmbeddingStore(_YearStore):
                 f"{self.path}: store dim {stored_dim} != requested {self.dim}"
             )
         self.dim = stored_dim
-        linenos = []
         for lineno, obj in entries[1:]:
             try:
                 if not isinstance(obj, dict):
@@ -203,24 +202,8 @@ class EmbeddingStore(_YearStore):
                 if not _NUMBERS.issuperset(map(type, values)):
                     raise ValidationError(f"year {year}: embedding values must be numbers")
                 self._check_new(year)
-            except (KeyError, ValidationError) as exc:
-                raise StoreError(f"{self.path}:{lineno}: {exc}") from None
-            self._records[year] = values
-            linenos.append(lineno)
-        # All rows at once; only a failure goes back through put, row by row,
-        # to find the line to name.
-        try:
-            rows = np.array(list(self._records.values()), dtype=float)
-            finite = bool(np.isfinite(rows).all())
-        except OverflowError:
-            finite = False
-        if finite:
-            self._records = dict(zip(self._records, rows))
-            return
-        for lineno, (year, values) in zip(linenos, list(self._records.items())):
-            try:
                 self.put(year, values)
-            except ValidationError as exc:
+            except (KeyError, ValidationError, StoreError) as exc:
                 raise StoreError(f"{self.path}:{lineno}: {exc}") from None
 
     def put(self, year: int, values) -> None:

@@ -519,6 +519,22 @@ class TestParserText:
         golden = GOLDEN_HELP / f"{command or 'spikecast'}.txt"
         assert capsys.readouterr().out == golden.read_text()
 
+    @pytest.mark.parametrize("command", [
+        "ingest", "label", "distill", "embed", "reduce", "train", "eval",
+        "ablate", "report",
+    ])
+    def test_help_with_all_parsers(self, monkeypatch, capsys, tmp_path, command):
+        # A config file makes main register all nine subcommands; the help
+        # must read as it does with only the invoked one registered.
+        monkeypatch.setenv("COLUMNS", "80")
+        config = tmp_path / "empty.conf"
+        config.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--config", config, "--help")
+        assert exc.value.code == 0
+        golden = GOLDEN_HELP / f"{command}.txt"
+        assert capsys.readouterr().out == golden.read_text()
+
     @pytest.mark.parametrize("argv,message", [
         (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose "
                          "from 'ingest', 'label', 'distill', 'embed', 'reduce', "
