@@ -266,16 +266,26 @@ def _cmd_reduce(args, out: Path) -> list[str]:
     reduced.write()
 
     doc = {
-        "mean": [float(v) for v in basis.mean],
+        "mean": basis.mean.tolist(),
         "components_shape": list(basis.components.shape),
-        "components": [float(v) for v in basis.components.reshape(-1)],
-        "explained_variance": [float(v) for v in basis.explained_variance],
+        "components": basis.components.reshape(-1).tolist(),
+        "explained_variance": basis.explained_variance.tolist(),
         "fitted_on": basis.fitted_on,
     }
-    with open(out / "basis.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    (out / "basis.json").write_text(_dumps_indent2(doc) + "\n")
     return ["reduced.jsonl", "basis.json"]
+
+
+def _dumps_indent2(doc: dict) -> str:
+    """json.dumps(doc, indent=2) for a dict of scalars and lists of scalars,
+    from the C encoder, which json.dumps only runs without indent: a
+    separator of ",\n    " lays a list out one item a line."""
+    def value(v):
+        text = json.dumps(v, separators=(",\n    ", ": "))
+        return f"[\n    {text[1:-1]}\n  ]" if isinstance(v, list) and v else text
+
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {value(v)}"
+                               for k, v in doc.items()) + "\n}"
 
 
 def _load_aligned(args):

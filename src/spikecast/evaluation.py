@@ -12,10 +12,11 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError, UndefinedMetricError
+from .errors import ConfigError, ContractError, InsufficientDataError, UndefinedMetricError
 from .model import (
     ModelHyper,
     TrainConfig,
@@ -247,7 +248,7 @@ def fit_fold_pca(train_samples: Windows, d_prime: int):
 def _fold_auc(scores, labels, fold: int, n_folds: int, variant: str) -> float | None:
     """The fold's AUC, or None with a warning when its test labels are one
     class. The warning names the caller of run_cv or baseline_logreg, which
-    reach this through _run_folds."""
+    reach this through _run_folds; call it from _run_folds's own frame."""
     try:
         return roc_auc(scores, labels)
     except UndefinedMetricError:
@@ -258,24 +259,26 @@ def _fold_auc(scores, labels, fold: int, n_folds: int, variant: str) -> float | 
         return None
 
 
-def _run_folds(samples, variant, fit_score, fits_pca: bool, plan: FoldPlan,
+def _run_folds(samples, variant, score_folds, fits_pca: bool, plan: FoldPlan,
                d_prime: int, threshold: float) -> EvalReport:
-    """The folds of `plan`, each scored by fit_score(train_s, test_s, basis).
+    """The folds of `plan`, all scored by one score_folds(folds) call.
 
-    Both parts hold raw news. With fits_pca, each fold refits PCA on its
-    training rows; otherwise basis is None.
+    folds holds one (train_s, test_s, basis) per fold; both parts hold raw
+    news. With fits_pca, each fold's basis is PCA refitted on its training
+    rows; otherwise basis is None. score_folds returns each fold's test
+    scores, in fold order.
     """
     if plan.n != len(samples):
         raise ConfigError(f"fold plan covers {plan.n} samples, got {len(samples)}")
-    results = []
-    for idx, ((tr_lo, tr_hi), (te_lo, te_hi)) in enumerate(plan.folds, start=1):
+    folds, pca_years = [], []
+    for (tr_lo, tr_hi), (te_lo, te_hi) in plan.folds:
         train_s = samples[tr_lo:tr_hi]
-        test_s = samples[te_lo:te_hi]
-        pca_years = None
-        basis = None
-        if fits_pca:
-            pca_years, basis = fit_fold_pca(train_s, d_prime)
-        scores = fit_score(train_s, test_s, basis)
+        years, basis = fit_fold_pca(train_s, d_prime) if fits_pca else (None, None)
+        folds.append((train_s, samples[te_lo:te_hi], basis))
+        pca_years.append(years)
+    results = []
+    for idx, ((train_s, test_s, basis), years, scores) in enumerate(
+            zip(folds, pca_years, score_folds(folds)), start=1):
         labels = test_s.targets
         results.append(FoldResult(
             fold=idx,
@@ -286,7 +289,7 @@ def _run_folds(samples, variant, fit_score, fits_pca: bool, plan: FoldPlan,
             auc=_fold_auc(scores, labels, idx, plan.n_folds, variant),
             metrics=classification_metrics(scores, labels, threshold),
             scores=scores,
-            pca_train_years=pca_years,
+            pca_train_years=years,
             pca_basis=basis,
         ))
     return _summarize(variant, threshold, plan.n_folds, results)
@@ -305,43 +308,93 @@ def run_cv(
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
 
-    def fit_score(train_s, test_s, basis):
-        params, _ = train(train_s, config, hyper=hyper, variant=variant, pca=basis)
-        return predict(params, test_s)
+    def score_folds(folds):
+        # One model alive at a time: no name keeps a fold's params while
+        # the next fold trains.
+        return [predict(train(train_s, config, hyper=hyper, variant=variant,
+                              pca=basis)[0], test_s)
+                for train_s, test_s, basis in folds]
 
-    return _run_folds(samples, variant, fit_score, variant in PCA_VARIANTS,
+    return _run_folds(samples, variant, score_folds, variant in PCA_VARIANTS,
                       plan, d_prime, threshold)
 
 
 # --- logistic-regression baseline ---------------------------------------------
 
-def _logreg_grad(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, l2: float):
-    """Probabilities and the (dw, db) gradient of logreg_loss_grad's loss."""
-    p = sigmoid(x @ w + b)
-    resid = (p - y) / y.size
-    return p, x.T @ resid + l2 * w, float(resid.sum())
-
-
 def logreg_loss_grad(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
                      l2: float = 0.0):
-    """Mean logistic loss with an L2 penalty on the weights (not the bias)."""
-    p, dw, db = _logreg_grad(w, b, x, y, l2)
+    """Mean logistic loss with an L2 penalty on the weights (not the bias),
+    and its (dw, db) gradient."""
+    p = sigmoid(x @ w + b)
+    resid = (p - y) / y.size
     eps = 1e-12
     loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
     loss += 0.5 * l2 * float(w @ w)
-    return loss, dw, db
+    return loss, x.T @ resid + l2 * w, float(resid.sum())
+
+
+def fit_logreg_sets(xs, ys, l2: float = 1e-3, lr: float = 0.5, iters: int = 500):
+    """Full-batch gradient descent from a zero start on several independent
+    sets at once; deterministic. Returns (n_sets, f) weights and (n_sets,)
+    biases.
+
+    Each set keeps its own x @ w, x.T @ resid and pairwise residual sum over
+    its own rows, so its weights are bit for bit those of a descent on it
+    alone. The bias add, sigmoid, residual, L2 term and both updates run once
+    over the concatenated rows and the stacked weights.
+    """
+    if isinstance(iters, bool) or not isinstance(iters, Integral) or iters < 0:
+        raise ConfigError(f"iters must be an integer >= 0, got {iters!r}")
+    if not (isinstance(lr, Real) and math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"lr must be finite and > 0, got {lr!r}")
+    if not (isinstance(l2, Real) and math.isfinite(l2) and l2 >= 0):
+        raise ConfigError(f"l2 must be finite and >= 0, got {l2!r}")
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    ys = [np.asarray(y, dtype=float) for y in ys]
+    if not xs or len(xs) != len(ys):
+        raise ContractError(f"{len(xs)} feature sets and {len(ys)} label sets")
+    if any(x.ndim != 2 for x in xs) or len({x.shape[1] for x in xs}) != 1:
+        raise ContractError("feature sets must be 2-D and of one width, got shapes "
+                            f"{[x.shape for x in xs]}")
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if y.shape != x.shape[:1]:
+            raise ContractError(f"set {i}: labels of shape {y.shape} for {len(x)} rows")
+
+    rows = np.array([len(x) for x in xs])
+    bounds = [0, *np.cumsum(rows).tolist()]
+    spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    y = np.concatenate(ys)
+    size = np.repeat(rows.astype(float), rows)  # each row's set size
+    w = np.zeros((len(xs), xs[0].shape[1]))
+    b = np.zeros(len(xs))
+    dw, db = np.empty_like(w), np.empty_like(b)
+    z, resid = np.empty(bounds[-1]), np.empty(bounds[-1])
+    # Each set's operands and its views of the shared buffers; db[i, ...]
+    # is set i's 0-d view of db.
+    forward = [(x, w[i], z[s]) for i, (x, s) in enumerate(zip(xs, spans))]
+    backward = [(x.T, resid[s], dw[i], db[i, ...])
+                for i, (x, s) in enumerate(zip(xs, spans))]
+    for _ in range(iters):
+        for x, w_i, z_i in forward:
+            np.matmul(x, w_i, out=z_i)
+        z += np.repeat(b, rows)
+        sigmoid(z, out=resid)
+        resid -= y
+        resid /= size
+        for x_t, resid_i, dw_i, db_i in backward:
+            np.matmul(x_t, resid_i, out=dw_i)
+            np.add.reduce(resid_i, out=db_i)
+        dw += l2 * w
+        w -= lr * dw
+        b -= lr * db
+    return w, b
 
 
 def fit_logreg(x: np.ndarray, y: np.ndarray, l2: float = 1e-3,
                lr: float = 0.5, iters: int = 500):
-    """Full-batch gradient descent from a zero start; deterministic."""
-    w = np.zeros(x.shape[1])
-    b = 0.0
-    for _ in range(iters):
-        _, dw, db = _logreg_grad(w, b, x, y, l2)
-        w -= lr * dw
-        b -= lr * db
-    return w, b
+    """Full-batch gradient descent on one set: fit_logreg_sets' one-set case."""
+    w, b = fit_logreg_sets([x], [y], l2=l2, lr=lr, iters=iters)
+    return w[0], float(b[0])
 
 
 def logreg_scores(w: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
@@ -363,15 +416,16 @@ def baseline_logreg(
     lr: float = 0.5,
     iters: int = 500,
 ) -> EvalReport:
-    """Logistic regression under the folds of `plan` and the metrics of run_cv."""
-    def fit_score(train_s, test_s, basis):
-        train_s = reduce_samples(train_s, basis)
-        test_s = reduce_samples(test_s, basis)
-        w, b = fit_logreg(sample_features(train_s), train_s.targets,
-                          l2=l2, lr=lr, iters=iters)
-        return logreg_scores(w, b, sample_features(test_s))
+    """Logistic regression under the folds of `plan` and the metrics of run_cv;
+    all folds descend together through fit_logreg_sets."""
+    def score_folds(folds):
+        w, b = fit_logreg_sets(
+            [sample_features(reduce_samples(train_s, basis)) for train_s, _, basis in folds],
+            [train_s.targets for train_s, _, _ in folds], l2=l2, lr=lr, iters=iters)
+        return [logreg_scores(w_i, b_i, sample_features(reduce_samples(test_s, basis)))
+                for (_, test_s, basis), w_i, b_i in zip(folds, w, b)]
 
-    return _run_folds(samples, BASELINE_VARIANT, fit_score, True,
+    return _run_folds(samples, BASELINE_VARIANT, score_folds, True,
                       plan, d_prime, threshold)
 
 

@@ -20,6 +20,7 @@ from spikecast.evaluation import (
     classification_metrics,
     fit_fold_pca,
     roc_auc,
+    sample_features,
     write_roc_csv,
 )
 from spikecast.ingest import AlignedDataset
@@ -29,6 +30,7 @@ from spikecast.model import (
     flat_params,
     init_model,
     predict,
+    reduce_samples,
     train,
 )
 from spikecast.nn import LstmStreams
@@ -245,6 +247,31 @@ def reference_sample_features(windows):
     """sample_features on a reference_windows list, one row per window."""
     return np.array([np.concatenate([p.ravel(), news.mean(axis=0)])
                      for p, news, _, _, _ in windows])
+
+
+def reference_fit_logreg(x, y, l2=1e-3, lr=0.5, iters=500):
+    """The logistic baseline's full-batch descent on one set, as it reads."""
+    w, b = np.zeros(x.shape[1]), 0.0
+    for _ in range(iters):
+        p = sigmoid(x @ w + b)
+        resid = (p - y) / y.size
+        w -= lr * (x.T @ resid + l2 * w)
+        b -= lr * float(resid.sum())
+    return w, b
+
+
+def reference_baseline_scores(samples, plan, d_prime, l2=1e-3, lr=0.5, iters=500):
+    """baseline_logreg's test scores fold by fold: PCA on the fold's training
+    rows, both parts reduced, a descent on the training features alone, then
+    the test features scored."""
+    scores = []
+    for (tr_lo, tr_hi), (te_lo, te_hi) in plan.folds:
+        train_s, test_s = samples[tr_lo:tr_hi], samples[te_lo:te_hi]
+        _, basis = fit_fold_pca(train_s, d_prime)
+        w, b = reference_fit_logreg(sample_features(reduce_samples(train_s, basis)),
+                                    train_s.targets, l2, lr, iters)
+        scores.append(sigmoid(sample_features(reduce_samples(test_s, basis)) @ w + b))
+    return scores
 
 
 def reference_lstm_forward(

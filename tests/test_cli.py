@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from spikecast.cli import (
+    _dumps_indent2,
     _hyper,
     _load_aligned,
     _train_config,
@@ -253,6 +254,25 @@ class TestReduce:
                        "--dim", "0", "--out", tmp_path / "o") == 1
         err = capsys.readouterr().err
         assert "--dim must be >= 1, got 0" in err and "vectors" not in err
+
+    def test_basis_json_is_json_indent_2(self, corpus, tmp_path):
+        out = tmp_path / "reduce"
+        assert run_cli("reduce", "--embeddings", corpus["embeddings"],
+                       "--dim", "3", "--out", out) == 0
+        text = (out / "basis.json").read_text()
+        doc = json.loads(text)
+        assert list(doc) == ["mean", "components_shape", "components",
+                             "explained_variance", "fitted_on"]
+        assert text == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        {"mean": [-0.0, 5e-324, 1e-300, 1e16, 0.1, -2.5], "fitted_on": 64},
+        {"components_shape": [16, 128], "components": [1.0, -1e-07, 123456789.0]},
+        {"empty": [], "one": [0.5], "n": 3, "x": -0.0},
+        {"explained_variance": []},
+    ])
+    def test_dumps_indent2_matches_json_indent(self, doc):
+        assert _dumps_indent2(doc) == json.dumps(doc, indent=2)
 
 
 class TestTrain:

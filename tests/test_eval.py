@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import spikecast.evaluation
 from spikecast.errors import (
     ConfigError,
+    ContractError,
     InsufficientDataError,
     UndefinedMetricError,
 )
@@ -19,6 +21,7 @@ from spikecast.evaluation import (
     classification_metrics,
     fit_fold_pca,
     fit_logreg,
+    fit_logreg_sets,
     holdout_split,
     logreg_loss_grad,
     logreg_scores,
@@ -44,6 +47,8 @@ from conftest import (
     assert_same_bits,
     pairwise_auc,
     planted_dataset,
+    reference_baseline_scores,
+    reference_fit_logreg,
     reference_sample_features,
     reference_unique_year_rows,
     reference_windows,
@@ -460,6 +465,82 @@ class TestLogregBaseline:
         for bf, mf in zip(base.folds, model.folds):
             assert (bf.n_train, bf.n_test) == (mf.n_train, mf.n_test)
             assert bf.test_anchor_span == mf.test_anchor_span
+
+
+class TestLogregDescentBatching:
+    """fit_logreg_sets descends on several sets at once; every set's weights
+    must be those of a descent on it alone, bit for bit."""
+
+    # numpy's pairwise sum unrolls by 8 and recurses above 128 elements.
+    SIZES = (1, 7, 8, 9, 127, 128, 129, 300)
+
+    @pytest.mark.parametrize("iters", [0, 500])
+    @pytest.mark.parametrize("width", [1, 21])
+    def test_sets_match_one_set_descents_bitwise(self, width, iters):
+        rng = np.random.default_rng(width + iters)
+        xs = [rng.normal(size=(n, width)) for n in self.SIZES]
+        ys = [(rng.random(n) < 0.4).astype(float) for n in self.SIZES]
+        w, b = fit_logreg_sets(xs, ys, iters=iters)
+        assert w.shape == (len(xs), width) and b.shape == (len(xs),)
+        for x, y, w_i, b_i in zip(xs, ys, w, b):
+            w_one, b_one = fit_logreg(x, y, iters=iters)
+            w_ref, b_ref = reference_fit_logreg(x, y, iters=iters)
+            assert_same_bits(w_i, w_one)
+            assert_same_bits(w_i, w_ref)
+            assert float(b_i).hex() == b_one.hex() == b_ref.hex()
+
+    def test_five_fold_baseline_scores_match_fold_by_fold_reference(self):
+        samples = windows(n=40, k=3)  # 38 windows
+        plan = time_series_split(len(samples), 5)
+        report = baseline_logreg(samples, plan, d_prime=3)
+        want = reference_baseline_scores(samples, plan, d_prime=3)
+        assert len(report.folds) == len(want) == 5
+        for fold, scores in zip(report.folds, want):
+            assert [v.hex() for v in fold.scores.tolist()] == \
+                [v.hex() for v in scores.tolist()]
+
+    def test_one_sigmoid_per_step_and_per_fold(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return sigmoid(*args, **kwargs)
+
+        monkeypatch.setattr(spikecast.evaluation, "sigmoid", counting)
+        samples = windows(n=40, k=3)
+        baseline_logreg(samples, time_series_split(len(samples), 5), d_prime=3,
+                        iters=7)
+        assert len(calls) == 7 + 5  # one per step, one per fold's test scores
+
+
+class TestLogregDescentInputs:
+    X = np.array([[0.0], [1.0], [2.0]])
+    Y = np.array([0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("iters", [-1, 2.5, "10", True])
+    def test_iters_must_be_a_non_negative_integer(self, iters):
+        with pytest.raises(ConfigError, match="iters must be an integer >= 0"):
+            fit_logreg(self.X, self.Y, iters=iters)
+
+    @pytest.mark.parametrize("lr", [0.0, -0.5, float("nan"), float("inf"), "0.5"])
+    def test_lr_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ConfigError, match="lr must be finite and > 0"):
+            fit_logreg(self.X, self.Y, lr=lr)
+
+    @pytest.mark.parametrize("l2", [-1e-3, float("nan"), float("inf"), None])
+    def test_l2_must_be_finite_and_non_negative(self, l2):
+        with pytest.raises(ConfigError, match="l2 must be finite and >= 0"):
+            fit_logreg(self.X, self.Y, l2=l2)
+
+    def test_sets_of_different_widths(self):
+        with pytest.raises(ContractError, match="one width"):
+            fit_logreg_sets([self.X, np.ones((3, 2))], [self.Y, self.Y])
+
+    @pytest.mark.parametrize("labels", [2, 4])
+    def test_label_count_must_match_row_count(self, labels):
+        with pytest.raises(ContractError, match=f"set 0: labels of shape \\({labels},\\) "
+                                                "for 3 rows"):
+            fit_logreg(self.X, np.zeros(labels))
 
 
 class TestSingleClassFold:
