@@ -16,8 +16,6 @@ from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .agents import AgentConfig, embed_summaries, orchestrate
 from .backends import get_backend
@@ -68,8 +66,9 @@ from .model import (
     write_history_csv,
 )
 from .pca import fit_pca, transform
-from .stores import EmbeddingStore, SummaryStore
+from .stores import EmbeddingStore, SummaryStore, atomic_write, write_csv, write_json
 
+LABELS_HEADER = ("year", "avg_price", "pct_change", "spike")
 VALIDATION_ERRORS = (
     ParseError, ValidationError, ConfigError, ContractError, RankError,
     InvalidDraftError, UndefinedMetricError,
@@ -140,16 +139,10 @@ _SKIP_SNAPSHOT = {"command", "config", "force", "func"}
 
 def _write_manifest(args, out: Path, inputs: list[Path], outputs: list[str],
                     started: str) -> None:
-    snapshot = {}
-    for key, value in sorted(vars(args).items()):
-        if key in _SKIP_SNAPSHOT:
-            continue
-        if isinstance(value, tuple):
-            value = list(value)
-        snapshot[key] = value
     doc = {
         "command": args.command,
-        "config": snapshot,
+        # json writes a tuple as a list, and sorts the keys.
+        "config": {k: v for k, v in vars(args).items() if k not in _SKIP_SNAPSHOT},
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
         "outputs": sorted(outputs),
         "seed": args.seed,
@@ -157,13 +150,7 @@ def _write_manifest(args, out: Path, inputs: list[Path], outputs: list[str],
         "started_at": started,
         "finished_at": _utc_stamp(),
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
+    write_json(out / "manifest.json", doc)
 
 
 def _read_text(path) -> str:
@@ -177,20 +164,12 @@ def _read_text(path) -> str:
 # --- subcommand bodies ---------------------------------------------------------
 
 def _cmd_ingest(args, out: Path) -> list[str]:
-    table = parse_price_table(_read_text(args.infile))
-    normalized = normalize_table(table)
-    lines = ["year," + ",".join(normalized.commodities)]
-    for i, year in enumerate(normalized.years):
-        cells = [
-            "" if np.isnan(v) else _fmt(v) for v in normalized.values[i]
-        ]
-        lines.append(f"{year}," + ",".join(cells))
-    (out / "normalized.csv").write_text("\n".join(lines) + "\n")
-
+    normalized = normalize_table(parse_price_table(_read_text(args.infile)))
+    write_csv(out / "normalized.csv", ["year", *normalized.commodities],
+              ([year, *row] for year, row in zip(normalized.years, normalized.values)))
     composite = composite_average(normalized)
-    lines = ["year,value"]
-    lines += [f"{y},{_fmt(v)}" for y, v in zip(composite.years, composite.values)]
-    (out / "composite.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "composite.csv", ["year", "value"],
+              zip(composite.years, composite.values))
     return ["normalized.csv", "composite.csv"]
 
 
@@ -200,20 +179,16 @@ def _cmd_label(args, out: Path) -> list[str]:
     labels = label_spikes(averages, threshold_pct=args.threshold)
     changes = pct_changes(averages)
     by_year = {y: v for y, v in zip(averages.years, averages.values)}
-    lines = ["year,avg_price,pct_change,spike"]
-    for year, spike in zip(labels.years, labels.labels):
-        lines.append(
-            f"{year},{_fmt(by_year[year])},{_fmt(changes[year])},{int(spike)}"
-        )
-    (out / "labels.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "labels.csv", LABELS_HEADER,
+              ([year, by_year[year], changes[year], int(spike)]
+               for year, spike in zip(labels.years, labels.labels)))
     return ["labels.csv"]
 
 
 def _read_labels_csv(path) -> SpikeLabelSet:
     rows = list(csv.DictReader(_read_text(path).splitlines()))
-    expected = ["year", "avg_price", "pct_change", "spike"]
-    if not rows or list(rows[0].keys()) != expected:
-        raise ParseError(f"{path}: expected header {','.join(expected)}")
+    if not rows or tuple(rows[0]) != LABELS_HEADER:
+        raise ParseError(f"{path}: expected header {','.join(LABELS_HEADER)}")
     try:
         years = tuple(int(r["year"]) for r in rows)
         labels = tuple(int(r["spike"]) for r in rows)
@@ -272,7 +247,8 @@ def _cmd_reduce(args, out: Path) -> list[str]:
         "explained_variance": basis.explained_variance.tolist(),
         "fitted_on": basis.fitted_on,
     }
-    (out / "basis.json").write_text(_dumps_indent2(doc) + "\n")
+    with atomic_write(out / "basis.json") as fh:
+        fh.write(_dumps_indent2(doc) + "\n")
     return ["reduced.jsonl", "basis.json"]
 
 
@@ -347,9 +323,7 @@ def _cmd_eval(args, out: Path) -> list[str]:
         "confusion": {"tp": tp, "fp": fp, "fn": fn, "tn": tn},
         "threshold": block.threshold,
     }
-    with open(out / "metrics.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "metrics.json", doc)
     return outputs
 
 
@@ -378,7 +352,8 @@ def _copy_csv(src: Path, dst: Path, expected_header: str) -> None:
     first = text.splitlines()[0] if text else ""
     if first != expected_header:
         raise ParseError(f"{src}: expected header {expected_header!r}, got {first!r}")
-    dst.write_text(text)
+    with atomic_write(dst) as fh:
+        fh.write(text)
 
 
 def _cmd_report(args, out: Path) -> list[str]:
@@ -388,25 +363,21 @@ def _cmd_report(args, out: Path) -> list[str]:
         raise ConfigError("report needs at least one of --labels/--summary/--roc/--history")
     outputs = []
     if args.labels:
-        _copy_csv(Path(args.labels), out / "plot_spikes.csv",
-                  "year,avg_price,pct_change,spike")
+        _copy_csv(Path(args.labels), out / "plot_spikes.csv", ",".join(LABELS_HEADER))
         outputs.append("plot_spikes.csv")
     if args.summary:
-        lines = ["variant,mean_auc,std_auc,mean_f1_w,std_f1_w"]
+        rows = []
         try:
             doc = json.loads(_read_text(args.summary))
             for variant in sorted(doc):
                 mean, std = doc[variant].get("mean", {}), doc[variant].get("std", {})
-                cells = [
-                    "" if "auc" not in mean else _fmt(mean["auc"]),
-                    "" if "auc" not in std else _fmt(std["auc"]),
-                    "" if "f1_w" not in mean else _fmt(mean["f1_w"]),
-                    "" if "f1_w" not in std else _fmt(std["f1_w"]),
-                ]
-                lines.append(f"{variant}," + ",".join(cells))
-        except (AttributeError, TypeError, ValueError) as exc:
+                # float(): a non-numeric value is a ParseError, not a text cell.
+                rows.append([variant] + [float(b[key]) if key in b else None
+                                         for key in ("auc", "f1_w") for b in (mean, std)])
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{args.summary}: not an ablation summary: {exc}") from None
-        (out / "plot_ablation.csv").write_text("\n".join(lines) + "\n")
+        write_csv(out / "plot_ablation.csv",
+                  ["variant", "mean_auc", "std_auc", "mean_f1_w", "std_f1_w"], rows)
         outputs.append("plot_ablation.csv")
     if args.roc:
         _copy_csv(Path(args.roc), out / "plot_roc.csv", "fpr,tpr")

@@ -8,7 +8,6 @@ report itself.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +28,7 @@ from .model import (
 )
 from .nn.ops import sigmoid
 from .pca import PcaBasis, fit_pca
+from .stores import write_csv, write_json
 
 BASELINE_VARIANT = "logreg"
 
@@ -321,18 +321,6 @@ def run_cv(
 
 # --- logistic-regression baseline ---------------------------------------------
 
-def logreg_loss_grad(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
-                     l2: float = 0.0):
-    """Mean logistic loss with an L2 penalty on the weights (not the bias),
-    and its (dw, db) gradient."""
-    p = sigmoid(x @ w + b)
-    resid = (p - y) / y.size
-    eps = 1e-12
-    loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-    loss += 0.5 * l2 * float(w @ w)
-    return loss, x.T @ resid + l2 * w, float(resid.sum())
-
-
 def fit_logreg_sets(xs, ys, l2: float = 1e-3, lr: float = 0.5, iters: int = 500):
     """Full-batch gradient descent from a zero start on several independent
     sets at once; deterministic. Returns (n_sets, f) weights and (n_sets,)
@@ -390,13 +378,6 @@ def fit_logreg_sets(xs, ys, l2: float = 1e-3, lr: float = 0.5, iters: int = 500)
     return w, b
 
 
-def fit_logreg(x: np.ndarray, y: np.ndarray, l2: float = 1e-3,
-               lr: float = 0.5, iters: int = 500):
-    """Full-batch gradient descent on one set: fit_logreg_sets' one-set case."""
-    w, b = fit_logreg_sets([x], [y], l2=l2, lr=lr, iters=iters)
-    return w[0], float(b[0])
-
-
 def logreg_scores(w: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
     return sigmoid(x @ w + b)
 
@@ -433,17 +414,10 @@ def baseline_logreg(
 
 def write_report_csv(reports: list[EvalReport], path) -> None:
     """Per-fold metric rows; an undefined AUC is an empty cell."""
-    lines = ["variant,fold,auc,accuracy,precision_w,recall_w,f1_w"]
-    for rep in reports:
-        for f in rep.folds:
-            auc = "" if f.auc is None else repr(f.auc)
-            m = f.metrics
-            lines.append(
-                f"{rep.variant},{f.fold},{auc},{m.accuracy!r},"
-                f"{m.precision_weighted!r},{m.recall_weighted!r},{m.f1_weighted!r}"
-            )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["variant", "fold", "auc", "accuracy", "precision_w", "recall_w", "f1_w"],
+              ([rep.variant, f.fold, f.auc, f.metrics.accuracy, f.metrics.precision_weighted,
+                f.metrics.recall_weighted, f.metrics.f1_weighted]
+               for rep in reports for f in rep.folds))
 
 
 def write_summary_json(reports: list[EvalReport], path) -> None:
@@ -452,18 +426,13 @@ def write_summary_json(reports: list[EvalReport], path) -> None:
         doc[rep.variant] = {
             "n_folds": rep.n_folds,
             "threshold": rep.threshold,
-            "mean": {k: rep.mean[k] for k in sorted(rep.mean)},
-            "std": {k: rep.std[k] for k in sorted(rep.std)},
+            "mean": rep.mean,
+            "std": rep.std,
             "auc_folds_used": rep.auc_folds_used,
             "auc_folds_excluded": rep.auc_folds_excluded,
         }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def write_roc_csv(scores, labels, path) -> None:
-    points = roc_curve(scores, labels)
-    lines = ["fpr,tpr"] + [f"{fpr!r},{tpr!r}" for fpr, tpr in points]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["fpr", "tpr"], roc_curve(scores, labels))

@@ -43,6 +43,7 @@ from .nn import (
 )
 from .nn.optim import adam_step, clip_global_norm, init_adam
 from .pca import PcaBasis, transform_rows
+from .stores import atomic_write, write_csv
 
 CHECKPOINT_FORMAT = "spikecast-checkpoint/2"
 
@@ -491,10 +492,7 @@ def train(
 
 
 def write_history_csv(history: list[tuple[int, float, float]], path) -> None:
-    lines = ["epoch,train_loss,val_loss"]
-    lines += [f"{e},{tr!r},{va!r}" for e, tr, va in history]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["epoch", "train_loss", "val_loss"], history)
 
 
 # --- checkpoint serialization -------------------------------------------------
@@ -558,7 +556,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
             name: {"mean": float(m), "std": float(s)}
             for name, (m, s) in params.norm_stats.items()
         }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         _write_json(fh, doc)
         fh.write("\n")
 

@@ -2,7 +2,7 @@
 
 Everything here is plain numpy with manual reverse-mode gradients; the
 architecture is small and fixed, so a general autodiff engine would be
-dead weight. `gradcheck` is the safety net that keeps the hand math honest.
+dead weight.
 """
 from .ops import relu, sigmoid, softmax_rows
 from .lstm import LstmParams, LstmStreams, init_lstm_params, lstm_forward, lstm_backward
@@ -15,7 +15,6 @@ from .attention import (
 from .head import HeadParams, init_head_params, head_forward, head_backward
 from .losses import bce_loss
 from .optim import AdamState, init_adam, adam_step
-from .gradcheck import grad_check
 
 __all__ = [
     "relu",
@@ -38,5 +37,4 @@ __all__ = [
     "AdamState",
     "init_adam",
     "adam_step",
-    "grad_check",
 ]

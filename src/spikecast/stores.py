@@ -1,4 +1,4 @@
-"""Year-keyed JSONL persistence for news summaries and embeddings.
+"""Year-keyed JSONL stores for summaries and embeddings, and the artifact writer.
 
 Both stores keep one record per year and always serialize in ascending year
 order with a fixed field order, so rewriting an unchanged store reproduces
@@ -7,9 +7,10 @@ the exact same bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
-import tempfile
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -24,6 +25,44 @@ SUMMARY_FIELDS = (
 EMBEDDING_FORMAT = "spikecast-embeddings/1"
 _KINDS = {int: "an integer", bool: "true or false", str: "a string", list: "a list"}
 _NUMBERS = frozenset((int, float))
+
+
+@contextmanager
+def atomic_write(path):
+    """A text handle on a temporary file, one per process and thread, that
+    os.replace swaps for `path` when the block ends; the new file has the mode
+    open(path, "w") gives. On a failed write or replace the old file keeps its
+    bytes, the temporary file is removed and an OSError becomes a StoreError."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise StoreError(f"cannot write {path}: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(float(value))
+    return "" if value is None else str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """The header line, then one line per row: a float cell is
+    repr(float(v)), None or NaN an empty cell, anything else str(v)."""
+    lines = [",".join(header), *(",".join(map(_cell, row)) for row in rows)]
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path, doc) -> None:
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _field(obj: dict, key: str, kind: type):
@@ -89,15 +128,8 @@ class _YearStore:
 
     def _dump(self, objects) -> None:
         """Write one JSON line per object, in order."""
-        text = "".join(json.dumps(obj) + "\n" for obj in objects)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=f".{self.path.name}.")
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, self.path)
-        except OSError as exc:
-            raise StoreError(f"cannot write {self.path}: {exc}") from exc
+        with atomic_write(self.path) as fh:
+            fh.writelines(json.dumps(obj) + "\n" for obj in objects)
 
 
 class SummaryStore(_YearStore):

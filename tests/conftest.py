@@ -6,6 +6,7 @@ import json
 import math
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from spikecast.errors import (
 from spikecast.evaluation import (
     classification_metrics,
     fit_fold_pca,
+    fit_logreg_sets,
     roc_auc,
     sample_features,
     write_roc_csv,
@@ -249,6 +251,25 @@ def reference_sample_features(windows):
                      for p, news, _, _, _ in windows])
 
 
+def logreg_loss_grad(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
+                     l2: float = 0.0):
+    """Mean logistic loss with an L2 penalty on the weights (not the bias),
+    and its (dw, db) gradient."""
+    p = sigmoid(x @ w + b)
+    resid = (p - y) / y.size
+    eps = 1e-12
+    loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
+    loss += 0.5 * l2 * float(w @ w)
+    return loss, x.T @ resid + l2 * w, float(resid.sum())
+
+
+def fit_logreg(x: np.ndarray, y: np.ndarray, l2: float = 1e-3,
+               lr: float = 0.5, iters: int = 500):
+    """Full-batch gradient descent on one set: fit_logreg_sets' one-set case."""
+    w, b = fit_logreg_sets([x], [y], l2=l2, lr=lr, iters=iters)
+    return w[0], float(b[0])
+
+
 def reference_fit_logreg(x, y, l2=1e-3, lr=0.5, iters=500):
     """The logistic baseline's full-batch descent on one set, as it reads."""
     w, b = np.zeros(x.shape[1]), 0.0
@@ -457,3 +478,60 @@ def small_table_text():
         "1963,18.0,2.1\n"
         "1964,30.0,2.9\n"
     )
+
+
+# --- finite-difference verification of analytic gradients ----------------------
+
+FD_STEP = 1e-5
+# Coordinates where |analytic| + |fd| falls below this floor are compared
+# against the floor itself, which bounds noise amplification near zero.
+REL_FLOOR = 1e-4
+
+
+def grad_check(
+    loss_and_grads: Callable[[], tuple[float, dict[str, np.ndarray]]],
+    params: dict[str, np.ndarray],
+    step: float = FD_STEP,
+    max_coords: int = 2000,
+    sample_size: int = 400,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """Worst relative error between analytic and central-difference gradients.
+
+    `loss_and_grads` must be deterministic (dropout off) and read `params`
+    by reference: this routine perturbs entries in place, re-evaluates, and
+    restores them. All coordinates are checked unless the bundle holds more
+    than `max_coords`, in which case a random subsample of `sample_size`
+    coordinates is used.
+    """
+    loss0, analytic = loss_and_grads()
+    if not np.isfinite(loss0):
+        raise NumericError("non-finite loss at the evaluation point")
+
+    coords = [
+        (name, idx)
+        for name, arr in params.items()
+        for idx in range(arr.size)
+    ]
+    if len(coords) > max_coords:
+        rng = rng or np.random.default_rng(0)
+        picks = rng.choice(len(coords), size=min(sample_size, len(coords)),
+                           replace=False)
+        coords = [coords[i] for i in picks]
+
+    worst = 0.0
+    for name, idx in coords:
+        flat = params[name].reshape(-1)
+        saved = flat[idx]
+        flat[idx] = saved + step
+        loss_plus, _ = loss_and_grads()
+        flat[idx] = saved - step
+        loss_minus, _ = loss_and_grads()
+        flat[idx] = saved
+        if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
+            raise NumericError(f"non-finite loss while perturbing {name!r}")
+        fd = (loss_plus - loss_minus) / (2.0 * step)
+        a = float(analytic[name].reshape(-1)[idx])
+        rel = abs(a - fd) / max(abs(a) + abs(fd), REL_FLOOR)
+        worst = max(worst, rel)
+    return worst

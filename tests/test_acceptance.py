@@ -38,7 +38,6 @@ from spikecast.model import (
 from spikecast.nn import (
     attention_forward,
     bce_loss,
-    grad_check,
     init_attention_params,
     softmax_rows,
 )
@@ -47,6 +46,7 @@ from spikecast.stores import SummaryStore
 
 from conftest import (
     brute_force_spikes,
+    grad_check,
     gradient_params,
     pairwise_auc,
     planted_dataset,

@@ -423,6 +423,67 @@ class TestReport:
         assert run_cli("report", "--summary", summary, "--out", tmp_path / "r") == 1
         assert str(summary) in capsys.readouterr().err
 
+    def test_missing_metrics_are_empty_cells(self, tmp_path):
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps({
+            "full": {"mean": {"f1_w": 0.5}, "std": {"f1_w": 0.25}},
+            "logreg": {"mean": {"auc": 0.75, "f1_w": 1}, "std": {"auc": 0.0}},
+            "no_news": {},
+        }))
+        assert run_cli("report", "--summary", summary, "--out", tmp_path / "r") == 0
+        assert (tmp_path / "r" / "plot_ablation.csv").read_text() == (
+            "variant,mean_auc,std_auc,mean_f1_w,std_f1_w\n"
+            "full,,,0.5,0.25\n"
+            "logreg,0.75,0.0,1.0,\n"
+            "no_news,,,,\n"
+        )
+
+    @pytest.mark.parametrize("value", ['"high"', "[0.5]", "{}", "null", "1" + "0" * 400],
+                             ids=["string", "list", "object", "null", "huge-integer"])
+    def test_non_numeric_metric_exits_one(self, tmp_path, capsys, value):
+        summary = tmp_path / "summary.json"
+        summary.write_text('{"full": {"mean": {"f1_w": 0.5}, "std": {"auc": %s}}}' % value)
+        assert run_cli("report", "--summary", summary, "--out", tmp_path / "r") == 1
+        assert "not an ablation summary" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "plot_ablation.csv").exists()
+
+
+class TestArtifactFiles:
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # tiny folds may be single-class
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+    def test_every_file_has_the_mode_open_gives(self, corpus, tmp_path, umask):
+        """Every file of a full pipeline run, manifests included, has the mode
+        open(path, "w") gives a new file: 0o666 less the umask."""
+        run = tmp_path / "run"
+        args = model_args(corpus, run)
+        i = args.index("--out")
+        del args[i:i + 2]
+        args[args.index("--labels") + 1] = run / "label" / "labels.csv"
+        args[args.index("--embeddings") + 1] = run / "embed" / "embeddings.jsonl"
+        stages = [
+            ("ingest", "--in", corpus["prices"]),
+            ("label", "--in", corpus["prices"]),
+            ("distill", "--years", "1960:1989", "--mock-dim", "8"),
+            ("embed", "--summaries", run / "distill" / "summaries.jsonl", "--mock-dim", "8"),
+            ("reduce", "--embeddings", run / "embed" / "embeddings.jsonl", "--dim", "3"),
+            ("train", *args),
+            ("eval", *args),
+            ("ablate", *args, "--variants", "full,logreg", "--folds", "2"),
+            ("report", "--labels", run / "label" / "labels.csv",
+             "--summary", run / "ablate" / "summary.json", "--roc", run / "eval" / "roc.csv",
+             "--history", run / "train" / "history.csv"),
+        ]
+        old = os.umask(umask)
+        try:
+            for command, *rest in stages:
+                assert run_cli(command, *rest, "--out", run / command) == 0, command
+        finally:
+            os.umask(old)
+        modes = {p.relative_to(run).as_posix(): oct(p.stat().st_mode & 0o777)
+                 for p in run.rglob("*") if p.is_file()}
+        assert len(modes) == 26, sorted(modes)
+        assert set(modes.values()) == {oct(0o666 & ~umask)}, modes
+
 
 class TestExitCodes:
     def test_missing_input_is_validation_error(self, tmp_path, capsys):

@@ -20,10 +20,8 @@ from spikecast.evaluation import (
     baseline_logreg,
     classification_metrics,
     fit_fold_pca,
-    fit_logreg,
     fit_logreg_sets,
     holdout_split,
-    logreg_loss_grad,
     logreg_scores,
     roc_auc,
     roc_curve,
@@ -45,6 +43,8 @@ from spikecast.nn import sigmoid
 
 from conftest import (
     assert_same_bits,
+    fit_logreg,
+    logreg_loss_grad,
     pairwise_auc,
     planted_dataset,
     reference_baseline_scores,

@@ -38,12 +38,13 @@ from spikecast.model import (
     train,
     write_history_csv,
 )
-from spikecast.nn import bce_loss, grad_check
+from spikecast.nn import bce_loss
 from spikecast.pca import fit_pca
 
 from conftest import (
     assert_same_bits,
     flat_order_clip,
+    grad_check,
     gradient_params,
     planted_dataset,
     reference_reduce,

@@ -10,7 +10,6 @@ from spikecast.nn import (
     attention_backward,
     attention_forward,
     bce_loss,
-    grad_check,
     head_backward,
     head_forward,
     init_attention_params,
@@ -26,6 +25,7 @@ from spikecast.nn.optim import adam_step, clip_global_norm, init_adam
 
 from conftest import (
     assert_same_bits,
+    grad_check,
     reference_lstm_backward,
     reference_lstm_forward,
     run_backward,
