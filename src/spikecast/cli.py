@@ -14,59 +14,51 @@ import json
 import sys
 from dataclasses import fields
 from datetime import datetime, timedelta, timezone
+from importlib import import_module
 from pathlib import Path
 
-from . import __version__
-from .agents import AgentConfig, embed_summaries, orchestrate
-from .backends import get_backend
-from .errors import (
-    ConfigError,
-    ContractError,
-    InvalidDraftError,
-    ParseError,
-    RankError,
-    SpikecastError,
-    UndefinedMetricError,
-    ValidationError,
-)
-# predict, roc_auc, classification_metrics: benchmark call sites only, dropped by ROADMAP item 2.
-from .evaluation import (
-    BASELINE_VARIANT,
-    baseline_logreg,
-    classification_metrics,  # noqa: F401
-    fit_fold_pca,
-    holdout_split,
-    roc_auc,  # noqa: F401
-    run_cv,
-    time_series_split,
-    write_report_csv,
-    write_roc_csv,
-    write_summary_json,
-)
-from .ingest import (
-    SpikeLabelSet,
-    composite_average,
-    duplicates,
-    label_spikes,
-    normalize_table,
-    parse_price_table,
-    pct_changes,
-    raw_average,
-    align_dataset,
-)
-from .model import (
-    PCA_VARIANTS,
-    ModelHyper,
-    TrainConfig,
-    VARIANTS,
-    make_windows,
-    predict,  # noqa: F401
-    save_checkpoint,
-    train,
-    write_history_csv,
-)
-from .pca import fit_pca, transform
+from . import BASELINE_VARIANT, VARIANTS, __version__
+from .errors import (ConfigError, ContractError, InvalidDraftError, ParseError, RankError,
+                     SpikecastError, UndefinedMetricError, ValidationError)
 from .stores import EmbeddingStore, SummaryStore, atomic_write, write_csv, write_json
+
+# The names this module takes from the pipeline modules, by module. A module is
+# imported at the first use of its names (_bind and __getattr__ below), so a
+# stage process loads only the modules its command runs.
+# predict, roc_auc, classification_metrics: benchmark call sites only, dropped by ROADMAP item 2.
+_LAZY = {
+    "agents": ("AgentConfig", "embed_summaries", "orchestrate"),
+    "backends": ("get_backend",),
+    "evaluation": ("baseline_logreg", "classification_metrics", "fit_fold_pca",
+                   "holdout_split", "roc_auc", "run_cv", "time_series_split",
+                   "write_report_csv", "write_roc_csv", "write_summary_json"),
+    "ingest": ("SpikeLabelSet", "align_dataset", "composite_average", "duplicates",
+               "label_spikes", "normalize_table", "parse_price_table", "pct_changes",
+               "raw_average"),
+    "model": ("PCA_VARIANTS", "ModelHyper", "TrainConfig", "make_windows", "predict",
+              "save_checkpoint", "train", "write_history_csv"),
+    "pca": ("fit_pca", "transform"),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import `modules` and make their _LAZY names globals, for the bare-name
+    calls below. A name already set, such as a benchmark wrapper or a test
+    double, is kept."""
+    for module in modules:
+        imported = import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(imported, name))
+
+
+def __getattr__(name: str):
+    """PEP 562: the first lookup of a _LAZY name binds its module's names."""
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 LABELS_HEADER = ("year", "avg_price", "pct_change", "spike")
 VALIDATION_ERRORS = (
@@ -265,6 +257,7 @@ def _dumps_indent2(doc: dict) -> str:
 
 
 def _load_aligned(args):
+    _bind("ingest")
     table = parse_price_table(_read_text(args.prices))
     composite = composite_average(normalize_table(table))
     labels = _read_labels_csv(args.labels)
@@ -273,10 +266,12 @@ def _load_aligned(args):
 
 
 def _train_config(args) -> TrainConfig:
+    _bind("model")
     return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
 def _hyper(args) -> ModelHyper:
+    _bind("model")
     # k and d_prime are rebound from the samples inside train()
     return ModelHyper(k=args.k, d_prime=args.dim, h=args.h, h_a=args.h_a,
                       dropout=args.dropout, seed=args.seed)
@@ -285,13 +280,9 @@ def _hyper(args) -> ModelHyper:
 def _cmd_train(args, out: Path) -> list[str]:
     dataset = _load_aligned(args)
     samples = make_windows(dataset, args.k)
-    basis = None
-    if args.variant in PCA_VARIANTS:
-        _, basis = fit_fold_pca(samples, args.dim)
-    params, history = train(
-        samples, _train_config(args), hyper=_hyper(args),
-        variant=args.variant, pca=basis,
-    )
+    basis = fit_fold_pca(samples, args.dim)[1] if args.variant in PCA_VARIANTS else None
+    params, history = train(samples, _train_config(args), hyper=_hyper(args),
+                            variant=args.variant, pca=basis)
     save_checkpoint(params, out / "checkpoint.json")
     write_history_csv(history, out / "history.csv")
     return ["checkpoint.json", "history.csv"]
@@ -331,17 +322,11 @@ def _cmd_ablate(args, out: Path) -> list[str]:
     dataset = _load_aligned(args)
     samples = make_windows(dataset, args.k)
     plan = time_series_split(len(samples), args.folds)
-    reports = []
-    for variant in args.variants:
-        if variant == BASELINE_VARIANT:
-            reports.append(baseline_logreg(
-                samples, plan, d_prime=args.dim, threshold=args.threshold,
-            ))
-        else:
-            reports.append(run_cv(
-                samples, variant, _train_config(args), plan, hyper=_hyper(args),
-                d_prime=args.dim, threshold=args.threshold,
-            ))
+    reports = [baseline_logreg(samples, plan, d_prime=args.dim, threshold=args.threshold)
+               if variant == BASELINE_VARIANT else
+               run_cv(samples, variant, _train_config(args), plan, hyper=_hyper(args),
+                      d_prime=args.dim, threshold=args.threshold)
+               for variant in args.variants]
     write_report_csv(reports, out / "report.csv")
     write_summary_json(reports, out / "summary.json")
     return ["report.csv", "summary.json"]
@@ -354,6 +339,12 @@ def _copy_csv(src: Path, dst: Path, expected_header: str) -> None:
         raise ParseError(f"{src}: expected header {expected_header!r}, got {first!r}")
     with atomic_write(dst) as fh:
         fh.write(text)
+
+
+def _metric(value) -> float:  # a JSON number, not a boolean or a numeric string
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"metric {value!r} is not a number")
+    return float(value)
 
 
 def _cmd_report(args, out: Path) -> list[str]:
@@ -371,8 +362,7 @@ def _cmd_report(args, out: Path) -> list[str]:
             doc = json.loads(_read_text(args.summary))
             for variant in sorted(doc):
                 mean, std = doc[variant].get("mean", {}), doc[variant].get("std", {})
-                # float(): a non-numeric value is a ParseError, not a text cell.
-                rows.append([variant] + [float(b[key]) if key in b else None
+                rows.append([variant] + [_metric(b[key]) if key in b else None
                                          for key in ("auc", "f1_w") for b in (mean, std)])
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{args.summary}: not an ablation summary: {exc}") from None
@@ -383,22 +373,24 @@ def _cmd_report(args, out: Path) -> list[str]:
         _copy_csv(Path(args.roc), out / "plot_roc.csv", "fpr,tpr")
         outputs.append("plot_roc.csv")
     if args.history:
-        _copy_csv(Path(args.history), out / "plot_history.csv",
-                  "epoch,train_loss,val_loss")
+        _copy_csv(Path(args.history), out / "plot_history.csv", "epoch,train_loss,val_loss")
         outputs.append("plot_history.csv")
     return outputs
 
 
+# command -> (body, its input files, the _LAZY modules it runs)
+_DATASET = (lambda a: [a.prices, a.labels, a.embeddings], ("ingest", "model", "evaluation"))
 _COMMANDS = {
-    "ingest": (_cmd_ingest, lambda a: [a.infile]),
-    "label": (_cmd_label, lambda a: [a.infile]),
-    "distill": (_cmd_distill, lambda a: []),
-    "embed": (_cmd_embed, lambda a: [a.summaries]),
-    "reduce": (_cmd_reduce, lambda a: [a.embeddings]),
-    "train": (_cmd_train, lambda a: [a.prices, a.labels, a.embeddings]),
-    "eval": (_cmd_eval, lambda a: [a.prices, a.labels, a.embeddings]),
-    "ablate": (_cmd_ablate, lambda a: [a.prices, a.labels, a.embeddings]),
-    "report": (_cmd_report, lambda a: [p for p in (a.labels, a.summary, a.roc, a.history) if p]),
+    "ingest": (_cmd_ingest, lambda a: [a.infile], ("ingest",)),
+    "label": (_cmd_label, lambda a: [a.infile], ("ingest",)),
+    "distill": (_cmd_distill, lambda a: [], ("agents", "backends")),
+    "embed": (_cmd_embed, lambda a: [a.summaries], ("agents", "backends")),
+    "reduce": (_cmd_reduce, lambda a: [a.embeddings], ("pca",)),
+    "train": (_cmd_train, *_DATASET),
+    "eval": (_cmd_eval, *_DATASET),
+    "ablate": (_cmd_ablate, *_DATASET),
+    "report": (_cmd_report,
+               lambda a: [p for p in (a.labels, a.summary, a.roc, a.history) if p], ()),
 }
 
 
@@ -557,6 +549,8 @@ def main(argv=None) -> int:
         own = argv and argv[0] in _OPTIONS and known.config is None
         parser = build_parser(overrides, argv[0] if own else None)
         args = parser.parse_args(argv)
+        body, input_paths, modules = _COMMANDS[args.command]
+        _bind(*modules)
 
         if args.command == "ablate":
             bad = [v for v in args.variants if v not in VARIANTS + (BASELINE_VARIANT,)]
@@ -566,7 +560,6 @@ def main(argv=None) -> int:
                 raise ConfigError(f"repeated variants: {', '.join(repeated)}")
 
         started = _utc_stamp()
-        body, input_paths = _COMMANDS[args.command]
         inputs = input_paths(args)
         for p in inputs:
             if not Path(p).exists():

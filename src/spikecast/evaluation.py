@@ -15,6 +15,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from . import BASELINE_VARIANT
 from .errors import ConfigError, ContractError, InsufficientDataError, UndefinedMetricError
 from .model import (
     ModelHyper,
@@ -29,8 +30,6 @@ from .model import (
 from .nn.ops import sigmoid
 from .pca import PcaBasis, fit_pca
 from .stores import write_csv, write_json
-
-BASELINE_VARIANT = "logreg"
 
 
 @dataclass(frozen=True)
@@ -231,18 +230,19 @@ def unique_year_rows(samples: Windows) -> tuple[tuple[int, ...], np.ndarray]:
     return tuple(years.tolist()), rows
 
 
-def fit_fold_pca(train_samples: Windows, d_prime: int):
-    """PCA basis from a fold's training rows only, capped to a feasible rank."""
+def fit_fold_pca(train_samples: Windows, d_prime: int, warn: bool = True):
+    """PCA basis from a fold's training rows only, capped to a feasible rank.
+    A cap warns unless `warn` is off, as _run_folds has it to word its own."""
     years, rows = unique_year_rows(train_samples)
-    cap = min(d_prime, rows.shape[1], rows.shape[0] - 1)
-    if cap < d_prime:
-        warnings.warn(
-            f"reduced dimension capped at {cap} (requested {d_prime}) "
-            f"by {rows.shape[0]} train rows of width {rows.shape[1]}",
-            stacklevel=2,
-        )
-    basis = fit_pca(rows, cap)
+    basis = fit_pca(rows, min(d_prime, rows.shape[1], rows.shape[0] - 1))
+    if warn and basis.d_prime < d_prime:
+        warnings.warn(_capped(years, basis, d_prime), stacklevel=2)
     return years, basis
+
+
+def _capped(years, basis: PcaBasis, d_prime: int) -> str:
+    return (f"reduced dimension capped at {basis.d_prime} (requested {d_prime}) "
+            f"by {len(years)} train rows of width {basis.mean.shape[0]}")
 
 
 def _fold_auc(scores, labels, fold: int, n_folds: int, variant: str) -> float | None:
@@ -271,9 +271,14 @@ def _run_folds(samples, variant, score_folds, fits_pca: bool, plan: FoldPlan,
     if plan.n != len(samples):
         raise ConfigError(f"fold plan covers {plan.n} samples, got {len(samples)}")
     folds, pca_years = [], []
-    for (tr_lo, tr_hi), (te_lo, te_hi) in plan.folds:
+    for idx, ((tr_lo, tr_hi), (te_lo, te_hi)) in enumerate(plan.folds, start=1):
         train_s = samples[tr_lo:tr_hi]
-        years, basis = fit_fold_pca(train_s, d_prime) if fits_pca else (None, None)
+        years, basis = fit_fold_pca(train_s, d_prime, warn=False) if fits_pca else (None, None)
+        if basis is not None and basis.d_prime < d_prime:
+            # Warned from this frame, as _fold_auc's: it names the caller of run_cv.
+            where = "hold-out" if plan.n_folds == 1 else f"fold {idx}"
+            warnings.warn(f"variant {variant} {where}: {_capped(years, basis, d_prime)}",
+                          stacklevel=3)
         folds.append((train_s, samples[te_lo:te_hi], basis))
         pca_years.append(years)
     results = []

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import VARIANTS
 from .errors import (
     CheckpointIntegrityError,
     CheckpointVersionError,
@@ -47,11 +48,7 @@ from .stores import atomic_write, write_csv
 
 CHECKPOINT_FORMAT = "spikecast-checkpoint/2"
 
-VARIANT_FULL = "full"
-VARIANT_NO_ATTENTION = "no_attention"
-VARIANT_NO_PCA = "no_pca"
-VARIANT_NO_NEWS = "no_news"
-VARIANTS = (VARIANT_FULL, VARIANT_NO_ATTENTION, VARIANT_NO_PCA, VARIANT_NO_NEWS)
+VARIANT_FULL, VARIANT_NO_ATTENTION, VARIANT_NO_PCA, VARIANT_NO_NEWS = VARIANTS
 # Variants that read PCA-reduced news: no_pca reads raw news, no_news none.
 PCA_VARIANTS = (VARIANT_FULL, VARIANT_NO_ATTENTION)
 # Windows per predict forward pass: each chunk's LSTM and attention caches

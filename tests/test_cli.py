@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def child(*argv) -> subprocess.CompletedProcess:
+    """`python *argv` in a fresh interpreter that imports this checkout's package."""
+    return subprocess.run(
+        [sys.executable, *map(str, argv)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +71,29 @@ def model_args(corpus, out):
     ]
 
 
+def pipeline_stages(corpus, run):
+    """(command, *flags) of every command in pipeline order, --out left off:
+    each stage reads the outputs of the earlier ones from run / <command>."""
+    args = model_args(corpus, run)
+    i = args.index("--out")
+    del args[i:i + 2]
+    args[args.index("--labels") + 1] = run / "label" / "labels.csv"
+    args[args.index("--embeddings") + 1] = run / "embed" / "embeddings.jsonl"
+    return [
+        ("ingest", "--in", corpus["prices"]),
+        ("label", "--in", corpus["prices"]),
+        ("distill", "--years", "1960:1989", "--mock-dim", "8"),
+        ("embed", "--summaries", run / "distill" / "summaries.jsonl", "--mock-dim", "8"),
+        ("reduce", "--embeddings", run / "embed" / "embeddings.jsonl", "--dim", "3"),
+        ("train", *args),
+        ("eval", *args),
+        ("ablate", *args, "--variants", "full,logreg", "--folds", "2"),
+        ("report", "--labels", run / "label" / "labels.csv",
+         "--summary", run / "ablate" / "summary.json", "--roc", run / "eval" / "roc.csv",
+         "--history", run / "train" / "history.csv"),
+    ]
+
+
 def run_single_class_tail(corpus, tmp_path, command, out, *extra):
     """`command` run on labels whose last 12 years are all 0, in a child
     process, so that warnings reach stderr as they do for a user."""
@@ -71,10 +103,7 @@ def run_single_class_tail(corpus, tmp_path, command, out, *extra):
     labels.write_text("\n".join([header, *rows]) + "\n")
     args = model_args(corpus, out)
     args[args.index("--labels") + 1] = labels
-    return subprocess.run(
-        [sys.executable, "-m", "spikecast.cli", command, *map(str, args), *extra],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
+    return child("-m", "spikecast.cli", command, *args, *extra)
 
 
 class TestIngest:
@@ -438,8 +467,10 @@ class TestReport:
             "no_news,,,,\n"
         )
 
-    @pytest.mark.parametrize("value", ['"high"', "[0.5]", "{}", "null", "1" + "0" * 400],
-                             ids=["string", "list", "object", "null", "huge-integer"])
+    @pytest.mark.parametrize("value", ['"high"', "[0.5]", "{}", "null", "1" + "0" * 400,
+                                       "true", '"0.5"'],
+                             ids=["string", "list", "object", "null", "huge-integer",
+                                  "bool", "numeric-string"])
     def test_non_numeric_metric_exits_one(self, tmp_path, capsys, value):
         summary = tmp_path / "summary.json"
         summary.write_text('{"full": {"mean": {"f1_w": 0.5}, "std": {"auc": %s}}}' % value)
@@ -455,27 +486,9 @@ class TestArtifactFiles:
         """Every file of a full pipeline run, manifests included, has the mode
         open(path, "w") gives a new file: 0o666 less the umask."""
         run = tmp_path / "run"
-        args = model_args(corpus, run)
-        i = args.index("--out")
-        del args[i:i + 2]
-        args[args.index("--labels") + 1] = run / "label" / "labels.csv"
-        args[args.index("--embeddings") + 1] = run / "embed" / "embeddings.jsonl"
-        stages = [
-            ("ingest", "--in", corpus["prices"]),
-            ("label", "--in", corpus["prices"]),
-            ("distill", "--years", "1960:1989", "--mock-dim", "8"),
-            ("embed", "--summaries", run / "distill" / "summaries.jsonl", "--mock-dim", "8"),
-            ("reduce", "--embeddings", run / "embed" / "embeddings.jsonl", "--dim", "3"),
-            ("train", *args),
-            ("eval", *args),
-            ("ablate", *args, "--variants", "full,logreg", "--folds", "2"),
-            ("report", "--labels", run / "label" / "labels.csv",
-             "--summary", run / "ablate" / "summary.json", "--roc", run / "eval" / "roc.csv",
-             "--history", run / "train" / "history.csv"),
-        ]
         old = os.umask(umask)
         try:
-            for command, *rest in stages:
+            for command, *rest in pipeline_stages(corpus, run):
                 assert run_cli(command, *rest, "--out", run / command) == 0, command
         finally:
             os.umask(old)
@@ -483,6 +496,61 @@ class TestArtifactFiles:
                  for p in run.rglob("*") if p.is_file()}
         assert len(modes) == 26, sorted(modes)
         assert set(modes.values()) == {oct(0o666 & ~umask)}, modes
+
+
+# spikecast modules each command loads besides the package, cli, errors and stores.
+DATASET_MODULES = {"spikecast.ingest", "spikecast.model", "spikecast.evaluation",
+                   "spikecast.pca", "spikecast.nn", "spikecast.nn.ops",
+                   "spikecast.nn.lstm", "spikecast.nn.attention", "spikecast.nn.head",
+                   "spikecast.nn.losses", "spikecast.nn.optim"}
+COMMAND_MODULES = {
+    "ingest": {"spikecast.ingest"},
+    "label": {"spikecast.ingest"},
+    "distill": {"spikecast.agents", "spikecast.backends"},
+    "embed": {"spikecast.agents", "spikecast.backends"},
+    "reduce": {"spikecast.pca"},
+    "train": DATASET_MODULES,
+    "eval": DATASET_MODULES,
+    "ablate": DATASET_MODULES,
+    "report": set(),
+}
+
+
+class TestColdStart:
+    """Each command in a fresh interpreter. In this process, names that one
+    test binds on spikecast.cli stay bound for the next, which would hide a
+    command whose _COMMANDS entry misses a module."""
+
+    def test_import_loads_no_pipeline_module(self):
+        proc = child("-c", "import sys, spikecast.cli; "
+                     "print(*sorted(m for m in sys.modules if m.startswith('spikecast')))")
+        assert proc.stdout.split() == [
+            "spikecast", "spikecast.cli", "spikecast.errors", "spikecast.stores"]
+
+    def test_every_command_in_its_own_process(self, corpus, tmp_path):
+        run = tmp_path / "run"
+        for command, *rest in pipeline_stages(corpus, run):
+            # -v writes "import 'name' # loader" for each module imported.
+            proc = child("-v", "-m", "spikecast.cli", command, *rest, "--out", run / command)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            assert proc.stdout.startswith(f"{command}: wrote ")
+            loaded = set(re.findall(r"^import '(spikecast\.[\w.]+)'", proc.stderr, re.M))
+            assert loaded == {"spikecast.errors", "spikecast.stores",
+                              *COMMAND_MODULES[command]}, command
+
+    @pytest.mark.parametrize("helper,want", [
+        ("len(_load_aligned(args))", "29"),  # 30 price years, the first unlabelled
+        ("_train_config(args).epochs", "2"),
+        ("_hyper(args).h", "4"),
+    ])
+    def test_helper_binds_its_own_names(self, corpus, tmp_path, helper, want):
+        """Each helper alone, in an interpreter where main() never ran."""
+        proc = child("-c", "import sys\n"
+                     "from spikecast.cli import _hyper, _load_aligned, _train_config, build_parser\n"
+                     "args = build_parser().parse_args(sys.argv[1:])\n"
+                     f"print({helper})", "train", *model_args(corpus, tmp_path / "train"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [want]
 
 
 class TestExitCodes:

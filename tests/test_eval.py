@@ -324,6 +324,29 @@ class TestFitFoldPca:
         assert basis.components.shape[1] == 4  # min(10, d=4, rows-1=4)
         assert len(years) == 5
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # tiny folds are single-class
+    def test_fold_loop_warns_once_per_fold_naming_the_caller(self):
+        samples = windows(n=14, k=3, d=4)  # 11 windows of 4-wide news
+        with pytest.warns(UserWarning, match="capped") as caught:
+            baseline_logreg(samples, time_series_split(len(samples), 3), d_prime=6,
+                            iters=5)
+        capped = [w for w in caught if "capped" in str(w.message)]
+        assert [str(w.message) for w in capped] == [
+            f"variant logreg fold {fold}: reduced dimension capped at 4 (requested 6) "
+            f"by {rows} train rows of width 4" for fold, rows in ((1, 7), (2, 9), (3, 11))]
+        assert {w.filename for w in capped} == {__file__}  # the line that called baseline_logreg
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # tiny folds are single-class
+    def test_holdout_warning_names_the_caller_of_run_cv(self):
+        samples = windows(n=14, k=3, d=4)
+        with pytest.warns(UserWarning, match="capped") as caught:
+            run_cv(samples, "full", TestRunCv.CONFIG, holdout_split(len(samples), 0.2),
+                   TestRunCv.HYPER, d_prime=6)
+        (capped,) = [w for w in caught if "capped" in str(w.message)]
+        assert str(capped.message) == ("variant full hold-out: reduced dimension capped "
+                                       "at 4 (requested 6) by 10 train rows of width 4")
+        assert capped.filename == __file__  # the line that called run_cv
+
     def test_no_warning_when_feasible(self):
         samples = windows(n=20, k=3, d=6)
         years, basis = fit_fold_pca(samples, d_prime=2)
