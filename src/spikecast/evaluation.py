@@ -37,7 +37,6 @@ class FoldPlan:
     """Expanding-window fold layout over n chronologically ordered samples."""
 
     n: int
-    n_folds: int
     folds: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
     def __post_init__(self):
@@ -51,6 +50,10 @@ class FoldPlan:
                 raise ConfigError("train ranges must strictly expand across folds")
             prev_train_end = tr_hi
 
+    @property
+    def n_folds(self) -> int:
+        return len(self.folds)
+
 
 def holdout_split(n: int, fraction: float = 0.20) -> FoldPlan:
     """Chronological one-fold plan: test = last ceil(fraction * n) samples."""
@@ -59,7 +62,7 @@ def holdout_split(n: int, fraction: float = 0.20) -> FoldPlan:
     if n < 5:
         raise InsufficientDataError(f"need at least 5 samples for a hold-out, got {n}")
     cut = n - math.ceil(fraction * n)
-    return FoldPlan(n=n, n_folds=1, folds=(((0, cut), (cut, n)),))
+    return FoldPlan(n=n, folds=(((0, cut), (cut, n)),))
 
 
 def time_series_split(n: int, n_folds: int = 5) -> FoldPlan:
@@ -78,7 +81,7 @@ def time_series_split(n: int, n_folds: int = 5) -> FoldPlan:
     for j in range(1, n_folds + 1):
         train_end = n - (n_folds - j + 1) * test_size
         folds.append(((0, train_end), (train_end, train_end + test_size)))
-    return FoldPlan(n=n, n_folds=n_folds, folds=tuple(folds))
+    return FoldPlan(n=n, folds=tuple(folds))
 
 
 def _counts_by_score(scores, labels):
@@ -328,13 +331,14 @@ def run_cv(
 
 def fit_logreg_sets(xs, ys, l2: float = 1e-3, lr: float = 0.5, iters: int = 500):
     """Full-batch gradient descent from a zero start on several independent
-    sets at once; deterministic. Returns (n_sets, f) weights and (n_sets,)
-    biases.
+    sets at once; deterministic. The sets may differ in width f_i. Returns
+    one (f_i,) weight vector per set, and (n_sets,) biases.
 
     Each set keeps its own x @ w, x.T @ resid and pairwise residual sum over
     its own rows, so its weights are bit for bit those of a descent on it
-    alone. The bias add, sigmoid, residual, L2 term and both updates run once
-    over the concatenated rows and the stacked weights.
+    alone. Every set's weights are a view of one flat vector, so the bias
+    add, sigmoid, residual, L2 term and both updates run once over the
+    concatenated rows and all the weights.
     """
     if isinstance(iters, bool) or not isinstance(iters, Integral) or iters < 0:
         raise ConfigError(f"iters must be an integer >= 0, got {iters!r}")
@@ -346,27 +350,29 @@ def fit_logreg_sets(xs, ys, l2: float = 1e-3, lr: float = 0.5, iters: int = 500)
     ys = [np.asarray(y, dtype=float) for y in ys]
     if not xs or len(xs) != len(ys):
         raise ContractError(f"{len(xs)} feature sets and {len(ys)} label sets")
-    if any(x.ndim != 2 for x in xs) or len({x.shape[1] for x in xs}) != 1:
-        raise ContractError("feature sets must be 2-D and of one width, got shapes "
-                            f"{[x.shape for x in xs]}")
+    if any(x.ndim != 2 for x in xs):
+        raise ContractError(f"feature sets must be 2-D, got shapes {[x.shape for x in xs]}")
     for i, (x, y) in enumerate(zip(xs, ys)):
         if y.shape != x.shape[:1]:
             raise ContractError(f"set {i}: labels of shape {y.shape} for {len(x)} rows")
 
+    def spans(sizes):
+        """Consecutive slices of these sizes."""
+        bounds = np.cumsum([0, *sizes]).tolist()
+        return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
     rows = np.array([len(x) for x in xs])
-    bounds = [0, *np.cumsum(rows).tolist()]
-    spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    row_spans, weight_spans = spans(rows), spans([x.shape[1] for x in xs])
     y = np.concatenate(ys)
     size = np.repeat(rows.astype(float), rows)  # each row's set size
-    w = np.zeros((len(xs), xs[0].shape[1]))
-    b = np.zeros(len(xs))
-    dw, db = np.empty_like(w), np.empty_like(b)
-    z, resid = np.empty(bounds[-1]), np.empty(bounds[-1])
+    w, dw = np.zeros(weight_spans[-1].stop), np.empty(weight_spans[-1].stop)
+    b, db = np.zeros(len(xs)), np.empty(len(xs))
+    z, resid = np.empty(y.size), np.empty(y.size)
     # Each set's operands and its views of the shared buffers; db[i, ...]
     # is set i's 0-d view of db.
-    forward = [(x, w[i], z[s]) for i, (x, s) in enumerate(zip(xs, spans))]
-    backward = [(x.T, resid[s], dw[i], db[i, ...])
-                for i, (x, s) in enumerate(zip(xs, spans))]
+    forward = [(x, w[ws], z[rs]) for x, ws, rs in zip(xs, weight_spans, row_spans)]
+    backward = [(x.T, resid[rs], dw[ws], db[i, ...])
+                for i, (x, ws, rs) in enumerate(zip(xs, weight_spans, row_spans))]
     for _ in range(iters):
         for x, w_i, z_i in forward:
             np.matmul(x, w_i, out=z_i)
@@ -380,7 +386,7 @@ def fit_logreg_sets(xs, ys, l2: float = 1e-3, lr: float = 0.5, iters: int = 500)
         dw += l2 * w
         w -= lr * dw
         b -= lr * db
-    return w, b
+    return [w[ws] for ws in weight_spans], b
 
 
 def logreg_scores(w: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:

@@ -53,14 +53,6 @@ class PriceTable:
         if present.size and not np.isfinite(present).all():
             raise ValidationError("present prices must be finite")
 
-    def column(self, commodity: str) -> "PriceSeries":
-        """Extract one commodity as a raw price series."""
-        try:
-            j = self.commodities.index(commodity)
-        except ValueError:
-            raise ValidationError(f"unknown commodity {commodity!r}") from None
-        return PriceSeries(commodity, self.years, self.values[:, j].copy(), RAW)
-
 
 @dataclass(frozen=True)
 class PriceSeries:
@@ -172,38 +164,28 @@ def parse_price_table(text: str) -> PriceTable:
     return PriceTable(tuple(years[i] for i in order), commodities, values)
 
 
-def zscore_normalize(series: PriceSeries) -> PriceSeries:
-    """Standardize a series to mean 0 / population std 1 over present values.
-
-    Renormalizing an already-normalized series is permitted and idempotent.
-    """
-    mu, sigma = series_stats(series)
-    if sigma <= 0.0:
-        raise DegenerateSeriesError(
-            f"series {series.commodity!r} is constant (sigma = 0)"
-        )
-    z = (series.values - mu) / sigma
-    return PriceSeries(series.commodity, series.years, z, NORMALIZED)
-
-
-def series_stats(series: PriceSeries) -> tuple[float, float]:
-    """Mean and population std (1/N) of the present values: the z-score fit."""
-    x = series.values[~np.isnan(series.values)]
+def series_stats(values: np.ndarray, name: str) -> tuple[float, float]:
+    """Mean and population std (1/N) of the present values of the series
+    `name`: the z-score fit. It needs two present values that differ."""
+    x = values[~np.isnan(values)]
     if x.size < 2:
         raise InsufficientDataError(
-            f"series {series.commodity!r} has {x.size} present value(s); need >= 2"
+            f"series {name!r} has {x.size} present value(s); need >= 2"
         )
-    return float(x.mean()), float(x.std())
+    mu, sigma = float(x.mean()), float(x.std())
+    if sigma <= 0.0:
+        raise DegenerateSeriesError(f"series {name!r} is constant (sigma = 0)")
+    return mu, sigma
 
 
 def normalize_table(table: PriceTable) -> PriceTable:
-    """Z-score every commodity column independently."""
+    """Z-score every commodity column independently, to mean 0 and population
+    std 1 over its present values; missing cells stay NaN."""
     if not table.commodities:
         raise ValidationError("empty table")
-    cols = [
-        zscore_normalize(table.column(name)).values for name in table.commodities
-    ]
-    return PriceTable(table.years, table.commodities, np.column_stack(cols))
+    mu, sigma = np.array([series_stats(col, name) for col, name
+                          in zip(table.values.T, table.commodities)]).T
+    return PriceTable(table.years, table.commodities, (table.values - mu) / sigma)
 
 
 def _yearly_mean(table: PriceTable, name: str, kind: str) -> PriceSeries:
@@ -228,25 +210,24 @@ def raw_average(table: PriceTable) -> PriceSeries:
 
 
 def pct_changes(series: PriceSeries) -> dict[int, float]:
-    """Year-over-year percentage change wherever the previous value allows it."""
-    out: dict[int, float] = {}
-    v = series.values
-    for i in range(1, len(v)):
-        prev, cur = v[i - 1], v[i]
-        if math.isnan(prev) or math.isnan(cur) or prev <= 0:
-            continue
-        out[series.years[i]] = (cur - prev) / prev * 100.0
-    return out
+    """Percentage change of each year over the calendar year before it, where
+    both values are present and the earlier one is positive. The years must
+    ascend; a year whose row before is not the year before gets no change."""
+    years, v = np.asarray(series.years), series.values
+    prev, cur = v[:-1], v[1:]
+    defined = (np.diff(years) == 1) & (prev > 0) & ~np.isnan(cur)
+    prev, cur = prev[defined], cur[defined]
+    return dict(zip(years[1:][defined].tolist(), ((cur - prev) / prev * 100.0).tolist()))
 
 
 def label_spikes(
     series: PriceSeries, threshold_pct: float = DEFAULT_SPIKE_THRESHOLD_PCT
 ) -> SpikeLabelSet:
-    """Label year i as a spike iff its price exceeds year i-1 by more than threshold_pct.
+    """Label year y as a spike iff its price exceeds year y-1's by more than threshold_pct.
 
     The comparison is strict: a change of exactly threshold_pct is labeled 0.
-    Years whose previous value is missing or <= 0 carry no label, as does the
-    first year of the series.
+    Years whose calendar predecessor is missing from the series, or has a
+    missing or <= 0 value, carry no label, as does the first year.
     """
     if series.kind == NORMALIZED:
         raise KindError(

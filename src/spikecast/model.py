@@ -14,7 +14,6 @@ import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import VARIANTS
 from .errors import (
@@ -29,7 +28,6 @@ from .ingest import AlignedDataset
 from .nn import (
     AttentionParams,
     HeadParams,
-    LstmParams,
     LstmStreams,
     attention_backward,
     attention_forward,
@@ -38,7 +36,7 @@ from .nn import (
     head_forward,
     init_attention_params,
     init_head_params,
-    init_lstm_params,
+    init_lstm_streams,
     lstm_backward,
     lstm_forward,
 )
@@ -111,7 +109,7 @@ class ModelParams:
     """Complete trainable state of one model variant. Built only by init_model:
     `theta` holds every trainable value, and every flat_params array is a
     view of it; see _bind for the order of theta. `lstm` holds the variant's
-    LSTM streams, price then news; price_lstm and news_lstm view them."""
+    LSTM streams, price then news (no_news has only the price stream)."""
 
     hyper: ModelHyper
     variant: str
@@ -121,14 +119,6 @@ class ModelParams:
     pca: PcaBasis | None = None
     norm_stats: dict[str, tuple[float, float]] | None = None
     theta: np.ndarray = field(init=False, repr=False)
-
-    @property
-    def price_lstm(self) -> LstmParams:
-        return self.lstm.stream(0)
-
-    @property
-    def news_lstm(self) -> LstmParams | None:
-        return self.lstm.stream(1) if len(self.lstm.w) > 1 else None
 
 
 @dataclass(frozen=True)
@@ -166,8 +156,11 @@ class TrainConfig:
 def make_windows(dataset: AlignedDataset, k: int) -> Windows:
     """Slide a length-k window over the aligned years.
 
-    Produces exactly T - k windows; each window's target is the label of the
-    step immediately after it. The arrays are copies, not views of dataset.
+    Window i holds steps i .. i + k - 1, and its target is the label of step
+    i + k. A window is kept only when those k + 1 years are consecutive
+    calendar years, so no window spans a year the dataset lacks; a gap-free
+    dataset of T years gives T - k windows. The arrays are copies, not views
+    of dataset.
     """
     t_len = len(dataset)
     if k < 1:
@@ -176,16 +169,18 @@ def make_windows(dataset: AlignedDataset, k: int) -> Windows:
         raise InsufficientDataError(
             f"need more than k={k} aligned steps, got {t_len}"
         )
-
-    def slide(a: np.ndarray) -> np.ndarray:
-        """(T, ...) -> (T - k, k, ...): window i holds a[i : i + k]."""
-        return np.moveaxis(sliding_window_view(a[:-1], k, axis=0), -1, 1).copy()
-
+    years = np.array(dataset.years, dtype=int)
+    starts = np.flatnonzero(years[k:] - years[:-k] == k)  # years ascend
+    if not starts.size:
+        raise InsufficientDataError(
+            f"no {k + 1} consecutive years among the {t_len} aligned years"
+        )
+    rows = starts[:, None] + np.arange(k)  # (N, k) step indices
     return Windows(
-        prices=slide(dataset.prices.reshape(-1, 1)),
-        news=slide(dataset.embeddings),
-        targets=np.array(dataset.labels[k:], dtype=int),
-        years=slide(np.array(dataset.years, dtype=int)),
+        prices=dataset.prices.reshape(-1, 1)[rows],
+        news=dataset.embeddings[rows],
+        targets=np.array(dataset.labels, dtype=int)[starts + k],
+        years=years[rows],
     )
 
 
@@ -204,24 +199,20 @@ def init_model(
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     rng = np.random.default_rng(hyper.seed)
-    lstms = [init_lstm_params(1, hyper.h, rng)]  # price, then news
+    # The price stream reads one value per step, the news stream d' of them.
+    lstm = init_lstm_streams((1,) if variant == VARIANT_NO_NEWS else (1, hyper.d_prime),
+                             hyper.h, rng)
     attention = None
     if variant == VARIANT_NO_NEWS:
         fused = hyper.h
     elif variant == VARIANT_NO_ATTENTION:
-        lstms.append(init_lstm_params(hyper.d_prime, hyper.h, rng))
         fused = hyper.h + hyper.h  # context = temporal mean of news states
     else:
-        lstms.append(init_lstm_params(hyper.d_prime, hyper.h, rng))
         attention = init_attention_params(hyper.h, hyper.h_a, rng)
         fused = hyper.h + hyper.h_a
     head = init_head_params(fused, hyper.h, hyper.dropout, rng)
-    drawn = ModelParams(
-        hyper=hyper, variant=variant,
-        lstm=LstmStreams(tuple(p.w for p in lstms), np.stack([p.u for p in lstms]),
-                         np.stack([p.b for p in lstms])),
-        head=head, attention=attention, pca=pca, norm_stats=norm_stats,
-    )
+    drawn = ModelParams(hyper=hyper, variant=variant, lstm=lstm, head=head,
+                        attention=attention, pca=pca, norm_stats=norm_stats)
     flat = flat_params(drawn)
     params = _bind(drawn, np.empty(sum(arr.size for arr in flat.values())))
     for name, arr in flat_params(params).items():
@@ -258,10 +249,12 @@ def _bind(params: ModelParams, theta: np.ndarray) -> ModelParams:
 
 
 def flat_params(params: ModelParams) -> dict[str, np.ndarray]:
-    """Live views of every trainable array, keyed component.field."""
-    flat = {f"price_lstm.{n}": a for n, a in params.price_lstm.arrays().items()}
-    if params.news_lstm is not None:
-        flat.update({f"news_lstm.{n}": a for n, a in params.news_lstm.arrays().items()})
+    """Live views of every trainable array, keyed component.field: LSTM
+    stream j's w[j], u[j] and b[j] as price_lstm.* (j = 0) and news_lstm.*."""
+    lstm = params.lstm
+    flat = {f"{stream}.{n}": a
+            for stream, w, u, b in zip(("price_lstm", "news_lstm"), lstm.w, lstm.u, lstm.b)
+            for n, a in (("w", w), ("u", u), ("b", b))}
     if params.attention is not None:
         flat.update({f"attention.{n}": a for n, a in params.attention.arrays().items()})
     flat.update({f"head.{n}": a for n, a in params.head.arrays().items()})

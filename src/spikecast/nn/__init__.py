@@ -5,7 +5,7 @@ architecture is small and fixed, so a general autodiff engine would be
 dead weight.
 """
 from .ops import relu, sigmoid, softmax_rows
-from .lstm import LstmParams, LstmStreams, init_lstm_params, lstm_forward, lstm_backward
+from .lstm import LstmStreams, init_lstm_streams, lstm_forward, lstm_backward
 from .attention import (
     AttentionParams,
     init_attention_params,
@@ -20,9 +20,8 @@ __all__ = [
     "relu",
     "sigmoid",
     "softmax_rows",
-    "LstmParams",
     "LstmStreams",
-    "init_lstm_params",
+    "init_lstm_streams",
     "lstm_forward",
     "lstm_backward",
     "AttentionParams",

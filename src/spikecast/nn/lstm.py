@@ -36,61 +36,39 @@ GATE_ORDER = ("o", "i", "f", "g")
 
 
 @dataclass
-class LstmParams:
-    """Weights for one LSTM: input->gate, hidden->gate, and gate biases, each
-    with the four gate blocks side by side in GATE_ORDER."""
+class LstmStreams:
+    """S LSTMs that share a hidden size h, laid out to run as one recurrence:
+    each stream's input weights, and all streams' recurrent weights and
+    biases stacked into one array each. Each array holds the four gate blocks
+    side by side in GATE_ORDER."""
 
-    w: np.ndarray  # (m, 4h)
-    u: np.ndarray  # (h, 4h)
-    b: np.ndarray  # (4h,)
-
-    @property
-    def input_size(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def hidden_size(self) -> int:
-        return self.u.shape[0]
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {"w": self.w, "u": self.u, "b": self.b}
+    w: tuple[np.ndarray, ...]  # S arrays (m_s, 4h)
+    u: np.ndarray              # (S, h, 4h)
+    b: np.ndarray              # (S, 4h)
 
 
-def init_lstm_params(
-    input_size: int, hidden_size: int, rng: np.random.Generator
-) -> LstmParams:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init; forget-gate bias +1.
+def init_lstm_streams(
+    input_sizes: tuple[int, ...], hidden_size: int, rng: np.random.Generator
+) -> LstmStreams:
+    """One LSTM per input size m_s, all of hidden size h, drawn stream by
+    stream: Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init; forget-gate bias +1.
 
-    The blocks are drawn gate by gate in i, f, g, o order, all of W first,
-    then all of U, so a seed gives the same weights whatever GATE_ORDER is.
+    A stream's blocks are drawn gate by gate in i, f, g, o order, all of W
+    first, then all of U, so a seed gives the same weights whatever
+    GATE_ORDER is.
     """
+    h = hidden_size
+
     def draw(fan_in, rows):
         bound = 1.0 / np.sqrt(fan_in)
         blocks = {gate: rng.uniform(-bound, bound, size=(rows, h))
                   for gate in "ifgo"}
         return np.concatenate([blocks[gate] for gate in GATE_ORDER], axis=1)
 
-    m, h = input_size, hidden_size
-    w = draw(m, m)
-    u = draw(h, h)
-    b = np.zeros(4 * h)
-    b.reshape(4, h)[GATE_ORDER.index("f")] = 1.0
-    return LstmParams(w=w, u=u, b=b)
-
-
-@dataclass
-class LstmStreams:
-    """S LSTMs that share a hidden size h, laid out to run as one recurrence:
-    each stream's input weights, and all streams' recurrent weights and
-    biases stacked into one array each."""
-
-    w: tuple[np.ndarray, ...]  # S arrays (m_s, 4h)
-    u: np.ndarray              # (S, h, 4h)
-    b: np.ndarray              # (S, 4h)
-
-    def stream(self, j: int) -> LstmParams:
-        """Stream j's LSTM, as views of these arrays."""
-        return LstmParams(w=self.w[j], u=self.u[j], b=self.b[j])
+    w, u = zip(*((draw(m, m), draw(h, h)) for m in input_sizes))
+    b = np.zeros((len(w), 4, h))
+    b[:, GATE_ORDER.index("f")] = 1.0
+    return LstmStreams(w, np.stack(u), b.reshape(len(w), 4 * h))
 
 
 def lstm_forward(

@@ -77,16 +77,6 @@ def zero_params(params):
     return params
 
 
-def stack_streams(lstms) -> LstmStreams:
-    """The LstmStreams of separate LstmParams: their own w arrays, and their
-    u and b copied into stacked arrays."""
-    if not lstms or len({p.hidden_size for p in lstms}) != 1:
-        raise ContractError(f"hidden sizes {[p.hidden_size for p in lstms]}; "
-                            "streams need one shared hidden size")
-    return LstmStreams(tuple(p.w for p in lstms), np.stack([p.u for p in lstms]),
-                       np.stack([p.b for p in lstms]))
-
-
 def run_backward(backward, params, *args):
     """Call a layer's backward (head, attention or LSTM) with fresh gradient
     arrays shaped like `params`. Returns (the gradients, in a params object
@@ -177,7 +167,8 @@ def reference_align_dataset(prices, labels, embeddings) -> AlignedDataset:
 
 
 def reference_windows(dataset, k: int):
-    """make_windows one window at a time, as the definition reads.
+    """make_windows one window at a time, as the definition reads: a window
+    is k steps and a target step that are k + 1 consecutive years.
 
     Returns a list of (prices (k, 1), news (k, d), target, anchor_year,
     years) tuples, one per window.
@@ -185,6 +176,9 @@ def reference_windows(dataset, k: int):
     out = []
     for i in range(k - 1, len(dataset) - 1):
         lo = i - k + 1
+        if list(dataset.years[lo : i + 2]) != list(range(dataset.years[lo],
+                                                        dataset.years[lo] + k + 1)):
+            continue
         out.append((
             dataset.prices[lo : i + 1].reshape(k, 1).copy(),
             dataset.embeddings[lo : i + 1].copy(),
@@ -296,24 +290,24 @@ def reference_baseline_scores(samples, plan, d_prime, l2=1e-3, lr=0.5, iters=500
 
 
 def reference_lstm_forward(
-    sequence: np.ndarray, params
+    sequence: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """lstm_forward for one stream, one LSTM per call (the unfused kernel).
+    """lstm_forward for one stream, one LSTM per call (the unfused kernel),
+    given its w (m, 4h), u (h, 4h) and b (4h,).
 
     Returns (all hidden states (B, k, h), final hidden states (B, h), cache
     for backprop).
     """
     sequence = np.asarray(sequence, dtype=float)
-    if sequence.ndim != 3 or sequence.shape[2] != params.input_size:
+    if sequence.ndim != 3 or sequence.shape[2] != w.shape[0]:
         raise ContractError(
             f"sequence batch shape {sequence.shape} does not match "
-            f"(B, k, {params.input_size})"
+            f"(B, k, {w.shape[0]})"
         )
     if not np.isfinite(sequence).all():
         raise NumericError("non-finite value in LSTM input sequence")
     n, k, _ = sequence.shape
-    h = params.hidden_size
-    w, u, b = params.w, params.u, params.b
+    h = u.shape[0]
 
     # Input projections of every step at once, in the buffer where each step
     # then writes its activations (o | i | f | g). The loop adds h_prev @ U,
@@ -344,10 +338,11 @@ def reference_lstm_forward(
 
 
 def reference_lstm_backward(
-    params, cache: dict, d_hs: np.ndarray
+    u: np.ndarray, cache: dict, d_hs: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """lstm_backward for one stream: BPTT given a (B, k, h) d_hs. Returns
-    gradients summed over the batch, keyed like LstmParams.arrays()."""
+    """lstm_backward for one stream of recurrent weights u (h, 4h): BPTT
+    given a (B, k, h) d_hs. Returns the gradients of w, u and b, summed over
+    the batch, keyed "w", "u" and "b"."""
     seq, gates = cache["sequence"], cache["gates"]
     hs, cs, tanh_cs = cache["hs"], cache["cs"], cache["tanh_cs"]
     k, n, h = tanh_cs.shape
@@ -367,7 +362,7 @@ def reference_lstm_backward(
     factor[:, :, 2] *= cs[:-1]
     np.multiply(i, 1.0 - g**2, out=factor[:, :, 3])
     d_tanh_c = o * (1.0 - tanh_cs**2)        # dc contribution of dh
-    u_t = params.u.T
+    u_t = u.T
 
     da = np.empty((k, n, 4 * h))             # pre-activation grads o | i | f | g
     da_o = da[..., :h]

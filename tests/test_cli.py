@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spikecast.cli import (
@@ -412,6 +413,34 @@ class TestAblate:
                        "--variants", "no_news,logreg,no_news") == 1
         assert "repeated variants: no_news" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+
+class TestGapYear:
+    """A year empty in every price column: no label is taken across it, and
+    no window spans it."""
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # tiny folds may be single-class
+    def test_pipeline_runs_around_the_gap(self, tmp_path):
+        rows = ["1975,,," if row.startswith("1975,") else row
+                for row in price_csv_text(n=30).splitlines()]
+        prices = tmp_path / "prices.csv"
+        prices.write_text("\n".join(rows) + "\n")
+        run = tmp_path / "run"
+        stages = pipeline_stages({"prices": prices, "labels": None, "embeddings": None}, run)
+        for command, *flags in stages:
+            assert run_cli(command, *flags, "--out", run / command) == 0, command
+
+        label_years = [int(row.split(",")[0]) for row in
+                       (run / "label" / "labels.csv").read_text().splitlines()[1:]]
+        assert label_years == [*range(1961, 1975), *range(1977, 1990)]
+        train_flags = next(flags for command, *flags in stages if command == "train")
+        args = build_parser().parse_args(["train", *map(str, train_flags), "--out", "x"])
+        samples = make_windows(_load_aligned(args), args.k)
+        # The years 1961-1974 and 1977-1989 each give their length - k windows.
+        assert len(samples) == (14 - 3) + (13 - 3)
+        spans = np.column_stack([samples.years, samples.anchor_years + 1])
+        assert (np.diff(spans, axis=1) == 1).all()
+        assert not np.isin(spans, [1975, 1976]).any()
 
 
 class TestReport:

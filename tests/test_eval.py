@@ -100,21 +100,25 @@ class TestTimeSeriesSplit:
 class TestFoldPlan:
     def test_rejects_train_not_anchored_at_zero(self):
         with pytest.raises(ConfigError):
-            FoldPlan(n=10, n_folds=1, folds=(((1, 4), (4, 6)),))
+            FoldPlan(n=10, folds=(((1, 4), (4, 6)),))
 
     def test_rejects_test_overlapping_train(self):
         with pytest.raises(ConfigError):
-            FoldPlan(n=10, n_folds=1, folds=(((0, 5), (4, 6)),))
+            FoldPlan(n=10, folds=(((0, 5), (4, 6)),))
 
     def test_rejects_non_expanding_training(self):
         with pytest.raises(ConfigError):
             FoldPlan(
-                n=10, n_folds=2,
+                n=10,
                 folds=(((0, 4), (4, 6)), ((0, 4), (6, 8))),
             )
 
     def test_gap_between_train_and_test_is_legal(self):
-        FoldPlan(n=10, n_folds=1, folds=(((0, 4), (6, 8)),))
+        FoldPlan(n=10, folds=(((0, 4), (6, 8)),))
+
+    def test_fold_count_is_the_folds_given(self):
+        plan = FoldPlan(n=10, folds=(((0, 4), (4, 6)), ((0, 6), (6, 8))))
+        assert plan.n_folds == len(plan.folds) == 2
 
 
 def holdout_parts(samples, fraction):
@@ -504,7 +508,7 @@ class TestLogregDescentBatching:
         xs = [rng.normal(size=(n, width)) for n in self.SIZES]
         ys = [(rng.random(n) < 0.4).astype(float) for n in self.SIZES]
         w, b = fit_logreg_sets(xs, ys, iters=iters)
-        assert w.shape == (len(xs), width) and b.shape == (len(xs),)
+        assert [w_i.shape for w_i in w] == [(width,)] * len(xs) and b.shape == (len(xs),)
         for x, y, w_i, b_i in zip(xs, ys, w, b):
             w_one, b_one = fit_logreg(x, y, iters=iters)
             w_ref, b_ref = reference_fit_logreg(x, y, iters=iters)
@@ -518,6 +522,33 @@ class TestLogregDescentBatching:
         report = baseline_logreg(samples, plan, d_prime=3)
         want = reference_baseline_scores(samples, plan, d_prime=3)
         assert len(report.folds) == len(want) == 5
+        for fold, scores in zip(report.folds, want):
+            assert [v.hex() for v in fold.scores.tolist()] == \
+                [v.hex() for v in scores.tolist()]
+
+    @pytest.mark.parametrize("iters", [0, 500])
+    def test_sets_of_different_widths_match_one_set_descents_bitwise(self, iters):
+        rng = np.random.default_rng(iters + 1)
+        xs = [rng.normal(size=(n, width)) for n, width in ((9, 3), (128, 5), (4, 7))]
+        ys = [(rng.random(len(x)) < 0.4).astype(float) for x in xs]
+        w, b = fit_logreg_sets(xs, ys, iters=iters)
+        assert [w_i.shape for w_i in w] == [(3,), (5,), (7,)] and b.shape == (3,)
+        for x, y, w_i, b_i in zip(xs, ys, w, b):
+            w_ref, b_ref = reference_fit_logreg(x, y, iters=iters)
+            assert_same_bits(w_i, w_ref)
+            assert float(b_i).hex() == b_ref.hex()
+
+    @pytest.mark.filterwarnings("ignore:.*reduced dimension capped")
+    @pytest.mark.filterwarnings("ignore:.*single-class test labels")
+    def test_folds_of_different_pca_ranks(self):
+        # Early folds have too few training rows for d' = 7, so PCA caps
+        # their bases at lower ranks and their feature sets are narrower.
+        samples = make_windows(planted_dataset(n=30, d=8), 3)
+        plan = time_series_split(len(samples), 12)
+        report = baseline_logreg(samples, plan, d_prime=7)
+        want = reference_baseline_scores(samples, plan, d_prime=7)
+        assert len({f.pca_basis.components.shape[1] for f in report.folds}) > 1
+        assert len(report.folds) == len(want) == 12
         for fold, scores in zip(report.folds, want):
             assert [v.hex() for v in fold.scores.tolist()] == \
                 [v.hex() for v in scores.tolist()]
@@ -555,9 +586,9 @@ class TestLogregDescentInputs:
         with pytest.raises(ConfigError, match="l2 must be finite and >= 0"):
             fit_logreg(self.X, self.Y, l2=l2)
 
-    def test_sets_of_different_widths(self):
-        with pytest.raises(ContractError, match="one width"):
-            fit_logreg_sets([self.X, np.ones((3, 2))], [self.Y, self.Y])
+    def test_sets_must_be_2d(self):
+        with pytest.raises(ContractError, match="feature sets must be 2-D"):
+            fit_logreg_sets([self.X, np.ones(3)], [self.Y, self.Y])
 
     @pytest.mark.parametrize("labels", [2, 4])
     def test_label_count_must_match_row_count(self, labels):

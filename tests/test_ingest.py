@@ -25,6 +25,7 @@ from spikecast.ingest import (
     NORMALIZED,
     RAW,
     PriceSeries,
+    PriceTable,
     SpikeLabelSet,
     align_dataset,
     composite_average,
@@ -34,7 +35,6 @@ from spikecast.ingest import (
     pct_changes,
     raw_average,
     series_stats,
-    zscore_normalize,
 )
 from spikecast.stores import EmbeddingStore
 
@@ -68,43 +68,50 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_price_table("year,a\n")
 
-    def test_column_accessor(self, small_table_text):
-        series = parse_price_table(small_table_text).column("gas")
-        assert series.kind == RAW
-        assert series.values[0] == 2.0
-        assert np.isnan(series.values[2])
+
+
+def one_column(values) -> PriceTable:
+    """A price table of one commodity "x", one row per value from 1960 on."""
+    values = np.asarray(values, dtype=float)
+    return PriceTable(tuple(range(1960, 1960 + len(values))), ("x",), values[:, None])
 
 
 class TestZscore:
+    """normalize_table on one-column tables: the per-commodity z-score."""
+
     def test_moments(self):
-        s = PriceSeries("x", range(1960, 1970), np.arange(10.0) * 3 + 5, RAW)
-        z = zscore_normalize(s)
-        assert z.kind == NORMALIZED
-        assert abs(z.values.mean()) < 1e-12
-        assert abs(z.values.std() - 1.0) < 1e-12  # population std
+        z = normalize_table(one_column(np.arange(10.0) * 3 + 5)).values[:, 0]
+        assert abs(z.mean()) < 1e-12
+        assert abs(z.std() - 1.0) < 1e-12  # population std
 
     def test_missing_preserved(self):
-        vals = np.array([1.0, np.nan, 3.0, 5.0])
-        z = zscore_normalize(PriceSeries("x", range(1960, 1964), vals, RAW))
-        assert np.isnan(z.values[1])
-        observed = z.values[~np.isnan(z.values)]
+        z = normalize_table(one_column([1.0, np.nan, 3.0, 5.0])).values[:, 0]
+        assert np.isnan(z[1])
+        observed = z[~np.isnan(z)]
         assert abs(observed.mean()) < 1e-12
 
     def test_too_few_observations(self):
-        s = PriceSeries("x", (1960, 1961), np.array([1.0, np.nan]), RAW)
-        with pytest.raises(InsufficientDataError):
-            zscore_normalize(s)
+        with pytest.raises(InsufficientDataError,
+                           match=r"series 'x' has 1 present value\(s\); need >= 2"):
+            normalize_table(one_column([1.0, np.nan]))
 
     def test_constant_series(self):
-        s = PriceSeries("x", range(1960, 1965), np.full(5, 7.0), RAW)
-        with pytest.raises(DegenerateSeriesError):
-            zscore_normalize(s)
+        with pytest.raises(DegenerateSeriesError,
+                           match=r"series 'x' is constant \(sigma = 0\)"):
+            normalize_table(one_column(np.full(5, 7.0)))
 
     def test_normalized_input_accepted_and_idempotent(self):
-        s = PriceSeries("x", range(1960, 1970), np.arange(10.0), RAW)
-        z1 = zscore_normalize(s)
-        z2 = zscore_normalize(z1)
+        z1 = normalize_table(one_column(np.arange(10.0)))
+        z2 = normalize_table(z1)
         assert np.allclose(z1.values, z2.values, atol=1e-12)
+
+    def test_columns_normalized_independently(self):
+        table = PriceTable((1960, 1961, 1962), ("a", "b"),
+                           np.array([[1.0, 10.0], [2.0, np.nan], [4.0, 30.0]]))
+        z = normalize_table(table).values
+        for j in range(2):
+            want = normalize_table(one_column(table.values[:, j])).values[:, 0]
+            assert_same_bits(z[:, j], want)
 
     @given(
         scale=st.floats(0.01, 1e4),
@@ -116,14 +123,12 @@ class TestZscore:
         vals = np.asarray(data)
         if vals.std() < 1e-9 or (scale * vals).std() < 1e-9:
             return
-        years = range(1960, 1960 + len(vals))
-        z1 = zscore_normalize(PriceSeries("x", years, vals, RAW))
-        z2 = zscore_normalize(PriceSeries("x", years, scale * vals + shift, RAW))
+        z1 = normalize_table(one_column(vals))
+        z2 = normalize_table(one_column(scale * vals + shift))
         assert np.allclose(z1.values, z2.values, rtol=1e-6, atol=1e-6)
 
     def test_series_stats_population(self):
-        s = PriceSeries("x", range(1960, 1964), np.array([1.0, 2.0, 3.0, 4.0]), RAW)
-        mean, std = series_stats(s)
+        mean, std = series_stats(np.array([1.0, 2.0, 3.0, 4.0]), "x")
         assert mean == 2.5
         assert abs(std - np.std([1, 2, 3, 4])) < 1e-15
 
@@ -194,6 +199,23 @@ class TestLabels:
     def test_pct_changes(self):
         s = PriceSeries("avg", (1960, 1961), np.array([100.0, 150.0]), RAW)
         assert pct_changes(s) == {1961: pytest.approx(50.0)}
+
+    def test_only_against_the_calendar_year_before(self):
+        # 1961 is empty in every column, so raw_average drops it, and the
+        # table has no 1963: 1962 and 1964 have no year before them.
+        table = parse_price_table("year,a,b\n1960,10,20\n1961,,\n1962,20,40\n"
+                                  "1964,50,100\n1965,60,120\n")
+        averages = raw_average(table)
+        assert averages.years == (1960, 1962, 1964, 1965)
+        assert pct_changes(averages) == {1965: pytest.approx(20.0)}
+        assert label_spikes(averages).as_dict() == {1965: 0}
+
+    def test_changes_of_a_gap_free_run_are_unchanged(self):
+        vals = np.array([100.0, 150.0, 120.0, 180.0])
+        gapped = PriceSeries("avg", (1960, 1961, 1970, 1971), vals, RAW)
+        whole = PriceSeries("avg", (1960, 1961, 1962, 1963), vals, RAW)
+        assert pct_changes(gapped) == {1961: pct_changes(whole)[1961],
+                                       1971: pct_changes(whole)[1963]}
 
     def test_repeated_year_rejected(self):
         with pytest.raises(ValidationError, match=r"duplicate label year\(s\): \[1961\]"):

@@ -97,6 +97,35 @@ class TestMakeWindows:
             make_windows(ds, k=5)
         assert len(make_windows(ds, k=4)) == 1
 
+    def test_windows_never_span_a_missing_year(self):
+        # Aligned years 1960-1962 and 1964-1966, k = 2: each run of three
+        # consecutive years gives one window, and no window crosses 1963.
+        ds = replace(planted_dataset(n=6, d=3), years=(1960, 1961, 1962, 1964, 1965, 1966))
+        samples = make_windows(ds, k=2)
+        assert samples.years.tolist() == [[1960, 1961], [1964, 1965]]
+        np.testing.assert_array_equal(samples.targets, ds.labels[[2, 5]])
+        np.testing.assert_array_equal(samples.prices[..., 0], ds.prices[[[0, 1], [3, 4]]])
+        np.testing.assert_array_equal(samples.news, ds.embeddings[[[0, 1], [3, 4]]])
+
+    def test_no_run_of_k_plus_one_years(self):
+        ds = replace(planted_dataset(n=4, d=2), years=(1960, 1961, 1963, 1964))
+        with pytest.raises(InsufficientDataError, match="no 3 consecutive years"):
+            make_windows(ds, k=2)
+        assert len(make_windows(ds, k=1)) == 2
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_gapped_years_match_per_window_reference(self, k):
+        ds = planted_dataset(n=40, d=5, seed=k)
+        years = np.arange(1960, 2000) + np.cumsum(np.isin(np.arange(40), [7, 9, 20, 21]))
+        ds = replace(ds, years=tuple(years.tolist()))
+        windows = make_windows(ds, k)
+        want = reference_windows(ds, k)
+        assert 0 < len(windows) == len(want) < 40 - k
+        for field, got in enumerate((windows.prices, windows.news,
+                                     windows.targets, windows.anchor_years,
+                                     windows.years)):
+            assert_same_bits(got, [w[field] for w in want])
+
     def test_reduce_samples_projects_news(self):
         ds = planted_dataset(n=20, d=6)
         basis = fit_pca(ds.embeddings, 3)
@@ -159,12 +188,12 @@ class TestInitModel:
 
     def test_branch_presence(self):
         hyper = ModelHyper(k=3, d_prime=5, h=8, h_a=6)
-        full = init_model(hyper, "full")
-        assert full.news_lstm is not None and full.attention is not None
+        full = init_model(hyper, "full")  # LSTM streams: price, then news
+        assert len(full.lstm.w) == 2 and full.attention is not None
         no_att = init_model(hyper, "no_attention")
-        assert no_att.news_lstm is not None and no_att.attention is None
+        assert len(no_att.lstm.w) == 2 and no_att.attention is None
         no_news = init_model(hyper, "no_news")
-        assert no_news.news_lstm is None and no_news.attention is None
+        assert len(no_news.lstm.w) == 1 and no_news.attention is None
 
     def test_seeded_determinism(self):
         a = init_model(HYPER_SMALL, "full")
@@ -201,17 +230,17 @@ class TestInitModel:
             arr += 1.0
         assert theta.size == sum(arr.size for arr in flat.values())
         assert (theta == 1.0).all()
-        # The stacked LSTM arrays are views of each stream's arrays, in
-        # stream order: with distinct values in theta, equal values are
-        # the same elements.
+        # Each stream's flat_params arrays are its slices of the stacked LSTM
+        # arrays, in stream order: with distinct values in theta, equal
+        # values are the same elements.
         theta[...] = np.arange(theta.size)
-        streams = [c for c in ("price_lstm", "news_lstm") if getattr(params, c)]
+        streams = [c for c in ("price_lstm", "news_lstm") if f"{c}.w" in flat]
         assert len(params.lstm.w) == len(streams) == (1 if variant == "no_news" else 2)
         assert params.lstm.u.shape == (len(streams), HYPER_SMALL.h, 4 * HYPER_SMALL.h)
         for j, component in enumerate(streams):
             for attr, stacked in (("w", params.lstm.w[j]), ("u", params.lstm.u[j]),
                                   ("b", params.lstm.b[j])):
-                view = getattr(getattr(params, component), attr)
+                view = flat[f"{component}.{attr}"]
                 assert np.shares_memory(stacked, theta)
                 np.testing.assert_array_equal(stacked, view, f"{component}.{attr}")
 

@@ -14,7 +14,7 @@ from spikecast.nn import (
     head_forward,
     init_attention_params,
     init_head_params,
-    init_lstm_params,
+    init_lstm_streams,
     lstm_backward,
     lstm_forward,
     relu,
@@ -29,7 +29,6 @@ from conftest import (
     reference_lstm_backward,
     reference_lstm_forward,
     run_backward,
-    stack_streams,
 )
 
 
@@ -86,48 +85,57 @@ class TestOps:
         assert np.allclose(softmax_rows(logits), softmax_rows(shifted), atol=1e-12)
 
 
+def stream_arrays(streams, j):
+    """Stream j's w, u and b views, keyed as flat_params names them."""
+    return {"w": streams.w[j], "u": streams.u[j], "b": streams.b[j]}
+
+
 class TestLstm:
     def test_shapes_and_cache(self):
         rng = np.random.default_rng(1)
-        params = init_lstm_params(3, 5, rng)
+        params = init_lstm_streams((3,), 5, rng)
         seq = rng.normal(size=(2, 7, 3))
-        (hs,), (last,), cache = lstm_forward((seq,), stack_streams((params,)))
+        (hs,), (last,), cache = lstm_forward((seq,), params)
         assert hs.shape == (2, 7, 5)
         assert last.shape == (2, 5)
         assert np.array_equal(last, hs[:, -1])
 
     def test_forget_bias_ones(self):
-        params = init_lstm_params(2, 4, np.random.default_rng(2))
-        b_o, b_i, b_f, b_g = params.b.reshape(4, 4)  # stored order o | i | f | g
-        assert np.all(b_f == 1.0)
-        assert not np.any([b_o, b_i, b_g])
+        params = init_lstm_streams((2, 3), 4, np.random.default_rng(2))
+        for b in params.b:
+            b_o, b_i, b_f, b_g = b.reshape(4, 4)  # stored order o | i | f | g
+            assert np.all(b_f == 1.0)
+            assert not np.any([b_o, b_i, b_g])
 
     def test_init_matches_per_gate_draw_order(self):
-        # The reference draw: W blocks gate by gate in i, f, g, o order, then
-        # the U blocks, then constant biases; stored side by side as o | i | f | g.
-        m, h = 3, 5
+        # The reference draw, stream by stream: W blocks gate by gate in i, f,
+        # g, o order, then the U blocks, then constant biases; stored side by
+        # side as o | i | f | g.
+        sizes, h = (3, 1, 4), 5
         for seed in range(3):
             rng = np.random.default_rng(seed)
-            params = init_lstm_params(m, h, rng)
+            params = init_lstm_streams(sizes, h, rng)
             ref = np.random.default_rng(seed)
-            bw, bu = 1.0 / np.sqrt(m), 1.0 / np.sqrt(h)
-            w = {g: ref.uniform(-bw, bw, size=(m, h)) for g in "ifgo"}
-            u = {g: ref.uniform(-bu, bu, size=(h, h)) for g in "ifgo"}
-            b = {"o": np.zeros(h), "i": np.zeros(h), "f": np.ones(h), "g": np.zeros(h)}
-            for got, blocks in ((params.w, w), (params.u, u), (params.b, b)):
-                want = np.concatenate([blocks[g] for g in "oifg"], axis=-1)
-                assert got.tobytes() == want.tobytes()
+            assert len(params.w) == len(sizes)
+            for j, m in enumerate(sizes):
+                bw, bu = 1.0 / np.sqrt(m), 1.0 / np.sqrt(h)
+                w = {g: ref.uniform(-bw, bw, size=(m, h)) for g in "ifgo"}
+                u = {g: ref.uniform(-bu, bu, size=(h, h)) for g in "ifgo"}
+                b = {"o": np.zeros(h), "i": np.zeros(h), "f": np.ones(h), "g": np.zeros(h)}
+                for got, blocks in ((params.w[j], w), (params.u[j], u), (params.b[j], b)):
+                    want = np.concatenate([blocks[g] for g in "oifg"], axis=-1)
+                    assert got.tobytes() == want.tobytes()
             assert rng.random() == ref.random()  # later draws are unchanged too
 
     def test_zero_params_zero_output(self):
-        params = init_lstm_params(2, 3, np.random.default_rng(3))
-        for arr in params.arrays().values():
+        params = init_lstm_streams((2,), 3, np.random.default_rng(3))
+        for arr in stream_arrays(params, 0).values():
             arr[:] = 0.0
-        (hs,), (last,), _ = lstm_forward((np.ones((1, 4, 2)),), stack_streams((params,)))
+        (hs,), (last,), _ = lstm_forward((np.ones((1, 4, 2)),), params)
         assert np.all(hs == 0.0)
 
     def test_rejects_bad_input(self):
-        params = stack_streams((init_lstm_params(2, 3, np.random.default_rng(4)),))
+        params = init_lstm_streams((2,), 3, np.random.default_rng(4))
         with pytest.raises(ContractError):
             lstm_forward((np.ones((1, 4, 5)),), params)
         with pytest.raises(ContractError):
@@ -137,26 +145,27 @@ class TestLstm:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
-        params = init_lstm_params(2, 4, rng)
+        params = init_lstm_streams((2,), 4, rng)
         seq = rng.normal(size=(3, 5, 2))
         d_hs = rng.normal(size=(3, 5, 4))
 
-        def closure():  # stacks the perturbed arrays afresh each call
-            stacked = stack_streams((params,))
-            (hs,), _, cache = lstm_forward((seq,), stacked)
+        def closure():  # grad_check perturbs the stream's views in place
+            (hs,), _, cache = lstm_forward((seq,), params)
             loss = float((hs * d_hs).sum())
-            grads, _ = run_backward(lstm_backward, stacked, cache, (d_hs,))
-            return loss, grads.stream(0).arrays()
+            grads, _ = run_backward(lstm_backward, params, cache, (d_hs,))
+            return loss, stream_arrays(grads, 0)
 
-        worst = grad_check(closure, params.arrays(), rng=np.random.default_rng(0))
+        worst = grad_check(closure, stream_arrays(params, 0),
+                           rng=np.random.default_rng(0))
         assert worst < 1e-4
 
     def test_matches_per_gate_recurrence(self):
         # A kernel that swapped gate blocks consistently would still pass the
         # finite-difference check; this pins each column block to its gate.
         rng = np.random.default_rng(6)
-        p = init_lstm_params(3, 5, rng)
-        for arr in p.arrays().values():
+        params = init_lstm_streams((3,), 5, rng)
+        p = stream_arrays(params, 0)
+        for arr in p.values():
             arr[...] = rng.normal(size=arr.shape)
         seq = rng.normal(size=(2, 6, 3))
 
@@ -167,9 +176,9 @@ class TestLstm:
             j = "oifg".index(name)
             return arr[..., j * 5 : (j + 1) * 5]
 
-        w_i, w_f, w_g, w_o = (gate(p.w, n) for n in "ifgo")
-        u_i, u_f, u_g, u_o = (gate(p.u, n) for n in "ifgo")
-        b_i, b_f, b_g, b_o = (gate(p.b, n) for n in "ifgo")
+        w_i, w_f, w_g, w_o = (gate(p["w"], n) for n in "ifgo")
+        u_i, u_f, u_g, u_o = (gate(p["u"], n) for n in "ifgo")
+        b_i, b_f, b_g, b_o = (gate(p["b"], n) for n in "ifgo")
         expected = []
         for one in seq:
             h, c, states = np.zeros(5), np.zeros(5), []
@@ -183,16 +192,22 @@ class TestLstm:
                 states.append(h)
             expected.append(states)
         expected = np.array(expected)
-        stacked = stack_streams((p,))
-        (hs,), (last,), cache = lstm_forward((seq,), stacked)
+        (hs,), (last,), cache = lstm_forward((seq,), params)
         assert np.abs(hs - expected).max() < 1e-12
         assert np.abs(last - expected[:, -1]).max() < 1e-12
 
-        out, _ = run_backward(lstm_backward, stacked, cache, (rng.normal(size=hs.shape),))
-        grads = out.stream(0).arrays()
-        assert list(grads) == list(p.arrays()) == ["w", "u", "b"]
-        for name, arr in p.arrays().items():
+        out, _ = run_backward(lstm_backward, params, cache, (rng.normal(size=hs.shape),))
+        grads = stream_arrays(out, 0)
+        assert list(grads) == list(p) == ["w", "u", "b"]
+        for name, arr in p.items():
             assert grads[name].shape == arr.shape, name
+
+
+def select_streams(streams, picks):
+    """The LstmStreams of streams[j] for j in picks: the input weights
+    themselves, u and b copied into new stacks."""
+    return LstmStreams(tuple(streams.w[j] for j in picks), streams.u[list(picks)],
+                       streams.b[list(picks)])
 
 
 class TestLstmStreams:
@@ -202,10 +217,9 @@ class TestLstmStreams:
 
     @staticmethod
     def _run(seqs, params, d_hs):
-        stacked = stack_streams(params)
-        hs, last, cache = lstm_forward(seqs, stacked)
-        grads, _ = run_backward(lstm_backward, stacked, cache, d_hs)
-        return hs, last, [grads.stream(j).arrays() for j in range(len(params))]
+        hs, last, cache = lstm_forward(seqs, params)
+        grads, _ = run_backward(lstm_backward, params, cache, d_hs)
+        return hs, last, [stream_arrays(grads, j) for j in range(len(params.w))]
 
     @pytest.mark.parametrize("m", [1, 16, 128])
     @pytest.mark.parametrize("k", [1, 5, 16])
@@ -213,19 +227,20 @@ class TestLstmStreams:
     def test_fused_equals_reference(self, batch, k, m):
         rng = np.random.default_rng(batch * 10_000 + k * 1_000 + m)
         widths = (1, m)  # the model's price and news streams
-        params = tuple(init_lstm_params(w, self.H, rng) for w in widths)
-        for p in params:
-            p.b[...] = rng.normal(scale=0.5, size=p.b.shape)
+        params = init_lstm_streams(widths, self.H, rng)
+        for b in params.b:
+            b[...] = rng.normal(scale=0.5, size=b.shape)
         seqs = tuple(rng.normal(size=(batch, k, w)) for w in widths)
         d_hs = tuple(rng.normal(size=(batch, k, self.H)) for _ in widths)
 
         want = []
-        for seq, p, d in zip(seqs, params, d_hs):
-            hs, last, cache = reference_lstm_forward(seq, p)
-            want.append((hs, last, reference_lstm_backward(p, cache, d)))
+        for j, (seq, d) in enumerate(zip(seqs, d_hs)):
+            hs, last, cache = reference_lstm_forward(
+                seq, params.w[j], params.u[j], params.b[j])
+            want.append((hs, last, reference_lstm_backward(params.u[j], cache, d)))
         for streams in ((0, 1), (1,), (0,)):
             got = self._run(tuple(seqs[j] for j in streams),
-                            tuple(params[j] for j in streams),
+                            select_streams(params, streams),
                             tuple(d_hs[j] for j in streams))
             for pos, j in enumerate(streams):
                 hs, last, grads = want[j]
@@ -235,8 +250,8 @@ class TestLstmStreams:
                 for name in ("w", "u", "b"):
                     assert_same_bits(got[2][pos][name], grads[name])
 
-    def _pair(self, rng, batch=(2, 2), k=(4, 4), h=(3, 3)):
-        params = (init_lstm_params(1, h[0], rng), init_lstm_params(2, h[1], rng))
+    def _pair(self, rng, batch=(2, 2), k=(4, 4)):
+        params = init_lstm_streams((1, 2), 3, rng)
         seqs = (rng.normal(size=(batch[0], k[0], 1)),
                 rng.normal(size=(batch[1], k[1], 2)))
         return seqs, params
@@ -246,14 +261,14 @@ class TestLstmStreams:
         for bad in ({"batch": (2, 3)}, {"k": (4, 5)}):
             seqs, params = self._pair(rng, **bad)
             with pytest.raises(ContractError):
-                lstm_forward(seqs, stack_streams(params))
-        seqs, params = self._pair(rng, h=(3, 4))
+                lstm_forward(seqs, params)
+        seqs, stacked = self._pair(rng)
+        other = init_lstm_streams((2,), 4, rng)  # input weights of hidden size 4
         with pytest.raises(ContractError):
-            stack_streams(params)
-        seqs, params = self._pair(rng)
-        stacked = stack_streams(params)
+            lstm_forward(seqs, LstmStreams((stacked.w[0], other.w[0]), stacked.u,
+                                           stacked.b))
         with pytest.raises(ContractError):
-            lstm_forward(seqs, stack_streams(params[:1]))  # one LSTM for two streams
+            lstm_forward(seqs, select_streams(stacked, (0,)))  # one LSTM for two streams
         with pytest.raises(ContractError):
             lstm_forward((), LstmStreams((), np.empty((0, 3, 12)), np.empty((0, 12))))
         for u, b in ((stacked.u[:1], stacked.b), (stacked.u, stacked.b[:, :-1]),
@@ -266,7 +281,6 @@ class TestLstmStreams:
     def test_d_hs_must_match_stream_count(self):
         rng = np.random.default_rng(10)
         seqs, params = self._pair(rng)
-        params = stack_streams(params)
         hs, _, cache = lstm_forward(seqs, params)
         for d_hs in ((hs[0],), (hs[0], hs[1], hs[1])):
             with pytest.raises(ContractError):
@@ -282,7 +296,7 @@ class TestLstmStreams:
         seqs, params = self._pair(rng)
         seqs[stream][1, 2, 0] = np.inf
         with pytest.raises(NumericError):
-            lstm_forward(seqs, stack_streams(params))
+            lstm_forward(seqs, params)
 
 
 class TestAttention:
