@@ -35,7 +35,7 @@ _LAZY = {
     "ingest": ("SpikeLabelSet", "align_dataset", "composite_average", "duplicates",
                "label_spikes", "normalize_table", "parse_price_table", "pct_changes",
                "raw_average"),
-    "model": ("PCA_VARIANTS", "ModelHyper", "TrainConfig", "make_windows", "predict",
+    "model": ("PCA_VARIANTS", "TrainConfig", "make_windows", "predict",
               "save_checkpoint", "train", "write_history_csv"),
     "pca": ("fit_pca", "transform"),
 }
@@ -270,19 +270,11 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
-def _hyper(args) -> ModelHyper:
-    _bind("model")
-    # k and d_prime are rebound from the samples inside train()
-    return ModelHyper(k=args.k, d_prime=args.dim, h=args.h, h_a=args.h_a,
-                      dropout=args.dropout, seed=args.seed)
-
-
 def _cmd_train(args, out: Path) -> list[str]:
     dataset = _load_aligned(args)
     samples = make_windows(dataset, args.k)
     basis = fit_fold_pca(samples, args.dim)[1] if args.variant in PCA_VARIANTS else None
-    params, history = train(samples, _train_config(args), hyper=_hyper(args),
-                            variant=args.variant, pca=basis)
+    params, history = train(samples, _train_config(args), variant=args.variant, pca=basis)
     save_checkpoint(params, out / "checkpoint.json")
     write_history_csv(history, out / "history.csv")
     return ["checkpoint.json", "history.csv"]
@@ -292,8 +284,8 @@ def _cmd_eval(args, out: Path) -> list[str]:
     dataset = _load_aligned(args)
     samples = make_windows(dataset, args.k)
     report = run_cv(samples, args.variant, _train_config(args),
-                    holdout_split(len(samples), args.holdout), hyper=_hyper(args),
-                    d_prime=args.dim, threshold=args.threshold)
+                    holdout_split(len(samples), args.holdout), d_prime=args.dim,
+                    threshold=args.threshold)
     (fold,) = report.folds
     outputs = ["metrics.json"]
     if fold.auc is not None:
@@ -324,8 +316,8 @@ def _cmd_ablate(args, out: Path) -> list[str]:
     plan = time_series_split(len(samples), args.folds)
     reports = [baseline_logreg(samples, plan, d_prime=args.dim, threshold=args.threshold)
                if variant == BASELINE_VARIANT else
-               run_cv(samples, variant, _train_config(args), plan, hyper=_hyper(args),
-                      d_prime=args.dim, threshold=args.threshold)
+               run_cv(samples, variant, _train_config(args), plan, d_prime=args.dim,
+                      threshold=args.threshold)
                for variant in args.variants]
     write_report_csv(reports, out / "report.csv")
     write_summary_json(reports, out / "summary.json")

@@ -18,7 +18,6 @@ import numpy as np
 from . import BASELINE_VARIANT
 from .errors import ConfigError, ContractError, InsufficientDataError, UndefinedMetricError
 from .model import (
-    ModelHyper,
     TrainConfig,
     PCA_VARIANTS,
     VARIANTS,
@@ -44,8 +43,6 @@ class FoldPlan:
         for (tr_lo, tr_hi), (te_lo, te_hi) in self.folds:
             if not (tr_lo == 0 and tr_lo < tr_hi <= te_lo < te_hi <= self.n):
                 raise ConfigError(f"malformed fold ranges {((tr_lo, tr_hi), (te_lo, te_hi))}")
-            if te_lo < tr_hi:
-                raise ConfigError("test range must start after the train range ends")
             if tr_hi <= prev_train_end:
                 raise ConfigError("train ranges must strictly expand across folds")
             prev_train_end = tr_hi
@@ -308,7 +305,6 @@ def run_cv(
     variant: str,
     config: TrainConfig,
     plan: FoldPlan,
-    hyper: ModelHyper | None = None,
     d_prime: int = 16,
     threshold: float = 0.5,
 ) -> EvalReport:
@@ -319,8 +315,7 @@ def run_cv(
     def score_folds(folds):
         # One model alive at a time: no name keeps a fold's params while
         # the next fold trains.
-        return [predict(train(train_s, config, hyper=hyper, variant=variant,
-                              pca=basis)[0], test_s)
+        return [predict(train(train_s, config, variant=variant, pca=basis)[0], test_s)
                 for train_s, test_s, basis in folds]
 
     return _run_folds(samples, variant, score_folds, variant in PCA_VARIANTS,

@@ -125,6 +125,11 @@ def parse_price_table(text: str) -> PriceTable:
     commodities = tuple(name.strip() for name in header[1:])
     if not commodities:
         raise ParseError("no commodity columns in header")
+    if "" in commodities:
+        raise ParseError(f"empty commodity name in header column {commodities.index('') + 2}")
+    # A repeated column would count twice in every average.
+    if dupes := duplicates(commodities):
+        raise ParseError(f"repeated commodity name(s) in header: {dupes}")
 
     years: list[int] = []
     rows: list[list[float]] = []

@@ -12,6 +12,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -87,7 +88,8 @@ class Windows:
 
 @dataclass(frozen=True)
 class ModelHyper:
-    """Architecture knobs recorded inside every checkpoint."""
+    """Architecture of one model, recorded inside every checkpoint. train
+    derives it from its windows and TrainConfig."""
 
     k: int
     d_prime: int              # width of the news window the model consumes
@@ -97,11 +99,16 @@ class ModelHyper:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("k", "d_prime", "h", "h_a"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        # bool is an Integral, but a checkpoint's `true` is no size or seed.
+        for name in ("k", "d_prime", "h", "h_a", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if (isinstance(self.dropout, bool) or not isinstance(self.dropout, Real)
+                or not 0.0 <= self.dropout < 1.0):
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
 
 
 @dataclass
@@ -123,6 +130,11 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """What a training run is given; train checks h, h_a and dropout as ModelHyper."""
+
+    h: int = 32
+    h_a: int = 32
+    dropout: float = 0.3
     alpha: float = 1e-3
     batch_size: int = 8
     epochs: int = 100
@@ -210,7 +222,7 @@ def init_model(
     else:
         attention = init_attention_params(hyper.h, hyper.h_a, rng)
         fused = hyper.h + hyper.h_a
-    head = init_head_params(fused, hyper.h, hyper.dropout, rng)
+    head = init_head_params(fused, hyper.h, rng)
     drawn = ModelParams(hyper=hyper, variant=variant, lstm=lstm, head=head,
                         attention=attention, pca=pca, norm_stats=norm_stats)
     flat = flat_params(drawn)
@@ -300,7 +312,8 @@ def forward_batch(
             raise NumericError("non-finite value in news context vector")
         fused = np.concatenate([h_price, context], axis=1)
 
-    prob, head_cache = head_forward(fused, params.head, train=train, rng=rng)
+    prob, head_cache = head_forward(fused, params.head,
+                                    dropout=hyper.dropout if train else 0.0, rng=rng)
     cache["head"] = head_cache
     return prob, cache
 
@@ -390,7 +403,6 @@ def predict(params: ModelParams, windows: Windows) -> np.ndarray:
 def train(
     windows: Windows,
     config: TrainConfig,
-    hyper: ModelHyper | None = None,
     variant: str = VARIANT_FULL,
     pca: PcaBasis | None = None,
     norm_stats: dict[str, tuple[float, float]] | None = None,
@@ -401,9 +413,10 @@ def train(
     once and the model keeps the basis, so predict projects raw news too.
     The last `validation_fraction` of `windows` (which must be in
     chronological order) is held out for validation and never shuffled into
-    training. Returns the best-validation-loss parameters and the per-epoch
-    (epoch, train_loss, val_loss) history. Fully reproducible given
-    config.seed.
+    training. The model's ModelHyper takes k and d_prime from the (projected)
+    windows and its other fields from `config`. Returns the best-validation-
+    loss parameters and the per-epoch (epoch, train_loss, val_loss) history.
+    Fully reproducible given config.seed.
     """
     n = len(windows)
     if n < 2:
@@ -413,11 +426,8 @@ def train(
     if pca is not None:
         windows = reduce_samples(windows, pca)
 
-    k = windows.k
-    d_in = windows.news.shape[2]
-    if hyper is None:
-        hyper = ModelHyper(k=k, d_prime=d_in)
-    hyper = replace(hyper, k=k, d_prime=d_in, seed=config.seed)
+    hyper = ModelHyper(k=windows.k, d_prime=windows.news.shape[2], h=config.h,
+                       h_a=config.h_a, dropout=config.dropout, seed=config.seed)
 
     n_val = max(1, math.ceil(config.validation_fraction * n))
     n_train = n - n_val
@@ -534,7 +544,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "variant": params.variant,
         "hyper": asdict(params.hyper),
         "pca": None,
-        "head_dropout": params.head.dropout,
+        "head_dropout": params.hyper.dropout,  # kept in the format; load ignores it
         "norm_stats": None,
         "arrays": flat_params(params),
     }
@@ -590,8 +600,6 @@ def load_checkpoint(path) -> ModelParams:
                 for name, rec in doc["norm_stats"].items()
             }
         params = init_model(hyper, doc["variant"], pca=pca, norm_stats=norm_stats)
-        params.head = replace(params.head,
-                              dropout=float(doc.get("head_dropout", 0.0)))
         for name, arr in flat_params(params).items():
             arr[...] = _decode_array(doc["arrays"][name], name, arr.shape)
     except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:

@@ -17,11 +17,6 @@ class HeadParams:
     b1: np.ndarray      # (n_hidden,)
     w2: np.ndarray      # (n_hidden,)
     b2: np.ndarray      # (1,)
-    dropout: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def input_size(self) -> int:
@@ -31,9 +26,7 @@ class HeadParams:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
 
-def init_head_params(
-    n_in: int, n_hidden: int, dropout: float, rng: np.random.Generator
-) -> HeadParams:
+def init_head_params(n_in: int, n_hidden: int, rng: np.random.Generator) -> HeadParams:
     b_in = 1.0 / np.sqrt(n_in)
     b_hid = 1.0 / np.sqrt(n_hidden)
     return HeadParams(
@@ -41,20 +34,20 @@ def init_head_params(
         b1=np.zeros(n_hidden),
         w2=rng.uniform(-b_hid, b_hid, size=n_hidden),
         b2=np.zeros(1),
-        dropout=dropout,
     )
 
 
 def head_forward(
     fused: np.ndarray,
     params: HeadParams,
-    train: bool = False,
+    dropout: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Spike probabilities (B,) for a (B, n_in) batch of fused vectors.
 
-    Dropout uses inverted scaling (kept units divided by 1 - p) and is active
-    only in train mode; inference is deterministic. The mask is drawn as one
+    `dropout` is the rate p of the hidden units; training passes the model's
+    rate and inference 0, which is deterministic. Dropout uses inverted
+    scaling (kept units divided by 1 - p). The mask is drawn as one
     (B, n_hidden) block, the same draws as one row per vector in turn.
     """
     fused = np.asarray(fused, dtype=float)
@@ -66,11 +59,11 @@ def head_forward(
     # size of its batch.
     pre = np.vecmat(fused, params.w1) + params.b1
     act = relu(pre)
-    if train and params.dropout > 0.0:
+    if dropout > 0.0:
         if rng is None:
             raise ConfigError("train-mode dropout requires an rng")
-        keep = rng.random(act.shape) >= params.dropout
-        mask = keep / (1.0 - params.dropout)
+        keep = rng.random(act.shape) >= dropout
+        mask = keep / (1.0 - dropout)
     else:
         mask = np.ones_like(act)
     dropped = act * mask

@@ -61,10 +61,8 @@ def fit_pca(rows: np.ndarray, d_prime: int) -> PcaBasis:
     eigvals, eigvecs = np.linalg.eigh(cov)  # ascending eigenvalues
     components = eigvecs[:, ::-1][:, :d_prime].copy()
     variance = np.maximum(eigvals[::-1][:d_prime], 0.0)
-    for j in range(d_prime):
-        col = components[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            components[:, j] = -col
+    peaks = components[np.argmax(np.abs(components), axis=0), np.arange(d_prime)]
+    components[:, peaks < 0] *= -1.0
     return PcaBasis(mean=mean, components=components,
                     explained_variance=variance, fitted_on=n)
 

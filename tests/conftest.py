@@ -205,8 +205,8 @@ def reference_unique_year_rows(windows):
     return years, np.array([by_year[y] for y in years])
 
 
-def reference_holdout(samples, fraction, variant, config, hyper, d_prime,
-                      threshold, roc_path) -> dict:
+def reference_holdout(samples, fraction, variant, config, d_prime, threshold,
+                      roc_path) -> dict:
     """The hold-out evaluation written out step by step: slice off the last
     ceil(fraction * n) windows, fit PCA on the training part, train, predict,
     then the metrics. Returns the metrics.json fields after variant and
@@ -216,7 +216,7 @@ def reference_holdout(samples, fraction, variant, config, hyper, d_prime,
     basis = None
     if variant in PCA_VARIANTS:
         _, basis = fit_fold_pca(train_s, d_prime)
-    params, _ = train(train_s, config, hyper=hyper, variant=variant, pca=basis)
+    params, _ = train(train_s, config, variant=variant, pca=basis)
     scores = predict(params, test_s)
     labels = test_s.targets
     block = classification_metrics(scores, labels, threshold)

@@ -240,12 +240,11 @@ def test_criterion_06_news_ablation_direction(capsys):
     ds = planted_dataset(n=64, d=12, seed=0, rule="direct", amplitude=3.0,
                          noise=0.05, flat_prices=True)
     samples = make_windows(ds, 4)
-    hyper = ModelHyper(k=4, d_prime=6, h=8, h_a=8, dropout=0.0)
-    config = TrainConfig(alpha=2e-2, batch_size=2, epochs=120, patience=120,
-                         seed=0)
+    config = TrainConfig(h=8, h_a=8, dropout=0.0, alpha=2e-2, batch_size=2, epochs=120,
+                         patience=120, seed=0)
     plan = time_series_split(len(samples), 4)
-    full = run_cv(samples, "full", config, plan, hyper, d_prime=6)
-    no_news = run_cv(samples, "no_news", config, plan, hyper, d_prime=6)
+    full = run_cv(samples, "full", config, plan, d_prime=6)
+    no_news = run_cv(samples, "no_news", config, plan, d_prime=6)
     elapsed = time.perf_counter() - started
     full_auc = full.mean["auc"]
     no_news_auc = no_news.mean["auc"]
@@ -263,9 +262,9 @@ def test_criterion_06_news_ablation_direction(capsys):
 def test_criterion_07_early_stopping_contract(capsys):
     ds = planted_dataset(n=40, d=4, seed=3)
     samples = make_windows(ds, 3)
-    config = TrainConfig(alpha=5e-2, batch_size=4, epochs=60, patience=5, seed=1)
-    hyper = ModelHyper(k=3, d_prime=4, h=4, h_a=4, dropout=0.0)
-    best, history = train(samples, config, hyper, "full")
+    config = TrainConfig(h=4, h_a=4, dropout=0.0, alpha=5e-2, batch_size=4, epochs=60,
+                         patience=5, seed=1)
+    best, history = train(samples, config, "full")
 
     vals = [v for _, _, v in history]
     best_epoch = int(np.argmin(vals)) + 1
@@ -288,11 +287,11 @@ def test_criterion_07_early_stopping_contract(capsys):
 def test_criterion_08_leakage_guards(capsys):
     ds = planted_dataset(n=40, d=6, seed=4)
     samples = make_windows(ds, 3)
-    config = TrainConfig(alpha=1e-2, batch_size=8, epochs=2, patience=2, seed=0)
-    hyper = ModelHyper(k=3, d_prime=3, h=4, h_a=4, dropout=0.0)
+    config = TrainConfig(h=4, h_a=4, dropout=0.0, alpha=1e-2, batch_size=8, epochs=2,
+                         patience=2, seed=0)
     plan = time_series_split(len(samples), 4)
     reports = [
-        run_cv(samples, "full", config, plan, hyper, d_prime=3),
+        run_cv(samples, "full", config, plan, d_prime=3),
         baseline_logreg(samples, plan, d_prime=3),
     ]
 
@@ -408,11 +407,10 @@ def test_criterion_11_beats_linear_baseline_on_xor(capsys):
     ds = planted_dataset(n=64, d=12, seed=1, rule="xor", amplitude=3.0,
                          noise=0.05, flat_prices=True)
     samples = make_windows(ds, 2)
-    hyper = ModelHyper(k=2, d_prime=6, h=12, h_a=8, dropout=0.0)
-    config = TrainConfig(alpha=2e-2, batch_size=2, epochs=150, patience=150,
-                         seed=0)
+    config = TrainConfig(h=12, h_a=8, dropout=0.0, alpha=2e-2, batch_size=2, epochs=150,
+                         patience=150, seed=0)
     plan = time_series_split(len(samples), 3)
-    full = run_cv(samples, "full", config, plan, hyper, d_prime=6)
+    full = run_cv(samples, "full", config, plan, d_prime=6)
     base = baseline_logreg(samples, plan, d_prime=6)
     full_auc = full.mean["auc"]
     base_auc = base.mean["auc"]

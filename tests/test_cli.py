@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,6 @@ import pytest
 
 from spikecast.cli import (
     _dumps_indent2,
-    _hyper,
     _load_aligned,
     _train_config,
     build_parser,
@@ -359,7 +359,7 @@ class TestEval:
         args = build_parser().parse_args([str(a) for a in argv])
         want = reference_holdout(
             make_windows(_load_aligned(args), args.k), args.holdout, variant,
-            _train_config(args), _hyper(args), args.dim, args.threshold,
+            _train_config(args), args.dim, args.threshold,
             tmp_path / "roc.csv")
         assert want["auc"] is not None  # so roc.csv is compared too
         doc = json.loads((out / "metrics.json").read_text())
@@ -570,16 +570,36 @@ class TestColdStart:
     @pytest.mark.parametrize("helper,want", [
         ("len(_load_aligned(args))", "29"),  # 30 price years, the first unlabelled
         ("_train_config(args).epochs", "2"),
-        ("_hyper(args).h", "4"),
+        ("_train_config(args).h", "4"),
     ])
     def test_helper_binds_its_own_names(self, corpus, tmp_path, helper, want):
         """Each helper alone, in an interpreter where main() never ran."""
         proc = child("-c", "import sys\n"
-                     "from spikecast.cli import _hyper, _load_aligned, _train_config, build_parser\n"
+                     "from spikecast.cli import _load_aligned, _train_config, build_parser\n"
                      "args = build_parser().parse_args(sys.argv[1:])\n"
                      f"print({helper})", "train", *model_args(corpus, tmp_path / "train"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [want]
+
+
+class TestReadme:
+    def test_library_use_block_runs(self, corpus, tmp_path, monkeypatch, capsys):
+        """The README's "Library use" block, run in a directory holding the
+        files it names, so the documented API cannot drift from the code."""
+        text = (SRC.parent / "README.md").read_text()
+        section = text[text.index("## Library use"):]
+        start = section.index("```python\n") + len("```python\n")
+        block = section[start : section.index("```", start)]
+        (tmp_path / "runs" / "embed").mkdir(parents=True)
+        shutil.copy(corpus["prices"], tmp_path / "prices.csv")
+        shutil.copy(corpus["embeddings"], tmp_path / "runs" / "embed" / "embeddings.jsonl")
+        monkeypatch.chdir(tmp_path)
+        scope = {}
+        exec(compile(block, "README.md", "exec"), scope)
+        assert scope["params"].hyper.h == scope["params"].hyper.h_a == 16
+        assert scope["params"].hyper.d_prime == 3
+        want = scope["windows"].anchor_years[scope["probs"] > 0.5]
+        assert capsys.readouterr().out == f"{want}\n"
 
 
 class TestExitCodes:
@@ -612,6 +632,20 @@ class TestExitCodes:
         bad = tmp_path / "prices.csv"
         bad.write_text("year,a\n1960,oops\n")
         assert run_cli("label", "--in", bad, "--out", tmp_path / "o") == 1
+
+    @pytest.mark.parametrize("text,message", [
+        # Counted twice, the repeated column would label 1961 a spike.
+        ("year,oil,oil,gas\n1960,10,10,100\n1961,30,30,100\n",
+         "repeated commodity name(s) in header: ['oil']"),
+        ("year,,gas\n1960,10,100\n1961,30,100\n",
+         "empty commodity name in header column 2"),
+    ], ids=["repeated", "empty"])
+    def test_bad_commodity_name_exits_one(self, tmp_path, capsys, text, message):
+        prices = tmp_path / "prices.csv"
+        prices.write_text(text)
+        assert run_cli("label", "--in", prices, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_repeated_label_year_exits_one(self, corpus, tmp_path, capsys):
         lines = corpus["labels"].read_text().splitlines()

@@ -34,7 +34,6 @@ from spikecast.evaluation import (
     write_summary_json,
 )
 from spikecast.model import (
-    ModelHyper,
     TrainConfig,
     Windows,
     make_windows,
@@ -345,7 +344,7 @@ class TestFitFoldPca:
         samples = windows(n=14, k=3, d=4)
         with pytest.warns(UserWarning, match="capped") as caught:
             run_cv(samples, "full", TestRunCv.CONFIG, holdout_split(len(samples), 0.2),
-                   TestRunCv.HYPER, d_prime=6)
+                   d_prime=6)
         (capped,) = [w for w in caught if "capped" in str(w.message)]
         assert str(capped.message) == ("variant full hold-out: reduced dimension capped "
                                        "at 4 (requested 6) by 10 train rows of width 4")
@@ -359,13 +358,13 @@ class TestFitFoldPca:
 
 
 class TestRunCv:
-    CONFIG = TrainConfig(alpha=1e-2, batch_size=8, epochs=2, patience=2, seed=0)
-    HYPER = ModelHyper(k=3, d_prime=3, h=4, h_a=4, dropout=0.0)
+    CONFIG = TrainConfig(h=4, h_a=4, dropout=0.0, alpha=1e-2, batch_size=8, epochs=2,
+                         patience=2, seed=0)
 
     def test_structure_no_news(self):
         samples = windows(n=33, k=3)  # 30 windows
         report = run_cv(samples, "no_news", self.CONFIG,
-                        time_series_split(len(samples), 4), self.HYPER, d_prime=3)
+                        time_series_split(len(samples), 4), d_prime=3)
         assert report.variant == "no_news"
         assert len(report.folds) == 4
         plan = time_series_split(30, 4)
@@ -380,7 +379,7 @@ class TestRunCv:
     def test_no_test_anchor_precedes_training(self):
         samples = windows(n=33, k=3)
         report = run_cv(samples, "no_news", self.CONFIG,
-                        time_series_split(len(samples), 4), self.HYPER, d_prime=3)
+                        time_series_split(len(samples), 4), d_prime=3)
         for fold in report.folds:
             assert fold.train_anchor_span[1] < fold.test_anchor_span[0]
 
@@ -388,7 +387,7 @@ class TestRunCv:
     def test_fold_pca_fits_on_train_rows_only(self):
         samples = windows(n=27, k=3, d=5)  # 24 windows
         plan = time_series_split(len(samples), 3)
-        report = run_cv(samples, "full", self.CONFIG, plan, self.HYPER, d_prime=3)
+        report = run_cv(samples, "full", self.CONFIG, plan, d_prime=3)
         for fold, ((tr_lo, tr_hi), _) in zip(report.folds, plan.folds):
             years, basis = fit_fold_pca(samples[tr_lo:tr_hi], 3)
             assert fold.pca_train_years == years
@@ -400,8 +399,7 @@ class TestRunCv:
     def test_plan_must_cover_samples(self):
         samples = windows(n=33, k=3)  # 30 windows
         with pytest.raises(ConfigError, match="plan covers 31 samples, got 30"):
-            run_cv(samples, "no_news", self.CONFIG, time_series_split(31, 4),
-                   self.HYPER, d_prime=3)
+            run_cv(samples, "no_news", self.CONFIG, time_series_split(31, 4), d_prime=3)
         with pytest.raises(ConfigError, match="plan covers 29 samples, got 30"):
             baseline_logreg(samples, holdout_split(29, 0.2), d_prime=3)
 
@@ -487,8 +485,7 @@ class TestLogregBaseline:
         samples = windows(n=33, k=3)
         plan = time_series_split(len(samples), 4)
         base = baseline_logreg(samples, plan, d_prime=3, iters=5)
-        model = run_cv(samples, "no_news", TestRunCv.CONFIG, plan, TestRunCv.HYPER,
-                       d_prime=3)
+        model = run_cv(samples, "no_news", TestRunCv.CONFIG, plan, d_prime=3)
         for bf, mf in zip(base.folds, model.folds):
             assert (bf.n_train, bf.n_test) == (mf.n_train, mf.n_test)
             assert bf.test_anchor_span == mf.test_anchor_span
@@ -621,7 +618,7 @@ class TestSingleClassFold:
     def test_holdout_auc_undefined_with_warning(self):
         with pytest.warns(UserWarning, match="single-class") as caught:
             report = run_cv(self._rigged_samples(), "no_news", TestRunCv.CONFIG,
-                            holdout_split(24, 0.25), TestRunCv.HYPER, d_prime=3)
+                            holdout_split(24, 0.25), d_prime=3)
         (warning,) = caught
         assert str(warning.message) == ("variant no_news hold-out: single-class "
                                         "test labels, AUC undefined")

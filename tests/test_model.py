@@ -216,6 +216,7 @@ class TestInitModel:
     def test_hyper_edges_accepted(self):
         hyper = ModelHyper(k=1, d_prime=1, h=1, h_a=1, dropout=0.0)
         assert init_model(hyper, "full").head.w1.shape == (2, 1)
+        assert replace(hyper, k=np.int64(2), seed=np.uint8(3), dropout=0).k == 2
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_flat_params_are_views_of_theta(self, variant):
@@ -425,12 +426,13 @@ class TestPredict:
 
 
 class TestTrain:
-    CONFIG = TrainConfig(alpha=1e-2, batch_size=4, epochs=6, patience=3, seed=3)
+    CONFIG = TrainConfig(h=4, h_a=4, dropout=0.0, alpha=1e-2, batch_size=4, epochs=6,
+                         patience=3, seed=3)
 
     def test_deterministic_given_seed(self):
         samples = tiny_samples(n=20)
-        p1, h1 = train(samples, self.CONFIG, HYPER_SMALL, "full")
-        p2, h2 = train(samples, self.CONFIG, HYPER_SMALL, "full")
+        p1, h1 = train(samples, self.CONFIG, "full")
+        p2, h2 = train(samples, self.CONFIG, "full")
         assert h1 == h2
         for name, arr in flat_params(p1).items():
             np.testing.assert_array_equal(arr, flat_params(p2)[name])
@@ -446,9 +448,9 @@ class TestTrain:
         monkeypatch.setattr(model_module, "clip_global_norm", recording_clip)
         samples = tiny_samples(n=20)
         config = replace(self.CONFIG, clip_norm=0.05)
-        p1, h1 = train(samples, config, HYPER_SMALL, "full")
+        p1, h1 = train(samples, config, "full")
         fired = sum(n > config.clip_norm for n in norms)
-        p2, h2 = train(samples, config, HYPER_SMALL, "full")
+        p2, h2 = train(samples, config, "full")
         assert fired > 0
         assert h1 == h2
         assert np.array_equal(p1.theta.view(np.int64), p2.theta.view(np.int64))
@@ -470,12 +472,12 @@ class TestTrain:
         monkeypatch.setattr(model_module, "clip_global_norm", recording_clip)
         samples = tiny_samples(n=20)
         config = replace(self.CONFIG, clip_norm=0.05)
-        params, history = train(samples, config, HYPER_SMALL, "full")
+        params, history = train(samples, config, "full")
         assert len(norms) == 24 and all(n > config.clip_norm for n in norms)
 
         monkeypatch.setattr(model_module, "clip_global_norm",
                             flat_order_clip(HYPER_SMALL, "full"))
-        ref_params, ref_history = train(samples, config, HYPER_SMALL, "full")
+        ref_params, ref_history = train(samples, config, "full")
         assert ([(e, tr.hex(), va.hex()) for e, tr, va in history]
                 == [(e, tr.hex(), va.hex()) for e, tr, va in ref_history])
         for name, want in flat_params(ref_params).items():
@@ -487,8 +489,8 @@ class TestTrain:
         ds = planted_dataset(n=24, d=6, seed=4)
         raw = make_windows(ds, k=3)
         basis = fit_pca(ds.embeddings, 2)
-        p1, h1 = train(raw, self.CONFIG, HYPER_SMALL, variant, pca=basis)
-        p2, h2 = train(reduce_samples(raw, basis), self.CONFIG, HYPER_SMALL, variant)
+        p1, h1 = train(raw, self.CONFIG, variant, pca=basis)
+        p2, h2 = train(reduce_samples(raw, basis), self.CONFIG, variant)
         assert_same_bits(p1.theta, p2.theta)
         assert_same_bits(h1, h2)
         assert p1.pca is basis and p2.pca is None
@@ -496,36 +498,37 @@ class TestTrain:
 
     def test_seed_changes_outcome(self):
         samples = tiny_samples(n=20)
-        _, h1 = train(samples, self.CONFIG, HYPER_SMALL, "full")
+        _, h1 = train(samples, self.CONFIG, "full")
         _, h2 = train(samples, TrainConfig(
-            alpha=1e-2, batch_size=4, epochs=6, patience=3, seed=4,
-        ), HYPER_SMALL, "full")
+            h=4, h_a=4, dropout=0.0, alpha=1e-2, batch_size=4, epochs=6, patience=3, seed=4,
+        ), "full")
         assert h1 != h2
 
     def test_unsorted_samples_rejected(self):
         samples = tiny_samples(n=20)
         shuffled = samples[np.r_[3, 0, 4:len(samples)]]
         with pytest.raises(ContractError, match="chronolog"):
-            train(shuffled, self.CONFIG, HYPER_SMALL, "full")
+            train(shuffled, self.CONFIG, "full")
 
     def test_single_class_training_warns(self):
         samples = tiny_samples(n=20)
         flat = replace(samples, targets=np.zeros_like(samples.targets))
         with pytest.warns(UserWarning, match="single-class"):
-            train(flat, self.CONFIG, HYPER_SMALL, "full")
+            train(flat, self.CONFIG, "full")
 
     def test_validation_tail_is_chronological(self):
         samples = tiny_samples(n=40)
         n_val = max(1, math.ceil(0.15 * len(samples)))
-        best, history = train(samples, self.CONFIG, HYPER_SMALL, "full")
+        best, history = train(samples, self.CONFIG, "full")
         val_tail = samples[len(samples) - n_val:]
         best_val = min(v for _, _, v in history)
         assert evaluate_loss(best, val_tail) == best_val
 
     def test_early_stop_bound(self):
         samples = tiny_samples(n=40)
-        config = TrainConfig(alpha=5e-2, batch_size=4, epochs=60, patience=4, seed=1)
-        _, history = train(samples, config, HYPER_SMALL, "full")
+        config = TrainConfig(h=4, h_a=4, dropout=0.0, alpha=5e-2, batch_size=4, epochs=60,
+                             patience=4, seed=1)
+        _, history = train(samples, config, "full")
         vals = [v for _, _, v in history]
         best_epoch = int(np.argmin(vals)) + 1
         assert len(history) <= best_epoch + config.patience
@@ -534,25 +537,42 @@ class TestTrain:
 
     def test_history_epochs_sequential(self):
         samples = tiny_samples(n=20)
-        _, history = train(samples, self.CONFIG, HYPER_SMALL, "full")
+        _, history = train(samples, self.CONFIG, "full")
         assert [e for e, _, _ in history] == list(range(1, len(history) + 1))
 
     def test_learns_planted_rule(self):
         ds = planted_dataset(n=56, d=4, seed=2, noise=0.2)
         samples = make_windows(ds, k=3)
-        hyper = ModelHyper(k=3, d_prime=4, h=8, h_a=8, dropout=0.0)
-        config = TrainConfig(alpha=2e-2, batch_size=8, epochs=50,
+        config = TrainConfig(h=8, h_a=8, dropout=0.0, alpha=2e-2, batch_size=8, epochs=50,
                              patience=50, seed=0)
-        best, _ = train(samples, config, hyper, "full")
+        best, _ = train(samples, config, "full")
         probs = predict(best, samples)
         targets = samples.targets
         acc = ((probs > 0.5).astype(int) == targets).mean()
         assert acc >= 0.85
 
+    @pytest.mark.parametrize("pca", [False, True])
+    def test_hyper_is_derived(self, pca):
+        ds = planted_dataset(n=24, d=6, seed=4)
+        raw = make_windows(ds, k=3)
+        basis = fit_pca(ds.embeddings, 2) if pca else None
+        config = replace(self.CONFIG, h=5, h_a=3, dropout=0.2, epochs=1, seed=9)
+        params, _ = train(raw, config, "full", pca=basis)
+        d_prime = basis.d_prime if pca else raw.news.shape[2]
+        assert params.hyper == ModelHyper(k=raw.k, d_prime=d_prime, h=5, h_a=3,
+                                          dropout=0.2, seed=9)
+
+    @pytest.mark.parametrize("field,value", [
+        ("h", 0), ("h_a", 0), ("dropout", 1.0), ("dropout", -0.1),
+    ])
+    def test_invalid_sizes_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            train(tiny_samples(n=20), replace(self.CONFIG, **{field: value}), "full")
+
     def test_insufficient_samples(self):
         samples = tiny_samples(n=20)[:1]
         with pytest.raises(InsufficientDataError):
-            train(samples, self.CONFIG, HYPER_SMALL, "full")
+            train(samples, self.CONFIG, "full")
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -596,10 +616,9 @@ class TestCheckpoint:
         basis = None
         if pca and variant not in ("no_pca", "no_news"):
             basis = fit_pca(ds.embeddings, 2)
-        d_in = samples.news.shape[2]
-        hyper = ModelHyper(k=3, d_prime=d_in, h=4, h_a=4, dropout=0.1)
-        config = TrainConfig(alpha=1e-2, batch_size=4, epochs=3, patience=3)
-        best, _ = train(samples, config, hyper, variant, pca=basis,
+        config = TrainConfig(h=4, h_a=4, dropout=0.1, alpha=1e-2, batch_size=4, epochs=3,
+                             patience=3)
+        best, _ = train(samples, config, variant, pca=basis,
                         norm_stats={"oil": (10.0, 2.5)})
         return best
 
@@ -613,7 +632,7 @@ class TestCheckpoint:
         assert loaded.hyper == params.hyper
         for name, arr in flat_params(params).items():
             np.testing.assert_array_equal(arr, flat_params(loaded)[name])
-        assert loaded.head.dropout == params.head.dropout
+        assert json.loads(path.read_text())["head_dropout"] == params.hyper.dropout
         assert loaded.norm_stats == params.norm_stats
         if params.pca is not None:
             np.testing.assert_array_equal(loaded.pca.components,
@@ -788,7 +807,11 @@ class TestCheckpoint:
         with pytest.raises(CheckpointIntegrityError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("field,value", [("h", 0), ("dropout", 1.0)])
+    @pytest.mark.parametrize("field,value", [
+        ("h", 0), ("dropout", 1.0),
+        ("k", 3.5), ("k", True), ("h_a", "4"), ("seed", False), ("seed", 1.0),
+        ("dropout", True), ("dropout", "0.1"), ("dropout", None),
+    ])
     def test_invalid_hyper_rejected(self, tmp_path, field, value):
         params = self._trained("no_news")
         path = tmp_path / "model.json"
@@ -796,7 +819,7 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         doc["hyper"][field] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointIntegrityError, match=field):
+        with pytest.raises(CheckpointIntegrityError, match=rf"\b{field} must"):
             load_checkpoint(path)
 
     def test_pca_block_must_match_hyper(self, tmp_path):
@@ -821,12 +844,14 @@ class TestCheckpoint:
         """A loaded checkpoint carries everything needed to reproduce itself."""
         ds = planted_dataset(n=24, d=3, seed=5)
         samples = make_windows(ds, k=3)
-        hyper = ModelHyper(k=3, d_prime=3, h=4, h_a=4, dropout=0.1, seed=11)
-        config = TrainConfig(alpha=1e-2, batch_size=4, epochs=3, patience=3, seed=11)
-        best, _ = train(samples, config, hyper, "full")
+        config = TrainConfig(h=4, h_a=4, dropout=0.1, alpha=1e-2, batch_size=4, epochs=3,
+                             patience=3, seed=11)
+        best, _ = train(samples, config, "full")
         path = tmp_path / "model.json"
         save_checkpoint(best, path)
         loaded = load_checkpoint(path)
-        again, _ = train(samples, config, loaded.hyper, loaded.variant)
+        stored = {name: getattr(loaded.hyper, name) for name in ("h", "h_a", "dropout", "seed")}
+        again, _ = train(samples, replace(TrainConfig(alpha=1e-2, batch_size=4, epochs=3,
+                                                      patience=3), **stored), loaded.variant)
         for name, arr in flat_params(best).items():
             np.testing.assert_array_equal(arr, flat_params(again)[name])

@@ -357,7 +357,7 @@ class TestAttention:
 class TestHead:
     def test_inference_deterministic(self):
         rng = np.random.default_rng(10)
-        params = init_head_params(6, 4, 0.5, rng)
+        params = init_head_params(6, 4, rng)
         x = rng.normal(size=(3, 6))
         p1, _ = head_forward(x, params)
         p2, _ = head_forward(x, params)
@@ -366,19 +366,13 @@ class TestHead:
         assert np.all((0.0 < p1) & (p1 < 1.0))
 
     def test_train_mode_requires_rng(self):
-        params = init_head_params(4, 3, 0.5, np.random.default_rng(11))
+        params = init_head_params(4, 3, np.random.default_rng(11))
         with pytest.raises(ConfigError):
-            head_forward(np.zeros((1, 4)), params, train=True, rng=None)
-
-    def test_invalid_dropout(self):
-        with pytest.raises(ConfigError):
-            init_head_params(4, 3, 1.0, np.random.default_rng(12))
-        with pytest.raises(ConfigError):
-            init_head_params(4, 3, -0.1, np.random.default_rng(12))
+            head_forward(np.zeros((1, 4)), params, dropout=0.5, rng=None)
 
     def test_inverted_dropout_preserves_expectation(self):
         rng = np.random.default_rng(13)
-        params = init_head_params(5, 16, 0.3, rng)
+        params = init_head_params(5, 16, rng)
         x = rng.normal(size=(1, 5))
         _, cache = head_forward(x, params)
         reference = cache["dropped"][0]  # inference: mask of ones
@@ -386,7 +380,7 @@ class TestHead:
         total = np.zeros(16)
         trials = 20000
         for _ in range(trials):
-            _, c = head_forward(x, params, train=True, rng=draws)
+            _, c = head_forward(x, params, dropout=0.3, rng=draws)
             total += c["dropped"][0]
         mean_activation = total / trials
         # E[mask * h / (1-p)] = h
@@ -395,7 +389,7 @@ class TestHead:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(14)
-        params = init_head_params(5, 4, 0.0, rng)
+        params = init_head_params(5, 4, rng)
         x = rng.normal(size=(3, 5))
         bundle = dict(params.arrays())
         bundle["x"] = x
