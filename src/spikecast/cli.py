@@ -130,7 +130,7 @@ _SKIP_SNAPSHOT = {"command", "config", "force", "func"}
 
 
 def _write_manifest(args, out: Path, inputs: list[Path], outputs: list[str],
-                    started: str) -> None:
+                    started: str, stats: dict | None) -> None:
     doc = {
         "command": args.command,
         # json writes a tuple as a list, and sorts the keys.
@@ -142,6 +142,8 @@ def _write_manifest(args, out: Path, inputs: list[Path], outputs: list[str],
         "started_at": started,
         "finished_at": _utc_stamp(),
     }
+    if stats is not None:  # what the run did beyond its artifacts
+        doc["stats"] = stats
     write_json(out / "manifest.json", doc)
 
 
@@ -155,17 +157,17 @@ def _read_text(path) -> str:
 
 # --- subcommand bodies ---------------------------------------------------------
 
-def _cmd_ingest(args, out: Path) -> list[str]:
+def _cmd_ingest(args, out: Path):
     normalized = normalize_table(parse_price_table(_read_text(args.infile)))
     write_csv(out / "normalized.csv", ["year", *normalized.commodities],
               ([year, *row] for year, row in zip(normalized.years, normalized.values)))
     composite = composite_average(normalized)
     write_csv(out / "composite.csv", ["year", "value"],
               zip(composite.years, composite.values))
-    return ["normalized.csv", "composite.csv"]
+    return ["normalized.csv", "composite.csv"], None
 
 
-def _cmd_label(args, out: Path) -> list[str]:
+def _cmd_label(args, out: Path):
     table = parse_price_table(_read_text(args.infile))
     averages = raw_average(table)
     labels = label_spikes(averages, threshold_pct=args.threshold)
@@ -174,7 +176,7 @@ def _cmd_label(args, out: Path) -> list[str]:
     write_csv(out / "labels.csv", LABELS_HEADER,
               ([year, by_year[year], changes[year], int(spike)]
                for year, spike in zip(labels.years, labels.labels)))
-    return ["labels.csv"]
+    return ["labels.csv"], None
 
 
 def _read_labels_csv(path) -> SpikeLabelSet:
@@ -189,7 +191,7 @@ def _read_labels_csv(path) -> SpikeLabelSet:
     return SpikeLabelSet(years=years, labels=labels)
 
 
-def _cmd_distill(args, out: Path) -> list[str]:
+def _cmd_distill(args, out: Path):
     backend = get_backend(args.backend, seed=args.seed, dim=args.mock_dim)
     config = AgentConfig(
         max_retries=args.max_retries,
@@ -201,10 +203,10 @@ def _cmd_distill(args, out: Path) -> list[str]:
     clock = _mock_clock(args.seed) if args.backend == "mock" else None
     store = SummaryStore(out / "summaries.jsonl")
     orchestrate(config, backend, store, clock)
-    return ["summaries.jsonl"]
+    return ["summaries.jsonl"], None
 
 
-def _cmd_embed(args, out: Path) -> list[str]:
+def _cmd_embed(args, out: Path):
     backend = get_backend(args.backend, seed=args.seed, dim=args.mock_dim)
     store = SummaryStore(args.summaries)
     verified = [r for r in store.records() if r.verified]
@@ -213,10 +215,10 @@ def _cmd_embed(args, out: Path) -> list[str]:
     # A fresh store: a --force rerun replaces the old rows, not merges with them.
     embed_summaries(verified, backend,
                     EmbeddingStore(out / "embeddings.jsonl", load=False))
-    return ["embeddings.jsonl"]
+    return ["embeddings.jsonl"], None
 
 
-def _cmd_reduce(args, out: Path) -> list[str]:
+def _cmd_reduce(args, out: Path):
     if args.dim < 1:
         raise ConfigError(f"--dim must be >= 1, got {args.dim}")
     years, rows = EmbeddingStore(args.embeddings).matrix()
@@ -241,7 +243,7 @@ def _cmd_reduce(args, out: Path) -> list[str]:
     }
     with atomic_write(out / "basis.json") as fh:
         fh.write(_dumps_indent2(doc) + "\n")
-    return ["reduced.jsonl", "basis.json"]
+    return ["reduced.jsonl", "basis.json"], None
 
 
 def _dumps_indent2(doc: dict) -> str:
@@ -270,17 +272,23 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
-def _cmd_train(args, out: Path) -> list[str]:
+def _training_stats(per_variant) -> dict:
+    """The manifest's stats block: each variant's TrainStats, fold by fold."""
+    return {"training": {variant: [s._asdict() for s in stats]
+                         for variant, stats in per_variant if stats[0] is not None}}
+
+
+def _cmd_train(args, out: Path):
     dataset = _load_aligned(args)
     samples = make_windows(dataset, args.k)
     basis = fit_fold_pca(samples, args.dim)[1] if args.variant in PCA_VARIANTS else None
-    params, history = train(samples, _train_config(args), variant=args.variant, pca=basis)
-    save_checkpoint(params, out / "checkpoint.json")
-    write_history_csv(history, out / "history.csv")
-    return ["checkpoint.json", "history.csv"]
+    fit = train([(samples, basis)], _train_config(args), variant=args.variant)
+    save_checkpoint(fit.models[0], out / "checkpoint.json")
+    write_history_csv(fit.history, out / "history.csv")
+    return ["checkpoint.json", "history.csv"], _training_stats([(args.variant, fit.stats)])
 
 
-def _cmd_eval(args, out: Path) -> list[str]:
+def _cmd_eval(args, out: Path):
     dataset = _load_aligned(args)
     samples = make_windows(dataset, args.k)
     report = run_cv(samples, args.variant, _train_config(args),
@@ -307,10 +315,10 @@ def _cmd_eval(args, out: Path) -> list[str]:
         "threshold": block.threshold,
     }
     write_json(out / "metrics.json", doc)
-    return outputs
+    return outputs, _training_stats([(args.variant, [fold.train_stats])])
 
 
-def _cmd_ablate(args, out: Path) -> list[str]:
+def _cmd_ablate(args, out: Path):
     dataset = _load_aligned(args)
     samples = make_windows(dataset, args.k)
     plan = time_series_split(len(samples), args.folds)
@@ -321,7 +329,8 @@ def _cmd_ablate(args, out: Path) -> list[str]:
                for variant in args.variants]
     write_report_csv(reports, out / "report.csv")
     write_summary_json(reports, out / "summary.json")
-    return ["report.csv", "summary.json"]
+    return ["report.csv", "summary.json"], _training_stats(
+        (rep.variant, [f.train_stats for f in rep.folds]) for rep in reports)
 
 
 def _copy_csv(src: Path, dst: Path, expected_header: str) -> None:
@@ -339,7 +348,7 @@ def _metric(value) -> float:  # a JSON number, not a boolean or a numeric string
     return float(value)
 
 
-def _cmd_report(args, out: Path) -> list[str]:
+def _cmd_report(args, out: Path):
     chosen = [name for name in ("labels", "summary", "roc", "history")
               if getattr(args, name) is not None]
     if not chosen:
@@ -367,7 +376,7 @@ def _cmd_report(args, out: Path) -> list[str]:
     if args.history:
         _copy_csv(Path(args.history), out / "plot_history.csv", "epoch,train_loss,val_loss")
         outputs.append("plot_history.csv")
-    return outputs
+    return outputs, None
 
 
 # command -> (body, its input files, the _LAZY modules it runs)
@@ -557,8 +566,8 @@ def main(argv=None) -> int:
             if not Path(p).exists():
                 raise ValidationError(f"input file not found: {p}")
         out = _resolve_out(args)
-        outputs = body(args, out)
-        _write_manifest(args, out, inputs, outputs, started)
+        outputs, stats = body(args, out)
+        _write_manifest(args, out, inputs, outputs, started, stats)
         print(f"{args.command}: wrote {', '.join(sorted(outputs))} to {out}")
         return 0
     except (UsageError, *VALIDATION_ERRORS) as exc:

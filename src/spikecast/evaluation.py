@@ -18,7 +18,9 @@ import numpy as np
 from . import BASELINE_VARIANT
 from .errors import ConfigError, ContractError, InsufficientDataError, UndefinedMetricError
 from .model import (
+    SINGLE_CLASS,
     TrainConfig,
+    TrainStats,
     PCA_VARIANTS,
     VARIANTS,
     Windows,
@@ -183,6 +185,7 @@ class FoldResult:
     scores: np.ndarray = field(compare=False)  # the test part's, in order
     pca_train_years: tuple[int, ...] | None = None
     pca_basis: PcaBasis | None = None
+    train_stats: TrainStats | None = None
 
 
 @dataclass(frozen=True)
@@ -266,24 +269,27 @@ def _run_folds(samples, variant, score_folds, fits_pca: bool, plan: FoldPlan,
     folds holds one (train_s, test_s, basis) per fold; both parts hold raw
     news. With fits_pca, each fold's basis is PCA refitted on its training
     rows; otherwise basis is None. score_folds returns each fold's test
-    scores, in fold order.
+    scores and its model's TrainStats (None for no such model), in fold
+    order.
     """
     if plan.n != len(samples):
         raise ConfigError(f"fold plan covers {plan.n} samples, got {len(samples)}")
     folds, pca_years = [], []
-    for idx, ((tr_lo, tr_hi), (te_lo, te_hi)) in enumerate(plan.folds, start=1):
+    wheres = ["hold-out"] if plan.n_folds == 1 else [f"fold {i + 1}" for i in range(plan.n_folds)]
+    for where, ((tr_lo, tr_hi), (te_lo, te_hi)) in zip(wheres, plan.folds):
         train_s = samples[tr_lo:tr_hi]
         years, basis = fit_fold_pca(train_s, d_prime, warn=False) if fits_pca else (None, None)
         if basis is not None and basis.d_prime < d_prime:
             # Warned from this frame, as _fold_auc's: it names the caller of run_cv.
-            where = "hold-out" if plan.n_folds == 1 else f"fold {idx}"
             warnings.warn(f"variant {variant} {where}: {_capped(years, basis, d_prime)}",
                           stacklevel=3)
         folds.append((train_s, samples[te_lo:te_hi], basis))
         pca_years.append(years)
     results = []
-    for idx, ((train_s, test_s, basis), years, scores) in enumerate(
-            zip(folds, pca_years, score_folds(folds)), start=1):
+    for idx, ((train_s, test_s, basis), years, (scores, stats), where) in enumerate(
+            zip(folds, pca_years, score_folds(folds), wheres), start=1):
+        if stats is not None and stats.single_class:
+            warnings.warn(f"variant {variant} {where}: {SINGLE_CLASS}", stacklevel=3)
         labels = test_s.targets
         results.append(FoldResult(
             fold=idx,
@@ -296,6 +302,7 @@ def _run_folds(samples, variant, score_folds, fits_pca: bool, plan: FoldPlan,
             scores=scores,
             pca_train_years=years,
             pca_basis=basis,
+            train_stats=stats,
         ))
     return _summarize(variant, threshold, plan.n_folds, results)
 
@@ -313,10 +320,10 @@ def run_cv(
         raise ConfigError(f"unknown variant {variant!r}")
 
     def score_folds(folds):
-        # One model alive at a time: no name keeps a fold's params while
-        # the next fold trains.
-        return [predict(train(train_s, config, variant=variant, pca=basis)[0], test_s)
-                for train_s, test_s, basis in folds]
+        fit = train([(train_s, basis) for train_s, _, basis in folds], config, variant,
+                    warn=False)
+        return [(predict(model, test_s), stats)
+                for model, (_, test_s, _), stats in zip(fit.models, folds, fit.stats)]
 
     return _run_folds(samples, variant, score_folds, variant in PCA_VARIANTS,
                       plan, d_prime, threshold)
@@ -409,7 +416,7 @@ def baseline_logreg(
         w, b = fit_logreg_sets(
             [sample_features(reduce_samples(train_s, basis)) for train_s, _, basis in folds],
             [train_s.targets for train_s, _, _ in folds], l2=l2, lr=lr, iters=iters)
-        return [logreg_scores(w_i, b_i, sample_features(reduce_samples(test_s, basis)))
+        return [(logreg_scores(w_i, b_i, sample_features(reduce_samples(test_s, basis))), None)
                 for (_, test_s, basis), w_i, b_i in zip(folds, w, b)]
 
     return _run_folds(samples, BASELINE_VARIANT, score_folds, True,

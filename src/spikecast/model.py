@@ -8,11 +8,13 @@ with pieces removed.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from numbers import Integral, Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .nn import (
     lstm_backward,
     lstm_forward,
 )
-from .nn.optim import adam_step, clip_global_norm, init_adam
+from .nn.optim import AdamState, adam_step, clip_global_norm
 from .pca import PcaBasis, transform_rows
 from .stores import atomic_write, write_csv
 
@@ -93,10 +95,10 @@ class ModelHyper:
 
     k: int
     d_prime: int              # width of the news window the model consumes
-    h: int = 32
-    h_a: int = 32
-    dropout: float = 0.3
-    seed: int = 0
+    h: int
+    h_a: int
+    dropout: float
+    seed: int
 
     def __post_init__(self):
         # bool is an Integral, but a checkpoint's `true` is no size or seed.
@@ -104,8 +106,9 @@ class ModelHyper:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if name != "seed" and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+            least = 0 if name == "seed" else 1
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
         if (isinstance(self.dropout, bool) or not isinstance(self.dropout, Real)
                 or not 0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
@@ -146,6 +149,8 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.patience < 1:
@@ -233,18 +238,20 @@ def init_model(
 
 
 def _bind(params: ModelParams, theta: np.ndarray) -> ModelParams:
-    """A ModelParams like `params` whose trainable arrays are views of the
-    vector `theta`, which holds them in this order: each LSTM stream's w,
-    then every stream's u, then every stream's b, then attention and head
-    as flat_params lists them. So `lstm.u` and `lstm.b` are single (S, h, 4h)
-    and (S, 4h) views. Binding a gradient vector gives gradient views of the
-    same names and layout. This is the one place the order is written."""
+    """A ModelParams like the one model `params` whose trainable arrays are
+    views of the vector `theta`, which holds them in this order: each LSTM
+    stream's w, then every stream's u, then every stream's b, then attention
+    and head as flat_params lists them. So `lstm.u` and `lstm.b` are single
+    (S, h, 4h) and (S, 4h) views. Binding a gradient vector gives gradient
+    views of the same names and layout, and binding the (F, n) rows of a
+    stack of F models gives each array a leading model axis. This is the
+    one place the order is written."""
     cursor = 0
 
     def take(shape):
         nonlocal cursor
         start, cursor = cursor, cursor + math.prod(shape)
-        return theta[start:cursor].reshape(shape)
+        return theta[..., start:cursor].reshape(theta.shape[:-1] + shape)
 
     lstm = params.lstm
     bound = replace(params, lstm=LstmStreams(
@@ -254,8 +261,8 @@ def _bind(params: ModelParams, theta: np.ndarray) -> ModelParams:
         if part is not None:
             setattr(bound, name, replace(part, **{
                 attr: take(arr.shape) for attr, arr in part.arrays().items()}))
-    if cursor != theta.size:
-        raise ContractError(f"theta has {theta.size} values, the model {cursor}")
+    if cursor != theta.shape[-1]:
+        raise ContractError(f"theta has {theta.shape[-1]} values, the model {cursor}")
     bound.theta = theta
     return bound
 
@@ -265,8 +272,8 @@ def flat_params(params: ModelParams) -> dict[str, np.ndarray]:
     stream j's w[j], u[j] and b[j] as price_lstm.* (j = 0) and news_lstm.*."""
     lstm = params.lstm
     flat = {f"{stream}.{n}": a
-            for stream, w, u, b in zip(("price_lstm", "news_lstm"), lstm.w, lstm.u, lstm.b)
-            for n, a in (("w", w), ("u", u), ("b", b))}
+            for j, (stream, w) in enumerate(zip(("price_lstm", "news_lstm"), lstm.w))
+            for n, a in (("w", w), ("u", lstm.u[..., j, :, :]), ("b", lstm.b[..., j, :]))}
     if params.attention is not None:
         flat.update({f"attention.{n}": a for n, a in params.attention.arrays().items()})
     flat.update({f"head.{n}": a for n, a in params.head.arrays().items()})
@@ -284,16 +291,18 @@ def forward_batch(
 
     `prices` is (B, k, 1) and `news` (B, k, d'); the no_news variant ignores
     `news`. The price and news LSTMs run as one two-stream recurrence. Each
-    window's probability is the same in any batch.
+    window's probability is the same in any batch. For a stack of F models
+    (params bound to (F, n) rows) the batches are (F, B, k, .) and the
+    probabilities (F, B); `rng` then holds one generator per model.
     """
     hyper = params.hyper
-    if prices.shape[1:] != (hyper.k, 1):
+    if prices.shape[-2:] != (hyper.k, 1):
         raise ContractError(
-            f"price window shape {prices.shape[1:]}, expected {(hyper.k, 1)}"
+            f"price window shape {prices.shape[-2:]}, expected {(hyper.k, 1)}"
         )
     streams = (prices,) if params.variant == VARIANT_NO_NEWS else (prices, news)
-    if len(streams) == 2 and news.shape[1:] != (hyper.k, hyper.d_prime):
-        raise ContractError(f"news window shape {news.shape[1:]}, "
+    if len(streams) == 2 and news.shape[-2:] != (hyper.k, hyper.d_prime):
+        raise ContractError(f"news window shape {news.shape[-2:]}, "
                             f"expected {(hyper.k, hyper.d_prime)}")
     hs, (h_price, *_), lstm_cache = lstm_forward(streams, params.lstm)
     if not np.isfinite(h_price).all():
@@ -304,13 +313,13 @@ def forward_batch(
         fused = h_price
     else:
         if params.variant == VARIANT_NO_ATTENTION:
-            context = hs[1].mean(axis=1)
+            context = hs[1].mean(axis=-2)
         else:
             context, _, att_cache = attention_forward(hs[1], params.attention)
             cache["attention"] = att_cache
         if not np.isfinite(context).all():
             raise NumericError("non-finite value in news context vector")
-        fused = np.concatenate([h_price, context], axis=1)
+        fused = np.concatenate([h_price, context], axis=-1)
 
     prob, head_cache = head_forward(fused, params.head,
                                     dropout=hyper.dropout if train else 0.0, rng=rng)
@@ -331,16 +340,16 @@ def backward_batch(
     hyper = params.hyper
     d_fused = head_backward(params.head, cache["head"], d_prob, out=out.head)
 
-    batch = d_fused.shape[0]
-    d_price_hs = np.zeros((batch, hyper.k, hyper.h))
-    d_price_hs[:, -1] = d_fused[:, : hyper.h]
+    batch = d_fused.shape[:-1]  # (B,), or (F, B) for a stack
+    d_price_hs = np.zeros((*batch, hyper.k, hyper.h))
+    d_price_hs[..., -1, :] = d_fused[..., : hyper.h]
     d_hs = (d_price_hs,)
     if params.variant != VARIANT_NO_NEWS:
-        d_context = d_fused[:, hyper.h :]
+        d_context = d_fused[..., hyper.h :]
         k = hyper.k
         if params.variant == VARIANT_NO_ATTENTION:
             d_news_hs = np.broadcast_to(
-                d_context[:, None, :] / k, (batch, k, d_context.shape[1])
+                d_context[..., None, :] / k, (*batch, k, d_context.shape[-1])
             )
         else:
             d_news_hs = attention_backward(
@@ -400,95 +409,223 @@ def predict(params: ModelParams, windows: Windows) -> np.ndarray:
     ])
 
 
+class TrainStats(NamedTuple):
+    """How one fold trained: the manifest's training diagnostics."""
+
+    epochs: int                  # epochs run
+    best_epoch: int              # the epoch whose parameters the model keeps
+    stop: str                    # "patience" or "budget"
+    max_grad_norm: list[float]   # per epoch, the largest pre-clip gradient norm
+    single_class: bool           # its training partition held one class
+
+
+class Fit(NamedTuple):
+    """What train returns: one model and one TrainStats per fold, in fold
+    order, and every fold's (epoch, train_loss, val_loss) rows, fold after
+    fold."""
+
+    models: list[ModelParams]
+    history: list[tuple[int, float, float]]
+    stats: list[TrainStats]
+
+    def histories(self) -> list[list[tuple[int, float, float]]]:
+        """`history` cut into each fold's rows."""
+        ends = np.cumsum([s.epochs for s in self.stats]).tolist()
+        return [self.history[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+
+# Parameter values a training stack of F models of n values each may hold,
+# F * n: its moments, gradients, snapshots and caches grow with F, so a cap
+# bounds the memory that training folds together adds to training one.
+STACK_VALUES = 2**15
+
+SINGLE_CLASS = ("degenerate targets: training partition is single-class; "
+                "training proceeds but the classifier cannot rank")
+
+
 def train(
-    windows: Windows,
+    folds: list[tuple[Windows, PcaBasis | None]],
     config: TrainConfig,
     variant: str = VARIANT_FULL,
-    pca: PcaBasis | None = None,
-    norm_stats: dict[str, tuple[float, float]] | None = None,
-) -> tuple[ModelParams, list[tuple[int, float, float]]]:
-    """Mini-batch Adam on BCE with early stopping on a chronological tail.
+    warn: bool = True,
+) -> Fit:
+    """Mini-batch Adam on BCE with early stopping on a chronological tail,
+    for every (windows, pca) fold of `folds` in one loop.
 
     `windows` hold raw news. With `pca`, their news is projected onto it
     once and the model keeps the basis, so predict projects raw news too.
     The last `validation_fraction` of `windows` (which must be in
     chronological order) is held out for validation and never shuffled into
-    training. The model's ModelHyper takes k and d_prime from the (projected)
-    windows and its other fields from `config`. Returns the best-validation-
-    loss parameters and the per-epoch (epoch, train_loss, val_loss) history.
-    Fully reproducible given config.seed.
+    training. A model's ModelHyper takes k and d_prime from the (projected)
+    windows and its other fields from `config`. Each model holds its
+    best-validation-loss parameters. A fold whose training partition is one
+    class warns unless `warn` is off, as run_cv has it to word its own.
+
+    Folds of one ModelHyper (all, unless a PCA rank cap narrowed some) train
+    as one stack of models. Each fold keeps its own generator, seeded with
+    config.seed, and so its own permutations and dropout draws, and its own
+    Adam step count, clip norm, best snapshot and patience: its model,
+    history and stats are bit for bit those of training it alone.
     """
-    n = len(windows)
-    if n < 2:
-        raise InsufficientDataError(f"need >= 2 samples to train, got {n}")
-    if (np.diff(windows.anchor_years) < 0).any():
-        raise ContractError("samples must be ordered chronologically")
-    if pca is not None:
-        windows = reduce_samples(windows, pca)
+    parts, hypers = [], []
+    for windows, pca in folds:
+        n = len(windows)
+        if n < 2:
+            raise InsufficientDataError(f"need >= 2 samples to train, got {n}")
+        if (np.diff(windows.anchor_years) < 0).any():
+            raise ContractError("samples must be ordered chronologically")
+        if pca is not None:
+            windows = reduce_samples(windows, pca)
+        n_train = n - max(1, math.ceil(config.validation_fraction * n))
+        if n_train < 1:
+            raise InsufficientDataError("validation split leaves no training samples")
+        parts.append((windows[:n_train], windows[n_train:], pca))
+        hypers.append(ModelHyper(k=windows.k, d_prime=windows.news.shape[2], h=config.h,
+                                 h_a=config.h_a, dropout=config.dropout, seed=config.seed))
+    fits = [None] * len(parts)
+    for hyper in dict.fromkeys(hypers):
+        template = init_model(hyper, variant)  # every fold starts from its draw
+        group = sorted((i for i, other in enumerate(hypers) if other == hyper),
+                       key=lambda i: len(parts[i][0]))
+        # The largest folds first, in stacks of at most STACK_VALUES. A last
+        # stack of one trains the draw itself, as training one model alone.
+        size = max(1, STACK_VALUES // template.theta.size)
+        for end in range(len(group), 0, -size):
+            stack = group[max(0, end - size) : end]
+            theta = (template.theta[None] if end == 1
+                     else np.tile(template.theta, (len(stack), 1)))
+            for i, fit in zip(stack, _fit_stack([parts[i] for i in stack], template, theta,
+                                                config)):
+                fits[i] = fit
+    models, histories, stats = zip(*fits)
+    for i, fold in enumerate(stats if warn else ()):
+        if fold.single_class:
+            where = f" fold {i + 1}" if len(parts) > 1 else ""
+            warnings.warn(f"variant {variant}{where}: {SINGLE_CLASS}", stacklevel=2)
+    return Fit(list(models), [row for rows in histories for row in rows], list(stats))
 
-    hyper = ModelHyper(k=windows.k, d_prime=windows.news.shape[2], h=config.h,
-                       h_a=config.h_a, dropout=config.dropout, seed=config.seed)
 
-    n_val = max(1, math.ceil(config.validation_fraction * n))
-    n_train = n - n_val
-    if n_train < 1:
-        raise InsufficientDataError("validation split leaves no training samples")
-    train_part = windows[:n_train]
-    val_part = windows[n_train:]
+@dataclass
+class _Run:
+    """One fold of a training stack, beside its rows of the stacked arrays."""
 
-    if train_part.targets.min() == train_part.targets.max():
-        warnings.warn(
-            "degenerate targets: training partition is single-class; "
-            "training proceeds but the classifier cannot rank",
-            stacklevel=2,
-        )
+    fold: int                 # its place in the stack's parts, by training size
+    train: Windows
+    val: Windows
+    pca: PcaBasis | None
+    rng: np.random.Generator
+    history: list = field(default_factory=list)
+    norms: list = field(default_factory=list)
+    best: np.ndarray | None = None  # None: the initial parameters
+    best_val: float = math.inf
+    best_epoch: int = 0
+    adam: AdamState | None = None
+    loss_sum: float = 0.0     # this epoch's, over its minibatches
 
-    # The basis is attached after the loop: evaluate_loss reads reduced news.
-    params = init_model(hyper, variant, norm_stats=norm_stats)
-    theta = params.theta
-    decayed = _bind(params, np.zeros(theta.shape, dtype=bool))
+
+def _fit_stack(parts, template: ModelParams, theta: np.ndarray, config: TrainConfig):
+    """Train the (train, val, pca) parts, in order of training size, as one
+    stack of models of template's layout, from the initial (F, n) rows
+    `theta`, which it updates in place; returns each part's (model,
+    history, TrainStats).
+
+    θ and its gradients are (F, n) arrays, one row per fold. Each epoch
+    right-aligns the folds' full minibatches, so a fold with m of them runs
+    at the epoch's last m full-batch steps, and the folds with a batch at a
+    step are the block of the last rows: one forward and backward call per
+    step. The ragged last batches all run after them, one call per run of
+    rows of one batch size. A fold that stops early leaves the stack.
+    """
+    size = config.batch_size
+    decayed = _bind(template, np.zeros(theta.shape[1], dtype=bool))
     decayed.head.w1[...] = True
     decayed.head.w2[...] = True
-    state = init_adam(theta, alpha=config.alpha, weight_decay=config.weight_decay,
-                      decay_mask=decayed.theta)
-    # The gradient vector is adam_step's scratch row 0, which a step reads
-    # before it writes there; backward_batch writes into it through `grads`.
-    grads = _bind(params, state.scratch[0])
-    rng = np.random.default_rng(config.seed)
+    runs = [_Run(i, *part, np.random.default_rng(config.seed)) for i, part in enumerate(parts)]
+    # Each fold clips and steps its own row with its own Adam state, whose
+    # scratch is its gradient row (read before the step writes there) and a
+    # row all share: an update touches one model's memory at a time.
+    grads, tmp = np.empty_like(theta), np.empty(theta.shape[1])
+    for run, grad in zip(runs, grads):
+        run.adam = AdamState(np.zeros(theta.shape[1]), np.zeros(theta.shape[1]),
+                             decayed.theta, (grad, tmp), config.alpha, config.weight_decay)
+    blocks, done = {}, [None] * len(parts)
 
-    history: list[tuple[int, float, float]] = []
-    best_val = math.inf
-    best = theta.copy()
-    epochs_since_best = 0
+    def block(lo, hi):
+        """Rows lo:hi bound as a stack, or a lone row as one model: params,
+        gradients, generators, and each row's (θ, gradient, run)."""
+        if (lo, hi) not in blocks:
+            rows = lo if hi - lo == 1 else slice(lo, hi)
+            rngs = [run.rng for run in runs[lo:hi]]
+            blocks[lo, hi] = (_bind(template, theta[rows]), _bind(template, grads[rows]),
+                              rngs[0] if hi - lo == 1 else rngs,
+                              list(zip(theta[lo:hi], grads[lo:hi], runs[lo:hi])))
+        return blocks[lo, hi]
+
+    def step(lo, hi, prices, news, targets):
+        """One minibatch of each of rows lo:hi, in one call per layer; a
+        lone row runs as one model, without the model axis."""
+        params, block_grads, rng, updates = block(lo, hi)
+        if hi - lo == 1:
+            prices, news, targets = prices[0], news[0], targets[0]
+        probs, cache = forward_batch(prices, news, params, train=True, rng=rng)
+        losses, d_preds = bce_loss(probs, targets, config.pos_weight)
+        backward_batch(params, cache, d_preds, out=block_grads)
+        del cache  # not held through the next forward or evaluate_loss
+        for (row, grad, run), loss in zip(updates, losses.tolist() if hi - lo > 1 else [losses]):
+            run.loss_sum += loss * targets.shape[-1]
+            run.norms[-1] = max(run.norms[-1], clip_global_norm(grad, config.clip_norm))
+            adam_step(row, grad, run.adam)
+
+    names = ("prices", "news", "targets")
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n_train)
-        loss_sum = 0.0
-        for start in range(0, n_train, config.batch_size):
-            batch = train_part[order[start : start + config.batch_size]]
-            probs, cache = forward_batch(
-                batch.prices, batch.news, params, train=True, rng=rng
-            )
-            loss, d_preds = bce_loss(probs, batch.targets, config.pos_weight)
-            loss_sum += loss * len(batch)
-            backward_batch(params, cache, d_preds, out=grads)
-            del cache  # not held through the next forward or evaluate_loss
-            clip_global_norm(grads.theta, config.clip_norm)
-            adam_step(theta, grads.theta, state)
+        orders = [run.rng.permutation(len(run.train)) for run in runs]
+        cuts = [len(order) - len(order) % size for order in orders]  # rows in full batches
+        span = max(cuts)
+        # Each fold's full batches, right-aligned in one buffer per array.
+        full = [np.empty((len(runs), span, *getattr(runs[0].train, name).shape[1:]))
+                for name in names]
+        for f, (run, order, cut) in enumerate(zip(runs, orders, cuts)):
+            run.loss_sum = 0.0
+            run.norms.append(0.0)  # this epoch's largest pre-clip gradient norm
+            for buf, name in zip(full, names):
+                buf[f, span - cut:] = getattr(run.train, name)[order[:cut]]
+        for start in range(0, span, size):
+            lo = sum(span - cut > start for cut in cuts)
+            step(lo, len(runs), *(buf[lo:, start : start + size] for buf in full))
+        del full  # not held through evaluate_loss
+        for rest, rows in itertools.groupby(range(len(runs)),
+                                            lambda f: len(orders[f]) - cuts[f]):
+            if rest:
+                rows = list(rows)
+                tails = [[getattr(runs[f].train, name)[orders[f][cuts[f]:]] for f in rows]
+                         for name in names]
+                step(rows[0], rows[-1] + 1, *(np.stack(t) if len(t) > 1 else t[0][None]
+                                              for t in tails))
 
-        train_loss = loss_sum / n_train
-        val_loss = evaluate_loss(params, val_part, config.pos_weight)
-        history.append((epoch, train_loss, val_loss))
-        if val_loss < best_val:
-            best_val = val_loss
-            best = theta.copy()
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= config.patience:
-                break
-    theta[...] = best
-    params.pca = pca
-    return params, history
+        keep = []
+        for f, run in enumerate(runs):
+            val_loss = evaluate_loss(block(f, f + 1)[0], run.val, config.pos_weight)
+            run.history.append((epoch, run.loss_sum / len(run.train), val_loss))
+            if val_loss < run.best_val:
+                run.best, run.best_val, run.best_epoch = theta[f].copy(), val_loss, epoch
+            if epoch - run.best_epoch < config.patience and epoch < config.epochs:
+                keep.append(f)
+                continue
+            if run.best is None:  # no finite validation loss: the initial draw
+                run.best = init_model(template.hyper, template.variant).theta
+            model = _bind(template, run.best)
+            model.pca = run.pca
+            stop = "budget" if epoch - run.best_epoch < config.patience else "patience"
+            done[run.fold] = model, run.history, TrainStats(
+                epoch, run.best_epoch, stop, run.norms,
+                bool(run.train.targets.min() == run.train.targets.max()))
+        if len(keep) < len(runs):  # the stopped folds leave the stack
+            runs, theta, blocks = [runs[f] for f in keep], theta[keep], {}
+            for run, grad in zip(runs, grads):  # the first rows of the gradients
+                run.adam.scratch = (grad, tmp)
+        if not runs:
+            break
+    return done
 
 
 def write_history_csv(history: list[tuple[int, float, float]], path) -> None:

@@ -23,11 +23,11 @@ class AttentionParams:
 
     @property
     def h(self) -> int:
-        return self.w_q.shape[0]
+        return self.w_q.shape[-2]
 
     @property
     def h_a(self) -> int:
-        return self.w_q.shape[1]
+        return self.w_q.shape[-1]
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v}
@@ -44,6 +44,12 @@ def init_attention_params(
     )
 
 
+def _projections(params: AttentionParams) -> tuple[np.ndarray, ...]:
+    """w_q, w_k and w_v, a stack's (F, h, h_a) viewed to broadcast over B."""
+    ws = (params.w_q, params.w_k, params.w_v)
+    return ws if params.w_q.ndim == 2 else tuple(w[:, None] for w in ws)
+
+
 def attention_forward(
     states: np.ndarray, params: AttentionParams
 ) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -51,6 +57,8 @@ def attention_forward(
 
     Returns (context (B, h_a), weights (B, k, k), cache). The batch axis is
     only broadcast over, so a single (k, h) sequence gives (h_a,) and (k, k).
+    A stack of F models, with (F, h, h_a) projections, attends over
+    (F, B, k, h) states, each model over its own.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim < 2 or states.shape[-1] != params.h:
@@ -61,9 +69,10 @@ def attention_forward(
     if k < 1:
         raise ContractError("attention needs at least one state")
 
-    q = states @ params.w_q
-    key = states @ params.w_k
-    v = states @ params.w_v
+    w_q, w_k, w_v = _projections(params)
+    q = states @ w_q
+    key = states @ w_k
+    v = states @ w_v
     logits = q @ key.swapaxes(-1, -2) / np.sqrt(params.h_a)
     if not np.isfinite(logits).all():
         raise NumericError("non-finite attention logits")
@@ -99,7 +108,9 @@ def attention_backward(
     d_q = d_logits @ key * scale
     d_k = d_logits.swapaxes(-1, -2) @ q * scale
 
-    rows = states.reshape(-1, params.h).T
+    lead = params.w_q.shape[:-2]  # (F,) for a stack
+    rows = states.reshape(*lead, -1, params.h).mT
     for d_proj, grad in ((d_q, out.w_q), (d_k, out.w_k), (d_v, out.w_v)):
-        np.matmul(rows, d_proj.reshape(-1, params.h_a), out=grad)
-    return d_q @ params.w_q.T + d_k @ params.w_k.T + d_v @ params.w_v.T
+        np.matmul(rows, d_proj.reshape(*lead, -1, params.h_a), out=grad)
+    w_q, w_k, w_v = _projections(params)
+    return d_q @ w_q.mT + d_k @ w_k.mT + d_v @ w_v.mT

@@ -20,7 +20,7 @@ class HeadParams:
 
     @property
     def input_size(self) -> int:
-        return self.w1.shape[0]
+        return self.w1.shape[-2]
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
@@ -49,31 +49,43 @@ def head_forward(
     rate and inference 0, which is deterministic. Dropout uses inverted
     scaling (kept units divided by 1 - p). The mask is drawn as one
     (B, n_hidden) block, the same draws as one row per vector in turn.
+
+    A stack of F models, whose arrays have a leading model axis, classifies
+    (F, B, n_in) batches into (F, B); `rng` is then a sequence of F
+    generators, and model f's mask block is drawn from the f-th.
     """
     fused = np.asarray(fused, dtype=float)
-    if fused.ndim != 2 or fused.shape[1] != params.input_size:
-        raise ContractError(
-            f"fused batch shape {fused.shape}, head expects (B, {params.input_size})"
-        )
+    lead = params.b2.shape[:-1]  # () for one model, (F,) for a stack
+    if fused.shape[:-2] != lead or fused.shape[len(lead) + 1:] != (params.input_size,):
+        raise ContractError(f"fused batch shape {fused.shape}, "
+                            f"head expects {(*lead, 'B', params.input_size)}")
+    w1, b1, w2 = _per_row(params)
     # One vector product per row, so a row's result does not depend on the
     # size of its batch.
-    pre = np.vecmat(fused, params.w1) + params.b1
+    pre = np.vecmat(fused, w1) + b1
     act = relu(pre)
     if dropout > 0.0:
         if rng is None:
             raise ConfigError("train-mode dropout requires an rng")
-        keep = rng.random(act.shape) >= dropout
-        mask = keep / (1.0 - dropout)
+        keep = (np.stack([gen.random(act.shape[1:]) for gen in rng]) if lead
+                else rng.random(act.shape))
+        mask = (keep >= dropout) / (1.0 - dropout)
     else:
         mask = np.ones_like(act)
     dropped = act * mask
-    logit = np.vecdot(dropped, params.w2) + params.b2[0]
+    logit = np.vecdot(dropped, w2) + params.b2
     prob = sigmoid(logit)
     cache = {
         "fused": fused, "pre": pre, "mask": mask,
         "dropped": dropped, "prob": prob,
     }
     return prob, cache
+
+
+def _per_row(params: HeadParams) -> tuple[np.ndarray, ...]:
+    """w1, b1 and w2; a stack's viewed to broadcast over the batch axis."""
+    arrays = params.w1, params.b1, params.w2
+    return arrays if params.b2.ndim == 1 else tuple(a[:, None] for a in arrays)
 
 
 def head_backward(
@@ -83,11 +95,11 @@ def head_backward(
     into `out`'s arrays; returns dLoss/dfused (B, n_in)."""
     prob = cache["prob"]
     d_logit = d_prob * prob * (1.0 - prob)
-    d_dropped = d_logit[:, None] * params.w2
+    d_dropped = d_logit[..., None] * _per_row(params)[2]
     d_act = d_dropped * cache["mask"]
     d_pre = d_act * (cache["pre"] > 0.0)
-    np.matmul(cache["fused"].T, d_pre, out=out.w1)
-    np.add.reduce(d_pre, axis=0, out=out.b1)
-    np.matmul(d_logit, cache["dropped"], out=out.w2)
-    np.add.reduce(d_logit, keepdims=True, out=out.b2)
-    return d_pre @ params.w1.T
+    np.matmul(cache["fused"].mT, d_pre, out=out.w1)
+    np.add.reduce(d_pre, axis=-2, out=out.b1)
+    np.vecmat(d_logit, cache["dropped"], out=out.w2)
+    np.add.reduce(d_logit, axis=-1, keepdims=True, out=out.b2)
+    return d_pre @ params.w1.mT

@@ -18,6 +18,11 @@ LstmStreams, whose U and b are (S, h, 4h) and (S, 4h) arrays, so a step reads
 every stream's recurrent weights without copying them together. The backward
 pass writes each stream's gradients, summed over the batch, into arrays of
 that same layout.
+
+A stack of F models of one layout runs as one recurrence too: every array
+then has a leading model axis, weights (F, ...) and batches (F, B, k, m_s).
+Each model's sequences meet only its own weights, through the same
+per-model products, so its results are those of running it alone.
 """
 from __future__ import annotations
 
@@ -78,36 +83,43 @@ def lstm_forward(
 
     The streams share B, k and h; each has its own input width m_s. Returns
     per-stream lists of all hidden states (B, k, h) and final hidden states
-    (B, h), and one cache for backprop.
+    (B, h), and one cache for backprop. For a stack of F models, whose
+    weights have a leading model axis, the batches and states have it too.
     """
     s, h = len(params.w), params.u.shape[-1] // 4
+    lead = params.u.shape[:-3]  # () for one model, (F,) for a stack of F
+    nl = len(lead)
     if len(sequences) != s or not s:
         raise ContractError(f"{len(sequences)} sequence batches, {s} LSTMs")
-    if params.u.shape != (s, h, 4 * h) or params.b.shape != (s, 4 * h):
+    if params.u.shape != (*lead, s, h, 4 * h) or params.b.shape != (*lead, s, 4 * h):
         raise ContractError(f"stacked u {params.u.shape} and b {params.b.shape} "
                             f"for {s} LSTMs")
     sequences = tuple(np.asarray(seq, dtype=float) for seq in sequences)
-    lead = sequences[0].shape[:2]  # the shared (B, k)
+    batch = sequences[0].shape[: nl + 2]  # the shared (*lead, B, k)
     for seq, w in zip(sequences, params.w):
-        if w.ndim != 2 or w.shape[1] != 4 * h or seq.shape != (*lead, w.shape[0]):
+        if (w.shape[:-2] != lead or w.shape[-1] != 4 * h
+                or seq.shape != (*batch, w.shape[-2])):
             raise ContractError(f"sequence batch shape {seq.shape} for input "
                                 f"weights {w.shape}, hidden size {h}")
         if not np.isfinite(seq).all():
             raise NumericError("non-finite value in LSTM input sequence")
-    n, k = lead
-    u, b = params.u[:, None], params.b[:, None]  # (S, 1, h, 4h), (S, 1, 4h)
+    n, k = batch[nl:]
+    per_row = (slice(None),) * (nl + 1) + (None,)  # a B axis after the S axis
+    u, b = params.u[per_row], params.b[per_row]    # (*lead, S, 1, h, 4h), (..., 4h)
+    step_last = (*range(1, nl + 2), 0, nl + 2)     # (k, *lead, B, x) to (*lead, B, k, x)
 
     # Input projections of every step at once, one product per stream, in
     # the buffer where each step then writes its activations (o | i | f | g).
     # The loop adds h_prev @ U, then b: the order in which the docstring's
     # recurrence sums them. Each step's intermediates go to buffers
     # allocated once here.
-    gates = np.empty((k, s, n, 4 * h))         # step t is one (S, B, 4h) view
+    gates = np.empty((k, *lead, s, n, 4 * h))  # step t is one (*lead, S, B, 4h) view
     for j, (seq, w) in enumerate(zip(sequences, params.w)):
-        np.matmul(seq, w, out=gates[:, j].swapaxes(0, 1))
-    hs, cs = np.zeros((2, k + 1, s, n, h))     # step 0: the initial state
-    tanh_cs = np.empty((k, s, n, h))
-    a, ig = np.empty((s, n, 4 * h)), np.empty((s, n, h))
+        np.matmul(seq, w[per_row[1:]] if nl else w,
+                  out=gates[per_row[:-1] + (j,)].transpose(step_last))
+    hs, cs = np.zeros((2, k + 1, *lead, s, n, h))  # step 0: the initial state
+    tanh_cs = np.empty((k, *lead, s, n, h))
+    a, ig = np.empty((*lead, s, n, 4 * h)), np.empty((*lead, s, n, h))
     a_sig, a_g = a[..., : 3 * h], a[..., 3 * h :]
     o, i, f, g = (gates[..., j * h : (j + 1) * h] for j in range(4))
     steps = zip(gates, gates[..., : 3 * h], o, i, f, g, hs, hs[1:], cs, cs[1:],
@@ -126,7 +138,9 @@ def lstm_forward(
         np.multiply(o_t, tc_t, out=h_t)
 
     cache = dict(sequences=sequences, gates=gates, hs=hs, cs=cs, tanh_cs=tanh_cs)
-    return list(hs[1:].transpose(1, 2, 0, 3)), list(hs[-1].copy()), cache
+    stream_first = (nl + 1, *range(1, nl + 1), nl + 2, 0, nl + 3)
+    return (list(hs[1:].transpose(stream_first)),
+            list(hs[-1].transpose(nl, *range(nl), nl + 1, nl + 2).copy()), cache)
 
 
 def lstm_backward(
@@ -135,16 +149,18 @@ def lstm_backward(
 ) -> None:
     """BPTT given upstream gradients for every hidden state of every stream.
 
-    `d_hs` holds one (B, k, h) array per stream; for a final-state-only
-    consumer all steps but the last are zero. The gradients, summed over the
-    batch, are written into `out`, an LstmStreams of params' shapes.
+    `d_hs` holds one (B, k, h) array per stream, with params' model axis if
+    it has one; for a final-state-only consumer all steps but the last are
+    zero. The gradients, summed over the batch, are written into `out`, an
+    LstmStreams of params' shapes.
     """
     gates, hs, cs, tanh_cs = (cache[key] for key in ("gates", "hs", "cs", "tanh_cs"))
-    k, s, n, h = tanh_cs.shape
+    k, *lead, s, n, h = tanh_cs.shape
+    nl = len(lead)
     shapes = [np.shape(d) for d in d_hs]
-    if len(params.w) != s or shapes != [(n, k, h)] * s:
+    if len(params.w) != s or shapes != [(*lead, n, k, h)] * s:
         raise ContractError(f"d_hs shapes {shapes} for {len(params.w)} LSTMs; "
-                            f"expected {s} of {(n, k, h)}")
+                            f"expected {s} of {(*lead, n, k, h)}")
 
     # Everything but the recurrence is elementwise over steps, so it is done
     # for all steps at once: each gate's pre-activation gradient is dh (gate
@@ -152,9 +168,10 @@ def lstm_backward(
     # The factors fill `da`, which the loop then scales in place; `da` is
     # stream-major, so each stream's gradients are read from one block.
     o, i, f, g = (gates[..., j * h : (j + 1) * h] for j in range(4))
-    sig = gates.reshape(k, s, n, 4, h)[..., :3, :]  # the o, i, f blocks
-    da = np.empty((s, k, n, 4 * h))          # pre-activation grads o | i | f | g
-    factor = da.reshape(s, k, n, 4, h).swapaxes(0, 1)
+    sig = gates.reshape(k, *lead, s, n, 4, h)[..., :3, :]  # the o, i, f blocks
+    da = np.empty((*lead, s, k, n, 4 * h))   # pre-activation grads o | i | f | g
+    step_first = (nl + 1, *range(nl + 1), nl + 2, nl + 3)  # da's axes as gates has them
+    factor = da.reshape(*lead, s, k, n, 4, h).transpose(*step_first, nl + 4)
     np.subtract(1.0, sig, out=factor[..., :3, :])
     factor[..., :3, :] *= sig
     factor[..., 0, :] *= tanh_cs
@@ -162,15 +179,16 @@ def lstm_backward(
     factor[..., 2, :] *= cs[:-1]
     np.multiply(i, 1.0 - g**2, out=factor[..., 3, :])
     d_tanh_c = o * (1.0 - tanh_cs**2)        # dc contribution of dh
-    u_t = params.u.swapaxes(1, 2)            # u.T views; a copy moves bits
+    u_t = params.u.mT                        # u.T views; a copy moves bits
 
     # Step t's dh is accumulated in place into a copy of its upstream
     # gradients; dc and the carries to the step before go to buffers
     # allocated once.
-    d_hs = np.array(d_hs, dtype=float).transpose(2, 0, 1, 3)  # (k, S, B, h)
-    dh_next, dc_next, dc = np.zeros((3, s, n, h))
+    d_hs = np.array(d_hs, dtype=float).transpose(  # (k, *lead, S, B, h)
+        nl + 2, *range(1, nl + 1), 0, nl + 1, nl + 3)
+    dh_next, dc_next, dc = np.zeros((3, *lead, s, n, h))
     dc_gates = dc[..., None, :]
-    steps = list(zip(d_hs, d_tanh_c, da.swapaxes(0, 1), factor[..., 0, :],
+    steps = list(zip(d_hs, d_tanh_c, da.transpose(step_first), factor[..., 0, :],
                      factor[..., 1:, :], f))
     for dh, d_tanh_c_t, da_t, da_o_t, da_ifg_t, f_t in steps[::-1]:
         dh += dh_next
@@ -183,9 +201,11 @@ def lstm_backward(
 
     # Sum over the batch and the steps in one product per array: the input
     # weights stream by stream, u and b for all streams at once.
-    da_s = da.reshape(s, k * n, 4 * h)
-    for seq, da_j, w_grad in zip(cache["sequences"], da_s, out.w):
-        np.matmul(seq.swapaxes(0, 1).reshape(k * n, -1).T, da_j, out=w_grad)
-    hs_s = hs[:-1].swapaxes(0, 1).reshape(s, k * n, h)
-    np.matmul(hs_s.swapaxes(1, 2), da_s, out=out.u)
-    np.add.reduce(da_s, axis=1, out=out.b)
+    da_s = da.reshape(*lead, s, k * n, 4 * h)
+    for seq, da_j, w_grad in zip(cache["sequences"],
+                                 da_s.transpose(nl, *range(nl), nl + 1, nl + 2), out.w):
+        rows = seq.swapaxes(-3, -2).reshape(*lead, k * n, -1)
+        np.matmul(rows.mT, da_j, out=w_grad)
+    hs_s = hs[:-1].transpose(*range(1, nl + 2), 0, nl + 2, nl + 3)
+    np.matmul(hs_s.reshape(*lead, s, k * n, h).mT, da_s, out=out.u)
+    np.add.reduce(da_s, axis=-2, out=out.b)

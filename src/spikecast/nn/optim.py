@@ -25,7 +25,8 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     decay_mask: np.ndarray
-    scratch: np.ndarray  # (2, n): a step's temporaries; row 0 may also be its grad
+    scratch: np.ndarray  # two of theta's shape, (2, n): a step's temporaries;
+                         # the first may also be its grad
     alpha: float = 1e-3
     weight_decay: float = 0.0
     step: int = 0

@@ -28,14 +28,19 @@ from spikecast.evaluation import (
 from spikecast.ingest import AlignedDataset
 from spikecast.model import (
     PCA_VARIANTS,
+    ModelHyper,
     _bind,
+    backward_batch,
+    evaluate_loss,
     flat_params,
+    forward_batch,
     init_model,
     predict,
     reduce_samples,
     train,
 )
-from spikecast.nn import LstmStreams
+from spikecast.nn import LstmStreams, bce_loss
+from spikecast.nn.optim import adam_step, clip_global_norm, init_adam
 from spikecast.nn.ops import sigmoid
 
 
@@ -111,6 +116,62 @@ def flat_order_clip(hyper, variant):
         return total
 
     return clip
+
+
+def train_one(windows, config, variant="full", pca=None):
+    """train on one fold: (its model, its history)."""
+    fit = train([(windows, pca)], config, variant)
+    return fit.models[0], fit.history
+
+
+def reference_train(windows, config, variant="full", pca=None):
+    """train for one fold, written as the fold-by-fold loop that training a
+    stack of folds replaced. Returns (model, history, (best_epoch, stop,
+    per-epoch largest pre-clip gradient norms, single-class training part)),
+    the last four the fold's TrainStats after its epoch count."""
+    n = len(windows)
+    if pca is not None:
+        windows = reduce_samples(windows, pca)
+    hyper = ModelHyper(k=windows.k, d_prime=windows.news.shape[2], h=config.h,
+                       h_a=config.h_a, dropout=config.dropout, seed=config.seed)
+    n_train = n - max(1, math.ceil(config.validation_fraction * n))
+    train_part, val_part = windows[:n_train], windows[n_train:]
+    params = init_model(hyper, variant)
+    theta = params.theta
+    decayed = _bind(params, np.zeros(theta.shape, dtype=bool))
+    decayed.head.w1[...] = True
+    decayed.head.w2[...] = True
+    state = init_adam(theta, alpha=config.alpha, weight_decay=config.weight_decay,
+                      decay_mask=decayed.theta)
+    grads = _bind(params, state.scratch[0])
+    rng = np.random.default_rng(config.seed)
+    history, norms = [], []
+    best_val, best, best_epoch, since_best, stop = math.inf, theta.copy(), 0, 0, "budget"
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n_train)
+        loss_sum, top = 0.0, 0.0
+        for start in range(0, n_train, config.batch_size):
+            batch = train_part[order[start : start + config.batch_size]]
+            probs, cache = forward_batch(batch.prices, batch.news, params, train=True, rng=rng)
+            loss, d_preds = bce_loss(probs, batch.targets, config.pos_weight)
+            loss_sum += loss * len(batch)
+            backward_batch(params, cache, d_preds, out=grads)
+            top = max(top, clip_global_norm(grads.theta, config.clip_norm))
+            adam_step(theta, grads.theta, state)
+        val_loss = evaluate_loss(params, val_part, config.pos_weight)
+        history.append((epoch, loss_sum / n_train, val_loss))
+        norms.append(top)
+        if val_loss < best_val:
+            best_val, best, best_epoch, since_best = val_loss, theta.copy(), epoch, 0
+        else:
+            since_best += 1
+            if since_best >= config.patience:
+                stop = "patience"
+                break
+    theta[...] = best
+    params.pca = pca
+    single = bool(train_part.targets.min() == train_part.targets.max())
+    return params, history, (best_epoch, stop, norms, single)
 
 
 def reference_mock_embed(seed: int, dim: int, text: str) -> list[float]:
@@ -216,7 +277,7 @@ def reference_holdout(samples, fraction, variant, config, d_prime, threshold,
     basis = None
     if variant in PCA_VARIANTS:
         _, basis = fit_fold_pca(train_s, d_prime)
-    params, _ = train(train_s, config, variant=variant, pca=basis)
+    params, _ = train_one(train_s, config, variant, basis)
     scores = predict(params, test_s)
     labels = test_s.targets
     block = classification_metrics(scores, labels, threshold)

@@ -415,6 +415,42 @@ class TestAblate:
         assert not (tmp_path / "x").exists()
 
 
+class TestManifestStats:
+    """train, eval and ablate record how each fold trained in manifest.json;
+    no other command writes a stats block."""
+
+    KEYS = {"epochs", "best_epoch", "stop", "max_grad_norm", "single_class"}
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # tiny folds may be single-class
+    @pytest.mark.parametrize("command,extra,folds", [
+        ("train", ["--variant", "no_attention"], {"no_attention": 1}),
+        ("eval", [], {"full": 1}),
+        ("ablate", ["--variants", "no_news,logreg,no_pca", "--folds", "3"],
+         {"no_news": 3, "no_pca": 3}),
+    ])
+    def test_training_stats(self, corpus, tmp_path, command, extra, folds):
+        out = tmp_path / command
+        assert run_cli(command, *model_args(corpus, out), *extra) == 0
+        stats = json.loads((out / "manifest.json").read_text())["stats"]
+        assert list(stats) == ["training"]
+        assert {v: len(rows) for v, rows in stats["training"].items()} == folds
+        for rows in stats["training"].values():
+            for row in rows:
+                assert set(row) == self.KEYS
+                assert row["stop"] in ("patience", "budget")
+                assert 1 <= row["best_epoch"] <= row["epochs"] <= 2
+                assert len(row["max_grad_norm"]) == row["epochs"]
+                assert isinstance(row["single_class"], bool)
+        if command == "train":
+            history = (out / "history.csv").read_text().splitlines()
+            assert len(history) - 1 == stats["training"]["no_attention"][0]["epochs"]
+
+    def test_other_commands_write_none(self, corpus):
+        for stage in ("label", "distill", "embed"):
+            doc = json.loads((corpus["root"] / stage / "manifest.json").read_text())
+            assert "stats" not in doc
+
+
 class TestGapYear:
     """A year empty in every price column: no label is taken across it, and
     no window spans it."""
@@ -683,6 +719,11 @@ class TestExitCodes:
                        flag, value) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name} must be") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_negative_seed_exits_one(self, corpus, tmp_path, capsys, command):
+        assert run_cli(command, *model_args(corpus, tmp_path / "o"), "--seed", "-1") == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("argv", [
         ["ingest", "--in", "{bad}"],

@@ -625,6 +625,24 @@ class TestSingleClassFold:
         assert warning.filename == __file__  # the line that called run_cv
         assert report.folds[0].auc is None
 
+    # Fold 1 of 3 trains on windows 0-4 (5 is its validation tail) and the
+    # hold-out on 0-14; every other training part and test block has both.
+    @pytest.mark.parametrize("plan,zeros,where", [
+        (time_series_split(24, 3), 5, "fold 1"), (holdout_split(24, 0.25), 15, "hold-out"),
+    ])
+    def test_single_class_training_warns_with_variant_and_fold(self, plan, zeros, where):
+        samples = windows(n=27, k=3)
+        i = np.arange(len(samples))
+        targets = np.where(i < zeros, 0, i % 2)
+        with pytest.warns(UserWarning, match="degenerate targets") as caught:
+            run_cv(replace(samples, targets=targets), "no_news", TestRunCv.CONFIG, plan,
+                   d_prime=3)
+        (warning,) = [w for w in caught if "degenerate" in str(w.message)]
+        assert str(warning.message) == (
+            f"variant no_news {where}: degenerate targets: training partition is "
+            "single-class; training proceeds but the classifier cannot rank")
+        assert warning.filename == __file__  # the line that called run_cv
+
     def test_csv_empty_cell_for_undefined_auc(self, tmp_path):
         with pytest.warns(UserWarning):
             report = baseline_logreg(self._rigged_samples(), time_series_split(24, 3),

@@ -16,8 +16,10 @@ from spikecast.errors import (
     ContractError,
     InsufficientDataError,
 )
+from spikecast.evaluation import fit_fold_pca
 from spikecast.model import (
     CHECKPOINT_FORMAT,
+    PCA_VARIANTS,
     PREDICT_CHUNK,
     VARIANTS,
     ModelHyper,
@@ -48,7 +50,9 @@ from conftest import (
     gradient_params,
     planted_dataset,
     reference_reduce,
+    reference_train,
     reference_windows,
+    train_one,
     zero_params,
 )
 
@@ -180,14 +184,14 @@ class TestWindows:
 
 class TestInitModel:
     def test_fused_width_per_variant(self):
-        hyper = ModelHyper(k=3, d_prime=5, h=8, h_a=6)
+        hyper = ModelHyper(k=3, d_prime=5, h=8, h_a=6, dropout=0.3, seed=0)
         widths = {"full": 14, "no_attention": 16, "no_pca": 14, "no_news": 8}
         for variant, fused in widths.items():
             params = init_model(hyper, variant)
             assert params.head.w1.shape == (fused, 8), variant
 
     def test_branch_presence(self):
-        hyper = ModelHyper(k=3, d_prime=5, h=8, h_a=6)
+        hyper = ModelHyper(k=3, d_prime=5, h=8, h_a=6, dropout=0.3, seed=0)
         full = init_model(hyper, "full")  # LSTM streams: price, then news
         assert len(full.lstm.w) == 2 and full.attention is not None
         no_att = init_model(hyper, "no_attention")
@@ -207,14 +211,14 @@ class TestInitModel:
 
     @pytest.mark.parametrize("field,value", [
         ("k", 0), ("d_prime", 0), ("h", 0), ("h", -1), ("h_a", 0),
-        ("dropout", 1.0), ("dropout", -0.1), ("dropout", math.nan),
+        ("dropout", 1.0), ("dropout", -0.1), ("dropout", math.nan), ("seed", -1),
     ])
     def test_hyper_validation(self, field, value):
         with pytest.raises(ConfigError, match=field):
             replace(HYPER_SMALL, **{field: value})
 
     def test_hyper_edges_accepted(self):
-        hyper = ModelHyper(k=1, d_prime=1, h=1, h_a=1, dropout=0.0)
+        hyper = ModelHyper(k=1, d_prime=1, h=1, h_a=1, dropout=0.0, seed=0)
         assert init_model(hyper, "full").head.w1.shape == (2, 1)
         assert replace(hyper, k=np.int64(2), seed=np.uint8(3), dropout=0).k == 2
 
@@ -279,10 +283,10 @@ class TestForward:
 
     def test_shape_contract(self):
         samples = tiny_samples(k=3, d=2)
-        params = init_model(ModelHyper(k=4, d_prime=2, h=4, h_a=4), "full")
+        params = init_model(ModelHyper(k=4, d_prime=2, h=4, h_a=4, dropout=0.3, seed=0), "full")
         with pytest.raises(ContractError):
             model_forward(samples[0:1], params)
-        params = init_model(ModelHyper(k=3, d_prime=5, h=4, h_a=4), "full")
+        params = init_model(ModelHyper(k=3, d_prime=5, h=4, h_a=4, dropout=0.3, seed=0), "full")
         with pytest.raises(ContractError):
             model_forward(samples[0:1], params)
 
@@ -384,7 +388,8 @@ class TestBatch:
     def test_predict_peak_memory_is_bounded(self):
         ds = planted_dataset(n=160, d=16, seed=3)
         samples = make_windows(ds, k=16)  # 144 windows
-        params = init_model(ModelHyper(k=16, d_prime=16, h=32, h_a=32), "full")
+        params = init_model(ModelHyper(k=16, d_prime=16, h=32, h_a=32, dropout=0.3, seed=0),
+                            "full")
         tracemalloc.start()
         try:
             predict(params, samples)
@@ -419,7 +424,7 @@ class TestPredict:
         ds = planted_dataset(n=24, d=6, seed=2)
         raw = make_windows(ds, k=3)
         basis = fit_pca(ds.embeddings, 2)
-        params = init_model(HYPER_SMALL, "full", pca=basis)
+        params = init_model(HYPER_SMALL, "full", basis)
         reduced = reduce_samples(raw, basis)
         want, _ = forward_batch(reduced.prices, reduced.news, params)
         assert_same_bits(predict(params, raw), want)
@@ -431,8 +436,8 @@ class TestTrain:
 
     def test_deterministic_given_seed(self):
         samples = tiny_samples(n=20)
-        p1, h1 = train(samples, self.CONFIG, "full")
-        p2, h2 = train(samples, self.CONFIG, "full")
+        p1, h1 = train_one(samples, self.CONFIG, "full")
+        p2, h2 = train_one(samples, self.CONFIG, "full")
         assert h1 == h2
         for name, arr in flat_params(p1).items():
             np.testing.assert_array_equal(arr, flat_params(p2)[name])
@@ -448,9 +453,9 @@ class TestTrain:
         monkeypatch.setattr(model_module, "clip_global_norm", recording_clip)
         samples = tiny_samples(n=20)
         config = replace(self.CONFIG, clip_norm=0.05)
-        p1, h1 = train(samples, config, "full")
+        p1, h1 = train_one(samples, config, "full")
         fired = sum(n > config.clip_norm for n in norms)
-        p2, h2 = train(samples, config, "full")
+        p2, h2 = train_one(samples, config, "full")
         assert fired > 0
         assert h1 == h2
         assert np.array_equal(p1.theta.view(np.int64), p2.theta.view(np.int64))
@@ -472,12 +477,12 @@ class TestTrain:
         monkeypatch.setattr(model_module, "clip_global_norm", recording_clip)
         samples = tiny_samples(n=20)
         config = replace(self.CONFIG, clip_norm=0.05)
-        params, history = train(samples, config, "full")
+        params, history = train_one(samples, config, "full")
         assert len(norms) == 24 and all(n > config.clip_norm for n in norms)
 
         monkeypatch.setattr(model_module, "clip_global_norm",
                             flat_order_clip(HYPER_SMALL, "full"))
-        ref_params, ref_history = train(samples, config, "full")
+        ref_params, ref_history = train_one(samples, config, "full")
         assert ([(e, tr.hex(), va.hex()) for e, tr, va in history]
                 == [(e, tr.hex(), va.hex()) for e, tr, va in ref_history])
         for name, want in flat_params(ref_params).items():
@@ -489,8 +494,8 @@ class TestTrain:
         ds = planted_dataset(n=24, d=6, seed=4)
         raw = make_windows(ds, k=3)
         basis = fit_pca(ds.embeddings, 2)
-        p1, h1 = train(raw, self.CONFIG, variant, pca=basis)
-        p2, h2 = train(reduce_samples(raw, basis), self.CONFIG, variant)
+        p1, h1 = train_one(raw, self.CONFIG, variant, basis)
+        p2, h2 = train_one(reduce_samples(raw, basis), self.CONFIG, variant)
         assert_same_bits(p1.theta, p2.theta)
         assert_same_bits(h1, h2)
         assert p1.pca is basis and p2.pca is None
@@ -498,8 +503,8 @@ class TestTrain:
 
     def test_seed_changes_outcome(self):
         samples = tiny_samples(n=20)
-        _, h1 = train(samples, self.CONFIG, "full")
-        _, h2 = train(samples, TrainConfig(
+        _, h1 = train_one(samples, self.CONFIG, "full")
+        _, h2 = train_one(samples, TrainConfig(
             h=4, h_a=4, dropout=0.0, alpha=1e-2, batch_size=4, epochs=6, patience=3, seed=4,
         ), "full")
         assert h1 != h2
@@ -508,18 +513,29 @@ class TestTrain:
         samples = tiny_samples(n=20)
         shuffled = samples[np.r_[3, 0, 4:len(samples)]]
         with pytest.raises(ContractError, match="chronolog"):
-            train(shuffled, self.CONFIG, "full")
+            train_one(shuffled, self.CONFIG, "full")
 
     def test_single_class_training_warns(self):
         samples = tiny_samples(n=20)
         flat = replace(samples, targets=np.zeros_like(samples.targets))
-        with pytest.warns(UserWarning, match="single-class"):
-            train(flat, self.CONFIG, "full")
+        with pytest.warns(UserWarning, match="single-class") as caught:
+            fit = train([(flat, None)], self.CONFIG, "no_news")
+        (warning,) = caught
+        assert str(warning.message) == (
+            "variant no_news: degenerate targets: training partition is single-class; "
+            "training proceeds but the classifier cannot rank")
+        assert warning.filename == __file__  # the line that called train
+        assert fit.stats[0].single_class
+        with pytest.warns(UserWarning, match="single-class") as caught:
+            fit = train([(samples, None), (flat, None)], self.CONFIG, "no_news")
+        (warning,) = caught
+        assert str(warning.message).startswith("variant no_news fold 2: degenerate targets")
+        assert [s.single_class for s in fit.stats] == [False, True]
 
     def test_validation_tail_is_chronological(self):
         samples = tiny_samples(n=40)
         n_val = max(1, math.ceil(0.15 * len(samples)))
-        best, history = train(samples, self.CONFIG, "full")
+        best, history = train_one(samples, self.CONFIG, "full")
         val_tail = samples[len(samples) - n_val:]
         best_val = min(v for _, _, v in history)
         assert evaluate_loss(best, val_tail) == best_val
@@ -528,7 +544,7 @@ class TestTrain:
         samples = tiny_samples(n=40)
         config = TrainConfig(h=4, h_a=4, dropout=0.0, alpha=5e-2, batch_size=4, epochs=60,
                              patience=4, seed=1)
-        _, history = train(samples, config, "full")
+        _, history = train_one(samples, config, "full")
         vals = [v for _, _, v in history]
         best_epoch = int(np.argmin(vals)) + 1
         assert len(history) <= best_epoch + config.patience
@@ -537,7 +553,7 @@ class TestTrain:
 
     def test_history_epochs_sequential(self):
         samples = tiny_samples(n=20)
-        _, history = train(samples, self.CONFIG, "full")
+        _, history = train_one(samples, self.CONFIG, "full")
         assert [e for e, _, _ in history] == list(range(1, len(history) + 1))
 
     def test_learns_planted_rule(self):
@@ -545,7 +561,7 @@ class TestTrain:
         samples = make_windows(ds, k=3)
         config = TrainConfig(h=8, h_a=8, dropout=0.0, alpha=2e-2, batch_size=8, epochs=50,
                              patience=50, seed=0)
-        best, _ = train(samples, config, "full")
+        best, _ = train_one(samples, config, "full")
         probs = predict(best, samples)
         targets = samples.targets
         acc = ((probs > 0.5).astype(int) == targets).mean()
@@ -557,7 +573,7 @@ class TestTrain:
         raw = make_windows(ds, k=3)
         basis = fit_pca(ds.embeddings, 2) if pca else None
         config = replace(self.CONFIG, h=5, h_a=3, dropout=0.2, epochs=1, seed=9)
-        params, _ = train(raw, config, "full", pca=basis)
+        params, _ = train_one(raw, config, "full", basis)
         d_prime = basis.d_prime if pca else raw.news.shape[2]
         assert params.hyper == ModelHyper(k=raw.k, d_prime=d_prime, h=5, h_a=3,
                                           dropout=0.2, seed=9)
@@ -567,12 +583,17 @@ class TestTrain:
     ])
     def test_invalid_sizes_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
-            train(tiny_samples(n=20), replace(self.CONFIG, **{field: value}), "full")
+            train_one(tiny_samples(n=20), replace(self.CONFIG, **{field: value}), "full")
 
     def test_insufficient_samples(self):
         samples = tiny_samples(n=20)[:1]
         with pytest.raises(InsufficientDataError):
-            train(samples, self.CONFIG, "full")
+            train_one(samples, self.CONFIG, "full")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+        assert TrainConfig(seed=0).seed == 0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -609,6 +630,89 @@ class TestTrain:
         assert len(lines) == 3
 
 
+class TestTrainFolds:
+    """Folds trained together, each bit for bit its fold-by-fold reference."""
+
+    @staticmethod
+    def folds(variant, ends=(9, 13, 21, 30, 41, 56), capped=20):
+        """Expanding training sets of a 60-year planted corpus; with PCA,
+        the ones shorter than `capped` ask for a rank the others cannot
+        reach, so they train on wider news (a layout of their own)."""
+        samples = make_windows(planted_dataset(n=60, d=6, seed=3), 4)
+        out = []
+        for end in ends:
+            part = samples[:end]
+            basis = None
+            if variant in PCA_VARIANTS:
+                basis = fit_fold_pca(part, 6 if end < capped else 3, warn=False)[1]
+            out.append((part, basis))
+        return out
+
+    def check(self, folds, config, variant):
+        fit = train(folds, config, variant)
+        assert len(fit.models) == len(fit.stats) == len(folds)
+        for (part, basis), model, history, stats in zip(folds, fit.models,
+                                                          fit.histories(), fit.stats):
+            want, want_history, want_stats = reference_train(part, config, variant, basis)
+            assert_same_bits(model.theta, want.theta)
+            assert model.hyper == want.hyper and model.pca is basis
+            assert history == want_history  # floats compared exactly
+            assert stats == (len(want_history), *want_stats)
+        return fit
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("config", [
+        # ragged batches of several sizes, dropout, and early stops at
+        # different epochs
+        TrainConfig(h=5, h_a=4, batch_size=4, epochs=4, patience=2, seed=1),
+        # batch size 1 and a positive-class weight
+        TrainConfig(h=5, h_a=4, batch_size=1, epochs=2, dropout=0.0, seed=2,
+                    pos_weight=2.5),
+        # clipping fires, most folds stop early, some fold has no full batch
+        TrainConfig(h=5, h_a=4, batch_size=8, epochs=6, patience=1, alpha=0.05,
+                    clip_norm=0.5, seed=3),
+    ], ids=["ragged-dropout", "batch1-pos_weight", "clip-early-stop"])
+    def test_each_fold_matches_training_it_alone(self, variant, config):
+        fit = self.check(self.folds(variant), config, variant)
+        if variant in PCA_VARIANTS:  # two layouts: the rank-capped folds
+            assert {m.hyper.d_prime for m in fit.models} == {6, 3}
+
+    def test_early_stops_differ(self):
+        fit = self.check(self.folds("full"), TrainConfig(
+            h=5, h_a=4, batch_size=8, epochs=6, patience=1, alpha=0.05, seed=3), "full")
+        assert {s.stop for s in fit.stats} == {"patience", "budget"}
+        assert len({s.epochs for s in fit.stats}) > 1
+
+    def test_stacks_split_by_value_budget(self, monkeypatch):
+        # A budget of two models per stack: the six folds train in three
+        # stacks, still each as it would alone.
+        n = init_model(ModelHyper(k=4, d_prime=6, h=5, h_a=4, dropout=0.3, seed=1),
+                       "no_pca").theta.size
+        monkeypatch.setattr(model_module, "STACK_VALUES", 2 * n)
+        sizes = []
+        stack = model_module._fit_stack
+        monkeypatch.setattr(model_module, "_fit_stack",
+                            lambda parts, *a: sizes.append(len(parts)) or stack(parts, *a))
+        self.check(self.folds("no_pca"), TrainConfig(h=5, h_a=4, batch_size=4, epochs=2,
+                                                     seed=1), "no_pca")
+        assert sizes == [2, 2, 2]
+
+    def test_fold_order_and_history_rows(self):
+        folds = self.folds("no_news", ends=(30, 9, 21))  # not in size order
+        fit = self.check(folds, TrainConfig(h=4, h_a=4, batch_size=4, epochs=2, seed=0),
+                         "no_news")
+        assert fit.history == [row for rows in fit.histories() for row in rows]
+        assert [len(rows) for rows in fit.histories()] == [2, 2, 2]
+
+    def test_stats_fields(self):
+        (stats,) = train(self.folds("no_news", ends=(30,)), TrainConfig(
+            h=4, h_a=4, batch_size=4, epochs=3, seed=0), "no_news").stats
+        assert stats._fields == ("epochs", "best_epoch", "stop", "max_grad_norm",
+                                 "single_class")
+        assert stats.epochs == len(stats.max_grad_norm) == 3
+        assert all(isinstance(x, float) and x > 0 for x in stats.max_grad_norm)
+
+
 class TestCheckpoint:
     def _trained(self, variant="full", pca=False):
         ds = planted_dataset(n=24, d=6, seed=5)
@@ -618,8 +722,8 @@ class TestCheckpoint:
             basis = fit_pca(ds.embeddings, 2)
         config = TrainConfig(h=4, h_a=4, dropout=0.1, alpha=1e-2, batch_size=4, epochs=3,
                              patience=3)
-        best, _ = train(samples, config, variant, pca=basis,
-                        norm_stats={"oil": (10.0, 2.5)})
+        best, _ = train_one(samples, config, variant, basis)
+        best.norm_stats = {"oil": (10.0, 2.5)}
         return best
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -673,7 +777,8 @@ class TestCheckpoint:
     def test_compact_file_is_json_dumps_of_its_document(self, tmp_path):
         # At the default widths the arrays are longer than one written piece.
         rng = np.random.default_rng(7)
-        params = init_model(ModelHyper(k=3, d_prime=16), "full", norm_stats={})
+        params = init_model(ModelHyper(k=3, d_prime=16, h=32, h_a=32, dropout=0.3, seed=0),
+                            "full", norm_stats={})
         params.theta[...] = rng.normal(size=params.theta.size)
         params.pca = fit_pca(rng.normal(size=(40, 24)), 16)
         path = tmp_path / "model.json"
@@ -846,12 +951,12 @@ class TestCheckpoint:
         samples = make_windows(ds, k=3)
         config = TrainConfig(h=4, h_a=4, dropout=0.1, alpha=1e-2, batch_size=4, epochs=3,
                              patience=3, seed=11)
-        best, _ = train(samples, config, "full")
+        best, _ = train_one(samples, config, "full")
         path = tmp_path / "model.json"
         save_checkpoint(best, path)
         loaded = load_checkpoint(path)
         stored = {name: getattr(loaded.hyper, name) for name in ("h", "h_a", "dropout", "seed")}
-        again, _ = train(samples, replace(TrainConfig(alpha=1e-2, batch_size=4, epochs=3,
+        again, _ = train_one(samples, replace(TrainConfig(alpha=1e-2, batch_size=4, epochs=3,
                                                       patience=3), **stored), loaded.variant)
         for name, arr in flat_params(best).items():
             np.testing.assert_array_equal(arr, flat_params(again)[name])
