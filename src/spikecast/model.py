@@ -462,10 +462,11 @@ def train(
     class warns unless `warn` is off, as run_cv has it to word its own.
 
     Folds of one ModelHyper (all, unless a PCA rank cap narrowed some) train
-    as one stack of models. Each fold keeps its own generator, seeded with
-    config.seed, and so its own permutations and dropout draws, and its own
-    Adam step count, clip norm, best snapshot and patience: its model,
-    history and stats are bit for bit those of training it alone.
+    as stacks of models of at most STACK_VALUES values. Each fold keeps its
+    own generator, seeded with config.seed, and so its own permutations and
+    dropout draws, and its own Adam state, clip norm, best snapshot and
+    patience: its model, history and stats are bit for bit those of
+    training it alone.
     """
     parts, hypers = [], []
     for windows, pca in folds:

@@ -25,8 +25,9 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     decay_mask: np.ndarray
-    scratch: np.ndarray  # two of theta's shape, (2, n): a step's temporaries;
-                         # the first may also be its grad
+    # Two arrays of theta's shape, as one (2, n) array or a pair: a step's
+    # temporaries; the first may also be its grad.
+    scratch: np.ndarray | tuple[np.ndarray, np.ndarray]
     alpha: float = 1e-3
     weight_decay: float = 0.0
     step: int = 0
