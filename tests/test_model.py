@@ -697,6 +697,20 @@ class TestTrainFolds:
                                                      seed=1), "no_pca")
         assert sizes == [2, 2, 2]
 
+    def test_one_call_per_step_of_the_schedule(self, monkeypatch):
+        # Training parts of 11, 19, 27, 34 and 42 windows at batch 8 have 1-5
+        # full batches, right-aligned into 5 steps, and ragged tails of 3, 3,
+        # 3, 2 and 2 windows, two runs of one size: 7 calls an epoch, not 20.
+        calls = []
+        backward = model_module.backward_batch
+        monkeypatch.setattr(model_module, "backward_batch",
+                            lambda params, cache, d, out: calls.append(d.shape)
+                            or backward(params, cache, d, out))
+        self.check(self.folds("no_news", ends=(14, 23, 32, 41, 50)),
+                   TrainConfig(h=4, h_a=4, batch_size=8, epochs=2, patience=2), "no_news")
+        epoch = [(1, 8), (2, 8), (3, 8), (4, 8), (5, 8), (3, 3), (2, 2)]
+        assert calls == [(8,) if shape == (1, 8) else shape for shape in epoch] * 2
+
     def test_fold_order_and_history_rows(self):
         folds = self.folds("no_news", ends=(30, 9, 21))  # not in size order
         fit = self.check(folds, TrainConfig(h=4, h_a=4, batch_size=4, epochs=2, seed=0),
