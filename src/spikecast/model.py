@@ -475,19 +475,18 @@ def train(
             raise InsufficientDataError(f"need >= 2 samples to train, got {n}")
         if (np.diff(windows.anchor_years) < 0).any():
             raise ContractError("samples must be ordered chronologically")
-        if pca is not None:
-            windows = reduce_samples(windows, pca)
         n_train = n - max(1, math.ceil(config.validation_fraction * n))
         if n_train < 1:
             raise InsufficientDataError("validation split leaves no training samples")
-        parts.append((windows[:n_train], windows[n_train:], pca))
-        hypers.append(ModelHyper(k=windows.k, d_prime=windows.news.shape[2], h=config.h,
-                                 h_a=config.h_a, dropout=config.dropout, seed=config.seed))
+        parts.append((windows, pca, n_train))
+        d_prime = windows.news.shape[2] if pca is None else pca.d_prime
+        hypers.append(ModelHyper(k=windows.k, d_prime=d_prime, h=config.h, h_a=config.h_a,
+                                 dropout=config.dropout, seed=config.seed))
     fits = [None] * len(parts)
     for hyper in dict.fromkeys(hypers):
         template = init_model(hyper, variant)  # every fold starts from its draw
         group = sorted((i for i, other in enumerate(hypers) if other == hyper),
-                       key=lambda i: len(parts[i][0]))
+                       key=lambda i: parts[i][2])
         # The largest folds first, in stacks of at most STACK_VALUES. A last
         # stack of one trains the draw itself, as training one model alone.
         size = max(1, STACK_VALUES // template.theta.size)
@@ -511,7 +510,7 @@ class _Run:
     """One fold of a training stack, beside its rows of the stacked arrays."""
 
     fold: int                 # its place in the stack's parts, by training size
-    train: Windows
+    train: Windows            # news projected onto pca, as val's
     val: Windows
     pca: PcaBasis | None
     rng: np.random.Generator
@@ -525,8 +524,8 @@ class _Run:
 
 
 def _fit_stack(parts, template: ModelParams, theta: np.ndarray, config: TrainConfig):
-    """Train the (train, val, pca) parts, in order of training size, as one
-    stack of models of template's layout, from the initial (F, n) rows
+    """Train the (windows, pca, n_train) parts, in order of training size,
+    as one stack of models of template's layout, from the initial (F, n) rows
     `theta`, which it updates in place; returns each part's (model,
     history, TrainStats).
 
@@ -541,7 +540,11 @@ def _fit_stack(parts, template: ModelParams, theta: np.ndarray, config: TrainCon
     decayed = _bind(template, np.zeros(theta.shape[1], dtype=bool))
     decayed.head.w1[...] = True
     decayed.head.w2[...] = True
-    runs = [_Run(i, *part, np.random.default_rng(config.seed)) for i, part in enumerate(parts)]
+    runs = []
+    for i, (windows, pca, n_train) in enumerate(parts):  # projected only while it trains
+        windows = windows if pca is None else reduce_samples(windows, pca)
+        runs.append(_Run(i, windows[:n_train], windows[n_train:], pca,
+                         np.random.default_rng(config.seed)))
     # Each fold clips and steps its own row with its own Adam state, whose
     # scratch is its gradient row (read before the step writes there) and a
     # row all share: an update touches one model's memory at a time.

@@ -447,6 +447,87 @@ class TestBce:
             bce_loss(np.array([]), np.array([]))
 
 
+class TestModelStack:
+    """Every kernel on a stack of models gives each model's results bit for
+    bit as it gives them alone."""
+
+    F, B, K, H = 3, 5, 4, 6
+
+    def models(self, make):
+        return [make(np.random.default_rng(seed)) for seed in range(self.F)]
+
+    @staticmethod
+    def stack(params):
+        """One params object of the same type whose arrays stack the models'."""
+        if isinstance(params[0], LstmStreams):
+            return LstmStreams(tuple(np.stack(ws) for ws in zip(*(p.w for p in params))),
+                               np.stack([p.u for p in params]),
+                               np.stack([p.b for p in params]))
+        return type(params[0])(*(np.stack(arrays) for arrays in zip(
+            *(p.arrays().values() for p in params))))
+
+    def test_lstm(self):
+        rng = np.random.default_rng(40)
+        models = self.models(lambda r: init_lstm_streams((1, 3), self.H, r))
+        seqs = [(rng.normal(size=(self.B, self.K, 1)), rng.normal(size=(self.B, self.K, 3)))
+                for _ in models]
+        d_hs = [tuple(rng.normal(size=(self.B, self.K, self.H)) for _ in range(2))
+                for _ in models]
+        stacked = self.stack(models)
+        hs, last, cache = lstm_forward(tuple(np.stack(x) for x in zip(*seqs)), stacked)
+        grads, _ = run_backward(lstm_backward, stacked, cache,
+                                tuple(np.stack(x) for x in zip(*d_hs)))
+        for f, (params, seq, d) in enumerate(zip(models, seqs, d_hs)):
+            one_hs, one_last, one_cache = lstm_forward(seq, params)
+            one_grads, _ = run_backward(lstm_backward, params, one_cache, d)
+            for j in range(2):
+                assert_same_bits(hs[j][f], one_hs[j])
+                assert_same_bits(last[j][f], one_last[j])
+                assert_same_bits(grads.w[j][f], one_grads.w[j])
+            assert_same_bits(grads.u[f], one_grads.u)
+            assert_same_bits(grads.b[f], one_grads.b)
+
+    def test_attention(self):
+        rng = np.random.default_rng(41)
+        models = self.models(lambda r: init_attention_params(self.H, 4, r))
+        states = rng.normal(size=(self.F, self.B, self.K, self.H))
+        d_context = rng.normal(size=(self.F, self.B, 4))
+        stacked = self.stack(models)
+        context, weights, cache = attention_forward(states, stacked)
+        grads, d_states = run_backward(attention_backward, stacked, cache, d_context)
+        for f, params in enumerate(models):
+            one_context, one_weights, one_cache = attention_forward(states[f], params)
+            one_grads, one_d = run_backward(attention_backward, params, one_cache, d_context[f])
+            assert_same_bits(context[f], one_context)
+            assert_same_bits(weights[f], one_weights)
+            assert_same_bits(d_states[f], one_d)
+            for name, arr in grads.arrays().items():
+                assert_same_bits(arr[f], one_grads.arrays()[name])
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    def test_head_and_loss(self, dropout):
+        rng = np.random.default_rng(42)
+        models = self.models(lambda r: init_head_params(7, self.H, r))
+        fused = rng.normal(size=(self.F, self.B, 7))
+        targets = (rng.random((self.F, self.B)) < 0.5).astype(float)
+        stacked = self.stack(models)
+        prob, cache = head_forward(fused, stacked, dropout=dropout,
+                                   rng=[np.random.default_rng(f) for f in range(self.F)])
+        loss, d_prob = bce_loss(prob, targets, pos_weight=2.0)
+        grads, d_fused = run_backward(head_backward, stacked, cache, d_prob)
+        for f, params in enumerate(models):
+            one_prob, one_cache = head_forward(fused[f], params, dropout=dropout,
+                                               rng=np.random.default_rng(f))
+            one_loss, one_d_prob = bce_loss(one_prob, targets[f], pos_weight=2.0)
+            one_grads, one_d = run_backward(head_backward, params, one_cache, one_d_prob)
+            assert_same_bits(prob[f], one_prob)
+            assert loss[f] == one_loss
+            assert_same_bits(d_prob[f], one_d_prob)
+            assert_same_bits(d_fused[f], one_d)
+            for name, arr in grads.arrays().items():
+                assert_same_bits(arr[f], one_grads.arrays()[name])
+
+
 def _parent_adam_step(params, grads, state, decay_keys):
     """The per-array Adam loop the flat update replaced, kept as its reference."""
     state["step"] += 1
