@@ -497,12 +497,13 @@ def train(
             for i, fit in zip(stack, _fit_stack([parts[i] for i in stack], template, theta,
                                                 config)):
                 fits[i] = fit
-    models, histories, stats = zip(*fits)
-    for i, fold in enumerate(stats if warn else ()):
-        if fold.single_class:
+    fit = Fit([model for model, _, _ in fits], [row for _, rows, _ in fits for row in rows],
+              [stats for _, _, stats in fits])
+    for i, stats in enumerate(fit.stats if warn else ()):
+        if stats.single_class:
             where = f" fold {i + 1}" if len(parts) > 1 else ""
             warnings.warn(f"variant {variant}{where}: {SINGLE_CLASS}", stacklevel=2)
-    return Fit(list(models), [row for rows in histories for row in rows], list(stats))
+    return fit
 
 
 @dataclass

@@ -718,6 +718,10 @@ class TestTrainFolds:
         assert fit.history == [row for rows in fit.histories() for row in rows]
         assert [len(rows) for rows in fit.histories()] == [2, 2, 2]
 
+    def test_no_folds(self):
+        fit = train([], TrainConfig(h=4, h_a=4), "full")
+        assert fit == ([], [], []) and fit.histories() == []
+
     def test_stats_fields(self):
         (stats,) = train(self.folds("no_news", ends=(30,)), TrainConfig(
             h=4, h_a=4, batch_size=4, epochs=3, seed=0), "no_news").stats
