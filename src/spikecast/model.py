@@ -549,7 +549,8 @@ def _fit_stack(parts, template: ModelParams, theta: np.ndarray, config: TrainCon
     # Each fold clips and steps its own row with its own Adam state, whose
     # scratch is its gradient row (read before the step writes there) and a
     # row all share: an update touches one model's memory at a time.
-    grads, tmp = np.empty_like(theta), np.empty(theta.shape[1])
+    scratch = np.empty((len(theta) + 1, theta.shape[1]))
+    grads, tmp = scratch[:-1], scratch[-1]
     for run, grad in zip(runs, grads):
         run.adam = AdamState(np.zeros(theta.shape[1]), np.zeros(theta.shape[1]),
                              decayed.theta, (grad, tmp), config.alpha, config.weight_decay)
