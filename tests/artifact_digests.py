@@ -24,9 +24,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# One BLAS thread, as the benchmark runs; set before numpy is imported.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+if __name__ == "__main__":  # one BLAS thread, as the benchmark runs, before numpy loads
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import spikecast.cli  # noqa: E402
