@@ -25,11 +25,11 @@ from .stores import EmbeddingStore, SummaryStore, atomic_write, write_csv, write
 # The names this module takes from the pipeline modules, by module. A module is
 # imported at the first use of its names (_bind and __getattr__ below), so a
 # stage process loads only the modules its command runs.
-# predict, roc_auc, classification_metrics: benchmark call sites only, dropped by ROADMAP item 2.
+# predict, roc_auc, classification_metrics: benchmark call sites only, dropped by ROADMAP item 4.
 _LAZY = {
     "agents": ("AgentConfig", "embed_summaries", "orchestrate"),
     "backends": ("get_backend",),
-    "evaluation": ("baseline_logreg", "classification_metrics", "fit_fold_pca",
+    "evaluation": ("baseline_logreg", "classification_metrics", "fit_fold_pca", "fold_set",
                    "holdout_split", "roc_auc", "run_cv", "time_series_split",
                    "write_report_csv", "write_roc_csv", "write_summary_json"),
     "ingest": ("SpikeLabelSet", "align_dataset", "composite_average", "duplicates",
@@ -291,9 +291,8 @@ def _cmd_train(args, out: Path):
 def _cmd_eval(args, out: Path):
     dataset = _load_aligned(args)
     samples = make_windows(dataset, args.k)
-    report = run_cv(samples, args.variant, _train_config(args),
-                    holdout_split(len(samples), args.holdout), d_prime=args.dim,
-                    threshold=args.threshold)
+    report = run_cv(fold_set(samples, holdout_split(len(samples), args.holdout), args.dim),
+                    args.variant, _train_config(args), threshold=args.threshold)
     (fold,) = report.folds
     outputs = ["metrics.json"]
     if fold.auc is not None:
@@ -321,11 +320,9 @@ def _cmd_eval(args, out: Path):
 def _cmd_ablate(args, out: Path):
     dataset = _load_aligned(args)
     samples = make_windows(dataset, args.k)
-    plan = time_series_split(len(samples), args.folds)
-    reports = [baseline_logreg(samples, plan, d_prime=args.dim, threshold=args.threshold)
-               if variant == BASELINE_VARIANT else
-               run_cv(samples, variant, _train_config(args), plan, d_prime=args.dim,
-                      threshold=args.threshold)
+    folds = fold_set(samples, time_series_split(len(samples), args.folds), args.dim)
+    reports = [baseline_logreg(folds, threshold=args.threshold) if variant == BASELINE_VARIANT
+               else run_cv(folds, variant, _train_config(args), threshold=args.threshold)
                for variant in args.variants]
     write_report_csv(reports, out / "report.csv")
     write_summary_json(reports, out / "summary.json")

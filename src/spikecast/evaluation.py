@@ -1,16 +1,17 @@
 """Evaluation protocol: chronological splits, metrics, CV, ablations, baseline.
 
-Two protocols share one fit-and-score loop: a single chronological hold-out
-(last 20% of samples) is a one-fold plan, expanding-window cross-validation
-a plan of n folds. Within every fold the PCA basis is fitted on training
-rows only and recorded so the no-leakage property can be re-proven from the
-report itself.
+Two protocols share one fold set and one scorer: a single chronological
+hold-out (last 20% of samples) is a one-fold plan, expanding-window
+cross-validation a plan of n folds. Within every fold the PCA basis is fitted
+on training rows only, once for all variants, and recorded so the no-leakage
+property can be re-proven from the report itself.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
@@ -235,7 +236,8 @@ def unique_year_rows(samples: Windows) -> tuple[tuple[int, ...], np.ndarray]:
 
 def fit_fold_pca(train_samples: Windows, d_prime: int, warn: bool = True):
     """PCA basis from a fold's training rows only, capped to a feasible rank.
-    A cap warns unless `warn` is off, as _run_folds has it to word its own."""
+    A cap warns unless `warn` is off, as a Fold has it: each variant scored
+    on the fold words its own warning."""
     years, rows = unique_year_rows(train_samples)
     basis = fit_pca(rows, min(d_prime, rows.shape[1], rows.shape[0] - 1))
     if warn and basis.d_prime < d_prime:
@@ -248,85 +250,90 @@ def _capped(years, basis: PcaBasis, d_prime: int) -> str:
             f"by {len(years)} train rows of width {basis.mean.shape[0]}")
 
 
-def _fold_auc(scores, labels, fold: int, n_folds: int, variant: str) -> float | None:
-    """The fold's AUC, or None with a warning when its test labels are one
-    class. The warning names the caller of run_cv or baseline_logreg, which
-    reach this through _run_folds; call it from _run_folds's own frame."""
-    try:
-        return roc_auc(scores, labels)
-    except UndefinedMetricError:
-        where, effect = (("hold-out", "AUC undefined") if n_folds == 1 else
-                         (f"fold {fold}", "AUC excluded from the mean"))
-        warnings.warn(f"variant {variant} {where}: single-class test labels, {effect}",
-                      stacklevel=4)
-        return None
+@dataclass(frozen=True)
+class Fold:
+    """One fold of a plan: its training and test windows, both views of the
+    samples, the label its warnings use, and the d' its PCA requests."""
+
+    where: str  # "hold-out", or "fold i" for the i-th of several
+    train: Windows
+    test: Windows
+    d_prime: int
+
+    @cached_property
+    def pca(self) -> tuple[tuple[int, ...], PcaBasis]:
+        """PCA years and basis of the training rows, fitted at the first read;
+        every variant scored on the fold shares them."""
+        return fit_fold_pca(self.train, self.d_prime, warn=False)
 
 
-def _run_folds(samples, variant, score_folds, fits_pca: bool, plan: FoldPlan,
-               d_prime: int, threshold: float) -> EvalReport:
-    """The folds of `plan`, all scored by one score_folds(folds) call.
-
-    folds holds one (train_s, test_s, basis) per fold; both parts hold raw
-    news. With fits_pca, each fold's basis is PCA refitted on its training
-    rows; otherwise basis is None. score_folds returns each fold's test
-    scores and its model's TrainStats (None for no such model), in fold
-    order.
-    """
+def fold_set(samples: Windows, plan: FoldPlan, d_prime: int) -> list[Fold]:
+    """The folds of `plan` over `samples`, to score any number of variants on."""
     if plan.n != len(samples):
         raise ConfigError(f"fold plan covers {plan.n} samples, got {len(samples)}")
-    folds, pca_years = [], []
-    wheres = ["hold-out"] if plan.n_folds == 1 else [f"fold {i + 1}" for i in range(plan.n_folds)]
-    for where, ((tr_lo, tr_hi), (te_lo, te_hi)) in zip(wheres, plan.folds):
-        train_s = samples[tr_lo:tr_hi]
-        years, basis = fit_fold_pca(train_s, d_prime, warn=False) if fits_pca else (None, None)
-        if basis is not None and basis.d_prime < d_prime:
-            # Warned from this frame, as _fold_auc's: it names the caller of run_cv.
-            warnings.warn(f"variant {variant} {where}: {_capped(years, basis, d_prime)}",
-                          stacklevel=3)
-        folds.append((train_s, samples[te_lo:te_hi], basis))
-        pca_years.append(years)
+    return [Fold("hold-out" if plan.n_folds == 1 else f"fold {i}",
+                 samples[tr_lo:tr_hi], samples[te_lo:te_hi], d_prime)
+            for i, ((tr_lo, tr_hi), (te_lo, te_hi)) in enumerate(plan.folds, start=1)]
+
+
+def _score(folds: list[Fold], variant: str, score_folds, threshold: float) -> EvalReport:
+    """`variant` over `folds`, all scored by one score_folds(bases) call.
+
+    bases holds each fold's shared PCA basis when the variant reduces news,
+    else None. score_folds returns each fold's test scores and its model's
+    TrainStats (None for no such model), in fold order. The warnings name
+    the caller of run_cv or baseline_logreg, whose frame calls this.
+    """
+    if not 0.0 <= threshold <= 1.0:  # NaN fails too
+        raise ConfigError(f"threshold must be finite and in [0, 1], got {threshold}")
+    pcas = [fold.pca if variant in (*PCA_VARIANTS, BASELINE_VARIANT) else (None, None)
+            for fold in folds]
+    for fold, (years, basis) in zip(folds, pcas):
+        if basis is not None and basis.d_prime < fold.d_prime:
+            warnings.warn(f"variant {variant} {fold.where}: "
+                          f"{_capped(years, basis, fold.d_prime)}", stacklevel=3)
     results = []
-    for idx, ((train_s, test_s, basis), years, (scores, stats), where) in enumerate(
-            zip(folds, pca_years, score_folds(folds), wheres), start=1):
+    for idx, (fold, (years, basis), (scores, stats)) in enumerate(
+            zip(folds, pcas, score_folds([basis for _, basis in pcas])), start=1):
         if stats is not None and stats.single_class:
-            warnings.warn(f"variant {variant} {where}: {SINGLE_CLASS}", stacklevel=3)
-        labels = test_s.targets
+            warnings.warn(f"variant {variant} {fold.where}: {SINGLE_CLASS}", stacklevel=3)
+        labels = fold.test.targets
+        try:
+            auc = roc_auc(scores, labels)
+        except UndefinedMetricError:
+            auc, effect = None, ("AUC undefined" if fold.where == "hold-out"
+                                 else "AUC excluded from the mean")
+            warnings.warn(f"variant {variant} {fold.where}: single-class test labels, "
+                          f"{effect}", stacklevel=3)
         results.append(FoldResult(
             fold=idx,
-            n_train=len(train_s),
-            n_test=len(test_s),
-            train_anchor_span=tuple(train_s.anchor_years[[0, -1]].tolist()),
-            test_anchor_span=tuple(test_s.anchor_years[[0, -1]].tolist()),
-            auc=_fold_auc(scores, labels, idx, plan.n_folds, variant),
+            n_train=len(fold.train),
+            n_test=len(fold.test),
+            train_anchor_span=tuple(fold.train.anchor_years[[0, -1]].tolist()),
+            test_anchor_span=tuple(fold.test.anchor_years[[0, -1]].tolist()),
+            auc=auc,
             metrics=classification_metrics(scores, labels, threshold),
             scores=scores,
             pca_train_years=years,
             pca_basis=basis,
             train_stats=stats,
         ))
-    return _summarize(variant, threshold, plan.n_folds, results)
+    return _summarize(variant, threshold, len(folds), results)
 
 
-def run_cv(
-    samples: Windows,
-    variant: str,
-    config: TrainConfig,
-    plan: FoldPlan,
-    d_prime: int = 16,
-    threshold: float = 0.5,
-) -> EvalReport:
-    """One model variant over the folds of `plan`, with per-fold PCA refits."""
+def run_cv(folds: list[Fold], variant: str, config: TrainConfig,
+           threshold: float = 0.5) -> EvalReport:
+    """One model variant over a fold set, on each fold's shared PCA basis."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
 
-    def score_folds(folds):
-        fit = train([(train_s, basis) for train_s, _, basis in folds], config, variant,
-                    warn=False)
-        return [(predict(model, test_s), stats)
-                for model, (_, test_s, _), stats in zip(fit.models, folds, fit.stats)]
+    def score_folds(bases):
+        fit = train([(fold.train, basis) for fold, basis in zip(folds, bases)], config,
+                    variant, warn=False)
+        return [(predict(model, fold.test), stats)
+                for model, fold, stats in zip(fit.models, folds, fit.stats)]
 
-    return _run_folds(samples, variant, score_folds, variant in PCA_VARIANTS,
-                      plan, d_prime, threshold)
+    return _score(folds, variant, score_folds, threshold)
 
 
 # --- logistic-regression baseline ---------------------------------------------
@@ -401,26 +408,19 @@ def sample_features(samples: Windows) -> np.ndarray:
                           axis=1)
 
 
-def baseline_logreg(
-    samples: Windows,
-    plan: FoldPlan,
-    d_prime: int = 16,
-    threshold: float = 0.5,
-    l2: float = 1e-3,
-    lr: float = 0.5,
-    iters: int = 500,
-) -> EvalReport:
-    """Logistic regression under the folds of `plan` and the metrics of run_cv;
-    all folds descend together through fit_logreg_sets."""
-    def score_folds(folds):
+def baseline_logreg(folds: list[Fold], threshold: float = 0.5, l2: float = 1e-3,
+                    lr: float = 0.5, iters: int = 500) -> EvalReport:
+    """Logistic regression over a fold set with the metrics of run_cv; all
+    folds descend together through fit_logreg_sets."""
+    def score_folds(bases):
         w, b = fit_logreg_sets(
-            [sample_features(reduce_samples(train_s, basis)) for train_s, _, basis in folds],
-            [train_s.targets for train_s, _, _ in folds], l2=l2, lr=lr, iters=iters)
-        return [(logreg_scores(w_i, b_i, sample_features(reduce_samples(test_s, basis))), None)
-                for (_, test_s, basis), w_i, b_i in zip(folds, w, b)]
+            [sample_features(reduce_samples(fold.train, basis))
+             for fold, basis in zip(folds, bases)],
+            [fold.train.targets for fold in folds], l2=l2, lr=lr, iters=iters)
+        return [(logreg_scores(w_i, b_i, sample_features(reduce_samples(fold.test, basis))),
+                 None) for fold, basis, w_i, b_i in zip(folds, bases, w, b)]
 
-    return _run_folds(samples, BASELINE_VARIANT, score_folds, True,
-                      plan, d_prime, threshold)
+    return _score(folds, BASELINE_VARIANT, score_folds, threshold)
 
 
 # --- artifact writers ----------------------------------------------------------

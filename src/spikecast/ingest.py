@@ -239,8 +239,8 @@ def label_spikes(
             "spike labeling requires raw prices; percentage change on "
             "z-scores is undefined across zero"
         )
-    if threshold_pct <= 0:
-        raise ValidationError("threshold_pct must be > 0")
+    if not 0 < threshold_pct < math.inf:  # NaN fails too
+        raise ValidationError(f"threshold_pct must be finite and > 0, got {threshold_pct}")
     changes = pct_changes(series)
     years = tuple(sorted(changes))
     labels = tuple(1 if changes[y] > threshold_pct else 0 for y in years)

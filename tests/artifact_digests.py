@@ -4,8 +4,8 @@
         --seeds 1,2,3 --root /tmp/digests > digests.txt
 
 For each workload and seed it writes the inputs through perfbench/workloads.py
-(which it only reads), then runs label, distill, embed, reduce, train (once
-per model variant), eval and ablate (every model variant and the logistic
+(which it only reads), then runs label, distill, embed, reduce, train and eval
+(each once per model variant) and ablate (every model variant and the logistic
 baseline) through `spikecast.cli.main` in this process. It prints one
 `sha256  relpath` line per file under --root except the manifests, which hold
 clocks, sorted by path. Run it in two checkouts and diff the outputs to see
@@ -38,15 +38,15 @@ STAGES = ("label", "distill", "embed", "reduce", "train", "eval", "ablate")
 
 def run(workload: Workload, seed: int, root: Path) -> None:
     """Write workload's inputs for `seed` and every stage's artifacts under
-    root: one directory per stage, and one per variant for train."""
+    root: one directory per stage, and one per variant for train and eval."""
     inputs = write_inputs(workload, seed, root / "inputs")
     prices = root / "inputs" / "prices.csv"
     for stage in STAGES:
         argv = stage_argv(workload, stage, prices, root, inputs.program_seed)
         if stage == "ablate":
             runs = [argv + ["--variants", ",".join(VARIANTS + (BASELINE_VARIANT,))]]
-        elif stage == "train":
-            runs = [argv + ["--variant", v, "--out", str(root / f"train-{v}")]
+        elif stage in ("train", "eval"):
+            runs = [argv + ["--variant", v, "--out", str(root / f"{stage}-{v}")]
                     for v in VARIANTS]
         else:
             runs = [argv]

@@ -18,6 +18,7 @@ from spikecast.cli import main as cli_main
 from spikecast.evaluation import (
     baseline_logreg,
     fit_fold_pca,
+    fold_set,
     roc_auc,
     run_cv,
     time_series_split,
@@ -242,9 +243,9 @@ def test_criterion_06_news_ablation_direction(capsys):
     samples = make_windows(ds, 4)
     config = TrainConfig(h=8, h_a=8, dropout=0.0, alpha=2e-2, batch_size=2, epochs=120,
                          patience=120, seed=0)
-    plan = time_series_split(len(samples), 4)
-    full = run_cv(samples, "full", config, plan, d_prime=6)
-    no_news = run_cv(samples, "no_news", config, plan, d_prime=6)
+    folds = fold_set(samples, time_series_split(len(samples), 4), 6)
+    full = run_cv(folds, "full", config)
+    no_news = run_cv(folds, "no_news", config)
     elapsed = time.perf_counter() - started
     full_auc = full.mean["auc"]
     no_news_auc = no_news.mean["auc"]
@@ -290,10 +291,8 @@ def test_criterion_08_leakage_guards(capsys):
     config = TrainConfig(h=4, h_a=4, dropout=0.0, alpha=1e-2, batch_size=8, epochs=2,
                          patience=2, seed=0)
     plan = time_series_split(len(samples), 4)
-    reports = [
-        run_cv(samples, "full", config, plan, d_prime=3),
-        baseline_logreg(samples, plan, d_prime=3),
-    ]
+    folds = fold_set(samples, plan, 3)
+    reports = [run_cv(folds, "full", config), baseline_logreg(folds)]
 
     chronology_ok = True
     basis_ok = True
@@ -409,9 +408,9 @@ def test_criterion_11_beats_linear_baseline_on_xor(capsys):
     samples = make_windows(ds, 2)
     config = TrainConfig(h=12, h_a=8, dropout=0.0, alpha=2e-2, batch_size=2, epochs=150,
                          patience=150, seed=0)
-    plan = time_series_split(len(samples), 3)
-    full = run_cv(samples, "full", config, plan, d_prime=6)
-    base = baseline_logreg(samples, plan, d_prime=6)
+    folds = fold_set(samples, time_series_split(len(samples), 3), 6)
+    full = run_cv(folds, "full", config)
+    base = baseline_logreg(folds)
     full_auc = full.mean["auc"]
     base_auc = base.mean["auc"]
     _verdict(

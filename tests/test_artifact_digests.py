@@ -18,7 +18,9 @@ def test_digests_cover_every_artifact_but_manifests(tmp_path):
     got = artifact_digests.digests(tmp_path)
     assert sorted(got) == [
         "ablate/report.csv", "ablate/summary.json", "distill/summaries.jsonl",
-        "embed/embeddings.jsonl", "eval/metrics.json", "eval/roc.csv",
+        "embed/embeddings.jsonl",
+        *(f"eval-{v}/{name}" for v in ("full", "no_attention", "no_news", "no_pca")
+          for name in ("metrics.json", "roc.csv")),
         "inputs/prices.csv", "label/labels.csv", "reduce/basis.json",
         "reduce/reduced.jsonl",
         *(f"train-{v}/{name}" for v in ("full", "no_attention", "no_news", "no_pca")
@@ -36,5 +38,5 @@ def test_main_prints_one_line_per_file(tmp_path, capsys, monkeypatch):
     assert artifact_digests.main(["--workloads", "tiny", "--seeds", "3",
                                   "--root", str(tmp_path / "digests")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 18
+    assert len(lines) == 24
     assert all(re.fullmatch("[0-9a-f]{64}  tiny-seed3/[^ ]+", line) for line in lines)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spikecast.evaluation
 from spikecast.cli import (
     _dumps_indent2,
     _load_aligned,
@@ -158,6 +159,16 @@ class TestLabel:
                        "--out", out) == 0
         rows = (out / "labels.csv").read_text().splitlines()[1:]
         assert [r.split(",")[3] for r in rows] == ["1", "1"]
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exits_one(self, tmp_path, capsys, threshold):
+        prices = tmp_path / "prices.csv"
+        prices.write_text(price_csv_text(n=12))
+        out = tmp_path / "run"
+        assert run_cli("label", "--in", prices, "--threshold", threshold, "--out", out) == 1
+        assert capsys.readouterr().err == (f"error: threshold_pct must be finite and > 0, "
+                                           f"got {float(threshold)}\n")
+        assert not (out / "labels.csv").exists()
 
 
 class TestDistill:
@@ -402,6 +413,25 @@ class TestAblate:
         assert "cli.py" in proc.stderr
         summary = json.loads((out / "summary.json").read_text())
         assert summary["logreg"]["auc_folds_excluded"] == 2
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # tiny folds may be single-class
+    @pytest.mark.parametrize("command,extra,fits", [
+        ("ablate", ["--variants", "full,no_attention,no_news,logreg", "--folds", "3"], 3),
+        ("eval", ["--variant", "no_news"], 0),
+    ])
+    def test_one_pca_fit_per_fold(self, corpus, tmp_path, monkeypatch, command, extra,
+                                  fits):
+        """The variants of one command share each fold's PCA basis; a variant
+        without PCA fits none."""
+        fit_fold_pca, parts = spikecast.evaluation.fit_fold_pca, []
+
+        def counting(train_samples, *args, **kwargs):
+            parts.append(len(train_samples))
+            return fit_fold_pca(train_samples, *args, **kwargs)
+
+        monkeypatch.setattr(spikecast.evaluation, "fit_fold_pca", counting)
+        assert run_cli(command, *model_args(corpus, tmp_path / command), *extra) == 0
+        assert len(parts) == len(set(parts)) == fits  # one fit per training part
 
     def test_unknown_variant_exits_one(self, corpus, tmp_path, capsys):
         assert run_cli("ablate", *model_args(corpus, tmp_path / "x"),
@@ -719,6 +749,19 @@ class TestExitCodes:
                        flag, value) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name} must be") and "Traceback" not in err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "2", "-1"])
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    def test_threshold_outside_unit_interval_exits_one(self, corpus, tmp_path, capsys,
+                                                       monkeypatch, command, threshold):
+        trained = []
+        monkeypatch.setattr(spikecast.evaluation, "train",
+                            lambda *args, **kwargs: trained.append(args))
+        out = tmp_path / "o"
+        assert run_cli(command, *model_args(corpus, out), "--threshold", threshold) == 1
+        assert capsys.readouterr().err == (f"error: threshold must be finite and in [0, 1], "
+                                           f"got {float(threshold)}\n")
+        assert trained == [] and list(out.iterdir()) == []  # no metrics.json, no manifest
 
     @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
     def test_negative_seed_exits_one(self, corpus, tmp_path, capsys, command):

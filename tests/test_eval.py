@@ -1,5 +1,6 @@
 """Splits, ranking metrics, cross-validation protocol, and report writers."""
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from spikecast.evaluation import (
     classification_metrics,
     fit_fold_pca,
     fit_logreg_sets,
+    fold_set,
     holdout_split,
     logreg_scores,
     roc_auc,
@@ -34,6 +36,8 @@ from spikecast.evaluation import (
     write_summary_json,
 )
 from spikecast.model import (
+    PCA_VARIANTS,
+    VARIANTS,
     TrainConfig,
     Windows,
     make_windows,
@@ -331,7 +335,7 @@ class TestFitFoldPca:
     def test_fold_loop_warns_once_per_fold_naming_the_caller(self):
         samples = windows(n=14, k=3, d=4)  # 11 windows of 4-wide news
         with pytest.warns(UserWarning, match="capped") as caught:
-            baseline_logreg(samples, time_series_split(len(samples), 3), d_prime=6,
+            baseline_logreg(fold_set(samples, time_series_split(len(samples), 3), 6),
                             iters=5)
         capped = [w for w in caught if "capped" in str(w.message)]
         assert [str(w.message) for w in capped] == [
@@ -343,8 +347,8 @@ class TestFitFoldPca:
     def test_holdout_warning_names_the_caller_of_run_cv(self):
         samples = windows(n=14, k=3, d=4)
         with pytest.warns(UserWarning, match="capped") as caught:
-            run_cv(samples, "full", TestRunCv.CONFIG, holdout_split(len(samples), 0.2),
-                   d_prime=6)
+            run_cv(fold_set(samples, holdout_split(len(samples), 0.2), 6), "full",
+                   TestRunCv.CONFIG)
         (capped,) = [w for w in caught if "capped" in str(w.message)]
         assert str(capped.message) == ("variant full hold-out: reduced dimension capped "
                                        "at 4 (requested 6) by 10 train rows of width 4")
@@ -363,8 +367,8 @@ class TestRunCv:
 
     def test_structure_no_news(self):
         samples = windows(n=33, k=3)  # 30 windows
-        report = run_cv(samples, "no_news", self.CONFIG,
-                        time_series_split(len(samples), 4), d_prime=3)
+        report = run_cv(fold_set(samples, time_series_split(len(samples), 4), 3),
+                        "no_news", self.CONFIG)
         assert report.variant == "no_news"
         assert len(report.folds) == 4
         plan = time_series_split(30, 4)
@@ -378,8 +382,8 @@ class TestRunCv:
 
     def test_no_test_anchor_precedes_training(self):
         samples = windows(n=33, k=3)
-        report = run_cv(samples, "no_news", self.CONFIG,
-                        time_series_split(len(samples), 4), d_prime=3)
+        report = run_cv(fold_set(samples, time_series_split(len(samples), 4), 3),
+                        "no_news", self.CONFIG)
         for fold in report.folds:
             assert fold.train_anchor_span[1] < fold.test_anchor_span[0]
 
@@ -387,7 +391,7 @@ class TestRunCv:
     def test_fold_pca_fits_on_train_rows_only(self):
         samples = windows(n=27, k=3, d=5)  # 24 windows
         plan = time_series_split(len(samples), 3)
-        report = run_cv(samples, "full", self.CONFIG, plan, d_prime=3)
+        report = run_cv(fold_set(samples, plan, 3), "full", self.CONFIG)
         for fold, ((tr_lo, tr_hi), _) in zip(report.folds, plan.folds):
             years, basis = fit_fold_pca(samples[tr_lo:tr_hi], 3)
             assert fold.pca_train_years == years
@@ -399,13 +403,71 @@ class TestRunCv:
     def test_plan_must_cover_samples(self):
         samples = windows(n=33, k=3)  # 30 windows
         with pytest.raises(ConfigError, match="plan covers 31 samples, got 30"):
-            run_cv(samples, "no_news", self.CONFIG, time_series_split(31, 4), d_prime=3)
+            fold_set(samples, time_series_split(31, 4), 3)
         with pytest.raises(ConfigError, match="plan covers 29 samples, got 30"):
-            baseline_logreg(samples, holdout_split(29, 0.2), d_prime=3)
+            fold_set(samples, holdout_split(29, 0.2), 3)
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
-            run_cv(windows(), "bilinear", self.CONFIG, time_series_split(28, 5))
+            run_cv(fold_set(windows(), time_series_split(28, 5), 16), "bilinear",
+                   self.CONFIG)
+
+
+class TestFoldSet:
+    """One fold set serves every variant: each scores on it as on a fold set
+    of its own."""
+
+    @staticmethod
+    def _scored(folds, variant):
+        """variant's report over folds, and its warnings in the order raised."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = (baseline_logreg(folds, iters=20) if variant == BASELINE_VARIANT
+                      else run_cv(folds, variant, TestRunCv.CONFIG))
+        return report, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+    @pytest.mark.parametrize("plan", [time_series_split(24, 3), holdout_split(24, 0.25)],
+                             ids=["cv", "hold-out"])
+    def test_shared_folds_score_as_fresh_ones(self, plan):
+        samples = windows(n=27, k=3, d=4)  # 24 windows of 4-wide news: d' = 6 is capped
+        i = np.arange(len(samples))
+        # Fold 1's training part (windows 0-4) and the last test block are single-class.
+        samples = replace(samples, targets=np.where((i < 5) | (i >= 18), 0, i % 2))
+        shared = fold_set(samples, plan, 6)
+        for variant in (*VARIANTS, BASELINE_VARIANT):
+            got, got_warned = self._scored(shared, variant)
+            want, want_warned = self._scored(fold_set(samples, plan, 6), variant)
+            assert got_warned == want_warned
+            assert {(category, filename) for _, category, filename, _ in got_warned} == \
+                {(UserWarning, __file__)}  # the line that called run_cv or baseline_logreg
+            messages = " ".join(message for message, *_ in got_warned)
+            assert "single-class test labels" in messages
+            assert ("capped" in messages) == (variant in (*PCA_VARIANTS, BASELINE_VARIANT))
+            assert (got.mean, got.std, got.auc_folds_used) == \
+                (want.mean, want.std, want.auc_folds_used)
+            for g, w in zip(got.folds, want.folds, strict=True):
+                assert_same_bits(g.scores, w.scores)
+                assert (g.auc, g.metrics, g.train_stats, g.pca_train_years) == \
+                    (w.auc, w.metrics, w.train_stats, w.pca_train_years)
+                assert (g.pca_basis is None) == (w.pca_basis is None)
+                if g.pca_basis is not None:
+                    for name in ("mean", "components", "explained_variance"):
+                        assert_same_bits(getattr(g.pca_basis, name),
+                                         getattr(w.pca_basis, name))
+
+    @pytest.mark.parametrize("threshold", [-0.5, 1.5, float("nan"), float("inf")])
+    def test_threshold_outside_unit_interval(self, threshold):
+        folds = fold_set(windows(n=33, k=3), time_series_split(30, 3), 3)
+        for variant in ("no_news", BASELINE_VARIANT):
+            with pytest.raises(ConfigError, match="threshold must be finite and in \\[0, 1\\]"):
+                (baseline_logreg(folds, threshold, iters=1) if variant == BASELINE_VARIANT
+                 else run_cv(folds, variant, TestRunCv.CONFIG, threshold))
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # tiny folds may be single-class
+    def test_threshold_bounds_are_allowed(self):
+        folds = fold_set(windows(n=33, k=3), time_series_split(30, 3), 3)
+        for threshold in (0.0, 1.0):
+            assert baseline_logreg(folds, threshold, iters=1).threshold == threshold
 
 
 class TestLogregBaseline:
@@ -473,8 +535,8 @@ class TestLogregBaseline:
 
     def test_report_structure(self):
         samples = windows(n=33, k=3)
-        report = baseline_logreg(samples, time_series_split(len(samples), 3),
-                                 d_prime=3, iters=50)
+        report = baseline_logreg(fold_set(samples, time_series_split(len(samples), 3), 3),
+                                 iters=50)
         assert report.variant == BASELINE_VARIANT
         assert len(report.folds) == 3
         for fold in report.folds:
@@ -484,8 +546,8 @@ class TestLogregBaseline:
     def test_same_fold_plan_as_model_cv(self):
         samples = windows(n=33, k=3)
         plan = time_series_split(len(samples), 4)
-        base = baseline_logreg(samples, plan, d_prime=3, iters=5)
-        model = run_cv(samples, "no_news", TestRunCv.CONFIG, plan, d_prime=3)
+        base = baseline_logreg(fold_set(samples, plan, 3), iters=5)
+        model = run_cv(fold_set(samples, plan, 3), "no_news", TestRunCv.CONFIG)
         for bf, mf in zip(base.folds, model.folds):
             assert (bf.n_train, bf.n_test) == (mf.n_train, mf.n_test)
             assert bf.test_anchor_span == mf.test_anchor_span
@@ -516,7 +578,7 @@ class TestLogregDescentBatching:
     def test_five_fold_baseline_scores_match_fold_by_fold_reference(self):
         samples = windows(n=40, k=3)  # 38 windows
         plan = time_series_split(len(samples), 5)
-        report = baseline_logreg(samples, plan, d_prime=3)
+        report = baseline_logreg(fold_set(samples, plan, 3))
         want = reference_baseline_scores(samples, plan, d_prime=3)
         assert len(report.folds) == len(want) == 5
         for fold, scores in zip(report.folds, want):
@@ -542,7 +604,7 @@ class TestLogregDescentBatching:
         # their bases at lower ranks and their feature sets are narrower.
         samples = make_windows(planted_dataset(n=30, d=8), 3)
         plan = time_series_split(len(samples), 12)
-        report = baseline_logreg(samples, plan, d_prime=7)
+        report = baseline_logreg(fold_set(samples, plan, 7))
         want = reference_baseline_scores(samples, plan, d_prime=7)
         assert len({f.pca_basis.components.shape[1] for f in report.folds}) > 1
         assert len(report.folds) == len(want) == 12
@@ -559,7 +621,7 @@ class TestLogregDescentBatching:
 
         monkeypatch.setattr(spikecast.evaluation, "sigmoid", counting)
         samples = windows(n=40, k=3)
-        baseline_logreg(samples, time_series_split(len(samples), 5), d_prime=3,
+        baseline_logreg(fold_set(samples, time_series_split(len(samples), 5), 3),
                         iters=7)
         assert len(calls) == 7 + 5  # one per step, one per fold's test scores
 
@@ -603,8 +665,8 @@ class TestSingleClassFold:
 
     def test_auc_excluded_with_warning(self):
         with pytest.warns(UserWarning, match="single-class") as caught:
-            report = baseline_logreg(self._rigged_samples(), time_series_split(24, 3),
-                                     d_prime=3, iters=20)
+            report = baseline_logreg(
+                fold_set(self._rigged_samples(), time_series_split(24, 3), 3), iters=20)
         (warning,) = caught
         assert str(warning.message) == ("variant logreg fold 3: single-class test "
                                          "labels, AUC excluded from the mean")
@@ -617,8 +679,8 @@ class TestSingleClassFold:
 
     def test_holdout_auc_undefined_with_warning(self):
         with pytest.warns(UserWarning, match="single-class") as caught:
-            report = run_cv(self._rigged_samples(), "no_news", TestRunCv.CONFIG,
-                            holdout_split(24, 0.25), d_prime=3)
+            report = run_cv(fold_set(self._rigged_samples(), holdout_split(24, 0.25), 3),
+                            "no_news", TestRunCv.CONFIG)
         (warning,) = caught
         assert str(warning.message) == ("variant no_news hold-out: single-class "
                                         "test labels, AUC undefined")
@@ -635,8 +697,8 @@ class TestSingleClassFold:
         i = np.arange(len(samples))
         targets = np.where(i < zeros, 0, i % 2)
         with pytest.warns(UserWarning, match="degenerate targets") as caught:
-            run_cv(replace(samples, targets=targets), "no_news", TestRunCv.CONFIG, plan,
-                   d_prime=3)
+            run_cv(fold_set(replace(samples, targets=targets), plan, 3), "no_news",
+                   TestRunCv.CONFIG)
         (warning,) = [w for w in caught if "degenerate" in str(w.message)]
         assert str(warning.message) == (
             f"variant no_news {where}: degenerate targets: training partition is "
@@ -645,8 +707,8 @@ class TestSingleClassFold:
 
     def test_csv_empty_cell_for_undefined_auc(self, tmp_path):
         with pytest.warns(UserWarning):
-            report = baseline_logreg(self._rigged_samples(), time_series_split(24, 3),
-                                     d_prime=3, iters=20)
+            report = baseline_logreg(
+                fold_set(self._rigged_samples(), time_series_split(24, 3), 3), iters=20)
         path = tmp_path / "report.csv"
         write_report_csv([report], path)
         lines = path.read_text().splitlines()
@@ -659,8 +721,8 @@ class TestSingleClassFold:
 
 class TestWriters:
     def _report(self):
-        return baseline_logreg(windows(n=33, k=3), time_series_split(30, 3),
-                               d_prime=3, iters=20)
+        return baseline_logreg(fold_set(windows(n=33, k=3), time_series_split(30, 3), 3),
+                               iters=20)
 
     def test_report_csv_row_count_and_parse(self, tmp_path):
         report = self._report()

@@ -184,6 +184,12 @@ class TestLabels:
         s = PriceSeries("avg", (1960, 1961, 1962), np.array([100.0, 109.0, 121.0]), RAW)
         assert label_spikes(s, threshold_pct=10.0).as_dict() == {1961: 0, 1962: 1}
 
+    @pytest.mark.parametrize("threshold", [0.0, -5.0, float("nan"), float("inf")])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        s = PriceSeries("avg", (1960, 1961), np.array([100.0, 150.0]), RAW)
+        with pytest.raises(ValidationError, match="threshold_pct must be finite and > 0"):
+            label_spikes(s, threshold_pct=threshold)
+
     @given(
         data=st.lists(st.floats(0.5, 500.0), min_size=2, max_size=50),
         threshold=st.floats(1.0, 100.0),
