@@ -29,9 +29,10 @@ from .stores import EmbeddingStore, SummaryStore, atomic_write, write_csv, write
 _LAZY = {
     "agents": ("AgentConfig", "embed_summaries", "orchestrate"),
     "backends": ("get_backend",),
-    "evaluation": ("baseline_logreg", "classification_metrics", "fit_fold_pca", "fold_set",
-                   "holdout_split", "roc_auc", "run_cv", "time_series_split",
-                   "write_report_csv", "write_roc_csv", "write_summary_json"),
+    "evaluation": ("baseline_logreg", "check_threshold", "classification_metrics",
+                   "fit_fold_pca", "fold_set", "holdout_split", "roc_auc", "run_cv",
+                   "time_series_split", "write_report_csv", "write_roc_csv",
+                   "write_summary_json"),
     "ingest": ("SpikeLabelSet", "align_dataset", "composite_average", "duplicates",
                "label_spikes", "normalize_table", "parse_price_table", "pct_changes",
                "raw_average"),
@@ -279,6 +280,7 @@ def _training_stats(per_variant) -> dict:
 
 
 def _cmd_train(args, out: Path):
+    check_threshold(args.threshold)  # unused here, but recorded in the manifest
     dataset = _load_aligned(args)
     samples = make_windows(dataset, args.k)
     basis = fit_fold_pca(samples, args.dim)[1] if args.variant in PCA_VARIANTS else None

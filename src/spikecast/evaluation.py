@@ -276,6 +276,11 @@ def fold_set(samples: Windows, plan: FoldPlan, d_prime: int) -> list[Fold]:
             for i, ((tr_lo, tr_hi), (te_lo, te_hi)) in enumerate(plan.folds, start=1)]
 
 
+def check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:  # NaN fails too
+        raise ConfigError(f"threshold must be finite and in [0, 1], got {threshold}")
+
+
 def _score(folds: list[Fold], variant: str, score_folds, threshold: float) -> EvalReport:
     """`variant` over `folds`, all scored by one score_folds(bases) call.
 
@@ -284,8 +289,7 @@ def _score(folds: list[Fold], variant: str, score_folds, threshold: float) -> Ev
     TrainStats (None for no such model), in fold order. The warnings name
     the caller of run_cv or baseline_logreg, whose frame calls this.
     """
-    if not 0.0 <= threshold <= 1.0:  # NaN fails too
-        raise ConfigError(f"threshold must be finite and in [0, 1], got {threshold}")
+    check_threshold(threshold)
     pcas = [fold.pca if variant in (*PCA_VARIANTS, BASELINE_VARIANT) else (None, None)
             for fold in folds]
     for fold, (years, basis) in zip(folds, pcas):

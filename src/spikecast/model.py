@@ -8,6 +8,7 @@ with pieces removed.
 """
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import math
@@ -47,7 +48,7 @@ from .nn.optim import AdamState, adam_step, clip_global_norm
 from .pca import PcaBasis, transform_rows
 from .stores import atomic_write, write_csv
 
-CHECKPOINT_FORMAT = "spikecast-checkpoint/2"
+CHECKPOINT_FORMAT = "spikecast-checkpoint/3"
 
 VARIANT_FULL, VARIANT_NO_ATTENTION, VARIANT_NO_PCA, VARIANT_NO_NEWS = VARIANTS
 # Variants that read PCA-reduced news: no_pca reads raw news, no_news none.
@@ -644,37 +645,29 @@ def write_history_csv(history: list[tuple[int, float, float]], path) -> None:
 _PCA_ARRAYS = ("mean", "components", "explained_variance")
 
 
-def _decode_array(obj, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The stored array `name`, which must have `shape` and finite values."""
+def _encode_array(obj) -> dict:
+    """json.dumps hook: an array as its shape and the base64 of its C-order
+    little-endian float64 bytes, which load back bit for bit."""
+    if not isinstance(obj, np.ndarray):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    data = np.ascontiguousarray(obj, dtype="<f8")
+    return {"shape": list(obj.shape), "data": base64.b64encode(data).decode("ascii")}
+
+
+def _decode_array(obj, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """The stored array `name`, which must have `shape` (None: one axis of
+    any length) and finite values."""
     stored = tuple(obj["shape"])
-    data = np.array(obj["data"], dtype=float)
-    if stored != shape or data.shape != (math.prod(shape),):
+    raw = base64.b64decode(obj["data"], validate=True)
+    shape = (len(raw) // 8,) if shape is None else shape
+    if stored != shape or len(raw) != 8 * math.prod(shape):
         raise CheckpointIntegrityError(
-            f"array {name!r}: shape {stored} with {data.size} values, "
-            f"model wants {shape}"
+            f"array {name!r}: shape {stored} with {len(raw)} bytes, model wants {shape}"
         )
+    data = np.frombuffer(raw, dtype="<f8").reshape(shape)
     if not np.isfinite(data).all():
         raise CheckpointIntegrityError(f"array {name!r} contains non-finite values")
-    return data.reshape(shape)
-
-
-def _write_json(fh, obj) -> None:
-    """Write json.dumps(obj) to fh, with each array as {"shape": [...], "data":
-    [row-major values]}, in pieces of at most 256 values: the C encoder's
-    speed (json.dump and indent use Python's) without every value's text."""
-    if isinstance(obj, dict) and obj:
-        for sep, (key, value) in zip(["{"] + [", "] * len(obj), obj.items()):
-            fh.write(f"{sep}{json.dumps(key)}: ")
-            _write_json(fh, value)
-        fh.write("}")
-    elif isinstance(obj, np.ndarray):
-        data = np.asarray(obj, dtype=float).reshape(-1)
-        fh.write(f'{{"shape": {json.dumps(list(obj.shape))}, "data": [')
-        for i in range(0, data.size, 256):
-            fh.write((", " if i else "") + json.dumps(data[i : i + 256].tolist())[1:-1])
-        fh.write("]}")
-    else:
-        fh.write(json.dumps(obj))
+    return data
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -687,7 +680,6 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "variant": params.variant,
         "hyper": asdict(params.hyper),
         "pca": None,
-        "head_dropout": params.hyper.dropout,  # kept in the format; load ignores it
         "norm_stats": None,
         "arrays": flat_params(params),
     }
@@ -700,8 +692,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
             for name, (m, s) in params.norm_stats.items()
         }
     with atomic_write(path) as fh:
-        _write_json(fh, doc)
-        fh.write("\n")
+        fh.write(json.dumps(doc, default=_encode_array) + "\n")
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -709,8 +700,8 @@ def load_checkpoint(path) -> ModelParams:
 
     Every stored array must have the shape the model implies: each trainable
     array the shape init_model(hyper, variant) gives it, and the PCA block
-    mean (d,), components (d, d') and explained_variance (d',), where
-    d' = hyper.d_prime.
+    mean (d,), components (d, d') and explained_variance (d',), where d is
+    the stored mean's length and d' = hyper.d_prime.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -729,11 +720,11 @@ def load_checkpoint(path) -> ModelParams:
         pca = None
         if doc.get("pca") is not None:
             p = doc["pca"]
-            d = len(p["mean"]["data"])
-            shapes = ((d,), (d, hyper.d_prime), (hyper.d_prime,))
+            mean = _decode_array(p["mean"], "pca.mean")
+            shapes = ((len(mean), hyper.d_prime), (hyper.d_prime,))
             pca = PcaBasis(
-                *(_decode_array(p[name], f"pca.{name}", shape)
-                  for name, shape in zip(_PCA_ARRAYS, shapes)),
+                mean, *(_decode_array(p[name], f"pca.{name}", shape)
+                        for name, shape in zip(_PCA_ARRAYS[1:], shapes)),
                 fitted_on=int(p["fitted_on"]),
             )
         norm_stats = None
@@ -746,7 +737,7 @@ def load_checkpoint(path) -> ModelParams:
         for name, arr in flat_params(params).items():
             arr[...] = _decode_array(doc["arrays"][name], name, arr.shape)
     except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
-        # ValueError covers json.JSONDecodeError and UnicodeDecodeError; a
-        # missing array is a KeyError that names it.
+        # ValueError covers json.JSONDecodeError, UnicodeDecodeError and
+        # binascii.Error; a missing array is a KeyError that names it.
         raise CheckpointIntegrityError(f"malformed checkpoint: {exc!r}") from None
     return params

@@ -321,7 +321,7 @@ class TestTrain:
         out = tmp_path / "train"
         assert run_cli("train", *model_args(corpus, out)) == 0
         doc = json.loads((out / "checkpoint.json").read_text())
-        assert doc["format"] == "spikecast-checkpoint/2"
+        assert doc["format"] == "spikecast-checkpoint/3"
         assert doc["variant"] == "full"
         assert doc["pca"] is not None
         history = (out / "history.csv").read_text().splitlines()
@@ -751,7 +751,7 @@ class TestExitCodes:
         assert err.startswith(f"error: {name} must be") and "Traceback" not in err
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "2", "-1"])
-    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
     def test_threshold_outside_unit_interval_exits_one(self, corpus, tmp_path, capsys,
                                                        monkeypatch, command, threshold):
         trained = []

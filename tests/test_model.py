@@ -1,4 +1,5 @@
 """Windowing, the dual-stream classifier, training loop, and checkpoints."""
+import base64
 import copy
 import json
 import math
@@ -731,6 +732,21 @@ class TestTrainFolds:
         assert all(isinstance(x, float) and x > 0 for x in stats.max_grad_norm)
 
 
+def _b64(values) -> str:
+    """A checkpoint array's "data": base64 of little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8")).decode("ascii")
+
+
+def _unb64(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text), dtype="<f8")
+
+
+def _as_lists(block: dict) -> dict:
+    """A /3 block with each array's values as a JSON list, as /1 and /2 stored them."""
+    return {name: {"shape": a["shape"], "data": _unb64(a["data"]).tolist()}
+            if isinstance(a, dict) else a for name, a in block.items()}
+
+
 class TestCheckpoint:
     def _trained(self, variant="full", pca=False):
         ds = planted_dataset(n=24, d=6, seed=5)
@@ -754,7 +770,6 @@ class TestCheckpoint:
         assert loaded.hyper == params.hyper
         for name, arr in flat_params(params).items():
             np.testing.assert_array_equal(arr, flat_params(loaded)[name])
-        assert json.loads(path.read_text())["head_dropout"] == params.hyper.dropout
         assert loaded.norm_stats == params.norm_stats
         if params.pca is not None:
             np.testing.assert_array_equal(loaded.pca.components,
@@ -778,8 +793,7 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_indented_checkpoint_loads(self, tmp_path):
-        # Files written with indent=2 (the layout before the compact one)
-        # hold the same document, so they load to the same bits.
+        # The same document written with indent=2 loads to the same bits.
         params = self._trained("full", pca=True)
         compact, indented = tmp_path / "a.json", tmp_path / "b.json"
         save_checkpoint(params, compact)
@@ -793,7 +807,6 @@ class TestCheckpoint:
         assert again.read_bytes() == compact.read_bytes()
 
     def test_compact_file_is_json_dumps_of_its_document(self, tmp_path):
-        # At the default widths the arrays are longer than one written piece.
         rng = np.random.default_rng(7)
         params = init_model(ModelHyper(k=3, d_prime=16, h=32, h_a=32, dropout=0.3, seed=0),
                             "full", norm_stats={})
@@ -803,7 +816,7 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         text = path.read_text()
         assert text == json.dumps(json.loads(text)) + "\n"
-        assert len(json.loads(text)["arrays"]["news_lstm.u"]["data"]) == 32 * 128
+        assert len(_unb64(json.loads(text)["arrays"]["news_lstm.u"]["data"])) == 32 * 128
         loaded = load_checkpoint(path)
         assert_same_bits(loaded.theta, params.theta)
         assert_same_bits(loaded.pca.components, params.pca.components)
@@ -841,15 +854,15 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(params, path)
         doc = json.loads(path.read_text())
-        old = {key: doc[key] for key in ("variant", "hyper", "pca",
-                                         "head_dropout", "norm_stats")}
-        old.update(format="spikecast-checkpoint/1", price_lstm={}, head={},
-                   news_lstm=None, attention=None)
+        old = {key: doc[key] for key in ("variant", "hyper", "pca", "norm_stats")}
+        old.update(format="spikecast-checkpoint/1", head_dropout=params.hyper.dropout,
+                   price_lstm={}, head={}, news_lstm=None, attention=None)
         h = params.hyper.h
+        arrays = _as_lists(doc["arrays"])
         for name, arr in flat_params(params).items():
             component, field = name.split(".")
             if component == "head":
-                old["head"][field] = doc["arrays"][name]
+                old["head"][field] = arrays[name]
                 continue
             for j, gate in enumerate("oifg"):  # stored column order
                 block = arr[..., j * h : (j + 1) * h]
@@ -857,6 +870,18 @@ class TestCheckpoint:
                     "shape": list(block.shape), "data": block.ravel().tolist()}
         path.write_text(json.dumps(old))
         with pytest.raises(CheckpointVersionError, match="checkpoint/1"):
+            load_checkpoint(path)
+
+    def test_v2_document_rejected(self, tmp_path):
+        # The /2 layout: the /3 names, with each array's values as a JSON list.
+        params = self._trained("full", pca=True)
+        path = tmp_path / "model.json"
+        save_checkpoint(params, path)
+        doc = json.loads(path.read_text())
+        doc.update(format="spikecast-checkpoint/2", pca=_as_lists(doc["pca"]),
+                   head_dropout=params.hyper.dropout, arrays=_as_lists(doc["arrays"]))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointVersionError, match="checkpoint/2"):
             load_checkpoint(path)
 
     def test_truncated_rejected(self, tmp_path):
@@ -873,7 +898,7 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(params, path)
         doc = json.loads(path.read_text())
-        doc["arrays"]["head.w1"]["data"] = doc["arrays"]["head.w1"]["data"][:-1]
+        doc["arrays"]["head.w1"]["data"] = _b64(_unb64(doc["arrays"]["head.w1"]["data"])[:-1])
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointIntegrityError, match="w1"):
             load_checkpoint(path)
@@ -883,7 +908,9 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(params, path)
         doc = json.loads(path.read_text())
-        doc["arrays"]["head.w1"]["data"][0] = 1e999  # json reads this as Infinity
+        values = _unb64(doc["arrays"]["head.w1"]["data"]).copy()
+        values[0] = 1e999  # Python reads this as inf
+        doc["arrays"]["head.w1"]["data"] = _b64(values)
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointIntegrityError, match="finite"):
             load_checkpoint(path)
@@ -919,7 +946,7 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(params, path)
         doc = json.loads(path.read_text())
-        doc["arrays"]["price_lstm.w"] = {"shape": [4, 4], "data": [0.1] * 16}
+        doc["arrays"]["price_lstm.w"] = {"shape": [4, 4], "data": _b64([0.1] * 16)}
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointIntegrityError, match=r"price_lstm\.w\b"):
             load_checkpoint(path)
@@ -950,11 +977,61 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(params, path)
         doc = json.loads(path.read_text())
-        doc["pca"]["mean"] = {"shape": [5], "data": [0.0] * 5}
-        doc["pca"]["components"] = {"shape": [6, 3], "data": [0.1] * 18}
+        doc["pca"]["mean"] = {"shape": [5], "data": _b64([0.0] * 5)}
+        doc["pca"]["components"] = {"shape": [6, 3], "data": _b64([0.1] * 18)}
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointIntegrityError, match=r"pca\.components"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("block,name,data,match", [
+        pytest.param("arrays", "head.w1", lambda raw: _unb64(raw).tolist(), "not 'list'",
+                     id="v2-list"),
+        pytest.param("arrays", "head.w1", lambda raw: "*" + raw[1:], "base64 data",
+                     id="non-base64"),
+        pytest.param("arrays", "head.w1", lambda raw: raw[:-4], "bytes",
+                     id="ragged-bytes"),
+        pytest.param("arrays", "head.w1", lambda raw: _b64([*_unb64(raw), 0.5]), "bytes",
+                     id="extra-value"),
+        pytest.param("pca", "mean", lambda raw: raw[:-4], "bytes", id="pca-ragged-bytes"),
+    ])
+    def test_malformed_data_rejected(self, tmp_path, block, name, data, match):
+        params = self._trained("full", pca=True)
+        path = tmp_path / "model.json"
+        save_checkpoint(params, path)
+        doc = json.loads(path.read_text())
+        doc[block][name]["data"] = data(doc[block][name]["data"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("count", [1, 6])
+    def test_scalar_pca_mean_rejected(self, tmp_path, count):
+        params = self._trained("full", pca=True)  # d == 6
+        path = tmp_path / "model.json"
+        save_checkpoint(params, path)
+        doc = json.loads(path.read_text())
+        doc["pca"]["mean"] = {"shape": [], "data": _b64([0.5] * count)}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError, match=r"pca\.mean"):
+            load_checkpoint(path)
+
+    def test_extreme_values_round_trip_bit_for_bit(self, tmp_path):
+        tiny, big = np.finfo(float).smallest_subnormal, np.finfo(float).max
+        # 0.1 + 0.2 and nextafter(1, 2) print with 17 significant digits.
+        specials = np.array([-0.0, tiny, 3 * tiny, big, -big,
+                             0.1 + 0.2, np.nextafter(1.0, 2.0), 1 / 3, -2 / 3])
+        params = self._trained("full", pca=True)
+        params.theta[: specials.size] = specials
+        params.pca.mean[: specials.size - 3] = specials[:-3]
+        path = tmp_path / "model.json"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.theta.view(np.int64), params.theta.view(np.int64))
+        np.testing.assert_array_equal(loaded.pca.mean.view(np.int64),
+                                      params.pca.mean.view(np.int64))
+        again = tmp_path / "again.json"
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_loaded_pca_model_scores_raw_windows(self, tmp_path):
         params = self._trained("full", pca=True)
