@@ -203,8 +203,10 @@ def _cmd_distill(args, out: Path):
     )
     clock = _mock_clock(args.seed) if args.backend == "mock" else None
     store = SummaryStore(out / "summaries.jsonl")
-    orchestrate(config, backend, store, clock)
-    return ["summaries.jsonl"], None
+    summaries = orchestrate(config, backend, store, clock)
+    return ["summaries.jsonl"], {"distill": [
+        {"year": year, "retries": s.retries, "verified": s.verified}
+        for year, s in summaries.items()]}
 
 
 def _cmd_embed(args, out: Path):
@@ -273,10 +275,21 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
-def _training_stats(per_variant) -> dict:
-    """The manifest's stats block: each variant's TrainStats, fold by fold."""
-    return {"training": {variant: [s._asdict() for s in stats]
-                         for variant, stats in per_variant if stats[0] is not None}}
+def _model_stats(args, per_variant) -> dict:
+    """The manifest's stats block of train, eval and ablate: each variant's
+    TrainStats fold by fold, and each basis a rank cap fitted below --dim.
+    per_variant holds (variant, [(TrainStats, PcaBasis) per fold]), None
+    where the variant trains no model or reads no basis."""
+    training, pca = {}, {}
+    for variant, folds in per_variant:
+        if folds[0][0] is not None:
+            training[variant] = [stats._asdict() for stats, _ in folds]
+        capped = [{"fold": i, "requested": args.dim, "fitted": basis.d_prime}
+                  for i, (_, basis) in enumerate(folds, start=1)
+                  if basis is not None and basis.d_prime < args.dim]
+        if capped:
+            pca[variant] = capped
+    return {"training": training, "pca": pca}
 
 
 def _cmd_train(args, out: Path):
@@ -287,7 +300,8 @@ def _cmd_train(args, out: Path):
     fit = train([(samples, basis)], _train_config(args), variant=args.variant)
     save_checkpoint(fit.models[0], out / "checkpoint.json")
     write_history_csv(fit.history, out / "history.csv")
-    return ["checkpoint.json", "history.csv"], _training_stats([(args.variant, fit.stats)])
+    return ["checkpoint.json", "history.csv"], _model_stats(
+        args, [(args.variant, [(fit.stats[0], basis)])])
 
 
 def _cmd_eval(args, out: Path):
@@ -316,7 +330,7 @@ def _cmd_eval(args, out: Path):
         "threshold": block.threshold,
     }
     write_json(out / "metrics.json", doc)
-    return outputs, _training_stats([(args.variant, [fold.train_stats])])
+    return outputs, _model_stats(args, [(args.variant, [(fold.train_stats, fold.pca_basis)])])
 
 
 def _cmd_ablate(args, out: Path):
@@ -328,8 +342,8 @@ def _cmd_ablate(args, out: Path):
                for variant in args.variants]
     write_report_csv(reports, out / "report.csv")
     write_summary_json(reports, out / "summary.json")
-    return ["report.csv", "summary.json"], _training_stats(
-        (rep.variant, [f.train_stats for f in rep.folds]) for rep in reports)
+    return ["report.csv", "summary.json"], _model_stats(args, (
+        (rep.variant, [(f.train_stats, f.pca_basis) for f in rep.folds]) for rep in reports))
 
 
 def _copy_csv(src: Path, dst: Path, expected_header: str) -> None:

@@ -53,9 +53,10 @@ CHECKPOINT_FORMAT = "spikecast-checkpoint/3"
 VARIANT_FULL, VARIANT_NO_ATTENTION, VARIANT_NO_PCA, VARIANT_NO_NEWS = VARIANTS
 # Variants that read PCA-reduced news: no_pca reads raw news, no_news none.
 PCA_VARIANTS = (VARIANT_FULL, VARIANT_NO_ATTENTION)
-# Windows per predict forward pass: each chunk's LSTM and attention caches
-# are freed before the next, so inference memory does not grow with N.
-PREDICT_CHUNK = 16
+# Window-steps per predict forward pass: a chunk's LSTM and attention caches
+# grow with its windows times k and are freed before the next chunk, so
+# inference memory grows with neither N nor k.
+PREDICT_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -403,10 +404,10 @@ def predict(params: ModelParams, windows: Windows) -> np.ndarray:
         return np.empty(0)
     if params.pca is not None:
         windows = reduce_samples(windows, params.pca)
+    chunk = max(1, PREDICT_STEPS // windows.k)
     return np.concatenate([
-        forward_batch(windows.prices[i : i + PREDICT_CHUNK],
-                      windows.news[i : i + PREDICT_CHUNK], params)[0]
-        for i in range(0, len(windows), PREDICT_CHUNK)
+        forward_batch(windows.prices[i : i + chunk], windows.news[i : i + chunk], params)[0]
+        for i in range(0, len(windows), chunk)
     ])
 
 
@@ -670,6 +671,18 @@ def _decode_array(obj, name: str, shape: tuple[int, ...] | None = None) -> np.nd
     return data
 
 
+def _decode_norm_stat(rec, name: str) -> tuple[float, float]:
+    """A series' stored (mean, std): finite numbers, not bools, std > 0."""
+    mean, std = rec["mean"], rec["std"]
+    for key, value in (("mean", mean), ("std", std)):
+        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            raise CheckpointIntegrityError(
+                f"norm_stats {name!r}: {key} must be a finite number, got {value!r}")
+    if std <= 0:
+        raise CheckpointIntegrityError(f"norm_stats {name!r}: std must be > 0, got {std!r}")
+    return float(mean), float(std)
+
+
 def save_checkpoint(params: ModelParams, path) -> None:
     """Versioned JSON checkpoint; save -> load -> save is byte-identical.
 
@@ -722,22 +735,26 @@ def load_checkpoint(path) -> ModelParams:
             p = doc["pca"]
             mean = _decode_array(p["mean"], "pca.mean")
             shapes = ((len(mean), hyper.d_prime), (hyper.d_prime,))
+            fitted_on = p["fitted_on"]  # fit_pca needs at least 2 rows
+            if isinstance(fitted_on, bool) or not isinstance(fitted_on, int) or fitted_on < 2:
+                raise CheckpointIntegrityError(
+                    f"pca.fitted_on must be an integer >= 2, got {fitted_on!r}")
             pca = PcaBasis(
                 mean, *(_decode_array(p[name], f"pca.{name}", shape)
                         for name, shape in zip(_PCA_ARRAYS[1:], shapes)),
-                fitted_on=int(p["fitted_on"]),
+                fitted_on=fitted_on,
             )
         norm_stats = None
         if doc.get("norm_stats") is not None:
-            norm_stats = {
-                name: (float(rec["mean"]), float(rec["std"]))
-                for name, rec in doc["norm_stats"].items()
-            }
+            norm_stats = {name: _decode_norm_stat(rec, name)
+                          for name, rec in doc["norm_stats"].items()}
         params = init_model(hyper, doc["variant"], pca=pca, norm_stats=norm_stats)
         for name, arr in flat_params(params).items():
             arr[...] = _decode_array(doc["arrays"][name], name, arr.shape)
-    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
+            ConfigError) as exc:
         # ValueError covers json.JSONDecodeError, UnicodeDecodeError and
-        # binascii.Error; a missing array is a KeyError that names it.
+        # binascii.Error; a missing array is a KeyError that names it, and an
+        # integer too large for a float an OverflowError.
         raise CheckpointIntegrityError(f"malformed checkpoint: {exc!r}") from None
     return params

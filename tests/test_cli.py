@@ -446,8 +446,9 @@ class TestAblate:
 
 
 class TestManifestStats:
-    """train, eval and ablate record how each fold trained in manifest.json;
-    no other command writes a stats block."""
+    """train, eval and ablate record in manifest.json how each fold trained
+    and which PCA bases a rank cap narrowed; distill records each year's
+    retries and verdict; no other command writes a stats block."""
 
     KEYS = {"epochs", "best_epoch", "stop", "max_grad_norm", "single_class"}
 
@@ -462,7 +463,8 @@ class TestManifestStats:
         out = tmp_path / command
         assert run_cli(command, *model_args(corpus, out), *extra) == 0
         stats = json.loads((out / "manifest.json").read_text())["stats"]
-        assert list(stats) == ["training"]
+        assert list(stats) == ["pca", "training"]
+        assert stats["pca"] == {}  # --dim 3 of 8-wide news caps no basis
         assert {v: len(rows) for v, rows in stats["training"].items()} == folds
         for rows in stats["training"].values():
             for row in rows:
@@ -475,8 +477,34 @@ class TestManifestStats:
             history = (out / "history.csv").read_text().splitlines()
             assert len(history) - 1 == stats["training"]["no_attention"][0]["epochs"]
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # the caps, and tiny folds
+    @pytest.mark.parametrize("command,extra,caps", [
+        ("train", ["--variant", "no_attention"], {"no_attention": [8]}),
+        ("eval", ["--variant", "no_pca"], {}),
+        ("ablate", ["--variants", "full,no_news,logreg", "--folds", "5"],
+         {"full": [7, 8, 8, 8, 8], "logreg": [7, 8, 8, 8, 8]}),
+    ])
+    def test_pca_rank_caps(self, corpus, tmp_path, command, extra, caps):
+        """--dim 10 on 8-wide news: every basis is capped at 8 or below; the
+        first of 5 folds has 8 training years, so 7 at most."""
+        out = tmp_path / command
+        assert run_cli(command, *model_args(corpus, out), "--dim", "10", *extra) == 0
+        stats = json.loads((out / "manifest.json").read_text())["stats"]
+        assert stats["pca"] == {
+            variant: [{"fold": i, "requested": 10, "fitted": fitted}
+                      for i, fitted in enumerate(fits, start=1)]
+            for variant, fits in caps.items()}
+
+    def test_distill_stats(self, corpus):
+        doc = json.loads((corpus["root"] / "distill" / "manifest.json").read_text())
+        records = [json.loads(line) for line in corpus["summaries"].read_text().splitlines()]
+        assert list(doc["stats"]) == ["distill"]
+        assert doc["stats"]["distill"] == [
+            {"year": r["year"], "retries": r["retries"], "verified": r["verified"]}
+            for r in records]
+
     def test_other_commands_write_none(self, corpus):
-        for stage in ("label", "distill", "embed"):
+        for stage in ("label", "embed"):
             doc = json.loads((corpus["root"] / stage / "manifest.json").read_text())
             assert "stats" not in doc
 
@@ -666,6 +694,14 @@ class TestReadme:
         assert scope["params"].hyper.d_prime == 3
         want = scope["windows"].anchor_years[scope["probs"] > 0.5]
         assert capsys.readouterr().out == f"{want}\n"
+
+    def test_src_line_count(self):
+        """README's "`src/` holds N lines of Python." is the newline count of
+        src/**/*.py."""
+        text = (SRC.parent / "README.md").read_text()
+        (stated,) = re.findall(r"`src/` holds ([\d,]+) lines of Python\.", text)
+        lines = sum(path.read_bytes().count(b"\n") for path in SRC.rglob("*.py"))
+        assert int(stated.replace(",", "")) == lines
 
 
 class TestExitCodes:

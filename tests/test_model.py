@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spikecast.model as model_module
 from spikecast.errors import (
@@ -21,7 +23,7 @@ from spikecast.evaluation import fit_fold_pca
 from spikecast.model import (
     CHECKPOINT_FORMAT,
     PCA_VARIANTS,
-    PREDICT_CHUNK,
+    PREDICT_STEPS,
     VARIANTS,
     ModelHyper,
     TrainConfig,
@@ -375,8 +377,8 @@ class TestBatch:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_predict_independent_of_chunking(self, variant):
-        samples = tiny_samples(n=24)
-        assert len(samples) > PREDICT_CHUNK
+        samples = tiny_samples(n=30)
+        assert len(samples) > PREDICT_STEPS // samples.k
         params = init_model(HYPER_SMALL, variant)
         whole = predict(params, samples)
         np.testing.assert_array_equal(
@@ -401,6 +403,19 @@ class TestBatch:
         finally:
             tracemalloc.stop()
         assert chunked < whole / 2, (chunked, whole)
+
+    @pytest.mark.parametrize("k,chunk", [(16, 4), (5, 12)])
+    def test_predict_chunks_hold_a_fixed_number_of_steps(self, monkeypatch, k, chunk):
+        assert chunk == max(1, PREDICT_STEPS // k)
+        samples = make_windows(planted_dataset(n=k + 30, d=4, seed=2), k)  # 30 windows
+        params = init_model(replace(HYPER_SMALL, k=k, d_prime=4), "full")
+        sizes, forward = [], model_module.forward_batch
+        monkeypatch.setattr(model_module, "forward_batch", lambda prices, *a:
+                            sizes.append(len(prices)) or forward(prices, *a))
+        probs = predict(params, samples)
+        assert sizes == [chunk] * (30 // chunk) + [30 % chunk] * bool(30 % chunk)
+        np.testing.assert_array_equal(probs, forward_batch(samples.prices, samples.news,
+                                                           params)[0])
 
 
 class TestPredict:
@@ -677,6 +692,32 @@ class TestTrainFolds:
         fit = self.check(self.folds(variant), config, variant)
         if variant in PCA_VARIANTS:  # two layouts: the rank-capped folds
             assert {m.hyper.d_prime for m in fit.models} == {6, 3}
+
+    # 37 windows of k=3 over 5-wide news, shared by every generated case.
+    CORPUS = make_windows(planted_dataset(n=40, d=5, seed=11), 3)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # single-class folds
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(variant=st.sampled_from(VARIANTS),
+           ends=st.lists(st.integers(2, 37), min_size=1, max_size=5),
+           d_prime=st.integers(1, 5), stack_values=st.integers(1, 1500),
+           config=st.builds(
+               TrainConfig, h=st.just(3), h_a=st.just(2), batch_size=st.integers(1, 6),
+               epochs=st.integers(1, 4), patience=st.integers(1, 3),
+               pos_weight=st.sampled_from([None, 0.5, 2.5]),
+               dropout=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 3),
+               alpha=st.sampled_from([1e-3, 0.05]), clip_norm=st.sampled_from([0.0, 0.5, 5.0])))
+    def test_generated_folds_match_training_each_alone(self, variant, ends, d_prime,
+                                                       stack_values, config):
+        """Any fold count and sizes, batch size (1 too), epoch budget,
+        patience, class weight, dropout and stack budget. A requested d' of
+        up to 5 caps the folds with few training years to a lower rank, so
+        the PCA variants train several layouts."""
+        folds = [(self.CORPUS[:end], fit_fold_pca(self.CORPUS[:end], d_prime, warn=False)[1]
+                  if variant in PCA_VARIANTS else None) for end in ends]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_module, "STACK_VALUES", stack_values)
+            self.check(folds, config, variant)
 
     def test_early_stops_differ(self):
         fit = self.check(self.folds("full"), TrainConfig(
@@ -970,6 +1011,37 @@ class TestCheckpoint:
         doc["hyper"][field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointIntegrityError, match=rf"\b{field} must"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [2.7, True, -5, 1, 0, "48", None])
+    def test_invalid_pca_fitted_on_rejected(self, tmp_path, value):
+        params = self._trained("full", pca=True)
+        path = tmp_path / "model.json"
+        save_checkpoint(params, path)
+        doc = json.loads(path.read_text())
+        doc["pca"]["fitted_on"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError, match=r"pca\.fitted_on must"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("std", 0, "std must be > 0"), ("std", -2.5, "std must be > 0"),
+        ("std", math.nan, "std must be a finite number"),
+        ("std", math.inf, "std must be a finite number"),
+        ("std", True, "std must be a finite number"),
+        ("mean", True, "mean must be a finite number"),
+        ("mean", math.nan, "mean must be a finite number"),
+        ("mean", "10.0", "mean must be a finite number"),
+        pytest.param("mean", 10**400, "malformed checkpoint", id="mean-huge-int"),
+    ])
+    def test_invalid_norm_stats_rejected(self, tmp_path, field, value, match):
+        params = self._trained("no_news")  # norm_stats {"oil": (10.0, 2.5)}
+        path = tmp_path / "model.json"
+        save_checkpoint(params, path)
+        doc = json.loads(path.read_text())
+        doc["norm_stats"]["oil"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError, match=match):
             load_checkpoint(path)
 
     def test_pca_block_must_match_hyper(self, tmp_path):
