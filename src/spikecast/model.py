@@ -55,7 +55,7 @@ VARIANT_FULL, VARIANT_NO_ATTENTION, VARIANT_NO_PCA, VARIANT_NO_NEWS = VARIANTS
 PCA_VARIANTS = (VARIANT_FULL, VARIANT_NO_ATTENTION)
 # Window-steps per predict forward pass: a chunk's LSTM and attention caches
 # grow with its windows times k and are freed before the next chunk, so
-# inference memory grows with neither N nor k.
+# inference memory grows with neither N nor, up to PREDICT_STEPS, k.
 PREDICT_STEPS = 64
 
 
