@@ -105,7 +105,10 @@ def _utc_stamp() -> str:
 
 def _mock_clock(seed: int):
     """Fixed timestamp per seed so offline artifacts are bit-reproducible."""
-    stamp = (datetime(2026, 1, 1, tzinfo=timezone.utc) + timedelta(seconds=seed)).isoformat()
+    try:
+        stamp = (datetime(2026, 1, 1, tzinfo=timezone.utc) + timedelta(seconds=seed)).isoformat()
+    except OverflowError:  # beyond timedelta's days or datetime's years
+        raise ConfigError(f"--seed {seed} is outside the mock clock's range") from None
     return lambda: stamp
 
 
@@ -435,7 +438,8 @@ def load_config_file(path) -> dict[str, str]:
 def _apply_config(subparsers: dict[str, argparse.ArgumentParser],
                   overrides: dict[str, str]) -> None:
     """Make each override the default of every option with its name, coerced
-    the way that option coerces its command-line value."""
+    the way that option coerces its command-line value; an option the file
+    sets is no longer required."""
     applied = set()
     for sp in subparsers.values():
         for action in sp._actions:
@@ -451,6 +455,7 @@ def _apply_config(subparsers: dict[str, argparse.ArgumentParser],
                     action.default = action.type(raw)
                 except (ValueError, argparse.ArgumentTypeError) as exc:
                     raise ConfigError(f"config key {action.dest}: {exc}") from None
+            action.required = False
             applied.add(action.dest)
     unknown = sorted(set(overrides) - applied)
     if unknown:

@@ -227,11 +227,12 @@ def _summarize(variant, threshold, n_folds, fold_results) -> EvalReport:
 
 
 def unique_year_rows(samples: Windows) -> tuple[tuple[int, ...], np.ndarray]:
-    """Deduplicated (year, news-vector) rows across overlapping windows, in
-    year order; each row is taken from the year's first occurrence."""
-    years, first = np.unique(samples.years, return_index=True)
-    rows = samples.news.reshape(-1, samples.news.shape[-1])[first]
-    return tuple(years.tolist()), rows
+    """The years that any of the windows covers and their news rows, once
+    each, in year order."""
+    covered = np.zeros(len(samples.data), dtype=bool)
+    covered[samples.starts[:, None] + np.arange(samples.k)] = True
+    years = tuple(year for year, hit in zip(samples.data.years, covered.tolist()) if hit)
+    return years, samples.data.embeddings[covered]
 
 
 def fit_fold_pca(train_samples: Windows, d_prime: int, warn: bool = True):
@@ -252,7 +253,7 @@ def _capped(years, basis: PcaBasis, d_prime: int) -> str:
 
 @dataclass(frozen=True)
 class Fold:
-    """One fold of a plan: its training and test windows, both views of the
+    """One fold of a plan: its training and test windows, both slices of the
     samples, the label its warnings use, and the d' its PCA requests."""
 
     where: str  # "hold-out", or "fold i" for the i-th of several
@@ -408,8 +409,8 @@ def logreg_scores(w: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
 
 def sample_features(samples: Windows) -> np.ndarray:
     """Per window: flattened prices concatenated with the mean news vector."""
-    return np.concatenate([samples.prices[..., 0], samples.news.mean(axis=1)],
-                          axis=1)
+    prices, news, _ = samples.batch()
+    return np.concatenate([prices[..., 0], news.mean(axis=1)], axis=1)
 
 
 def baseline_logreg(folds: list[Fold], threshold: float = 0.5, l2: float = 1e-3,

@@ -61,33 +61,41 @@ PREDICT_STEPS = 64
 
 @dataclass(frozen=True)
 class Windows:
-    """N training triples, batch-first: k past prices and k past news vectors
-    per window, and the label of the step after it."""
+    """N windows over an aligned year table: window i holds the k steps from
+    row starts[i] of `data`, and its target is the label of the step after
+    them. Each year is held once, in `data`; batch gathers windows."""
 
-    prices: np.ndarray        # (N, k, 1)
-    news: np.ndarray          # (N, k, d); raw embeddings until reduced
-    targets: np.ndarray       # (N,) int spike labels
-    years: np.ndarray         # (N, k) int years inside each window
+    data: AlignedDataset      # news raw until reduced
+    starts: np.ndarray        # (N,) int first row of each window
+    k: int
 
     # An int index would drop the batch axis, so iteration is refused.
     __iter__ = None
 
     def __len__(self) -> int:
-        return len(self.targets)
+        return len(self.starts)
 
     def __getitem__(self, idx) -> Windows:
         """The windows at a slice or an index array."""
-        return Windows(self.prices[idx], self.news[idx], self.targets[idx],
-                       self.years[idx])
+        return Windows(self.data, self.starts[idx], self.k)
 
     @property
-    def k(self) -> int:
-        return self.prices.shape[1]
+    def targets(self) -> np.ndarray:
+        """(N,) int spike label of the step after each window."""
+        return self.data.labels[self.starts + self.k]
 
     @property
     def anchor_years(self) -> np.ndarray:
         """(N,) last year inside each window."""
-        return self.years[:, -1]
+        return np.array(self.data.years)[self.starts + self.k - 1]
+
+    def batch(self, idx=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Prices (B, k, 1), news (B, k, d) and targets (B,) of the windows
+        at idx, copied out of `data`."""
+        starts = self.starts[idx]
+        rows = starts[:, None] + np.arange(self.k)
+        return (self.data.prices[rows][..., None], self.data.embeddings[rows],
+                self.data.labels[starts + self.k])
 
 
 @dataclass(frozen=True)
@@ -173,39 +181,28 @@ class TrainConfig:
 
 
 def make_windows(dataset: AlignedDataset, k: int) -> Windows:
-    """Slide a length-k window over the aligned years.
+    """Slide a length-k window over the aligned years, as windows over
+    `dataset` itself.
 
-    Window i holds steps i .. i + k - 1, and its target is the label of step
-    i + k. A window is kept only when those k + 1 years are consecutive
-    calendar years, so no window spans a year the dataset lacks; a gap-free
-    dataset of T years gives T - k windows. The arrays are copies, not views
-    of dataset.
+    A window from step s holds steps s .. s + k - 1, and its target is the
+    label of step s + k. It is kept only when those k + 1 years are
+    consecutive calendar years, so no window spans a year the dataset lacks;
+    a gap-free dataset of T years gives T - k windows.
     """
-    t_len = len(dataset)
     if k < 1:
         raise ConfigError("window size k must be >= 1")
-    if t_len <= k:
-        raise InsufficientDataError(
-            f"need more than k={k} aligned steps, got {t_len}"
-        )
     years = np.array(dataset.years, dtype=int)
-    starts = np.flatnonzero(years[k:] - years[:-k] == k)  # years ascend
+    starts = np.flatnonzero(years[k:] - years[:-k] == k)  # years ascend; none if T <= k
     if not starts.size:
         raise InsufficientDataError(
-            f"no {k + 1} consecutive years among the {t_len} aligned years"
-        )
-    rows = starts[:, None] + np.arange(k)  # (N, k) step indices
-    return Windows(
-        prices=dataset.prices.reshape(-1, 1)[rows],
-        news=dataset.embeddings[rows],
-        targets=np.array(dataset.labels, dtype=int)[starts + k],
-        years=years[rows],
-    )
+            f"no {k + 1} consecutive years among the {len(dataset)} aligned years")
+    return Windows(dataset, starts, k)
 
 
 def reduce_samples(windows: Windows, basis: PcaBasis) -> Windows:
-    """Project every window's news onto a fitted PCA basis."""
-    return replace(windows, news=transform_rows(basis, windows.news))
+    """Project the news of the windows' table onto a fitted PCA basis, each year once."""
+    data = windows.data
+    return replace(windows, data=replace(data, embeddings=transform_rows(basis, data.embeddings)))
 
 
 def init_model(
@@ -369,9 +366,8 @@ def model_forward(
     rng: np.random.Generator | None = None,
 ) -> tuple[float, dict]:
     """Spike probability for a one-window batch w[i : i + 1]."""
-    prob, cache = forward_batch(
-        window.prices, window.news, params, train=train, rng=rng
-    )
+    prices, news, _ = window.batch()
+    prob, cache = forward_batch(prices, news, params, train=train, rng=rng)
     return float(prob[0]), cache
 
 
@@ -405,10 +401,8 @@ def predict(params: ModelParams, windows: Windows) -> np.ndarray:
     if params.pca is not None:
         windows = reduce_samples(windows, params.pca)
     chunk = max(1, PREDICT_STEPS // windows.k)
-    return np.concatenate([
-        forward_batch(windows.prices[i : i + chunk], windows.news[i : i + chunk], params)[0]
-        for i in range(0, len(windows), chunk)
-    ])
+    return np.concatenate([forward_batch(*windows.batch(slice(i, i + chunk))[:2], params)[0]
+                           for i in range(0, len(windows), chunk)])
 
 
 class TrainStats(NamedTuple):
@@ -481,7 +475,7 @@ def train(
         if n_train < 1:
             raise InsufficientDataError("validation split leaves no training samples")
         parts.append((windows, pca, n_train))
-        d_prime = windows.news.shape[2] if pca is None else pca.d_prime
+        d_prime = windows.data.embeddings.shape[1] if pca is None else pca.d_prime
         hypers.append(ModelHyper(k=windows.k, d_prime=d_prime, h=config.h, h_a=config.h_a,
                                  dropout=config.dropout, seed=config.seed))
     fits = [None] * len(parts)
@@ -539,7 +533,7 @@ def _fit_stack(parts, template: ModelParams, theta: np.ndarray, config: TrainCon
     step. The ragged last batches all run after them, one call per run of
     rows of one batch size. A fold that stops early leaves the stack.
     """
-    size = config.batch_size
+    size, k, d_prime = config.batch_size, template.hyper.k, template.hyper.d_prime
     decayed = _bind(template, np.zeros(theta.shape[1], dtype=bool))
     decayed.head.w1[...] = True
     decayed.head.w2[...] = True
@@ -584,19 +578,17 @@ def _fit_stack(parts, template: ModelParams, theta: np.ndarray, config: TrainCon
             run.norms[-1] = max(run.norms[-1], clip_global_norm(grad, config.clip_norm))
             adam_step(row, grad, run.adam)
 
-    names = ("prices", "news", "targets")
     for epoch in range(1, config.epochs + 1):
         orders = [run.rng.permutation(len(run.train)) for run in runs]
         cuts = [len(order) - len(order) % size for order in orders]  # rows in full batches
         span = max(cuts)
-        # Each fold's full batches, right-aligned in one buffer per array.
-        full = [np.empty((len(runs), span, *getattr(runs[0].train, name).shape[1:]))
-                for name in names]
+        # Each fold's full batches, right-aligned in one buffer per batch array.
+        full = [np.empty((len(runs), span, *shape)) for shape in ((k, 1), (k, d_prime), ())]
         for f, (run, order, cut) in enumerate(zip(runs, orders, cuts)):
             run.loss_sum = 0.0
             run.norms.append(0.0)  # this epoch's largest pre-clip gradient norm
-            for buf, name in zip(full, names):
-                buf[f, span - cut:] = getattr(run.train, name)[order[:cut]]
+            for buf, arr in zip(full, run.train.batch(order[:cut])):
+                buf[f, span - cut:] = arr
         for start in range(0, span, size):
             lo = sum(span - cut > start for cut in cuts)
             step(lo, len(runs), *(buf[lo:, start : start + size] for buf in full))
@@ -605,10 +597,8 @@ def _fit_stack(parts, template: ModelParams, theta: np.ndarray, config: TrainCon
                                             lambda f: len(orders[f]) - cuts[f]):
             if rest:
                 rows = list(rows)
-                tails = [[getattr(runs[f].train, name)[orders[f][cuts[f]:]] for f in rows]
-                         for name in names]
-                step(rows[0], rows[-1] + 1, *(np.stack(t) if len(t) > 1 else t[0][None]
-                                              for t in tails))
+                tails = [runs[f].train.batch(orders[f][cuts[f]:]) for f in rows]
+                step(rows[0], rows[-1] + 1, *map(np.stack, zip(*tails)))
 
         keep = []
         for f, run in enumerate(runs):

@@ -122,7 +122,10 @@ class _YearStore:
         return entries
 
     def _check_new(self, year: int) -> None:
-        """A file holds each year once; a repeat would silently replace."""
+        """A year must fit the int64 year arrays built from a store, and a
+        file holds each year once; a repeat would silently replace."""
+        if not -(2**63) <= year < 2**63:
+            raise ValidationError(f"year {year} does not fit a 64-bit integer")
         if year in self._records:
             raise ValidationError(f"year {year} repeats an earlier line")
 

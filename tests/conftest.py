@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
@@ -132,7 +133,7 @@ def reference_train(windows, config, variant="full", pca=None):
     n = len(windows)
     if pca is not None:
         windows = reduce_samples(windows, pca)
-    hyper = ModelHyper(k=windows.k, d_prime=windows.news.shape[2], h=config.h,
+    hyper = ModelHyper(k=windows.k, d_prime=windows.data.embeddings.shape[1], h=config.h,
                        h_a=config.h_a, dropout=config.dropout, seed=config.seed)
     n_train = n - max(1, math.ceil(config.validation_fraction * n))
     train_part, val_part = windows[:n_train], windows[n_train:]
@@ -151,10 +152,10 @@ def reference_train(windows, config, variant="full", pca=None):
         order = rng.permutation(n_train)
         loss_sum, top = 0.0, 0.0
         for start in range(0, n_train, config.batch_size):
-            batch = train_part[order[start : start + config.batch_size]]
-            probs, cache = forward_batch(batch.prices, batch.news, params, train=True, rng=rng)
-            loss, d_preds = bce_loss(probs, batch.targets, config.pos_weight)
-            loss_sum += loss * len(batch)
+            prices, news, targets = train_part.batch(order[start : start + config.batch_size])
+            probs, cache = forward_batch(prices, news, params, train=True, rng=rng)
+            loss, d_preds = bce_loss(probs, targets, config.pos_weight)
+            loss_sum += loss * len(targets)
             backward_batch(params, cache, d_preds, out=grads)
             top = max(top, clip_global_norm(grads.theta, config.clip_norm))
             adam_step(theta, grads.theta, state)
@@ -248,6 +249,19 @@ def reference_windows(dataset, k: int):
             tuple(dataset.years[lo : i + 1]),
         ))
     return out
+
+
+def with_targets(windows, targets):
+    """The windows with each target set to `targets`: written into a copy of
+    its dataset's labels, at the step after the window."""
+    labels = np.array(windows.data.labels)
+    labels[windows.starts + windows.k] = targets
+    return replace(windows, data=replace(windows.data, labels=labels))
+
+
+def window_years(windows) -> np.ndarray:
+    """(N, k) years of the steps inside each window."""
+    return np.array(windows.data.years)[windows.starts[:, None] + np.arange(windows.k)]
 
 
 def reference_reduce(windows, basis):

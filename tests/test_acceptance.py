@@ -27,7 +27,6 @@ from spikecast.ingest import PriceSeries, label_spikes
 from spikecast.model import (
     ModelHyper,
     TrainConfig,
-    Windows,
     backward_batch,
     evaluate_loss,
     flat_params,
@@ -65,7 +64,8 @@ def _verdict(capsys, num, desc, ok, detail):
 
 
 def _draw_differentiable_batch(rng, params):
-    """Draw a batch whose head ReLU pre-activations stay clear of zero.
+    """Draw a batch whose head ReLU pre-activations stay clear of zero: its
+    prices (3, 3, 1), news (3, 3, 2) and targets (3,).
 
     Central differences are only a valid oracle where the loss is smooth
     across the +-step interval; a pre-activation within ~1e-5 of the kink
@@ -79,19 +79,14 @@ def _draw_differentiable_batch(rng, params):
              int(rng.integers(0, 2)))
             for _ in range(3)
         ]
-        batch = Windows(
-            prices=np.stack([p for p, _, _ in draws]),
-            news=np.stack([n for _, n, _ in draws]),
-            targets=np.array([t for _, _, t in draws]),
-            years=np.array([(1960 + i, 1961 + i, 1962 + i) for i in range(3)]),
-        )
+        prices, news = (np.stack([d[j] for d in draws]) for j in (0, 1))
         margin = min(
-            float(np.abs(forward_batch(batch.prices[i : i + 1], batch.news[i : i + 1],
+            float(np.abs(forward_batch(prices[i : i + 1], news[i : i + 1],
                                        params)[1]["head"]["pre"]).min())
-            for i in range(len(batch))
+            for i in range(len(draws))
         )
         if margin > 1e-3:
-            return batch
+            return prices, news, np.array([t for _, _, t in draws])
     raise AssertionError("no kink-free batch found in 64 draws")
 
 
@@ -102,17 +97,16 @@ def test_criterion_01_gradient_correctness(capsys):
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         params = init_model(replace(hyper_base, seed=seed), "full")
-        batch = _draw_differentiable_batch(rng, params)
+        prices, news, targets = _draw_differentiable_batch(rng, params)
         flat = flat_params(params)
-        targets = np.array(batch.targets, dtype=float)
+        targets = np.array(targets, dtype=float)
         grads, total = gradient_params(params), gradient_params(params)
         total_flat = flat_params(total)
 
         def loss_and_grads():
             probs, caches = [], []
-            for i in range(len(batch)):
-                window = batch[i : i + 1]
-                p, c = forward_batch(window.prices, window.news, params)
+            for i in range(len(targets)):
+                p, c = forward_batch(prices[i : i + 1], news[i : i + 1], params)
                 probs.append(p)
                 caches.append(c)
             loss, d_preds = bce_loss(np.concatenate(probs), targets)

@@ -389,6 +389,20 @@ class TestSummaryStore:
         with pytest.raises(StoreError, match=r"s\.jsonl:3: year 1970 repeats"):
             SummaryStore(path)
 
+    @pytest.mark.parametrize("year", [2**63, -(2**63) - 1, 10**30])
+    def test_year_beyond_int64_names_its_line(self, tmp_path, year):
+        path = tmp_path / "s.jsonl"
+        line = {
+            "year": 1970, "commodities": [], "summary": "ok", "verified": False,
+            "retries": 0, "backend_id": "m", "created_at": "t",
+        }
+        path.write_text("\n".join(json.dumps(obj) for obj in (line, dict(line, year=year)))
+                        + "\n")
+        with pytest.raises(StoreError, match=rf"s\.jsonl:2: year {year} does not fit"):
+            SummaryStore(path)
+        path.write_text(json.dumps(dict(line, year=2**63 - 1)) + "\n")  # the largest that fits
+        assert SummaryStore(path).get(2**63 - 1).summary == "ok"
+
     @pytest.mark.parametrize("field,value", [
         ("year", "1960"), ("year", 1960.0), ("year", True),
         ("commodities", "oil"), ("commodities", ["oil", 3]),
@@ -544,6 +558,19 @@ class TestEmbeddingStore:
                         '{"year": 1960, "dim": 2, "values": [0.3, 0.4]}\n')
         with pytest.raises(StoreError, match=r"e\.jsonl:4: year 1960 repeats"):
             EmbeddingStore(path)
+
+    @pytest.mark.parametrize("year", [2**63, -(2**63) - 1, 10**30])
+    def test_year_beyond_int64_names_its_line(self, tmp_path, year):
+        path = tmp_path / "e.jsonl"
+        header = '{"format": "spikecast-embeddings/1", "dim": 2}\n'
+        path.write_text(header + '{"year": 1960, "dim": 2, "values": [0.1, 0.2]}\n'
+                        '{"year": %d, "dim": 2, "values": [0.3, 0.4]}\n' % year)
+        with pytest.raises(StoreError, match=rf"e\.jsonl:3: year {year} does not fit"):
+            EmbeddingStore(path)
+        path.write_text(header + '{"year": %d, "dim": 2, "values": [0.1, 0.2]}\n'
+                        % (2**63 - 1))  # the largest that fits
+        years, _ = EmbeddingStore(path).matrix()
+        assert years.tolist() == [2**63 - 1]
 
     @pytest.mark.parametrize("dim", ["", ', "dim": "abc"', ', "dim": null', ', "dim": 0'],
                              ids=["missing", "string", "null", "zero"])

@@ -1,17 +1,21 @@
 """End-to-end command-line runs in scratch directories."""
 import hashlib
+import inspect
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spikecast.evaluation
+from spikecast.agents import AgentConfig
+from spikecast.backends import MockBackend
 from spikecast.cli import (
     _dumps_indent2,
     _load_aligned,
@@ -20,9 +24,11 @@ from spikecast.cli import (
     load_config_file,
     main,
 )
-from spikecast.model import VARIANTS, make_windows
+from spikecast.evaluation import holdout_split, time_series_split
+from spikecast.ingest import DEFAULT_SPIKE_THRESHOLD_PCT
+from spikecast.model import VARIANTS, TrainConfig, make_windows
 
-from conftest import brute_force_spikes, price_csv_text, reference_holdout
+from conftest import brute_force_spikes, price_csv_text, reference_holdout, window_years
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -201,6 +207,15 @@ class TestDistill:
                    if p.is_dir() and p.name.startswith("distill-")]
         assert len(subdirs) == 1
         assert (subdirs[0] / "summaries.jsonl").read_bytes() == first
+
+    @pytest.mark.parametrize("seed", ["99999999999999", "-99999999999999", "10" + "0" * 11])
+    def test_seed_outside_the_clock_exits_one(self, tmp_path, capsys, seed):
+        # The first two exceed timedelta's days, the last datetime's years.
+        out = tmp_path / "run"
+        assert run_cli("distill", "--years", "1960:1961", "--seed", seed, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: --seed {seed} is outside the mock clock's range\n")
+        assert not (out / "summaries.jsonl").exists()
 
     def test_force_rerun_is_byte_stable(self, tmp_path):
         out = tmp_path / "run"
@@ -532,7 +547,7 @@ class TestGapYear:
         samples = make_windows(_load_aligned(args), args.k)
         # The years 1961-1974 and 1977-1989 each give their length - k windows.
         assert len(samples) == (14 - 3) + (13 - 3)
-        spans = np.column_stack([samples.years, samples.anchor_years + 1])
+        spans = np.column_stack([window_years(samples), samples.anchor_years + 1])
         assert (np.diff(spans, axis=1) == 1).all()
         assert not np.isin(spans, [1975, 1976]).any()
 
@@ -774,6 +789,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{path.name}:{len(lines) + 1}: year" in err and "repeats" in err
 
+    @pytest.mark.parametrize("store,argv", [
+        ("summaries", ["embed", "--summaries"]),
+        ("embeddings", ["reduce", "--embeddings"]),
+        ("embeddings", ["train", "--embeddings"]),
+    ])
+    def test_store_year_beyond_int64_is_corrupt_store(self, corpus, tmp_path, capsys,
+                                                      store, argv):
+        lines = corpus[store].read_text().splitlines()
+        record = json.loads(lines[-1])
+        record["year"] = 10**30
+        path = tmp_path / corpus[store].name
+        path.write_text("\n".join(lines + [json.dumps(record)]) + "\n")
+        args = model_args(corpus, tmp_path / "o") if argv[0] == "train" else []
+        if args:
+            del args[args.index("--embeddings") : args.index("--embeddings") + 2]
+        assert run_cli(*argv, path, *args, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (f"error: {path}:{len(lines) + 1}: year {10**30} "
+                                           "does not fit a 64-bit integer\n")
+
     @pytest.mark.parametrize("flag,value", [
         ("--h", "0"), ("--h-a", "0"), ("--dropout", "1.0"),
         ("--alpha", "nan"), ("--clip-norm", "-1"), ("--weight-decay", "-1"),
@@ -880,6 +914,38 @@ class TestParserText:
         assert capsys.readouterr().err == f"error: {message}\n{TOP_USAGE}"
 
 
+def _param_default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+# (commands, option dest, the library's default for it): every default the
+# CLI writes a second time.
+LIBRARY_DEFAULTS = [
+    *((("train", "eval", "ablate"), f.name, f.default) for f in fields(TrainConfig)),
+    *((("distill",), {"in_flight_limit": "in_flight"}.get(f.name, f.name), f.default)
+      for f in fields(AgentConfig)),
+    (("label",), "threshold", DEFAULT_SPIKE_THRESHOLD_PCT),
+    (("eval",), "holdout", _param_default(holdout_split, "fraction")),
+    (("ablate",), "folds", _param_default(time_series_split, "n_folds")),
+    (("distill", "embed"), "mock_dim", _param_default(MockBackend, "dim")),
+]
+REQUIRED_FLAGS = {
+    **dict.fromkeys(("train", "eval", "ablate"),
+                    ["--prices", "p", "--labels", "l", "--embeddings", "e"]),
+    "label": ["--in", "p"], "distill": [], "embed": ["--summaries", "s"],
+}
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("commands,dest,default", LIBRARY_DEFAULTS,
+                             ids=[dest for _, dest, _ in LIBRARY_DEFAULTS])
+    def test_cli_default_is_the_library_default(self, commands, dest, default):
+        for command in commands:
+            args = build_parser().parse_args([command, *REQUIRED_FLAGS[command]])
+            got = vars(args)[dest]
+            assert got == default and type(got) is type(default), (command, got)
+
+
 class TestConfigFile:
     def test_parse(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -936,6 +1002,21 @@ class TestConfigFile:
         cfg.write_text("epochs = soon\n")
         assert run_cli("train", *model_args(corpus, tmp_path / "t"),
                        "--config", cfg) == 1
+
+    def test_file_sets_required_options(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{name} = {corpus[name]}\n"
+                               for name in ("prices", "labels", "embeddings")))
+        args = model_args(corpus, tmp_path / "train")
+        del args[: args.index("--out")]  # --prices, --labels, --embeddings
+        assert run_cli("train", *args, "--config", cfg) == 0
+        manifest = json.loads((tmp_path / "train" / "manifest.json").read_text())
+        assert manifest["config"]["prices"] == str(corpus["prices"])
+        capsys.readouterr()
+        cfg.write_text(f"prices = {corpus['prices']}\nlabels = {corpus['labels']}\n")
+        assert run_cli("train", *args, "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --embeddings" in err
 
     def test_key_of_another_command_accepted(self, corpus, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,7 +1,6 @@
 """Splits, ranking metrics, cross-validation protocol, and report writers."""
 import json
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from spikecast.evaluation import (
     write_roc_csv,
     write_summary_json,
 )
+from spikecast.ingest import AlignedDataset
 from spikecast.model import (
     PCA_VARIANTS,
     VARIANTS,
@@ -55,6 +55,8 @@ from conftest import (
     reference_sample_features,
     reference_unique_year_rows,
     reference_windows,
+    window_years,
+    with_targets,
 )
 
 
@@ -138,10 +140,9 @@ class TestHoldout:
         assert holdout_split(60, 0.20).folds == (((0, 48), (48, 60)),)
         train, test = holdout_parts(samples, 0.20)
         assert (len(train), len(test)) == (48, 12)
-        for name in ("prices", "news", "targets", "years"):
-            np.testing.assert_array_equal(
-                np.concatenate([getattr(train, name), getattr(test, name)]),
-                getattr(samples, name))
+        for got_train, got_test, want in zip(*((*w.batch(), window_years(w))
+                                               for w in (train, test, samples))):
+            np.testing.assert_array_equal(np.concatenate([got_train, got_test]), want)
 
     def test_ceil_rounding(self):
         samples = windows(n=12, k=2)  # 10 windows
@@ -432,7 +433,7 @@ class TestFoldSet:
         samples = windows(n=27, k=3, d=4)  # 24 windows of 4-wide news: d' = 6 is capped
         i = np.arange(len(samples))
         # Fold 1's training part (windows 0-4) and the last test block are single-class.
-        samples = replace(samples, targets=np.where((i < 5) | (i >= 18), 0, i % 2))
+        samples = with_targets(samples, np.where((i < 5) | (i >= 18), 0, i % 2))
         shared = fold_set(samples, plan, 6)
         for variant in (*VARIANTS, BASELINE_VARIANT):
             got, got_warned = self._scored(shared, variant)
@@ -519,11 +520,12 @@ class TestLogregBaseline:
         assert roc_auc(logreg_scores(w, b, x.reshape(-1, 1)), y.astype(int)) == 1.0
 
     def test_sample_features_layout(self):
-        s = Windows(
-            prices=np.array([[[1.0], [2.0]]]),
-            news=np.array([[[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]]),
-            targets=np.array([1]), years=np.array([[1960, 1961]]),
-        )
+        s = Windows(AlignedDataset(
+            years=(1960, 1961, 1962),
+            prices=np.array([1.0, 2.0, 0.0]),
+            labels=np.array([0, 0, 1]),
+            embeddings=np.array([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0], [0.0, 0.0, 0.0]]),
+        ), starts=np.array([0]), k=2)
         feats = sample_features(s)
         np.testing.assert_array_equal(feats, [[1.0, 2.0, 2.0, 3.0, 4.0]])
 
@@ -661,7 +663,7 @@ class TestSingleClassFold:
         samples = windows(n=27, k=3)  # 24 windows -> 3 folds of test size 6
         i = np.arange(len(samples))
         targets = np.where(i >= 18, 0, i % 2)  # last test block single-class
-        return replace(samples, targets=targets)
+        return with_targets(samples, targets)
 
     def test_auc_excluded_with_warning(self):
         with pytest.warns(UserWarning, match="single-class") as caught:
@@ -697,7 +699,7 @@ class TestSingleClassFold:
         i = np.arange(len(samples))
         targets = np.where(i < zeros, 0, i % 2)
         with pytest.warns(UserWarning, match="degenerate targets") as caught:
-            run_cv(fold_set(replace(samples, targets=targets), plan, 3), "no_news",
+            run_cv(fold_set(with_targets(samples, targets), plan, 3), "no_news",
                    TestRunCv.CONFIG)
         (warning,) = [w for w in caught if "degenerate" in str(w.message)]
         assert str(warning.message) == (

@@ -56,6 +56,8 @@ from conftest import (
     reference_train,
     reference_windows,
     train_one,
+    window_years,
+    with_targets,
     zero_params,
 )
 
@@ -72,29 +74,35 @@ class TestMakeWindows:
         ds = planted_dataset(n=10, d=4)
         samples = make_windows(ds, k=3)
         assert len(samples) == 7
-        assert samples.prices.shape[1:] == (3, 1)
-        assert samples.news.shape[1:] == (3, 4)
+        prices, news, _ = samples.batch()
+        assert prices.shape[1:] == (3, 1)
+        assert news.shape[1:] == (3, 4)
 
     def test_alignment(self):
         ds = planted_dataset(n=10, d=4)
         samples = make_windows(ds, k=3)
-        assert tuple(samples.years[0]) == (1960, 1961, 1962)
+        prices, news, _ = samples.batch()
+        assert tuple(window_years(samples)[0]) == (1960, 1961, 1962)
         assert samples.anchor_years[0] == 1962
         assert samples.targets[0] == int(ds.labels[3])
-        np.testing.assert_array_equal(samples.prices[0, :, 0], ds.prices[:3])
-        np.testing.assert_array_equal(samples.news[0], ds.embeddings[:3])
+        np.testing.assert_array_equal(prices[0, :, 0], ds.prices[:3])
+        np.testing.assert_array_equal(news[0], ds.embeddings[:3])
         assert samples.anchor_years[-1] == 1968
         assert samples.targets[-1] == int(ds.labels[9])
 
-    def test_windows_are_copies(self):
+    def test_batch_arrays_are_copies(self):
         ds = planted_dataset(n=10, d=4)
         samples = make_windows(ds, k=3)
-        samples.prices[0, 0, 0] = 999.0
-        samples.news[0, 0, 0] = 999.0
+        assert samples.data is ds  # each year held once, in the dataset
+        prices, news, targets = samples.batch()
+        prices[0, 0, 0] = 999.0
+        news[0, 0, 0] = 999.0
+        targets[0] = 7
         assert ds.prices[0] != 999.0
         assert ds.embeddings[0, 0] != 999.0
-        assert samples.prices.flags.c_contiguous
-        assert samples.news.flags.c_contiguous
+        assert ds.labels[3] != 7
+        assert prices.flags.c_contiguous
+        assert news.flags.c_contiguous
 
     def test_errors(self):
         ds = planted_dataset(n=5, d=2)
@@ -109,10 +117,11 @@ class TestMakeWindows:
         # consecutive years gives one window, and no window crosses 1963.
         ds = replace(planted_dataset(n=6, d=3), years=(1960, 1961, 1962, 1964, 1965, 1966))
         samples = make_windows(ds, k=2)
-        assert samples.years.tolist() == [[1960, 1961], [1964, 1965]]
+        prices, news, _ = samples.batch()
+        assert window_years(samples).tolist() == [[1960, 1961], [1964, 1965]]
         np.testing.assert_array_equal(samples.targets, ds.labels[[2, 5]])
-        np.testing.assert_array_equal(samples.prices[..., 0], ds.prices[[[0, 1], [3, 4]]])
-        np.testing.assert_array_equal(samples.news, ds.embeddings[[[0, 1], [3, 4]]])
+        np.testing.assert_array_equal(prices[..., 0], ds.prices[[[0, 1], [3, 4]]])
+        np.testing.assert_array_equal(news, ds.embeddings[[[0, 1], [3, 4]]])
 
     def test_no_run_of_k_plus_one_years(self):
         ds = replace(planted_dataset(n=4, d=2), years=(1960, 1961, 1963, 1964))
@@ -128,9 +137,8 @@ class TestMakeWindows:
         windows = make_windows(ds, k)
         want = reference_windows(ds, k)
         assert 0 < len(windows) == len(want) < 40 - k
-        for field, got in enumerate((windows.prices, windows.news,
-                                     windows.targets, windows.anchor_years,
-                                     windows.years)):
+        for field, got in enumerate((*windows.batch(), windows.anchor_years,
+                                     window_years(windows))):
             assert_same_bits(got, [w[field] for w in want])
 
     def test_reduce_samples_projects_news(self):
@@ -138,9 +146,9 @@ class TestMakeWindows:
         basis = fit_pca(ds.embeddings, 3)
         samples = make_windows(ds, k=4)
         reduced = reduce_samples(samples, basis)
-        assert reduced.news.shape[1:] == (4, 3)
+        assert reduced.batch()[1].shape[1:] == (4, 3)
         np.testing.assert_array_equal(reduced.targets, samples.targets)
-        assert samples.news.shape[1:] == (4, 6)  # originals untouched
+        assert samples.batch()[1].shape[1:] == (4, 6)  # originals untouched
 
     @pytest.mark.parametrize("n,d,k", [(10, 4, 3), (5, 2, 4), (64, 16, 5),
                                        (40, 128, 16), (12, 3, 1)])
@@ -149,10 +157,19 @@ class TestMakeWindows:
         windows = make_windows(ds, k)
         want = reference_windows(ds, k)
         assert len(windows) == len(want)
-        for field, got in enumerate((windows.prices, windows.news,
-                                     windows.targets, windows.anchor_years,
-                                     windows.years)):
+        for field, got in enumerate((*windows.batch(), windows.anchor_years,
+                                     window_years(windows))):
             assert_same_bits(got, [w[field] for w in want])
+
+    def test_reduce_samples_projects_each_year_once(self, monkeypatch):
+        ds = planted_dataset(n=20, d=6)
+        basis = fit_pca(ds.embeddings, 3)
+        shapes, transform_rows = [], model_module.transform_rows
+        monkeypatch.setattr(model_module, "transform_rows", lambda basis, rows:
+                            shapes.append(rows.shape) or transform_rows(basis, rows))
+        reduced = reduce_samples(make_windows(ds, k=4), basis)
+        assert shapes == [(20, 6)]  # the dataset's years, not (16, 4, 6) window rows
+        assert reduced.data.embeddings.shape == (20, 3)
 
     @pytest.mark.parametrize("n,d,k,d_prime", [(20, 6, 4, 3), (64, 16, 5, 8),
                                                (64, 128, 5, 16), (40, 32, 16, 16)])
@@ -161,7 +178,7 @@ class TestMakeWindows:
         basis = fit_pca(ds.embeddings, d_prime)
         reduced = reduce_samples(make_windows(ds, k), basis)
         want = reference_reduce(reference_windows(ds, k), basis)
-        assert_same_bits(reduced.news, [w[1] for w in want])
+        assert_same_bits(reduced.batch()[1], [w[1] for w in want])
 
 
 class TestWindows:
@@ -171,11 +188,11 @@ class TestWindows:
         for idx in (slice(2, 6), np.array([5, 0, 7])):
             part = samples[idx]
             assert isinstance(part, Windows)
-            np.testing.assert_array_equal(part.prices, samples.prices[idx])
-            np.testing.assert_array_equal(part.news, samples.news[idx])
+            for got, want in zip(part.batch(), samples.batch()):
+                np.testing.assert_array_equal(got, want[idx])
             np.testing.assert_array_equal(part.targets, samples.targets[idx])
             np.testing.assert_array_equal(part.anchor_years,
-                                          samples.years[idx][:, -1])
+                                          window_years(samples)[idx][:, -1])
         assert len(samples[2:6]) == 4 and len(samples[np.array([1])]) == 1
 
     def test_iteration_refused(self):
@@ -273,7 +290,7 @@ class TestForward:
         params = init_model(HYPER_SMALL, "no_news")
         s = samples[0:1]
         base, _ = model_forward(s, params)
-        scrambled = replace(s, news=s.news * -3.0 + 1.0)
+        scrambled = replace(s, data=replace(s.data, embeddings=s.data.embeddings * -3.0 + 1.0))
         assert model_forward(scrambled, params)[0] == base
 
     def test_full_variant_reads_news(self):
@@ -281,7 +298,7 @@ class TestForward:
         params = init_model(HYPER_SMALL, "full")
         s = samples[0:1]
         base, _ = model_forward(s, params)
-        scrambled = replace(s, news=s.news * -3.0 + 1.0)
+        scrambled = replace(s, data=replace(s.data, embeddings=s.data.embeddings * -3.0 + 1.0))
         assert model_forward(scrambled, params)[0] != base
 
     def test_shape_contract(self):
@@ -345,7 +362,8 @@ class TestBatch:
     def test_train_mode_probs_match_wrapper(self, variant):
         samples = tiny_samples(n=14)[:8]
         params = init_model(replace(HYPER_SMALL, dropout=0.5), variant)
-        probs, _ = forward_batch(samples.prices, samples.news, params, train=True,
+        prices, news, _ = samples.batch()
+        probs, _ = forward_batch(prices, news, params, train=True,
                                  rng=np.random.default_rng(3))
         rng = np.random.default_rng(3)
         singles = [model_forward(samples[i : i + 1], params, train=True, rng=rng)[0]
@@ -357,8 +375,9 @@ class TestBatch:
     def test_gradients_are_sum_of_per_sample(self, variant):
         samples = tiny_samples(n=14)[:8]
         params = init_model(replace(HYPER_SMALL, dropout=0.5), variant)
-        targets = np.array(samples.targets, dtype=float)
-        probs, cache = forward_batch(samples.prices, samples.news, params, train=True,
+        prices, news, targets = samples.batch()
+        targets = np.array(targets, dtype=float)
+        probs, cache = forward_batch(prices, news, params, train=True,
                                      rng=np.random.default_rng(4))
         _, d_preds = bce_loss(probs, targets)
         out = gradient_params(params)
@@ -382,7 +401,7 @@ class TestBatch:
         params = init_model(HYPER_SMALL, variant)
         whole = predict(params, samples)
         np.testing.assert_array_equal(
-            whole, forward_batch(samples.prices, samples.news, params)[0])
+            whole, forward_batch(*samples.batch()[:2], params)[0])
         for size in (1, 3, 8):
             chunked = np.concatenate([predict(params, samples[i : i + size])
                                       for i in range(0, len(samples), size)])
@@ -393,12 +412,13 @@ class TestBatch:
         samples = make_windows(ds, k=16)  # 144 windows
         params = init_model(ModelHyper(k=16, d_prime=16, h=32, h_a=32, dropout=0.3, seed=0),
                             "full")
+        prices, news, _ = samples.batch()
         tracemalloc.start()
         try:
             predict(params, samples)
             _, chunked = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            forward_batch(samples.prices, samples.news, params)
+            forward_batch(prices, news, params)
             _, whole = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -414,8 +434,7 @@ class TestBatch:
                             sizes.append(len(prices)) or forward(prices, *a))
         probs = predict(params, samples)
         assert sizes == [chunk] * (30 // chunk) + [30 % chunk] * bool(30 % chunk)
-        np.testing.assert_array_equal(probs, forward_batch(samples.prices, samples.news,
-                                                           params)[0])
+        np.testing.assert_array_equal(probs, forward_batch(*samples.batch()[:2], params)[0])
 
 
 class TestPredict:
@@ -442,7 +461,7 @@ class TestPredict:
         basis = fit_pca(ds.embeddings, 2)
         params = init_model(HYPER_SMALL, "full", basis)
         reduced = reduce_samples(raw, basis)
-        want, _ = forward_batch(reduced.prices, reduced.news, params)
+        want, _ = forward_batch(*reduced.batch()[:2], params)
         assert_same_bits(predict(params, raw), want)
 
 
@@ -533,7 +552,7 @@ class TestTrain:
 
     def test_single_class_training_warns(self):
         samples = tiny_samples(n=20)
-        flat = replace(samples, targets=np.zeros_like(samples.targets))
+        flat = with_targets(samples, np.zeros_like(samples.targets))
         with pytest.warns(UserWarning, match="single-class") as caught:
             fit = train([(flat, None)], self.CONFIG, "no_news")
         (warning,) = caught
@@ -590,7 +609,7 @@ class TestTrain:
         basis = fit_pca(ds.embeddings, 2) if pca else None
         config = replace(self.CONFIG, h=5, h_a=3, dropout=0.2, epochs=1, seed=9)
         params, _ = train_one(raw, config, "full", basis)
-        d_prime = basis.d_prime if pca else raw.news.shape[2]
+        d_prime = basis.d_prime if pca else raw.data.embeddings.shape[1]
         assert params.hyper == ModelHyper(k=raw.k, d_prime=d_prime, h=5, h_a=3,
                                           dropout=0.2, seed=9)
 
