@@ -180,12 +180,15 @@ def orchestrate(
 ) -> dict[int, NewsSummary]:
     """Produce a summary for every configured year and persist the store.
 
-    Years already verified in the store are returned as-is without touching
-    the backend. Remaining years run their retry loops, concurrently up to
-    config.in_flight_limit; results are merged and written in year order so
-    the store's bytes never depend on completion order.
+    Years already verified in the store by this backend for these
+    commodities are returned as-is without touching the backend. Remaining
+    years run their retry loops, concurrently up to config.in_flight_limit;
+    results are merged and written in year order so the store's bytes never
+    depend on completion order.
     """
-    done = {y: store.get(y) for y in store.verified_years() if y in set(config.years)}
+    done = {y: rec for y in store.verified_years() & set(config.years)
+            if (rec := store.get(y)).backend_id == backend.backend_id
+            and tuple(rec.commodities) == tuple(config.commodities)}
     pending = [y for y in config.years if y not in done]
 
     fresh: list[NewsSummary | None] = []

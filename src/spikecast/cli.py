@@ -36,7 +36,7 @@ _LAZY = {
     "ingest": ("SpikeLabelSet", "align_dataset", "composite_average", "duplicates",
                "label_spikes", "normalize_table", "parse_price_table", "pct_changes",
                "raw_average"),
-    "model": ("PCA_VARIANTS", "TrainConfig", "make_windows", "predict",
+    "model": ("PCA_VARIANTS", "TrainConfig", "make_windows", "predict", "reduce_samples",
               "save_checkpoint", "train", "write_history_csv"),
     "pca": ("fit_pca", "transform"),
 }
@@ -299,12 +299,13 @@ def _cmd_train(args, out: Path):
     check_threshold(args.threshold)  # unused here, but recorded in the manifest
     dataset = _load_aligned(args)
     samples = make_windows(dataset, args.k)
-    basis = fit_fold_pca(samples, args.dim)[1] if args.variant in PCA_VARIANTS else None
-    fit = train([(samples, basis)], _train_config(args), variant=args.variant)
+    if args.variant in PCA_VARIANTS:
+        samples = reduce_samples(samples, fit_fold_pca(samples, args.dim)[1])
+    fit = train([samples], _train_config(args), variant=args.variant)
     save_checkpoint(fit.models[0], out / "checkpoint.json")
     write_history_csv(fit.history, out / "history.csv")
     return ["checkpoint.json", "history.csv"], _model_stats(
-        args, [(args.variant, [(fit.stats[0], basis)])])
+        args, [(args.variant, [(fit.stats[0], samples.pca)])])
 
 
 def _cmd_eval(args, out: Path):
@@ -414,8 +415,8 @@ _COMMANDS = {
 # --- config file ----------------------------------------------------------------
 
 def load_config_file(path) -> dict[str, str]:
-    """Flat `key = value` lines; '#' comments and blank lines ignored."""
-    values = {}
+    """Flat `key = value` lines, each key once; '#' comments and blank lines ignored."""
+    values, lines = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -431,8 +432,14 @@ def load_config_file(path) -> dict[str, str]:
         value = value.strip().strip("'\"")
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
-        values[key] = value
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+        values[key], lines[key] = value, lineno
     return values
+
+
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 def _apply_config(subparsers: dict[str, argparse.ArgumentParser],
@@ -447,7 +454,10 @@ def _apply_config(subparsers: dict[str, argparse.ArgumentParser],
             if raw is None or action.dest == "help":
                 continue
             if isinstance(action, argparse._StoreTrueAction):
-                action.default = raw.lower() in ("1", "true", "yes", "on")
+                if raw.lower() not in _BOOLEANS:
+                    raise ConfigError(f"config key {action.dest}: {raw!r} is not a boolean "
+                                      "(1/true/yes/on or 0/false/no/off)")
+                action.default = _BOOLEANS[raw.lower()]
             elif action.type is None:
                 action.default = raw
             else:

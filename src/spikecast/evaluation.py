@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from numbers import Integral, Real
 
@@ -254,7 +254,7 @@ def _capped(years, basis: PcaBasis, d_prime: int) -> str:
 @dataclass(frozen=True)
 class Fold:
     """One fold of a plan: its training and test windows, both slices of the
-    samples, the label its warnings use, and the d' its PCA requests."""
+    raw samples, the label its warnings use, and the d' its PCA requests."""
 
     where: str  # "hold-out", or "fold i" for the i-th of several
     train: Windows
@@ -266,6 +266,12 @@ class Fold:
         """PCA years and basis of the training rows, fitted at the first read;
         every variant scored on the fold shares them."""
         return fit_fold_pca(self.train, self.d_prime, warn=False)
+
+    @cached_property
+    def projected(self) -> tuple[Windows, Windows]:
+        """train and test on one table projected onto the basis, at the first read."""
+        train = reduce_samples(self.train, self.pca[1])
+        return train, replace(self.test, data=train.data, pca=train.pca)
 
 
 def fold_set(samples: Windows, plan: FoldPlan, d_prime: int) -> list[Fold]:
@@ -283,23 +289,24 @@ def check_threshold(threshold: float) -> None:
 
 
 def _score(folds: list[Fold], variant: str, score_folds, threshold: float) -> EvalReport:
-    """`variant` over `folds`, all scored by one score_folds(bases) call.
+    """`variant` over `folds`, all scored by one score_folds(parts) call.
 
-    bases holds each fold's shared PCA basis when the variant reduces news,
-    else None. score_folds returns each fold's test scores and its model's
+    parts holds each fold's (train, test), on its shared basis if the variant
+    reduces news. score_folds returns each fold's test scores and its model's
     TrainStats (None for no such model), in fold order. The warnings name
     the caller of run_cv or baseline_logreg, whose frame calls this.
     """
     check_threshold(threshold)
-    pcas = [fold.pca if variant in (*PCA_VARIANTS, BASELINE_VARIANT) else (None, None)
-            for fold in folds]
+    reduces = variant in (*PCA_VARIANTS, BASELINE_VARIANT)
+    pcas = [fold.pca if reduces else (None, None) for fold in folds]
     for fold, (years, basis) in zip(folds, pcas):
         if basis is not None and basis.d_prime < fold.d_prime:
             warnings.warn(f"variant {variant} {fold.where}: "
                           f"{_capped(years, basis, fold.d_prime)}", stacklevel=3)
     results = []
     for idx, (fold, (years, basis), (scores, stats)) in enumerate(
-            zip(folds, pcas, score_folds([basis for _, basis in pcas])), start=1):
+            zip(folds, pcas, score_folds([fold.projected if reduces else (fold.train, fold.test)
+                                          for fold in folds])), start=1):
         if stats is not None and stats.single_class:
             warnings.warn(f"variant {variant} {fold.where}: {SINGLE_CLASS}", stacklevel=3)
         labels = fold.test.targets
@@ -332,11 +339,10 @@ def run_cv(folds: list[Fold], variant: str, config: TrainConfig,
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
 
-    def score_folds(bases):
-        fit = train([(fold.train, basis) for fold, basis in zip(folds, bases)], config,
-                    variant, warn=False)
-        return [(predict(model, fold.test), stats)
-                for model, fold, stats in zip(fit.models, folds, fit.stats)]
+    def score_folds(parts):
+        fit = train([part for part, _ in parts], config, variant, warn=False)
+        return [(predict(model, test), stats)
+                for model, (_, test), stats in zip(fit.models, parts, fit.stats)]
 
     return _score(folds, variant, score_folds, threshold)
 
@@ -417,13 +423,11 @@ def baseline_logreg(folds: list[Fold], threshold: float = 0.5, l2: float = 1e-3,
                     lr: float = 0.5, iters: int = 500) -> EvalReport:
     """Logistic regression over a fold set with the metrics of run_cv; all
     folds descend together through fit_logreg_sets."""
-    def score_folds(bases):
-        w, b = fit_logreg_sets(
-            [sample_features(reduce_samples(fold.train, basis))
-             for fold, basis in zip(folds, bases)],
-            [fold.train.targets for fold in folds], l2=l2, lr=lr, iters=iters)
-        return [(logreg_scores(w_i, b_i, sample_features(reduce_samples(fold.test, basis))),
-                 None) for fold, basis, w_i, b_i in zip(folds, bases, w, b)]
+    def score_folds(parts):
+        w, b = fit_logreg_sets([sample_features(part) for part, _ in parts],
+                               [part.targets for part, _ in parts], l2=l2, lr=lr, iters=iters)
+        return [(logreg_scores(w_i, b_i, sample_features(test)), None)
+                for (_, test), w_i, b_i in zip(parts, w, b)]
 
     return _score(folds, BASELINE_VARIANT, score_folds, threshold)
 

@@ -65,9 +65,10 @@ class Windows:
     row starts[i] of `data`, and its target is the label of the step after
     them. Each year is held once, in `data`; batch gathers windows."""
 
-    data: AlignedDataset      # news raw until reduced
+    data: AlignedDataset      # news raw, or projected onto pca
     starts: np.ndarray        # (N,) int first row of each window
     k: int
+    pca: PcaBasis | None = None  # the basis data's news is on; None: raw
 
     # An int index would drop the batch axis, so iteration is refused.
     __iter__ = None
@@ -77,7 +78,7 @@ class Windows:
 
     def __getitem__(self, idx) -> Windows:
         """The windows at a slice or an index array."""
-        return Windows(self.data, self.starts[idx], self.k)
+        return Windows(self.data, self.starts[idx], self.k, self.pca)
 
     @property
     def targets(self) -> np.ndarray:
@@ -201,8 +202,10 @@ def make_windows(dataset: AlignedDataset, k: int) -> Windows:
 
 def reduce_samples(windows: Windows, basis: PcaBasis) -> Windows:
     """Project the news of the windows' table onto a fitted PCA basis, each year once."""
-    data = windows.data
-    return replace(windows, data=replace(data, embeddings=transform_rows(basis, data.embeddings)))
+    if windows.pca is not None:
+        raise ContractError("windows are already projected onto a PCA basis; pass raw ones")
+    embeddings = transform_rows(basis, windows.data.embeddings)
+    return replace(windows, data=replace(windows.data, embeddings=embeddings), pca=basis)
 
 
 def init_model(
@@ -394,11 +397,11 @@ def evaluate_loss(
 def predict(params: ModelParams, windows: Windows) -> np.ndarray:
     """Order-preserving spike probabilities with dropout disabled.
 
-    `windows` hold raw news; a model with a PCA basis projects it first.
+    Raw news is projected onto the model's PCA basis; projected news must be on it.
     """
     if not len(windows):
         return np.empty(0)
-    if params.pca is not None:
+    if windows.pca is not params.pca:  # reduce_samples refuses windows already projected
         windows = reduce_samples(windows, params.pca)
     chunk = max(1, PREDICT_STEPS // windows.k)
     return np.concatenate([forward_batch(*windows.batch(slice(i, i + chunk))[:2], params)[0]
@@ -440,20 +443,19 @@ SINGLE_CLASS = ("degenerate targets: training partition is single-class; "
 
 
 def train(
-    folds: list[tuple[Windows, PcaBasis | None]],
+    folds: list[Windows],
     config: TrainConfig,
     variant: str = VARIANT_FULL,
     warn: bool = True,
 ) -> Fit:
     """Mini-batch Adam on BCE with early stopping on a chronological tail,
-    for every (windows, pca) fold of `folds` in one loop.
+    for every window set of `folds` in one loop.
 
-    `windows` hold raw news. With `pca`, their news is projected onto it
-    once and the model keeps the basis, so predict projects raw news too.
+    A model keeps its windows' `pca`, so predict projects raw news too.
     The last `validation_fraction` of `windows` (which must be in
     chronological order) is held out for validation and never shuffled into
-    training. A model's ModelHyper takes k and d_prime from the (projected)
-    windows and its other fields from `config`. Each model holds its
+    training. A model's ModelHyper takes k and d_prime (the news width) from
+    its windows and its other fields from `config`. Each model holds its
     best-validation-loss parameters. A fold whose training partition is one
     class warns unless `warn` is off, as run_cv has it to word its own.
 
@@ -465,7 +467,7 @@ def train(
     training it alone.
     """
     parts, hypers = [], []
-    for windows, pca in folds:
+    for windows in folds:
         n = len(windows)
         if n < 2:
             raise InsufficientDataError(f"need >= 2 samples to train, got {n}")
@@ -474,15 +476,15 @@ def train(
         n_train = n - max(1, math.ceil(config.validation_fraction * n))
         if n_train < 1:
             raise InsufficientDataError("validation split leaves no training samples")
-        parts.append((windows, pca, n_train))
-        d_prime = windows.data.embeddings.shape[1] if pca is None else pca.d_prime
-        hypers.append(ModelHyper(k=windows.k, d_prime=d_prime, h=config.h, h_a=config.h_a,
-                                 dropout=config.dropout, seed=config.seed))
+        parts.append((windows, n_train))
+        hypers.append(ModelHyper(k=windows.k, d_prime=windows.data.embeddings.shape[1],
+                                 h=config.h, h_a=config.h_a, dropout=config.dropout,
+                                 seed=config.seed))
     fits = [None] * len(parts)
     for hyper in dict.fromkeys(hypers):
         template = init_model(hyper, variant)  # every fold starts from its draw
         group = sorted((i for i, other in enumerate(hypers) if other == hyper),
-                       key=lambda i: parts[i][2])
+                       key=lambda i: parts[i][1])
         # The largest folds first, in stacks of at most STACK_VALUES. A last
         # stack of one trains the draw itself, as training one model alone.
         size = max(1, STACK_VALUES // template.theta.size)
@@ -507,9 +509,8 @@ class _Run:
     """One fold of a training stack, beside its rows of the stacked arrays."""
 
     fold: int                 # its place in the stack's parts, by training size
-    train: Windows            # news projected onto pca, as val's
+    train: Windows
     val: Windows
-    pca: PcaBasis | None
     rng: np.random.Generator
     history: list = field(default_factory=list)
     norms: list = field(default_factory=list)
@@ -521,7 +522,7 @@ class _Run:
 
 
 def _fit_stack(parts, template: ModelParams, theta: np.ndarray, config: TrainConfig):
-    """Train the (windows, pca, n_train) parts, in order of training size,
+    """Train the (windows, n_train) parts, in order of training size,
     as one stack of models of template's layout, from the initial (F, n) rows
     `theta`, which it updates in place; returns each part's (model,
     history, TrainStats).
@@ -537,11 +538,8 @@ def _fit_stack(parts, template: ModelParams, theta: np.ndarray, config: TrainCon
     decayed = _bind(template, np.zeros(theta.shape[1], dtype=bool))
     decayed.head.w1[...] = True
     decayed.head.w2[...] = True
-    runs = []
-    for i, (windows, pca, n_train) in enumerate(parts):  # projected only while it trains
-        windows = windows if pca is None else reduce_samples(windows, pca)
-        runs.append(_Run(i, windows[:n_train], windows[n_train:], pca,
-                         np.random.default_rng(config.seed)))
+    runs = [_Run(i, windows[:n_train], windows[n_train:], np.random.default_rng(config.seed))
+            for i, (windows, n_train) in enumerate(parts)]
     # Each fold clips and steps its own row with its own Adam state, whose
     # scratch is its gradient row (read before the step writes there) and a
     # row all share: an update touches one model's memory at a time.
@@ -558,7 +556,9 @@ def _fit_stack(parts, template: ModelParams, theta: np.ndarray, config: TrainCon
         if (lo, hi) not in blocks:
             rows = lo if hi - lo == 1 else slice(lo, hi)
             rngs = [run.rng for run in runs[lo:hi]]
-            blocks[lo, hi] = (_bind(template, theta[rows]), _bind(template, grads[rows]),
+            params = _bind(template, theta[rows])
+            params.pca = runs[lo].train.pca if hi - lo == 1 else None  # read by evaluate_loss
+            blocks[lo, hi] = (params, _bind(template, grads[rows]),
                               rngs[0] if hi - lo == 1 else rngs,
                               list(zip(theta[lo:hi], grads[lo:hi], runs[lo:hi])))
         return blocks[lo, hi]
@@ -612,7 +612,7 @@ def _fit_stack(parts, template: ModelParams, theta: np.ndarray, config: TrainCon
             if run.best is None:  # no finite validation loss: the initial draw
                 run.best = init_model(template.hyper, template.variant).theta
             model = _bind(template, run.best)
-            model.pca = run.pca
+            model.pca = run.train.pca
             stop = "budget" if epoch - run.best_epoch < config.patience else "patience"
             done[run.fold] = model, run.history, TrainStats(
                 epoch, run.best_epoch, stop, run.norms,
@@ -701,10 +701,11 @@ def save_checkpoint(params: ModelParams, path) -> None:
 def load_checkpoint(path) -> ModelParams:
     """Inverse of save_checkpoint, with integrity and version validation.
 
-    Every stored array must have the shape the model implies: each trainable
-    array the shape init_model(hyper, variant) gives it, and the PCA block
-    mean (d,), components (d, d') and explained_variance (d',), where d is
-    the stored mean's length and d' = hyper.d_prime.
+    The stored arrays must be exactly the model's, each with the shape the
+    model implies: each trainable array the shape init_model(hyper, variant)
+    gives it, and the PCA block mean (d,), components (d, d') and
+    explained_variance (d',), where d is the stored mean's length and
+    d' = hyper.d_prime.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -739,7 +740,11 @@ def load_checkpoint(path) -> ModelParams:
             norm_stats = {name: _decode_norm_stat(rec, name)
                           for name, rec in doc["norm_stats"].items()}
         params = init_model(hyper, doc["variant"], pca=pca, norm_stats=norm_stats)
-        for name, arr in flat_params(params).items():
+        flat = flat_params(params)
+        if extra := sorted(set(doc["arrays"]) - set(flat)):
+            raise CheckpointIntegrityError(
+                f"arrays the {params.variant} model does not have: {', '.join(extra)}")
+        for name, arr in flat.items():
             arr[...] = _decode_array(doc["arrays"][name], name, arr.shape)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
             ConfigError) as exc:

@@ -119,25 +119,23 @@ def flat_order_clip(hyper, variant):
     return clip
 
 
-def train_one(windows, config, variant="full", pca=None):
+def train_one(windows, config, variant="full"):
     """train on one fold: (its model, its history)."""
-    fit = train([(windows, pca)], config, variant)
+    fit = train([windows], config, variant)
     return fit.models[0], fit.history
 
 
-def reference_train(windows, config, variant="full", pca=None):
+def reference_train(windows, config, variant="full"):
     """train for one fold, written as the fold-by-fold loop that training a
     stack of folds replaced. Returns (model, history, (best_epoch, stop,
     per-epoch largest pre-clip gradient norms, single-class training part)),
     the last four the fold's TrainStats after its epoch count."""
     n = len(windows)
-    if pca is not None:
-        windows = reduce_samples(windows, pca)
     hyper = ModelHyper(k=windows.k, d_prime=windows.data.embeddings.shape[1], h=config.h,
                        h_a=config.h_a, dropout=config.dropout, seed=config.seed)
     n_train = n - max(1, math.ceil(config.validation_fraction * n))
     train_part, val_part = windows[:n_train], windows[n_train:]
-    params = init_model(hyper, variant)
+    params = init_model(hyper, variant, windows.pca)
     theta = params.theta
     decayed = _bind(params, np.zeros(theta.shape, dtype=bool))
     decayed.head.w1[...] = True
@@ -170,7 +168,6 @@ def reference_train(windows, config, variant="full", pca=None):
                 stop = "patience"
                 break
     theta[...] = best
-    params.pca = pca
     single = bool(train_part.targets.min() == train_part.targets.max())
     return params, history, (best_epoch, stop, norms, single)
 
@@ -288,10 +285,9 @@ def reference_holdout(samples, fraction, variant, config, d_prime, threshold,
     fraction, and writes roc.csv to roc_path when the AUC is defined."""
     n_test = math.ceil(fraction * len(samples))
     train_s, test_s = samples[: len(samples) - n_test], samples[len(samples) - n_test :]
-    basis = None
     if variant in PCA_VARIANTS:
-        _, basis = fit_fold_pca(train_s, d_prime)
-    params, _ = train_one(train_s, config, variant, basis)
+        train_s = reduce_samples(train_s, fit_fold_pca(train_s, d_prime)[1])
+    params, _ = train_one(train_s, config, variant)
     scores = predict(params, test_s)
     labels = test_s.targets
     block = classification_metrics(scores, labels, threshold)

@@ -214,6 +214,20 @@ class TestOrchestrate:
         assert path.read_bytes() == first
         assert b2.generate_calls == {}  # verified years never regenerate
 
+    @pytest.mark.parametrize("change", [dict(seed=2), dict(commodities=("wheat",))])
+    def test_rerun_of_another_backend_or_commodities_regenerates(self, tmp_path, change):
+        path = tmp_path / "s.jsonl"
+        orchestrate(config(), MockBackend(seed=1), SummaryStore(path), CLOCK)
+        backend = MockBackend(seed=change.get("seed", 1))
+        cfg = config(commodities=change.get("commodities", config().commodities))
+        result = orchestrate(cfg, backend, SummaryStore(path), CLOCK)
+        assert backend.generate_calls == dict.fromkeys(YEARS3, 1)
+        fresh = tmp_path / "fresh.jsonl"
+        orchestrate(cfg, MockBackend(seed=change.get("seed", 1)), SummaryStore(fresh), CLOCK)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert {(r.backend_id, r.commodities) for r in result.values()} == \
+            {(backend.backend_id, cfg.commodities)}
+
     def test_verified_text_was_actually_verified(self, tmp_path):
         seen = []
 

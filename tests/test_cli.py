@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import spikecast.evaluation
+import spikecast.model
 from spikecast.agents import AgentConfig
 from spikecast.backends import MockBackend
 from spikecast.cli import (
@@ -196,6 +197,17 @@ class TestDistill:
         assert (tmp_path / "s1" / "summaries.jsonl").read_bytes() != \
                (tmp_path / "s2" / "summaries.jsonl").read_bytes()
 
+    def test_forced_rerun_with_another_seed_replaces_every_year(self, tmp_path):
+        args = ["distill", "--years", "1970:1972", "--mock-dim", "8"]
+        assert run_cli(*args, "--seed", "1", "--out", tmp_path / "run") == 0
+        second = [*args, "--seed", "2", "--commodities", "wheat"]
+        assert run_cli(*second, "--force", "--out", tmp_path / "run") == 0
+        assert run_cli(*second, "--out", tmp_path / "fresh") == 0
+        got = (tmp_path / "run" / "summaries.jsonl").read_bytes()
+        assert got == (tmp_path / "fresh" / "summaries.jsonl").read_bytes()
+        assert {(r["backend_id"], tuple(r["commodities"]))
+                for r in map(json.loads, got.splitlines())} == {("mock-s2-d8", ("wheat",))}
+
     def test_rerun_without_force_goes_to_subdir(self, tmp_path):
         out = tmp_path / "run"
         args = ["distill", "--years", "1970:1971", "--mock-dim", "8", "--out", out]
@@ -360,6 +372,14 @@ class TestTrain:
 
 
 class TestEval:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_projects_the_news_once(self, corpus, tmp_path, monkeypatch, command):
+        calls, transform_rows = [], spikecast.model.transform_rows
+        monkeypatch.setattr(spikecast.model, "transform_rows", lambda basis, rows:
+                            calls.append(rows.shape) or transform_rows(basis, rows))
+        assert run_cli(command, *model_args(corpus, tmp_path / command)) == 0
+        assert len(calls) == 1
+
     def test_metrics_artifact(self, corpus, tmp_path):
         out = tmp_path / "eval"
         assert run_cli("eval", *model_args(corpus, out),
@@ -1031,6 +1051,30 @@ class TestConfigFile:
         assert run_cli("label", "--in", corpus["prices"], "--config", cfg,
                        "--out", tmp_path / "o") == 1
         assert "config key epochs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_key_exits_one_naming_both_lines(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 3\n# a comment\nk = 4\nepochs = 5\n")
+        assert run_cli("train", *model_args(corpus, tmp_path / "t"), "--config", cfg) == 1
+        assert f"{cfg}:4: key 'epochs' repeats line 1" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("text,value", [
+        *((t, True) for t in ("1", "true", "yes", "on", "TRUE", "On")),
+        *((t, False) for t in ("0", "false", "no", "off", "False", "OFF")),
+    ])
+    def test_boolean_spellings(self, text, value):
+        args = build_parser({"force": text}).parse_args(["label", "--in", "p.csv"])
+        assert args.force is value
+
+    @pytest.mark.parametrize("text", ["ture", "", "2", "y", "enabled"])
+    def test_other_boolean_text_exits_one(self, corpus, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"force = {text}\n")
+        assert run_cli("label", "--in", corpus["prices"], "--config", cfg,
+                       "--out", tmp_path / "o") == 1
+        assert f"config key force: {text!r} is not a boolean" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self, tmp_path):

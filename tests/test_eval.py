@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spikecast.evaluation
+import spikecast.model
 from spikecast.errors import (
     ConfigError,
     ContractError,
@@ -455,6 +456,23 @@ class TestFoldSet:
                     for name in ("mean", "components", "explained_variance"):
                         assert_same_bits(getattr(g.pca_basis, name),
                                          getattr(w.pca_basis, name))
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # tiny folds may be single-class
+    def test_each_fold_is_projected_once(self, monkeypatch):
+        calls, transform_rows = [], spikecast.model.transform_rows
+        monkeypatch.setattr(spikecast.model, "transform_rows", lambda basis, rows:
+                            calls.append(rows.shape) or transform_rows(basis, rows))
+        folds = fold_set(windows(n=40, k=3, d=6), time_series_split(37, 5), 3)
+        run_cv(folds, "full", TestRunCv.CONFIG)
+        run_cv(folds, "no_attention", TestRunCv.CONFIG)
+        run_cv(folds, "no_news", TestRunCv.CONFIG)
+        baseline_logreg(folds, iters=5)
+        assert calls == [(40, 6)] * 5  # each fold's year table, once for every variant
+        for fold in folds:
+            train, test = fold.projected
+            assert train.pca is test.pca is fold.pca[1] and train.data is test.data
+            assert_same_bits(train.starts, fold.train.starts)
+            assert_same_bits(test.starts, fold.test.starts)
 
     @pytest.mark.parametrize("threshold", [-0.5, 1.5, float("nan"), float("inf")])
     def test_threshold_outside_unit_interval(self, threshold):

@@ -149,6 +149,17 @@ class TestMakeWindows:
         assert reduced.batch()[1].shape[1:] == (4, 3)
         np.testing.assert_array_equal(reduced.targets, samples.targets)
         assert samples.batch()[1].shape[1:] == (4, 6)  # originals untouched
+        assert reduced.pca is basis and samples.pca is None
+        assert reduced[2:5].pca is basis and reduced[np.array([0, 3])].pca is basis
+
+    def test_reduce_samples_refuses_projected_windows(self):
+        ds = planted_dataset(n=20, d=6)
+        basis = fit_pca(ds.embeddings, 6)  # d' = d: the shapes alone would not tell
+        reduced = reduce_samples(make_windows(ds, k=4), basis)
+        with pytest.raises(ContractError, match="already projected"):
+            reduce_samples(reduced, basis)
+        with pytest.raises(ContractError, match="already projected"):
+            reduce_samples(reduced[1:3], fit_pca(ds.embeddings, 2))
 
     @pytest.mark.parametrize("n,d,k", [(10, 4, 3), (5, 2, 4), (64, 16, 5),
                                        (40, 128, 16), (12, 3, 1)])
@@ -464,6 +475,27 @@ class TestPredict:
         want, _ = forward_batch(*reduced.batch()[:2], params)
         assert_same_bits(predict(params, raw), want)
 
+    @pytest.mark.parametrize("d_prime", [2, 6])  # of d = 6
+    def test_windows_on_the_model_basis_are_used_as_given(self, d_prime):
+        ds = planted_dataset(n=24, d=6, seed=2)
+        raw = make_windows(ds, k=3)
+        basis = fit_pca(ds.embeddings, d_prime)
+        params = init_model(replace(HYPER_SMALL, d_prime=d_prime), "full", basis)
+        assert_same_bits(predict(params, reduce_samples(raw, basis)), predict(params, raw))
+        assert_same_bits(predict(params, reduce_samples(raw[4:9], basis)),
+                         predict(params, raw[4:9]))
+
+    def test_windows_on_another_basis_are_refused(self):
+        ds = planted_dataset(n=24, d=6, seed=2)
+        raw = make_windows(ds, k=3)
+        basis = fit_pca(ds.embeddings, 2)
+        other = fit_pca(ds.embeddings[:12], 2)  # same shapes, other rows
+        with pytest.raises(ContractError, match="already projected"):
+            predict(init_model(HYPER_SMALL, "full", basis), reduce_samples(raw, other))
+        # A model without a basis reads raw news: projected news is refused too.
+        with pytest.raises(ContractError, match="already projected"):
+            predict(init_model(HYPER_SMALL, "no_pca"), reduce_samples(raw, basis))
+
 
 class TestTrain:
     CONFIG = TrainConfig(h=4, h_a=4, dropout=0.0, alpha=1e-2, batch_size=4, epochs=6,
@@ -525,16 +557,14 @@ class TestTrain:
             assert np.abs(got - want).max() <= 4 * np.spacing(np.abs(want).max()), name
 
     @pytest.mark.parametrize("variant", ["full", "no_attention"])
-    def test_pca_is_applied_inside_train(self, variant):
+    def test_model_keeps_its_windows_basis(self, variant):
         ds = planted_dataset(n=24, d=6, seed=4)
         raw = make_windows(ds, k=3)
         basis = fit_pca(ds.embeddings, 2)
-        p1, h1 = train_one(raw, self.CONFIG, variant, basis)
-        p2, h2 = train_one(reduce_samples(raw, basis), self.CONFIG, variant)
-        assert_same_bits(p1.theta, p2.theta)
-        assert_same_bits(h1, h2)
-        assert p1.pca is basis and p2.pca is None
-        assert p1.hyper.d_prime == basis.d_prime
+        reduced = reduce_samples(raw, basis)
+        params, _ = train_one(reduced, self.CONFIG, variant)
+        assert params.pca is basis and params.hyper.d_prime == basis.d_prime
+        assert_same_bits(predict(params, raw), predict(params, reduced))
 
     def test_seed_changes_outcome(self):
         samples = tiny_samples(n=20)
@@ -554,7 +584,7 @@ class TestTrain:
         samples = tiny_samples(n=20)
         flat = with_targets(samples, np.zeros_like(samples.targets))
         with pytest.warns(UserWarning, match="single-class") as caught:
-            fit = train([(flat, None)], self.CONFIG, "no_news")
+            fit = train([flat], self.CONFIG, "no_news")
         (warning,) = caught
         assert str(warning.message) == (
             "variant no_news: degenerate targets: training partition is single-class; "
@@ -562,7 +592,7 @@ class TestTrain:
         assert warning.filename == __file__  # the line that called train
         assert fit.stats[0].single_class
         with pytest.warns(UserWarning, match="single-class") as caught:
-            fit = train([(samples, None), (flat, None)], self.CONFIG, "no_news")
+            fit = train([samples, flat], self.CONFIG, "no_news")
         (warning,) = caught
         assert str(warning.message).startswith("variant no_news fold 2: degenerate targets")
         assert [s.single_class for s in fit.stats] == [False, True]
@@ -608,7 +638,7 @@ class TestTrain:
         raw = make_windows(ds, k=3)
         basis = fit_pca(ds.embeddings, 2) if pca else None
         config = replace(self.CONFIG, h=5, h_a=3, dropout=0.2, epochs=1, seed=9)
-        params, _ = train_one(raw, config, "full", basis)
+        params, _ = train_one(reduce_samples(raw, basis) if pca else raw, config, "full")
         d_prime = basis.d_prime if pca else raw.data.embeddings.shape[1]
         assert params.hyper == ModelHyper(k=raw.k, d_prime=d_prime, h=5, h_a=3,
                                           dropout=0.2, seed=9)
@@ -677,20 +707,19 @@ class TestTrainFolds:
         out = []
         for end in ends:
             part = samples[:end]
-            basis = None
             if variant in PCA_VARIANTS:
-                basis = fit_fold_pca(part, 6 if end < capped else 3, warn=False)[1]
-            out.append((part, basis))
+                part = reduce_samples(part, fit_fold_pca(part, 6 if end < capped else 3,
+                                                         warn=False)[1])
+            out.append(part)
         return out
 
     def check(self, folds, config, variant):
         fit = train(folds, config, variant)
         assert len(fit.models) == len(fit.stats) == len(folds)
-        for (part, basis), model, history, stats in zip(folds, fit.models,
-                                                          fit.histories(), fit.stats):
-            want, want_history, want_stats = reference_train(part, config, variant, basis)
+        for part, model, history, stats in zip(folds, fit.models, fit.histories(), fit.stats):
+            want, want_history, want_stats = reference_train(part, config, variant)
             assert_same_bits(model.theta, want.theta)
-            assert model.hyper == want.hyper and model.pca is basis
+            assert model.hyper == want.hyper and model.pca is part.pca
             assert history == want_history  # floats compared exactly
             assert stats == (len(want_history), *want_stats)
         return fit
@@ -732,8 +761,10 @@ class TestTrainFolds:
         patience, class weight, dropout and stack budget. A requested d' of
         up to 5 caps the folds with few training years to a lower rank, so
         the PCA variants train several layouts."""
-        folds = [(self.CORPUS[:end], fit_fold_pca(self.CORPUS[:end], d_prime, warn=False)[1]
-                  if variant in PCA_VARIANTS else None) for end in ends]
+        folds = [self.CORPUS[:end] for end in ends]
+        if variant in PCA_VARIANTS:
+            folds = [reduce_samples(part, fit_fold_pca(part, d_prime, warn=False)[1])
+                     for part in folds]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model_module, "STACK_VALUES", stack_values)
             self.check(folds, config, variant)
@@ -811,12 +842,11 @@ class TestCheckpoint:
     def _trained(self, variant="full", pca=False):
         ds = planted_dataset(n=24, d=6, seed=5)
         samples = make_windows(ds, k=3)
-        basis = None
         if pca and variant not in ("no_pca", "no_news"):
-            basis = fit_pca(ds.embeddings, 2)
+            samples = reduce_samples(samples, fit_pca(ds.embeddings, 2))
         config = TrainConfig(h=4, h_a=4, dropout=0.1, alpha=1e-2, batch_size=4, epochs=3,
                              patience=3)
-        best, _ = train_one(samples, config, variant, basis)
+        best, _ = train_one(samples, config, variant)
         best.norm_stats = {"oil": (10.0, 2.5)}
         return best
 
@@ -999,6 +1029,27 @@ class TestCheckpoint:
         del doc["arrays"]["attention.w_q"]
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointIntegrityError, match=r"attention\.w_q"):
+            load_checkpoint(path)
+
+    def test_arrays_of_another_variant_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(self._trained("full"), path)
+        doc = json.loads(path.read_text())
+        # h = h_a: no_attention has full's LSTMs and head, and no attention.
+        doc["variant"] = "no_attention"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError,
+                           match=r"no_attention model does not have: attention\.w_k, "
+                                 r"attention\.w_q, attention\.w_v$"):
+            load_checkpoint(path)
+
+    def test_extra_array_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(self._trained("no_news"), path)
+        doc = json.loads(path.read_text())
+        doc["arrays"]["head.w3"] = doc["arrays"]["head.w2"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError, match=r"does not have: head\.w3$"):
             load_checkpoint(path)
 
     def test_wrong_array_shape_rejected(self, tmp_path):
