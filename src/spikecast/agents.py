@@ -184,11 +184,13 @@ def orchestrate(
     commodities are returned as-is without touching the backend. Remaining
     years run their retry loops, concurrently up to config.in_flight_limit;
     results are merged and written in year order so the store's bytes never
-    depend on completion order.
+    depend on completion order. The written store keeps only this backend's
+    records for these commodities, and no old record of a year that this
+    run regenerated and failed.
     """
+    run = (backend.backend_id, tuple(config.commodities))  # who wrote a record, and for what
     done = {y: rec for y in store.verified_years() & set(config.years)
-            if (rec := store.get(y)).backend_id == backend.backend_id
-            and tuple(rec.commodities) == tuple(config.commodities)}
+            if ((rec := store.get(y)).backend_id, tuple(rec.commodities)) == run}
     pending = [y for y in config.years if y not in done]
 
     fresh: list[NewsSummary | None] = []
@@ -206,6 +208,9 @@ def orchestrate(
         if summary is not None:
             store.upsert(summary)
             result[summary.year] = store.get(summary.year)
+    failed = set(pending) - set(result)
+    store.retain(lambda rec: (rec.backend_id, tuple(rec.commodities)) == run
+                 and rec.year not in failed)
     store.write()
 
     if not any(s.verified for s in result.values()):

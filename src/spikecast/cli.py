@@ -280,19 +280,23 @@ def _train_config(args) -> TrainConfig:
 
 def _model_stats(args, per_variant) -> dict:
     """The manifest's stats block of train, eval and ablate: each variant's
-    TrainStats fold by fold, and each basis a rank cap fitted below --dim.
-    per_variant holds (variant, [(TrainStats, PcaBasis) per fold]), None
-    where the variant trains no model or reads no basis."""
-    training, pca = {}, {}
+    TrainStats fold by fold, the logistic baseline's LogregStats if it ran,
+    and each basis a rank cap fitted below --dim. per_variant holds
+    (variant, [(TrainStats or LogregStats, PcaBasis) per fold]), the basis
+    None where the variant reads none."""
+    doc = {"training": {}, "pca": {}}
     for variant, folds in per_variant:
-        if folds[0][0] is not None:
-            training[variant] = [stats._asdict() for stats, _ in folds]
+        rows = [stats._asdict() for stats, _ in folds]
+        if variant == BASELINE_VARIANT:
+            doc["logreg"] = rows
+        else:
+            doc["training"][variant] = rows
         capped = [{"fold": i, "requested": args.dim, "fitted": basis.d_prime}
                   for i, (_, basis) in enumerate(folds, start=1)
                   if basis is not None and basis.d_prime < args.dim]
         if capped:
-            pca[variant] = capped
-    return {"training": training, "pca": pca}
+            doc["pca"][variant] = capped
+    return doc
 
 
 def _cmd_train(args, out: Path):

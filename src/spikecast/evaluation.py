@@ -12,7 +12,8 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from numbers import Integral, Real
+from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,7 +187,7 @@ class FoldResult:
     scores: np.ndarray = field(compare=False)  # the test part's, in order
     pca_train_years: tuple[int, ...] | None = None
     pca_basis: PcaBasis | None = None
-    train_stats: TrainStats | None = None
+    train_stats: TrainStats | LogregStats | None = None  # how its model was fitted
 
 
 @dataclass(frozen=True)
@@ -292,9 +293,9 @@ def _score(folds: list[Fold], variant: str, score_folds, threshold: float) -> Ev
     """`variant` over `folds`, all scored by one score_folds(parts) call.
 
     parts holds each fold's (train, test), on its shared basis if the variant
-    reduces news. score_folds returns each fold's test scores and its model's
-    TrainStats (None for no such model), in fold order. The warnings name
-    the caller of run_cv or baseline_logreg, whose frame calls this.
+    reduces news. score_folds returns each fold's test scores and how its
+    model was fitted (TrainStats or LogregStats), in fold order. The warnings
+    name the caller of run_cv or baseline_logreg, whose frame calls this.
     """
     check_threshold(threshold)
     reduces = variant in (*PCA_VARIANTS, BASELINE_VARIANT)
@@ -307,7 +308,7 @@ def _score(folds: list[Fold], variant: str, score_folds, threshold: float) -> Ev
     for idx, (fold, (years, basis), (scores, stats)) in enumerate(
             zip(folds, pcas, score_folds([fold.projected if reduces else (fold.train, fold.test)
                                           for fold in folds])), start=1):
-        if stats is not None and stats.single_class:
+        if isinstance(stats, TrainStats) and stats.single_class:
             warnings.warn(f"variant {variant} {fold.where}: {SINGLE_CLASS}", stacklevel=3)
         labels = fold.test.targets
         try:
@@ -349,68 +350,52 @@ def run_cv(folds: list[Fold], variant: str, config: TrainConfig,
 
 # --- logistic-regression baseline ---------------------------------------------
 
-def fit_logreg_sets(xs, ys, l2: float = 1e-3, lr: float = 0.5, iters: int = 500):
-    """Full-batch gradient descent from a zero start on several independent
-    sets at once; deterministic. The sets may differ in width f_i. Returns
-    one (f_i,) weight vector per set, and (n_sets,) biases.
-
-    Each set keeps its own x @ w, x.T @ resid and pairwise residual sum over
-    its own rows, so its weights are bit for bit those of a descent on it
-    alone. Every set's weights are a view of one flat vector, so the bias
-    add, sigmoid, residual, L2 term and both updates run once over the
-    concatenated rows and all the weights.
-    """
-    if isinstance(iters, bool) or not isinstance(iters, Integral) or iters < 0:
-        raise ConfigError(f"iters must be an integer >= 0, got {iters!r}")
-    if not (isinstance(lr, Real) and math.isfinite(lr) and lr > 0):
-        raise ConfigError(f"lr must be finite and > 0, got {lr!r}")
-    if not (isinstance(l2, Real) and math.isfinite(l2) and l2 >= 0):
-        raise ConfigError(f"l2 must be finite and >= 0, got {l2!r}")
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    ys = [np.asarray(y, dtype=float) for y in ys]
-    if not xs or len(xs) != len(ys):
-        raise ContractError(f"{len(xs)} feature sets and {len(ys)} label sets")
-    if any(x.ndim != 2 for x in xs):
-        raise ContractError(f"feature sets must be 2-D, got shapes {[x.shape for x in xs]}")
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        if y.shape != x.shape[:1]:
-            raise ContractError(f"set {i}: labels of shape {y.shape} for {len(x)} rows")
-
-    def spans(sizes):
-        """Consecutive slices of these sizes."""
-        bounds = np.cumsum([0, *sizes]).tolist()
-        return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-    rows = np.array([len(x) for x in xs])
-    row_spans, weight_spans = spans(rows), spans([x.shape[1] for x in xs])
-    y = np.concatenate(ys)
-    size = np.repeat(rows.astype(float), rows)  # each row's set size
-    w, dw = np.zeros(weight_spans[-1].stop), np.empty(weight_spans[-1].stop)
-    b, db = np.zeros(len(xs)), np.empty(len(xs))
-    z, resid = np.empty(y.size), np.empty(y.size)
-    # Each set's operands and its views of the shared buffers; db[i, ...]
-    # is set i's 0-d view of db.
-    forward = [(x, w[ws], z[rs]) for x, ws, rs in zip(xs, weight_spans, row_spans)]
-    backward = [(x.T, resid[rs], dw[ws], db[i, ...])
-                for i, (x, ws, rs) in enumerate(zip(xs, weight_spans, row_spans))]
-    for _ in range(iters):
-        for x, w_i, z_i in forward:
-            np.matmul(x, w_i, out=z_i)
-        z += np.repeat(b, rows)
-        sigmoid(z, out=resid)
-        resid -= y
-        resid /= size
-        for x_t, resid_i, dw_i, db_i in backward:
-            np.matmul(x_t, resid_i, out=dw_i)
-            np.add.reduce(resid_i, out=db_i)
-        dw += l2 * w
-        w -= lr * dw
-        b -= lr * db
-    return [w[ws] for ws in weight_spans], b
+# Newton's method stops at max |gradient| <= LOGREG_TOL or after LOGREG_STEPS
+# steps; it halves a step that raises the loss by more than _ROUNDING of it.
+LOGREG_TOL, LOGREG_STEPS, _ROUNDING = 1e-10, 100, 100 * np.finfo(float).eps
 
 
-def logreg_scores(w: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
-    return sigmoid(x @ w + b)
+class LogregStats(NamedTuple):
+    """How a Newton fit ended: the steps it took and its final max |gradient|."""
+
+    steps: int
+    max_grad: float
+
+
+def fit_logreg(x, y, l2: float = 1e-3) -> tuple[np.ndarray, float, LogregStats]:
+    """L2-regularised logistic regression on 0/1 labels: the (f,) weights, the
+    bias and LogregStats. Newton's method (IRLS; Hastie, Tibshirani and
+    Friedman, The Elements of Statistical Learning, 2nd ed., section 4.4.1)
+    starts from zero and minimises the mean log-loss plus (l2/2)|w|^2; the
+    bias is not penalised. Single-class labels have no finite bias: the fit
+    stops at the tolerance, near |b| = 23."""
+    if not (isinstance(l2, Real) and math.isfinite(l2) and l2 > 0):
+        raise ConfigError(f"l2 must be finite and > 0, got {l2!r}")
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.shape != x.shape[:1]:
+        raise ContractError(f"features of shape {x.shape} with labels of shape {y.shape}")
+    a = np.column_stack([x, np.ones(len(x))])  # the bias is the last weight
+    penalty = np.append(np.full(x.shape[1], l2), 0.0)
+
+    def objective(theta):
+        """Loss, gradient and row curvatures at theta; no row's loss cancels."""
+        z = a @ theta
+        p = sigmoid(z)
+        loss = np.mean(y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z))
+        return (loss + 0.5 * theta @ (penalty * theta),
+                a.T @ (p - y) / len(y) + penalty * theta, p * (1.0 - p))
+
+    theta, steps = np.zeros(a.shape[1]), 0
+    loss, grad, curv = objective(theta)
+    while (max_grad := float(np.abs(grad).max())) > LOGREG_TOL and steps < LOGREG_STEPS:
+        # eigh: fit_pca loaded its LAPACK driver; solve's adds 0.3 MB of peak memory.
+        vals, vecs = np.linalg.eigh((a.T * (curv / len(y))) @ a + np.diag(penalty))
+        step = vecs @ ((vecs.T @ grad) / vals)
+        while (new := objective(theta - step))[0] - loss > _ROUNDING * loss:
+            step /= 2
+        theta -= step
+        (loss, grad, curv), steps = new, steps + 1
+    return theta[:-1], float(theta[-1]), LogregStats(steps, max_grad)
 
 
 def sample_features(samples: Windows) -> np.ndarray:
@@ -419,15 +404,14 @@ def sample_features(samples: Windows) -> np.ndarray:
     return np.concatenate([prices[..., 0], news.mean(axis=1)], axis=1)
 
 
-def baseline_logreg(folds: list[Fold], threshold: float = 0.5, l2: float = 1e-3,
-                    lr: float = 0.5, iters: int = 500) -> EvalReport:
-    """Logistic regression over a fold set with the metrics of run_cv; all
-    folds descend together through fit_logreg_sets."""
+def baseline_logreg(folds: list[Fold], threshold: float = 0.5,
+                    l2: float = 1e-3) -> EvalReport:
+    """Logistic regression over a fold set with the metrics of run_cv, each
+    fold fitted on its own training part by fit_logreg."""
     def score_folds(parts):
-        w, b = fit_logreg_sets([sample_features(part) for part, _ in parts],
-                               [part.targets for part, _ in parts], l2=l2, lr=lr, iters=iters)
-        return [(logreg_scores(w_i, b_i, sample_features(test)), None)
-                for (_, test), w_i, b_i in zip(parts, w, b)]
+        fits = [fit_logreg(sample_features(train), train.targets, l2) for train, _ in parts]
+        return [(sigmoid(sample_features(test) @ w + b), stats)
+                for (_, test), (w, b, stats) in zip(parts, fits)]
 
     return _score(folds, BASELINE_VARIANT, score_folds, threshold)
 

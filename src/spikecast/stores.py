@@ -13,6 +13,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -189,6 +190,11 @@ class SummaryStore(_YearStore):
             if old is not None and replace(old, created_at=summary.created_at) == summary:
                 return
             self._records[summary.year] = summary
+
+    def retain(self, keep: Callable[[NewsSummary], bool]) -> None:
+        """Drop every record for which keep(record) is false."""
+        with self._lock:
+            self._records = {y: r for y, r in self._records.items() if keep(r)}
 
     def write(self) -> None:
         self._dump({name: getattr(r, name) for name in SUMMARY_FIELDS}

@@ -21,7 +21,7 @@ from spikecast.errors import (
 from spikecast.evaluation import (
     classification_metrics,
     fit_fold_pca,
-    fit_logreg_sets,
+    fit_logreg,
     roc_auc,
     sample_features,
     write_roc_csv,
@@ -328,17 +328,11 @@ def logreg_loss_grad(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
     return loss, x.T @ resid + l2 * w, float(resid.sum())
 
 
-def fit_logreg(x: np.ndarray, y: np.ndarray, l2: float = 1e-3,
-               lr: float = 0.5, iters: int = 500):
-    """Full-batch gradient descent on one set: fit_logreg_sets' one-set case."""
-    w, b = fit_logreg_sets([x], [y], l2=l2, lr=lr, iters=iters)
-    return w[0], float(b[0])
-
-
-def reference_fit_logreg(x, y, l2=1e-3, lr=0.5, iters=500):
-    """The logistic baseline's full-batch descent on one set, as it reads."""
+def reference_descent_logreg(x, y, l2=1e-3, lr=0.5, steps=50_000):
+    """The penalised logistic loss of fit_logreg minimised by plain
+    full-batch gradient descent from a zero start, one step at a time."""
     w, b = np.zeros(x.shape[1]), 0.0
-    for _ in range(iters):
+    for _ in range(steps):
         p = sigmoid(x @ w + b)
         resid = (p - y) / y.size
         w -= lr * (x.T @ resid + l2 * w)
@@ -346,18 +340,19 @@ def reference_fit_logreg(x, y, l2=1e-3, lr=0.5, iters=500):
     return w, b
 
 
-def reference_baseline_scores(samples, plan, d_prime, l2=1e-3, lr=0.5, iters=500):
-    """baseline_logreg's test scores fold by fold: PCA on the fold's training
-    rows, both parts reduced, a descent on the training features alone, then
-    the test features scored."""
-    scores = []
+def reference_baseline_scores(samples, plan, d_prime, l2=1e-3):
+    """baseline_logreg's test scores and fit stats fold by fold: PCA on the
+    fold's training rows, both parts reduced, a fit on that fold's training
+    features alone, then the test features scored."""
+    scores, stats = [], []
     for (tr_lo, tr_hi), (te_lo, te_hi) in plan.folds:
         train_s, test_s = samples[tr_lo:tr_hi], samples[te_lo:te_hi]
         _, basis = fit_fold_pca(train_s, d_prime)
-        w, b = reference_fit_logreg(sample_features(reduce_samples(train_s, basis)),
-                                    train_s.targets, l2, lr, iters)
+        w, b, fit = fit_logreg(sample_features(reduce_samples(train_s, basis)),
+                               train_s.targets, l2)
         scores.append(sigmoid(sample_features(reduce_samples(test_s, basis)) @ w + b))
-    return scores
+        stats.append(fit)
+    return scores, stats
 
 
 def reference_lstm_forward(

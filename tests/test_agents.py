@@ -228,6 +228,43 @@ class TestOrchestrate:
         assert {(r.backend_id, r.commodities) for r in result.values()} == \
             {(backend.backend_id, cfg.commodities)}
 
+    @pytest.mark.parametrize("change", [dict(seed=2), dict(commodities=("wheat",))])
+    def test_narrower_rerun_of_another_backend_or_commodities_keeps_only_its_years(
+            self, tmp_path, change):
+        path = tmp_path / "s.jsonl"
+        orchestrate(config(years=tuple(range(1960, 1965))), MockBackend(seed=1),
+                    SummaryStore(path), CLOCK)
+        cfg = config(commodities=change.get("commodities", config().commodities))
+        orchestrate(cfg, MockBackend(seed=change.get("seed", 1)), SummaryStore(path), CLOCK)
+        fresh = tmp_path / "fresh.jsonl"
+        orchestrate(cfg, MockBackend(seed=change.get("seed", 1)), SummaryStore(fresh), CLOCK)
+        assert path.read_bytes() == fresh.read_bytes()  # 1963 and 1964 are gone
+
+    def test_narrower_rerun_of_the_same_backend_keeps_the_other_years(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        orchestrate(config(years=tuple(range(1960, 1965))), MockBackend(seed=1),
+                    SummaryStore(path), CLOCK)
+        first = path.read_bytes()
+        backend = MockBackend(seed=1)
+        orchestrate(config(), backend, SummaryStore(path), CLOCK)
+        assert path.read_bytes() == first
+        assert backend.generate_calls == {}
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_regenerated_year_that_fails_keeps_no_old_record(self, tmp_path, seed):
+        # Seed 1 left placeholders, which a seed-1 rerun regenerates; a seed-2
+        # rerun regenerates every year. Each attempt fails under skip.
+        path = tmp_path / "s.jsonl"
+        with pytest.warns(UserWarning, match="no year produced"):
+            orchestrate(config(fallback_policy="placeholder"),
+                        MockBackend(seed=1, verdict_mode="reject"), SummaryStore(path), CLOCK)
+        assert len(SummaryStore(path).records()) == 3
+        backend = MockBackend(seed=seed, verdict_mode="reject")
+        with pytest.warns(UserWarning, match="no year produced"):
+            assert orchestrate(config(), backend, SummaryStore(path), CLOCK) == {}
+        assert backend.generate_calls == dict.fromkeys(YEARS3, 5)
+        assert path.read_bytes() == b""
+
     def test_verified_text_was_actually_verified(self, tmp_path):
         seen = []
 

@@ -25,11 +25,12 @@ from spikecast.cli import (
     load_config_file,
     main,
 )
-from spikecast.evaluation import holdout_split, time_series_split
+from spikecast.evaluation import LOGREG_STEPS, LOGREG_TOL, holdout_split, time_series_split
 from spikecast.ingest import DEFAULT_SPIKE_THRESHOLD_PCT
 from spikecast.model import VARIANTS, TrainConfig, make_windows
 
-from conftest import brute_force_spikes, price_csv_text, reference_holdout, window_years
+from conftest import (assert_same_bits, brute_force_spikes, price_csv_text,
+                      reference_holdout, window_years)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -208,6 +209,17 @@ class TestDistill:
         assert {(r["backend_id"], tuple(r["commodities"]))
                 for r in map(json.loads, got.splitlines())} == {("mock-s2-d8", ("wheat",))}
 
+    def test_forced_narrower_rerun_with_another_seed_drops_the_other_years(self, tmp_path):
+        args = ["distill", "--mock-dim", "8"]
+        assert run_cli(*args, "--years", "1970:1974", "--seed", "1",
+                       "--out", tmp_path / "run") == 0
+        second = [*args, "--years", "1970:1972", "--seed", "2"]
+        assert run_cli(*second, "--force", "--out", tmp_path / "run") == 0
+        assert run_cli(*second, "--out", tmp_path / "fresh") == 0
+        got = (tmp_path / "run" / "summaries.jsonl").read_bytes()
+        assert got == (tmp_path / "fresh" / "summaries.jsonl").read_bytes()
+        assert [r["year"] for r in map(json.loads, got.splitlines())] == [1970, 1971, 1972]
+
     def test_rerun_without_force_goes_to_subdir(self, tmp_path):
         out = tmp_path / "run"
         args = ["distill", "--years", "1970:1971", "--mock-dim", "8", "--out", out]
@@ -380,6 +392,37 @@ class TestEval:
         assert run_cli(command, *model_args(corpus, tmp_path / command)) == 0
         assert len(calls) == 1
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 2: the price table is normalised as a whole "
+                              "before the split, so a test year moves training inputs")
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # a 20-year table is tiny
+    def test_a_test_year_moves_no_training_input(self, tmp_path, monkeypatch):
+        """eval on a 20-year, two-commodity table: raising the last year's
+        prices, which only the hold-out reads, must leave the inputs of every
+        training window as they were."""
+        run = tmp_path / "run"
+        assert run_cli("distill", "--years", "1960:1979", "--mock-dim", "8",
+                       "--out", run / "distill") == 0
+        assert run_cli("embed", "--summaries", run / "distill" / "summaries.jsonl",
+                       "--mock-dim", "8", "--out", run / "embed") == 0
+        seen, train = [], spikecast.evaluation.train
+        monkeypatch.setattr(spikecast.evaluation, "train", lambda folds, *args, **kw: (
+            seen.append([part.batch()[:2] for part in folds]) or train(folds, *args, **kw)))
+        for last in (1.0, 2.0):
+            prices = tmp_path / f"prices-{last}.csv"
+            prices.write_text("year,oil,gas\n" + "".join(
+                f"{1960 + i},{(10 + 0.5 * i + i % 4) * scale},{(5 + i * 7 % 5) * scale}\n"
+                for i in range(20) for scale in [last if i == 19 else 1.0]))
+            assert run_cli("label", "--in", prices, "--out", tmp_path / f"label-{last}") == 0
+            args = model_args({"prices": prices, "labels": tmp_path / f"label-{last}" / "labels.csv",
+                               "embeddings": run / "embed" / "embeddings.jsonl"},
+                              tmp_path / f"eval-{last}")
+            assert run_cli("eval", *args, "--variant", "no_news") == 0
+        base, raised = seen  # each fold's (prices, news) training inputs
+        for (got_prices, got_news), (want_prices, want_news) in zip(raised, base, strict=True):
+            assert_same_bits(got_news, want_news)
+            assert_same_bits(got_prices, want_prices)
+
     def test_metrics_artifact(self, corpus, tmp_path):
         out = tmp_path / "eval"
         assert run_cli("eval", *model_args(corpus, out),
@@ -482,7 +525,8 @@ class TestAblate:
 
 class TestManifestStats:
     """train, eval and ablate record in manifest.json how each fold trained
-    and which PCA bases a rank cap narrowed; distill records each year's
+    and which PCA bases a rank cap narrowed, and ablate how Newton's method
+    ended on each fold of the logistic baseline; distill records each year's
     retries and verdict; no other command writes a stats block."""
 
     KEYS = {"epochs", "best_epoch", "stop", "max_grad_norm", "single_class"}
@@ -498,7 +542,7 @@ class TestManifestStats:
         out = tmp_path / command
         assert run_cli(command, *model_args(corpus, out), *extra) == 0
         stats = json.loads((out / "manifest.json").read_text())["stats"]
-        assert list(stats) == ["pca", "training"]
+        assert list(stats) == ["logreg"] * (command == "ablate") + ["pca", "training"]
         assert stats["pca"] == {}  # --dim 3 of 8-wide news caps no basis
         assert {v: len(rows) for v, rows in stats["training"].items()} == folds
         for rows in stats["training"].values():
@@ -529,6 +573,17 @@ class TestManifestStats:
             variant: [{"fold": i, "requested": 10, "fitted": fitted}
                       for i, fitted in enumerate(fits, start=1)]
             for variant, fits in caps.items()}
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # tiny folds may be single-class
+    def test_logreg_stats(self, corpus, tmp_path):
+        out = tmp_path / "ablate"
+        assert run_cli("ablate", *model_args(corpus, out), "--variants", "logreg",
+                       "--folds", "3") == 0
+        rows = json.loads((out / "manifest.json").read_text())["stats"]["logreg"]
+        assert len(rows) == 3
+        for row in rows:
+            assert set(row) == {"steps", "max_grad"}
+            assert 1 <= row["steps"] < LOGREG_STEPS and 0 <= row["max_grad"] <= LOGREG_TOL
 
     def test_distill_stats(self, corpus):
         doc = json.loads((corpus["root"] / "distill" / "manifest.json").read_text())

@@ -20,11 +20,12 @@ from spikecast.evaluation import (
     FoldPlan,
     baseline_logreg,
     classification_metrics,
+    LOGREG_STEPS,
+    LOGREG_TOL,
     fit_fold_pca,
-    fit_logreg_sets,
+    fit_logreg,
     fold_set,
     holdout_split,
-    logreg_scores,
     roc_auc,
     roc_curve,
     run_cv,
@@ -47,12 +48,11 @@ from spikecast.nn import sigmoid
 
 from conftest import (
     assert_same_bits,
-    fit_logreg,
     logreg_loss_grad,
     pairwise_auc,
     planted_dataset,
     reference_baseline_scores,
-    reference_fit_logreg,
+    reference_descent_logreg,
     reference_sample_features,
     reference_unique_year_rows,
     reference_windows,
@@ -337,8 +337,7 @@ class TestFitFoldPca:
     def test_fold_loop_warns_once_per_fold_naming_the_caller(self):
         samples = windows(n=14, k=3, d=4)  # 11 windows of 4-wide news
         with pytest.warns(UserWarning, match="capped") as caught:
-            baseline_logreg(fold_set(samples, time_series_split(len(samples), 3), 6),
-                            iters=5)
+            baseline_logreg(fold_set(samples, time_series_split(len(samples), 3), 6))
         capped = [w for w in caught if "capped" in str(w.message)]
         assert [str(w.message) for w in capped] == [
             f"variant logreg fold {fold}: reduced dimension capped at 4 (requested 6) "
@@ -424,7 +423,7 @@ class TestFoldSet:
         """variant's report over folds, and its warnings in the order raised."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = (baseline_logreg(folds, iters=20) if variant == BASELINE_VARIANT
+            report = (baseline_logreg(folds) if variant == BASELINE_VARIANT
                       else run_cv(folds, variant, TestRunCv.CONFIG))
         return report, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
@@ -466,7 +465,7 @@ class TestFoldSet:
         run_cv(folds, "full", TestRunCv.CONFIG)
         run_cv(folds, "no_attention", TestRunCv.CONFIG)
         run_cv(folds, "no_news", TestRunCv.CONFIG)
-        baseline_logreg(folds, iters=5)
+        baseline_logreg(folds)
         assert calls == [(40, 6)] * 5  # each fold's year table, once for every variant
         for fold in folds:
             train, test = fold.projected
@@ -479,14 +478,14 @@ class TestFoldSet:
         folds = fold_set(windows(n=33, k=3), time_series_split(30, 3), 3)
         for variant in ("no_news", BASELINE_VARIANT):
             with pytest.raises(ConfigError, match="threshold must be finite and in \\[0, 1\\]"):
-                (baseline_logreg(folds, threshold, iters=1) if variant == BASELINE_VARIANT
+                (baseline_logreg(folds, threshold) if variant == BASELINE_VARIANT
                  else run_cv(folds, variant, TestRunCv.CONFIG, threshold))
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # tiny folds may be single-class
     def test_threshold_bounds_are_allowed(self):
         folds = fold_set(windows(n=33, k=3), time_series_split(30, 3), 3)
         for threshold in (0.0, 1.0):
-            assert baseline_logreg(folds, threshold, iters=1).threshold == threshold
+            assert baseline_logreg(folds, threshold).threshold == threshold
 
 
 class TestLogregBaseline:
@@ -509,33 +508,12 @@ class TestLogregBaseline:
         dn, _, _ = logreg_loss_grad(w, b - eps, x, y, l2=0.3)
         assert db == pytest.approx((up - dn) / (2 * eps), abs=1e-7)
 
-    def test_fit_matches_loss_grad_loop_bitwise(self):
-        # The descent loop as it was when fit_logreg still called
-        # logreg_loss_grad and discarded the loss.
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(49, 21))
-        y = (rng.random(49) < 0.4).astype(float)
-        w_ref, b_ref = np.zeros(21), 0.0
-        for _ in range(500):
-            p = sigmoid(x @ w_ref + b_ref)
-            resid = (p - y) / y.size
-            w_ref -= 0.5 * (x.T @ resid + 1e-3 * w_ref)
-            b_ref -= 0.5 * float(resid.sum())
-        w, b = fit_logreg(x, y)
-        assert np.array_equal(w.view(np.int64), w_ref.view(np.int64))
-        assert b == b_ref
-
-    def test_zero_iterations_scores_half(self):
-        x = np.array([[1.0], [2.0]])
-        w, b = fit_logreg(x, np.array([0.0, 1.0]), iters=0)
-        np.testing.assert_array_equal(logreg_scores(w, b, x), [0.5, 0.5])
-
     def test_separable_data_reaches_auc_one(self):
         rng = np.random.default_rng(1)
-        x = np.concatenate([rng.normal(-2, 0.1, 20), rng.normal(2, 0.1, 20)])
+        x = np.concatenate([rng.normal(-2, 0.1, 20), rng.normal(2, 0.1, 20)]).reshape(-1, 1)
         y = np.array([0.0] * 20 + [1.0] * 20)
-        w, b = fit_logreg(x.reshape(-1, 1), y)
-        assert roc_auc(logreg_scores(w, b, x.reshape(-1, 1)), y.astype(int)) == 1.0
+        w, b, _ = fit_logreg(x, y)
+        assert roc_auc(sigmoid(x @ w + b), y.astype(int)) == 1.0
 
     def test_sample_features_layout(self):
         s = Windows(AlignedDataset(
@@ -555,8 +533,7 @@ class TestLogregBaseline:
 
     def test_report_structure(self):
         samples = windows(n=33, k=3)
-        report = baseline_logreg(fold_set(samples, time_series_split(len(samples), 3), 3),
-                                 iters=50)
+        report = baseline_logreg(fold_set(samples, time_series_split(len(samples), 3), 3))
         assert report.variant == BASELINE_VARIANT
         assert len(report.folds) == 3
         for fold in report.folds:
@@ -566,56 +543,100 @@ class TestLogregBaseline:
     def test_same_fold_plan_as_model_cv(self):
         samples = windows(n=33, k=3)
         plan = time_series_split(len(samples), 4)
-        base = baseline_logreg(fold_set(samples, plan, 3), iters=5)
+        base = baseline_logreg(fold_set(samples, plan, 3))
         model = run_cv(fold_set(samples, plan, 3), "no_news", TestRunCv.CONFIG)
         for bf, mf in zip(base.folds, model.folds):
             assert (bf.n_train, bf.n_test) == (mf.n_train, mf.n_test)
             assert bf.test_anchor_span == mf.test_anchor_span
 
 
-class TestLogregDescentBatching:
-    """fit_logreg_sets descends on several sets at once; every set's weights
-    must be those of a descent on it alone, bit for bit."""
+def logreg_set(case: str, n: int = 40, f: int = 6, seed: int = 0):
+    """Features and 0/1 labels of one generated kind of training set."""
+    if case == "wide-scaled":
+        n, f = 12, 20
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, f))
+    y = rng.random(n) < 0.4
+    if case in ("all-0", "all-1"):
+        y = np.full(n, case == "all-1")
+    elif case.startswith("separable"):  # a margin of 0.5 on each side of a plane
+        normal = rng.normal(size=f) / 3.0
+        y = x @ normal > 0
+        x += np.where(y, 0.5, -0.5)[:, None] * normal / np.linalg.norm(normal)
+    if case == "wide-scaled":  # more columns than rows, scaled from 1e-4 to 1e4
+        x *= 10.0 ** (np.arange(f) % 9 - 4)
+    elif case.endswith("scaled"):  # columns from 1e-3 to 1e2, then shifted off zero
+        x = (x + 3.0) * 10.0 ** np.arange(-3, f - 3)
+    return x, y.astype(float)
 
-    # numpy's pairwise sum unrolls by 8 and recurses above 128 elements.
-    SIZES = (1, 7, 8, 9, 127, 128, 129, 300)
 
-    @pytest.mark.parametrize("iters", [0, 500])
-    @pytest.mark.parametrize("width", [1, 21])
-    def test_sets_match_one_set_descents_bitwise(self, width, iters):
-        rng = np.random.default_rng(width + iters)
-        xs = [rng.normal(size=(n, width)) for n in self.SIZES]
-        ys = [(rng.random(n) < 0.4).astype(float) for n in self.SIZES]
-        w, b = fit_logreg_sets(xs, ys, iters=iters)
-        assert [w_i.shape for w_i in w] == [(width,)] * len(xs) and b.shape == (len(xs),)
-        for x, y, w_i, b_i in zip(xs, ys, w, b):
-            w_one, b_one = fit_logreg(x, y, iters=iters)
-            w_ref, b_ref = reference_fit_logreg(x, y, iters=iters)
-            assert_same_bits(w_i, w_one)
-            assert_same_bits(w_i, w_ref)
-            assert float(b_i).hex() == b_one.hex() == b_ref.hex()
+class TestLogregNewton:
+    """fit_logreg ends at the optimum of its penalised loss, and
+    baseline_logreg fits each fold on that fold's training part alone."""
 
-    def test_five_fold_baseline_scores_match_fold_by_fold_reference(self):
+    CASES = ("mixed", "all-0", "all-1", "separable", "mixed-scaled", "separable-scaled",
+             "wide-scaled")
+
+    @pytest.mark.parametrize("l2", [1e-3, 1e-6, 1.0])
+    @pytest.mark.parametrize("case", CASES)
+    def test_gradient_vanishes_at_the_fit(self, case, l2):
+        x, y = logreg_set(case, seed=4)
+        w, b, stats = fit_logreg(x, y, l2)
+        _, dw, db = logreg_loss_grad(w, b, x, y, l2)
+        assert max(np.abs(dw).max(), abs(db)) <= LOGREG_TOL
+        assert stats.max_grad <= LOGREG_TOL and 1 <= stats.steps < LOGREG_STEPS
+
+    def test_a_step_that_raises_the_loss_is_halved(self, monkeypatch):
+        # Full Newton steps on this set raise the loss, and taken whole they
+        # drive every row's p(1 - p), and so the Hessian, to zero.
+        calls = []
+        monkeypatch.setattr(spikecast.evaluation, "sigmoid",
+                            lambda z: calls.append(z.shape) or sigmoid(z))
+        x, y = logreg_set("wide-scaled", seed=4)
+        _, _, stats = fit_logreg(x, y)
+        assert len(calls) > stats.steps + 1  # one loss per step, and a rejected one
+        assert stats.max_grad <= LOGREG_TOL
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_single_class_bias_stops_at_the_tolerance(self, label):
+        x, y = logreg_set(f"all-{label}")
+        w, b, stats = fit_logreg(x, y)
+        # mean sigmoid(-|b|) = LOGREG_TOL at |b| = 23.03; the fit ends just past it.
+        assert 23.0 < (b if label else -b) < 24.0
+        assert np.abs(w).max() < 1e-12
+        assert stats.steps < LOGREG_STEPS
+
+    @pytest.mark.parametrize("case", ["mixed", "separable"])
+    def test_matches_a_long_gradient_descent(self, case):
+        x, y = logreg_set(case, n=30, f=4, seed=3)
+        w, b, _ = fit_logreg(x, y, l2=0.05)
+        w_ref, b_ref = reference_descent_logreg(x, y, l2=0.05)
+        # Both lie within LOGREG_TOL / l2 = 2e-9 of the optimum in gradient terms.
+        np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-8)
+        assert b == pytest.approx(b_ref, rel=0, abs=1e-8)
+
+    def test_five_fold_baseline_matches_fitting_each_fold_alone(self):
         samples = windows(n=40, k=3)  # 38 windows
         plan = time_series_split(len(samples), 5)
         report = baseline_logreg(fold_set(samples, plan, 3))
-        want = reference_baseline_scores(samples, plan, d_prime=3)
-        assert len(report.folds) == len(want) == 5
-        for fold, scores in zip(report.folds, want):
-            assert [v.hex() for v in fold.scores.tolist()] == \
-                [v.hex() for v in scores.tolist()]
+        want_scores, want_stats = reference_baseline_scores(samples, plan, d_prime=3)
+        assert len(report.folds) == len(want_scores) == 5
+        for fold, scores, stats in zip(report.folds, want_scores, want_stats):
+            assert_same_bits(fold.scores, scores)
+            assert fold.train_stats == stats and stats.max_grad <= LOGREG_TOL
 
-    @pytest.mark.parametrize("iters", [0, 500])
-    def test_sets_of_different_widths_match_one_set_descents_bitwise(self, iters):
-        rng = np.random.default_rng(iters + 1)
-        xs = [rng.normal(size=(n, width)) for n, width in ((9, 3), (128, 5), (4, 7))]
-        ys = [(rng.random(len(x)) < 0.4).astype(float) for x in xs]
-        w, b = fit_logreg_sets(xs, ys, iters=iters)
-        assert [w_i.shape for w_i in w] == [(3,), (5,), (7,)] and b.shape == (3,)
-        for x, y, w_i, b_i in zip(xs, ys, w, b):
-            w_ref, b_ref = reference_fit_logreg(x, y, iters=iters)
-            assert_same_bits(w_i, w_ref)
-            assert float(b_i).hex() == b_ref.hex()
+    @pytest.mark.filterwarnings("ignore:.*single-class test labels")
+    def test_later_labels_leave_an_earlier_fold_alone(self):
+        samples = windows(n=40, k=3)
+        plan = time_series_split(len(samples), 5)
+        (_, first_end), _ = plan.folds[0]
+        targets = samples.targets.copy()
+        targets[first_end:] = 1 - targets[first_end:]
+        base = baseline_logreg(fold_set(samples, plan, 3))
+        flipped = baseline_logreg(fold_set(with_targets(samples, targets), plan, 3))
+        assert_same_bits(base.folds[0].scores, flipped.folds[0].scores)
+        assert base.folds[0].train_stats == flipped.folds[0].train_stats
+        assert base.folds[1].train_stats != flipped.folds[1].train_stats
 
     @pytest.mark.filterwarnings("ignore:.*reduced dimension capped")
     @pytest.mark.filterwarnings("ignore:.*single-class test labels")
@@ -625,54 +646,31 @@ class TestLogregDescentBatching:
         samples = make_windows(planted_dataset(n=30, d=8), 3)
         plan = time_series_split(len(samples), 12)
         report = baseline_logreg(fold_set(samples, plan, 7))
-        want = reference_baseline_scores(samples, plan, d_prime=7)
+        want_scores, want_stats = reference_baseline_scores(samples, plan, d_prime=7)
         assert len({f.pca_basis.components.shape[1] for f in report.folds}) > 1
-        assert len(report.folds) == len(want) == 12
-        for fold, scores in zip(report.folds, want):
-            assert [v.hex() for v in fold.scores.tolist()] == \
-                [v.hex() for v in scores.tolist()]
-
-    def test_one_sigmoid_per_step_and_per_fold(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return sigmoid(*args, **kwargs)
-
-        monkeypatch.setattr(spikecast.evaluation, "sigmoid", counting)
-        samples = windows(n=40, k=3)
-        baseline_logreg(fold_set(samples, time_series_split(len(samples), 5), 3),
-                        iters=7)
-        assert len(calls) == 7 + 5  # one per step, one per fold's test scores
+        assert len(report.folds) == len(want_scores) == 12
+        for fold, scores, stats in zip(report.folds, want_scores, want_stats):
+            assert_same_bits(fold.scores, scores)
+            assert fold.train_stats == stats
 
 
 class TestLogregDescentInputs:
     X = np.array([[0.0], [1.0], [2.0]])
     Y = np.array([0.0, 1.0, 1.0])
 
-    @pytest.mark.parametrize("iters", [-1, 2.5, "10", True])
-    def test_iters_must_be_a_non_negative_integer(self, iters):
-        with pytest.raises(ConfigError, match="iters must be an integer >= 0"):
-            fit_logreg(self.X, self.Y, iters=iters)
-
-    @pytest.mark.parametrize("lr", [0.0, -0.5, float("nan"), float("inf"), "0.5"])
-    def test_lr_must_be_finite_and_positive(self, lr):
-        with pytest.raises(ConfigError, match="lr must be finite and > 0"):
-            fit_logreg(self.X, self.Y, lr=lr)
-
-    @pytest.mark.parametrize("l2", [-1e-3, float("nan"), float("inf"), None])
+    @pytest.mark.parametrize("l2", [0.0, -1e-3, float("nan"), float("inf"), None])
     def test_l2_must_be_finite_and_non_negative(self, l2):
-        with pytest.raises(ConfigError, match="l2 must be finite and >= 0"):
+        with pytest.raises(ConfigError, match="l2 must be finite and > 0"):
             fit_logreg(self.X, self.Y, l2=l2)
 
     def test_sets_must_be_2d(self):
-        with pytest.raises(ContractError, match="feature sets must be 2-D"):
-            fit_logreg_sets([self.X, np.ones(3)], [self.Y, self.Y])
+        with pytest.raises(ContractError, match=r"features of shape \(3,\) with labels"):
+            fit_logreg(np.ones(3), self.Y)
 
     @pytest.mark.parametrize("labels", [2, 4])
     def test_label_count_must_match_row_count(self, labels):
-        with pytest.raises(ContractError, match=f"set 0: labels of shape \\({labels},\\) "
-                                                "for 3 rows"):
+        with pytest.raises(ContractError, match=f"features of shape \\(3, 1\\) with labels "
+                                                f"of shape \\({labels},\\)"):
             fit_logreg(self.X, np.zeros(labels))
 
 
@@ -686,7 +684,7 @@ class TestSingleClassFold:
     def test_auc_excluded_with_warning(self):
         with pytest.warns(UserWarning, match="single-class") as caught:
             report = baseline_logreg(
-                fold_set(self._rigged_samples(), time_series_split(24, 3), 3), iters=20)
+                fold_set(self._rigged_samples(), time_series_split(24, 3), 3))
         (warning,) = caught
         assert str(warning.message) == ("variant logreg fold 3: single-class test "
                                          "labels, AUC excluded from the mean")
@@ -728,7 +726,7 @@ class TestSingleClassFold:
     def test_csv_empty_cell_for_undefined_auc(self, tmp_path):
         with pytest.warns(UserWarning):
             report = baseline_logreg(
-                fold_set(self._rigged_samples(), time_series_split(24, 3), 3), iters=20)
+                fold_set(self._rigged_samples(), time_series_split(24, 3), 3))
         path = tmp_path / "report.csv"
         write_report_csv([report], path)
         lines = path.read_text().splitlines()
@@ -741,8 +739,7 @@ class TestSingleClassFold:
 
 class TestWriters:
     def _report(self):
-        return baseline_logreg(fold_set(windows(n=33, k=3), time_series_split(30, 3), 3),
-                               iters=20)
+        return baseline_logreg(fold_set(windows(n=33, k=3), time_series_split(30, 3), 3))
 
     def test_report_csv_row_count_and_parse(self, tmp_path):
         report = self._report()
