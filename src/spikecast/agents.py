@@ -14,7 +14,6 @@ import logging
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from importlib import resources
 from typing import Callable
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .backends import TextBackend, Verdict
 from .errors import BackendError, ConfigError, InvalidDraftError, ValidationError
-from .stores import EmbeddingStore, NewsSummary, SummaryStore
+from .stores import EmbeddingStore, NewsSummary, SummaryStore, utc_now
 
 log = logging.getLogger(__name__)
 
@@ -53,10 +52,6 @@ class AgentConfig:
                 f"fallback_policy must be one of {FALLBACK_POLICIES}, "
                 f"got {self.fallback_policy!r}"
             )
-
-
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 @functools.cache
@@ -103,7 +98,6 @@ def generate_summary(
     text = backend.generate(prompt)
     if not text or not text.strip():
         raise InvalidDraftError(f"backend returned an empty draft for {year}")
-    stamp = clock() if clock else _utc_now()
     return NewsSummary(
         year=year,
         commodities=config.commodities,
@@ -111,7 +105,7 @@ def generate_summary(
         verified=False,
         retries=revision,
         backend_id=backend.backend_id,
-        created_at=stamp,
+        created_at=clock() if clock else utc_now(),
     )
 
 
@@ -123,23 +117,6 @@ def fact_check(draft: NewsSummary, backend: TextBackend) -> Verdict:
     if verdict.value not in (0, 1):
         raise BackendError(f"backend returned non-binary verdict {verdict.value!r}")
     return verdict
-
-
-def _placeholder_summary(
-    year: int, config: AgentConfig, backend_id: str, stamp: str
-) -> NewsSummary:
-    return NewsSummary(
-        year=year,
-        commodities=config.commodities,
-        summary=(
-            f"No verified summary could be produced for {year} within "
-            f"{config.max_retries} attempts."
-        ),
-        verified=False,
-        retries=config.max_retries,
-        backend_id=backend_id,
-        created_at=stamp,
-    )
 
 
 def _distill_year(
@@ -167,8 +144,16 @@ def _distill_year(
         year, config.max_retries, config.fallback_policy,
     )
     if config.fallback_policy == "placeholder":
-        stamp = clock() if clock else _utc_now()
-        return _placeholder_summary(year, config, backend.backend_id, stamp)
+        return NewsSummary(
+            year=year,
+            commodities=config.commodities,
+            summary=(f"No verified summary could be produced for {year} within "
+                     f"{config.max_retries} attempts."),
+            verified=False,
+            retries=config.max_retries,
+            backend_id=backend.backend_id,
+            created_at=clock() if clock else utc_now(),
+        )
     return None
 
 

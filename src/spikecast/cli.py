@@ -12,15 +12,17 @@ import csv
 import hashlib
 import json
 import sys
+import warnings
 from dataclasses import fields
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from importlib import import_module
 from pathlib import Path
 
 from . import BASELINE_VARIANT, VARIANTS, __version__
 from .errors import (ConfigError, ContractError, InvalidDraftError, ParseError, RankError,
                      SpikecastError, UndefinedMetricError, ValidationError)
-from .stores import EmbeddingStore, SummaryStore, atomic_write, write_csv, write_json
+from .stores import EmbeddingStore, SummaryStore, atomic_write, utc_now, write_csv, write_json
 
 # The names this module takes from the pipeline modules, by module. A module is
 # imported at the first use of its names (_bind and __getattr__ below), so a
@@ -38,7 +40,7 @@ _LAZY = {
                "raw_average"),
     "model": ("PCA_VARIANTS", "TrainConfig", "make_windows", "predict", "reduce_samples",
               "save_checkpoint", "train", "write_history_csv"),
-    "pca": ("fit_pca", "transform"),
+    "pca": ("cap_message", "fit_pca", "transform"),
 }
 
 
@@ -99,10 +101,6 @@ def _parse_names(text: str) -> tuple[str, ...]:
     return names
 
 
-def _utc_stamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 def _mock_clock(seed: int):
     """Fixed timestamp per seed so offline artifacts are bit-reproducible."""
     try:
@@ -144,7 +142,7 @@ def _write_manifest(args, out: Path, inputs: list[Path], outputs: list[str],
         "seed": args.seed,
         "version": __version__,
         "started_at": started,
-        "finished_at": _utc_stamp(),
+        "finished_at": utc_now(),
     }
     if stats is not None:  # what the run did beyond its artifacts
         doc["stats"] = stats
@@ -235,6 +233,10 @@ def _cmd_reduce(args, out: Path):
             "any reduced dimension"
         )
     basis = fit_pca(rows, cap)
+    stats = None
+    if cap < args.dim:
+        warnings.warn(cap_message(basis, args.dim))
+        stats = {"pca": {"requested": args.dim, "fitted": cap}}
     reduced = EmbeddingStore(out / "reduced.jsonl", dim=cap, load=False)
     for year, row in zip(years, rows):
         reduced.put(year, transform(basis, row))
@@ -249,7 +251,7 @@ def _cmd_reduce(args, out: Path):
     }
     with atomic_write(out / "basis.json") as fh:
         fh.write(_dumps_indent2(doc) + "\n")
-    return ["reduced.jsonl", "basis.json"], None
+    return ["reduced.jsonl", "basis.json"], stats
 
 
 def _dumps_indent2(doc: dict) -> str:
@@ -354,11 +356,11 @@ def _cmd_ablate(args, out: Path):
         (rep.variant, [(f.train_stats, f.pca_basis) for f in rep.folds]) for rep in reports))
 
 
-def _copy_csv(src: Path, dst: Path, expected_header: str) -> None:
+def _copy_csv(src, dst: Path, header: str) -> None:
     text = _read_text(src)
     first = text.splitlines()[0] if text else ""
-    if first != expected_header:
-        raise ParseError(f"{src}: expected header {expected_header!r}, got {first!r}")
+    if first != header:
+        raise ParseError(f"{src}: expected header {header!r}, got {first!r}")
     with atomic_write(dst) as fh:
         fh.write(text)
 
@@ -369,35 +371,36 @@ def _metric(value) -> float:  # a JSON number, not a boolean or a numeric string
     return float(value)
 
 
+def _plot_ablation(src, dst: Path) -> None:
+    rows = []
+    try:
+        doc = json.loads(_read_text(src))
+        for variant in sorted(doc):
+            mean, std = doc[variant].get("mean", {}), doc[variant].get("std", {})
+            rows.append([variant] + [_metric(b[key]) if key in b else None
+                                     for key in ("auc", "f1_w") for b in (mean, std)])
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{src}: not an ablation summary: {exc}") from None
+    write_csv(dst, ["variant", "mean_auc", "std_auc", "mean_f1_w", "std_f1_w"], rows)
+
+
+# report's (option, plot file, writer(src, dst)), in the order it reads them.
+_PLOTS = (
+    ("labels", "plot_spikes.csv", partial(_copy_csv, header=",".join(LABELS_HEADER))),
+    ("summary", "plot_ablation.csv", _plot_ablation),
+    ("roc", "plot_roc.csv", partial(_copy_csv, header="fpr,tpr")),
+    ("history", "plot_history.csv", partial(_copy_csv, header="epoch,train_loss,val_loss")),
+)
+
+
 def _cmd_report(args, out: Path):
-    chosen = [name for name in ("labels", "summary", "roc", "history")
-              if getattr(args, name) is not None]
-    if not chosen:
+    plots = [(src, name, write) for option, name, write in _PLOTS
+             if (src := getattr(args, option))]
+    if not plots:
         raise ConfigError("report needs at least one of --labels/--summary/--roc/--history")
-    outputs = []
-    if args.labels:
-        _copy_csv(Path(args.labels), out / "plot_spikes.csv", ",".join(LABELS_HEADER))
-        outputs.append("plot_spikes.csv")
-    if args.summary:
-        rows = []
-        try:
-            doc = json.loads(_read_text(args.summary))
-            for variant in sorted(doc):
-                mean, std = doc[variant].get("mean", {}), doc[variant].get("std", {})
-                rows.append([variant] + [_metric(b[key]) if key in b else None
-                                         for key in ("auc", "f1_w") for b in (mean, std)])
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"{args.summary}: not an ablation summary: {exc}") from None
-        write_csv(out / "plot_ablation.csv",
-                  ["variant", "mean_auc", "std_auc", "mean_f1_w", "std_f1_w"], rows)
-        outputs.append("plot_ablation.csv")
-    if args.roc:
-        _copy_csv(Path(args.roc), out / "plot_roc.csv", "fpr,tpr")
-        outputs.append("plot_roc.csv")
-    if args.history:
-        _copy_csv(Path(args.history), out / "plot_history.csv", "epoch,train_loss,val_loss")
-        outputs.append("plot_history.csv")
-    return outputs, None
+    for src, name, write in plots:
+        write(src, out / name)
+    return [name for _, name, _ in plots], None
 
 
 # command -> (body, its input files, the _LAZY modules it runs)
@@ -412,7 +415,7 @@ _COMMANDS = {
     "eval": (_cmd_eval, *_DATASET),
     "ablate": (_cmd_ablate, *_DATASET),
     "report": (_cmd_report,
-               lambda a: [p for p in (a.labels, a.summary, a.roc, a.history) if p], ()),
+               lambda a: [src for option, _, _ in _PLOTS if (src := getattr(a, option))], ()),
 }
 
 
@@ -546,9 +549,7 @@ _OPTIONS = {
         ("--folds", dict(type=int, default=5)),
     ),
     "report": _COMMON_OPTIONS + tuple(
-        (flag, dict(default=None))
-        for flag in ("--labels", "--summary", "--roc", "--history")
-    ),
+        (f"--{option}", dict(default=None)) for option, _, _ in _PLOTS),
 }
 
 
@@ -592,7 +593,7 @@ def main(argv=None) -> int:
             if repeated := duplicates(args.variants):
                 raise ConfigError(f"repeated variants: {', '.join(repeated)}")
 
-        started = _utc_stamp()
+        started = utc_now()
         inputs = input_paths(args)
         for p in inputs:
             if not Path(p).exists():

@@ -31,7 +31,7 @@ from .model import (
     train,
 )
 from .nn.ops import sigmoid
-from .pca import PcaBasis, fit_pca
+from .pca import PcaBasis, cap_message, fit_pca
 from .stores import write_csv, write_json
 
 
@@ -243,13 +243,8 @@ def fit_fold_pca(train_samples: Windows, d_prime: int, warn: bool = True):
     years, rows = unique_year_rows(train_samples)
     basis = fit_pca(rows, min(d_prime, rows.shape[1], rows.shape[0] - 1))
     if warn and basis.d_prime < d_prime:
-        warnings.warn(_capped(years, basis, d_prime), stacklevel=2)
+        warnings.warn(cap_message(basis, d_prime), stacklevel=2)
     return years, basis
-
-
-def _capped(years, basis: PcaBasis, d_prime: int) -> str:
-    return (f"reduced dimension capped at {basis.d_prime} (requested {d_prime}) "
-            f"by {len(years)} train rows of width {basis.mean.shape[0]}")
 
 
 @dataclass(frozen=True)
@@ -300,15 +295,15 @@ def _score(folds: list[Fold], variant: str, score_folds, threshold: float) -> Ev
     check_threshold(threshold)
     reduces = variant in (*PCA_VARIANTS, BASELINE_VARIANT)
     pcas = [fold.pca if reduces else (None, None) for fold in folds]
-    for fold, (years, basis) in zip(folds, pcas):
+    for fold, (_, basis) in zip(folds, pcas):
         if basis is not None and basis.d_prime < fold.d_prime:
             warnings.warn(f"variant {variant} {fold.where}: "
-                          f"{_capped(years, basis, fold.d_prime)}", stacklevel=3)
+                          f"{cap_message(basis, fold.d_prime)}", stacklevel=3)
     results = []
     for idx, (fold, (years, basis), (scores, stats)) in enumerate(
             zip(folds, pcas, score_folds([fold.projected if reduces else (fold.train, fold.test)
                                           for fold in folds])), start=1):
-        if isinstance(stats, TrainStats) and stats.single_class:
+        if stats.single_class:
             warnings.warn(f"variant {variant} {fold.where}: {SINGLE_CLASS}", stacklevel=3)
         labels = fold.test.targets
         try:
@@ -356,10 +351,12 @@ LOGREG_TOL, LOGREG_STEPS, _ROUNDING = 1e-10, 100, 100 * np.finfo(float).eps
 
 
 class LogregStats(NamedTuple):
-    """How a Newton fit ended: the steps it took and its final max |gradient|."""
+    """How a Newton fit ended: the steps it took, its final max |gradient|,
+    and whether its labels held one class."""
 
     steps: int
     max_grad: float
+    single_class: bool
 
 
 def fit_logreg(x, y, l2: float = 1e-3) -> tuple[np.ndarray, float, LogregStats]:
@@ -395,7 +392,7 @@ def fit_logreg(x, y, l2: float = 1e-3) -> tuple[np.ndarray, float, LogregStats]:
             step /= 2
         theta -= step
         (loss, grad, curv), steps = new, steps + 1
-    return theta[:-1], float(theta[-1]), LogregStats(steps, max_grad)
+    return theta[:-1], float(theta[-1]), LogregStats(steps, max_grad, bool(y.min() == y.max()))
 
 
 def sample_features(samples: Windows) -> np.ndarray:

@@ -67,6 +67,12 @@ def fit_pca(rows: np.ndarray, d_prime: int) -> PcaBasis:
                     explained_variance=variance, fitted_on=n)
 
 
+def cap_message(basis: PcaBasis, d_prime: int) -> str:
+    """The warning of a basis fitted at a lower rank than the d' requested."""
+    return (f"reduced dimension capped at {basis.d_prime} (requested {d_prime}) "
+            f"by {basis.fitted_on} train rows of width {basis.d}")
+
+
 def transform(basis: PcaBasis, vector: np.ndarray) -> np.ndarray:
     """Project one embedding onto the basis: W^T (e - mean)."""
     vector = np.asarray(vector, dtype=float)

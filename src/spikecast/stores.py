@@ -12,6 +12,7 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
@@ -64,6 +65,11 @@ def write_csv(path, header, rows) -> None:
 def write_json(path, doc) -> None:
     with atomic_write(path) as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def utc_now() -> str:
+    """The time in UTC, ISO 8601: a summary's created_at, a manifest's clock."""
+    return datetime.now(timezone.utc).isoformat()
 
 
 def _field(obj: dict, key: str, kind: type):

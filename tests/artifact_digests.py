@@ -4,11 +4,11 @@
         --seeds 1,2,3 --root /tmp/digests > digests.txt
 
 For each workload and seed it writes the inputs through perfbench/workloads.py
-(which it only reads), then runs label, distill, embed, reduce, train and eval
-(each once per model variant) and ablate (every model variant and the logistic
-baseline) through `spikecast.cli.main` in this process. It prints one
-`sha256  relpath` line per file under --root except the manifests, which hold
-clocks, sorted by path. Run it in two checkouts and diff the outputs to see
+(which it only reads), then runs ingest, label, distill, embed, reduce, train
+and eval (each once per model variant), ablate (every model variant and the
+logistic baseline) and report (all four inputs) through `spikecast.cli.main`
+in this process. It prints one `sha256  relpath` line per file under --root
+except the manifests, which hold clocks, sorted by path. Run it in two checkouts and diff the outputs to see
 whether a change moved any artifact's bytes. Not a test module: pytest does
 not collect it.
 """
@@ -33,7 +33,19 @@ import spikecast.cli  # noqa: E402
 from spikecast import BASELINE_VARIANT, VARIANTS  # noqa: E402
 from workloads import WORKLOADS, Workload, stage_argv, write_inputs  # noqa: E402
 
-STAGES = ("label", "distill", "embed", "reduce", "train", "eval", "ablate")
+STAGES = ("ingest", "label", "distill", "embed", "reduce", "train", "eval", "ablate",
+          "report")
+
+
+def unbenched_argv(stage: str, prices: Path, root: Path) -> list[str]:
+    """Command line of ingest or report, which no workload runs, without
+    --seed and --out. report reads the full variant's roc and history."""
+    if stage == "ingest":
+        return ["ingest", "--in", str(prices)]
+    return ["report", "--labels", str(root / "label" / "labels.csv"),
+            "--summary", str(root / "ablate" / "summary.json"),
+            "--roc", str(root / "eval-full" / "roc.csv"),
+            "--history", str(root / "train-full" / "history.csv")]
 
 
 def run(workload: Workload, seed: int, root: Path) -> None:
@@ -42,7 +54,11 @@ def run(workload: Workload, seed: int, root: Path) -> None:
     inputs = write_inputs(workload, seed, root / "inputs")
     prices = root / "inputs" / "prices.csv"
     for stage in STAGES:
-        argv = stage_argv(workload, stage, prices, root, inputs.program_seed)
+        if stage in ("ingest", "report"):
+            argv = unbenched_argv(stage, prices, root) + [
+                "--seed", str(inputs.program_seed), "--out", str(root / stage)]
+        else:
+            argv = stage_argv(workload, stage, prices, root, inputs.program_seed)
         if stage == "ablate":
             runs = [argv + ["--variants", ",".join(VARIANTS + (BASELINE_VARIANT,))]]
         elif stage in ("train", "eval"):

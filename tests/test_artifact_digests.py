@@ -21,8 +21,10 @@ def test_digests_cover_every_artifact_but_manifests(tmp_path):
         "embed/embeddings.jsonl",
         *(f"eval-{v}/{name}" for v in ("full", "no_attention", "no_news", "no_pca")
           for name in ("metrics.json", "roc.csv")),
+        "ingest/composite.csv", "ingest/normalized.csv",
         "inputs/prices.csv", "label/labels.csv", "reduce/basis.json",
         "reduce/reduced.jsonl",
+        *(f"report/plot_{name}.csv" for name in ("ablation", "history", "roc", "spikes")),
         *(f"train-{v}/{name}" for v in ("full", "no_attention", "no_news", "no_pca")
           for name in ("checkpoint.json", "history.csv")),
     ]
@@ -31,6 +33,8 @@ def test_digests_cover_every_artifact_but_manifests(tmp_path):
     assert {line.split(",")[0] for line in report.splitlines()[1:]} == {
         "full", "no_attention", "no_pca", "no_news", "logreg"}
     assert (tmp_path / "train-full" / "manifest.json").exists()
+    for plot, source in (("roc", "eval-full/roc.csv"), ("history", "train-full/history.csv")):
+        assert got[f"report/plot_{plot}.csv"] == got[source]
 
 
 def test_main_prints_one_line_per_file(tmp_path, capsys, monkeypatch):
@@ -38,5 +42,5 @@ def test_main_prints_one_line_per_file(tmp_path, capsys, monkeypatch):
     assert artifact_digests.main(["--workloads", "tiny", "--seeds", "3",
                                   "--root", str(tmp_path / "digests")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 24
+    assert len(lines) == 30
     assert all(re.fullmatch("[0-9a-f]{64}  tiny-seed3/[^ ]+", line) for line in lines)

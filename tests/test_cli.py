@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -307,10 +308,29 @@ class TestReduce:
 
     def test_caps_at_feasible_rank(self, corpus, tmp_path):
         out = tmp_path / "reduce"
-        assert run_cli("reduce", "--embeddings", corpus["embeddings"],
-                       "--dim", "50", "--out", out) == 0
+        with pytest.warns(UserWarning, match="capped at 8"):
+            assert run_cli("reduce", "--embeddings", corpus["embeddings"],
+                           "--dim", "50", "--out", out) == 0
         lines = (out / "reduced.jsonl").read_text().splitlines()
         assert json.loads(lines[0])["dim"] == 8  # embedding width is the cap
+
+    @pytest.mark.parametrize("dim,capped", [(100, 8), (8, None), (3, None)])
+    def test_a_cap_warns_and_is_recorded(self, corpus, tmp_path, dim, capped):
+        out = tmp_path / "reduce"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("reduce", "--embeddings", corpus["embeddings"],
+                           "--dim", dim, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        basis = json.loads((out / "basis.json").read_text())
+        assert basis["components_shape"] == [8, capped or dim]
+        if capped is None:
+            assert not caught and "stats" not in manifest
+            return
+        (warning,) = caught
+        assert str(warning.message) == (f"reduced dimension capped at {capped} "
+                                        f"(requested {dim}) by 30 train rows of width 8")
+        assert manifest["stats"] == {"pca": {"requested": dim, "fitted": capped}}
 
     def test_force_rerun_at_another_dim(self, corpus, tmp_path):
         out = tmp_path / "reduce"
@@ -527,7 +547,8 @@ class TestManifestStats:
     """train, eval and ablate record in manifest.json how each fold trained
     and which PCA bases a rank cap narrowed, and ablate how Newton's method
     ended on each fold of the logistic baseline; distill records each year's
-    retries and verdict; no other command writes a stats block."""
+    retries and verdict; reduce records its rank cap (TestReduce); no other
+    command writes a stats block."""
 
     KEYS = {"epochs", "best_epoch", "stop", "max_grad_norm", "single_class"}
 
@@ -582,8 +603,9 @@ class TestManifestStats:
         rows = json.loads((out / "manifest.json").read_text())["stats"]["logreg"]
         assert len(rows) == 3
         for row in rows:
-            assert set(row) == {"steps", "max_grad"}
+            assert set(row) == {"steps", "max_grad", "single_class"}
             assert 1 <= row["steps"] < LOGREG_STEPS and 0 <= row["max_grad"] <= LOGREG_TOL
+            assert isinstance(row["single_class"], bool)
 
     def test_distill_stats(self, corpus):
         doc = json.loads((corpus["root"] / "distill" / "manifest.json").read_text())
@@ -650,6 +672,17 @@ class TestReport:
 
     def test_no_sources_exits_one(self, tmp_path):
         assert run_cli("report", "--out", tmp_path / "r") == 1
+
+    def test_first_bad_source_in_option_order_names_the_error(self, tmp_path, capsys):
+        options = ("labels", "summary", "roc", "history")
+        bad = {option: tmp_path / f"{option}.bad" for option in options}
+        for path in bad.values():
+            path.write_text("x\n")
+        for i, first in enumerate(options):
+            given = [a for option in reversed(options[i:]) for a in (f"--{option}", bad[option])]
+            assert run_cli("report", *given, "--out", tmp_path / first) == 1
+            err = capsys.readouterr().err
+            assert [o for o in options if str(bad[o]) in err] == [first], err
 
     def test_wrong_header_exits_one(self, corpus, tmp_path, capsys):
         bogus = tmp_path / "roc.csv"

@@ -640,6 +640,7 @@ class TestLogregNewton:
 
     @pytest.mark.filterwarnings("ignore:.*reduced dimension capped")
     @pytest.mark.filterwarnings("ignore:.*single-class test labels")
+    @pytest.mark.filterwarnings("ignore:.*degenerate targets")  # folds 1-3 train on one class
     def test_folds_of_different_pca_ranks(self):
         # Early folds have too few training rows for d' = 7, so PCA caps
         # their bases at lower ranks and their feature sets are narrower.
@@ -722,6 +723,21 @@ class TestSingleClassFold:
             f"variant no_news {where}: degenerate targets: training partition is "
             "single-class; training proceeds but the classifier cannot rank")
         assert warning.filename == __file__  # the line that called run_cv
+
+    def test_single_class_training_warns_for_logreg(self):
+        # Fold 1 of 3 fits the baseline on windows 0-5, all labelled 0.
+        samples = windows(n=27, k=3)
+        i = np.arange(len(samples))
+        targets = np.where(i < 6, 0, i % 2)
+        with pytest.warns(UserWarning, match="degenerate targets") as caught:
+            report = baseline_logreg(fold_set(with_targets(samples, targets),
+                                              time_series_split(24, 3), 3))
+        (warning,) = [w for w in caught if "degenerate" in str(w.message)]
+        assert str(warning.message) == (
+            "variant logreg fold 1: degenerate targets: training partition is "
+            "single-class; training proceeds but the classifier cannot rank")
+        assert warning.filename == __file__  # the line that called baseline_logreg
+        assert [f.train_stats.single_class for f in report.folds] == [True, False, False]
 
     def test_csv_empty_cell_for_undefined_auc(self, tmp_path):
         with pytest.warns(UserWarning):

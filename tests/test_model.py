@@ -35,8 +35,6 @@ from spikecast.model import (
     init_model,
     load_checkpoint,
     make_windows,
-    model_backward,
-    model_forward,
     predict,
     reduce_samples,
     save_checkpoint,
@@ -286,46 +284,48 @@ class TestForward:
         samples = tiny_samples()
         for variant in VARIANTS:
             params = zero_params(init_model(HYPER_SMALL, variant))
-            prob, _ = model_forward(samples[0:1], params)
-            assert prob == 0.5, variant
+            probs, _ = forward_batch(*samples[0:1].batch()[:2], params)
+            assert probs.tolist() == [0.5], variant
 
     def test_probability_range(self):
         samples = tiny_samples()
         params = init_model(HYPER_SMALL, "full")
         for i in range(len(samples)):
-            prob, _ = model_forward(samples[i : i + 1], params)
+            (prob,), _ = forward_batch(*samples[i : i + 1].batch()[:2], params)
             assert 0.0 < prob < 1.0
 
     def test_no_news_ignores_news_stream(self):
         samples = tiny_samples()
         params = init_model(HYPER_SMALL, "no_news")
         s = samples[0:1]
-        base, _ = model_forward(s, params)
+        (base,), _ = forward_batch(*s.batch()[:2], params)
         scrambled = replace(s, data=replace(s.data, embeddings=s.data.embeddings * -3.0 + 1.0))
-        assert model_forward(scrambled, params)[0] == base
+        assert forward_batch(*scrambled.batch()[:2], params)[0][0] == base
 
     def test_full_variant_reads_news(self):
         samples = tiny_samples()
         params = init_model(HYPER_SMALL, "full")
         s = samples[0:1]
-        base, _ = model_forward(s, params)
+        (base,), _ = forward_batch(*s.batch()[:2], params)
         scrambled = replace(s, data=replace(s.data, embeddings=s.data.embeddings * -3.0 + 1.0))
-        assert model_forward(scrambled, params)[0] != base
+        assert forward_batch(*scrambled.batch()[:2], params)[0][0] != base
 
     def test_shape_contract(self):
         samples = tiny_samples(k=3, d=2)
         params = init_model(ModelHyper(k=4, d_prime=2, h=4, h_a=4, dropout=0.3, seed=0), "full")
         with pytest.raises(ContractError):
-            model_forward(samples[0:1], params)
+            forward_batch(*samples[0:1].batch()[:2], params)
         params = init_model(ModelHyper(k=3, d_prime=5, h=4, h_a=4, dropout=0.3, seed=0), "full")
         with pytest.raises(ContractError):
-            model_forward(samples[0:1], params)
+            forward_batch(*samples[0:1].batch()[:2], params)
 
     def test_inference_is_deterministic_despite_dropout_rate(self):
         hyper = ModelHyper(k=3, d_prime=2, h=4, h_a=4, dropout=0.5, seed=7)
         params = init_model(hyper, "full")
         s = tiny_samples()[0:1]
-        assert model_forward(s, params)[0] == model_forward(s, params)[0]
+        first, _ = forward_batch(*s.batch()[:2], params)
+        again, _ = forward_batch(*s.batch()[:2], params)
+        assert first[0] == again[0]
 
 
 class TestBackward:
@@ -341,13 +341,15 @@ class TestBackward:
             probs = []
             caches = []
             for i in range(len(batch)):
-                p, c = model_forward(batch[i : i + 1], params)
+                (p,), c = forward_batch(*batch[i : i + 1].batch()[:2], params)
                 probs.append(p)
                 caches.append(c)
             loss, d_preds = bce_loss(np.array(probs), targets)
             total = None
             for c, d in zip(caches, d_preds):
-                g = model_backward(params, c, float(d))
+                out = gradient_params(params)
+                backward_batch(params, c, np.array([d]), out=out)
+                g = flat_params(out)
                 if total is None:
                     total = g
                 else:
@@ -361,13 +363,14 @@ class TestBackward:
         samples = tiny_samples()
         for variant in VARIANTS:
             params = init_model(HYPER_SMALL, variant)
-            prob, cache = model_forward(samples[0:1], params)
-            grads = model_backward(params, cache, 1.0)
-            assert set(grads) == set(flat_params(params)), variant
+            _, cache = forward_batch(*samples[0:1].batch()[:2], params)
+            out = gradient_params(params)
+            backward_batch(params, cache, np.array([1.0]), out=out)
+            assert set(flat_params(out)) == set(flat_params(params)), variant
 
 
 class TestBatch:
-    """forward_batch/backward_batch against the B = 1 wrappers."""
+    """forward_batch/backward_batch on a batch against one window at a time."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_train_mode_probs_match_wrapper(self, variant):
@@ -377,7 +380,8 @@ class TestBatch:
         probs, _ = forward_batch(prices, news, params, train=True,
                                  rng=np.random.default_rng(3))
         rng = np.random.default_rng(3)
-        singles = [model_forward(samples[i : i + 1], params, train=True, rng=rng)[0]
+        singles = [forward_batch(*samples[i : i + 1].batch()[:2], params, train=True,
+                                 rng=rng)[0][0]
                    for i in range(len(samples))]
         np.testing.assert_array_equal(probs, singles)
         assert not np.array_equal(probs, predict(params, samples))  # dropout drew
@@ -398,8 +402,10 @@ class TestBatch:
         rng = np.random.default_rng(4)
         total = {name: np.zeros_like(arr) for name, arr in flat_params(params).items()}
         for i, d in enumerate(d_preds):
-            _, c = model_forward(samples[i : i + 1], params, train=True, rng=rng)
-            for name, g in model_backward(params, c, float(d)).items():
+            _, c = forward_batch(*samples[i : i + 1].batch()[:2], params, train=True, rng=rng)
+            one = gradient_params(params)
+            backward_batch(params, c, np.array([d]), out=one)
+            for name, g in flat_params(one).items():
                 total[name] += g
         assert set(grads) == set(total)
         for name, want in total.items():
@@ -454,7 +460,7 @@ class TestPredict:
         params = init_model(HYPER_SMALL, "full")
         probs = predict(params, samples)
         assert probs.shape == (len(samples),)
-        singles = [model_forward(samples[i : i + 1], params)[0]
+        singles = [forward_batch(*samples[i : i + 1].batch()[:2], params)[0][0]
                    for i in range(len(samples))]
         np.testing.assert_array_equal(probs, singles)
 
