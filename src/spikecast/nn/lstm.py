@@ -10,14 +10,13 @@ Per step, with x the input row and h/c the previous hidden and cell state:
 Initial hidden and cell state are zero.
 
 The parameters are stored fused: W (m, 4h), U (h, 4h) and b (4h,) hold the
-four gates' blocks side by side in GATE_ORDER, so each step costs one matrix
-product and one sigmoid call instead of four of each. The kernels are
-batch-first and run S streams, each with its own LSTM and input width, as one
-recurrence over B sequences of one length. They take the streams as one
-LstmStreams, whose U and b are (S, h, 4h) and (S, 4h) arrays, so a step reads
-every stream's recurrent weights without copying them together. The backward
-pass writes each stream's gradients, summed over the batch, into arrays of
-that same layout.
+four gates' blocks side by side in GATE_ORDER, so with sigmoid(x) taken as
+(1 + tanh(x / 2)) / 2 a step costs one matrix product and one tanh call for
+all four gates. The kernels are batch-first and run S streams, each with its
+own LSTM and input width, as one recurrence over B sequences of one length.
+They take the streams as one LstmStreams, whose U and b are (S, h, 4h) and
+(S, 4h) arrays, so one product per step reads every stream's U. The
+backward pass writes the gradients, summed over the batch, in that layout.
 
 A stack of F models of one layout runs as one recurrence too: every array
 then has a leading model axis, weights (F, ...) and batches (F, B, k, m_s).
@@ -31,12 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError, NumericError
-from .ops import sigmoid
+from .ops import sigmoid  # noqa: F401  (unused here; perfbench/tracing.py wraps this name)
 
 
 # Column order of the gate blocks. It keeps the three sigmoid gates (o, i, f)
-# contiguous for the forward pass, and the three gates that the cell-state
-# gradient reaches (i, f, g) contiguous for the backward pass.
+# contiguous, for the forward pass's scale and the backward pass's factors,
+# and the three gates that the cell-state gradient reaches (i, f, g) too.
 GATE_ORDER = ("o", "i", "f", "g")
 
 
@@ -105,33 +104,34 @@ def lstm_forward(
             raise NumericError("non-finite value in LSTM input sequence")
     n, k = batch[nl:]
     per_row = (slice(None),) * (nl + 1) + (None,)  # a B axis after the S axis
-    u, b = params.u[per_row], params.b[per_row]    # (*lead, S, 1, h, 4h), (..., 4h)
     step_last = (*range(1, nl + 2), 0, nl + 2)     # (k, *lead, B, x) to (*lead, B, k, x)
-
-    # Input projections of every step at once, one product per stream, in
-    # the buffer where each step then writes its activations (o | i | f | g).
-    # The loop adds h_prev @ U, then b: the order in which the docstring's
-    # recurrence sums them. Each step's intermediates go to buffers
-    # allocated once here.
+    # sigmoid(x) = (1 + tanh(x / 2)) / 2. So with the o, i, f columns of W,
+    # U and b halved, which is exact, one tanh, a scale and an offset (1 and
+    # -0.0 on g, exact identities) leave all four gates in the buffer, which
+    # holds each step's x W + b until the step adds h_prev @ U. Each step's
+    # intermediates go to buffers allocated once here.
+    scale = np.full((2, 4 * h), 0.5)
+    scale[:, 3 * h :] = [[1.0], [-0.0]]
+    half, offset = scale
+    u = params.u[per_row] * half                   # (*lead, S, 1, h, 4h)
     gates = np.empty((k, *lead, s, n, 4 * h))  # step t is one (*lead, S, B, 4h) view
     for j, (seq, w) in enumerate(zip(sequences, params.w)):
-        np.matmul(seq, w[per_row[1:]] if nl else w,
+        np.matmul(seq, (w[per_row[1:]] if nl else w) * half,
                   out=gates[per_row[:-1] + (j,)].transpose(step_last))
+    gates += params.b[per_row] * half
     hs, cs = np.zeros((2, k + 1, *lead, s, n, h))  # step 0: the initial state
     tanh_cs = np.empty((k, *lead, s, n, h))
     a, ig = np.empty((*lead, s, n, 4 * h)), np.empty((*lead, s, n, h))
-    a_sig, a_g = a[..., : 3 * h], a[..., 3 * h :]
     o, i, f, g = (gates[..., j * h : (j + 1) * h] for j in range(4))
-    steps = zip(gates, gates[..., : 3 * h], o, i, f, g, hs, hs[1:], cs, cs[1:],
-                tanh_cs)
-    for gate, sig_t, o_t, i_t, f_t, g_t, h_prev, h_t, c_prev, c_t, tc_t in steps:
+    steps = zip(gates, o, i, f, g, hs, hs[1:], cs, cs[1:], tanh_cs)
+    for gate, o_t, i_t, f_t, g_t, h_prev, h_t, c_prev, c_t, tc_t in steps:
         # One vector-matrix product per sequence of every stream, so a
         # sequence's result depends neither on its batch nor on the others.
         np.vecmat(h_prev, u, out=a)
-        a += gate
-        a += b
-        sigmoid(a_sig, out=sig_t)
-        np.tanh(a_g, out=g_t)
+        gate += a
+        np.tanh(gate, out=gate)
+        gate *= half
+        gate += offset
         np.multiply(f_t, c_prev, out=c_t)
         c_t += np.multiply(i_t, g_t, out=ig)
         np.tanh(c_t, out=tc_t)

@@ -356,10 +356,16 @@ def reference_baseline_scores(samples, plan, d_prime, l2=1e-3):
 
 
 def reference_lstm_forward(
-    sequence: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray
+    sequence: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray,
+    exp_form: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """lstm_forward for one stream, one LSTM per call (the unfused kernel),
     given its w (m, 4h), u (h, 4h) and b (4h,).
+
+    A step's pre-activations are (x W + b) + h U, summed in that order, and
+    sigmoid(x) is (1 + tanh(x / 2)) / 2. With exp_form, they are the kernel's
+    before it took its gates from one tanh call: (h U + x W) + b, and
+    ops.sigmoid's exp form (see exp_form_lstm_forward).
 
     Returns (all hidden states (B, k, h), final hidden states (B, h), cache
     for backprop).
@@ -376,8 +382,7 @@ def reference_lstm_forward(
     h = u.shape[0]
 
     # Input projections of every step at once, in the buffer where each step
-    # then writes its activations (o | i | f | g). The loop adds h_prev @ U,
-    # then b: the order in which the docstring's recurrence sums them.
+    # then writes its activations (o | i | f | g).
     gates = (sequence @ w).swapaxes(0, 1)    # (k, B, 4h): step t is one view
     hs, cs = np.zeros((2, k + 1, n, h))      # step 0: the initial state
     tanh_cs = np.empty((k, n, h))
@@ -386,10 +391,14 @@ def reference_lstm_forward(
     for gate, o_t, i_t, f_t, g_t, h_prev, h_t, c_prev, c_t, tc_t in steps:
         # One vector-matrix product per sequence, so a sequence's result
         # does not depend on the size of its batch.
-        a = np.vecmat(h_prev, u)
-        a += gate
-        a += b
-        gate[:, : 3 * h] = sigmoid(a[:, : 3 * h])
+        if exp_form:
+            a = np.vecmat(h_prev, u)
+            a += gate
+            a += b
+            gate[:, : 3 * h] = sigmoid(a[:, : 3 * h])
+        else:
+            a = (gate + b) + np.vecmat(h_prev, u)
+            gate[:, : 3 * h] = 0.5 * np.tanh(0.5 * a[:, : 3 * h]) + 0.5
         np.tanh(a[:, 3 * h :], out=g_t)
         np.multiply(f_t, c_prev, out=c_t)
         c_t += i_t * g_t
@@ -401,6 +410,12 @@ def reference_lstm_forward(
         "hs": hs, "cs": cs, "tanh_cs": tanh_cs,
     }
     return hs[1:].swapaxes(0, 1), hs[-1].copy(), cache
+
+
+def exp_form_lstm_forward(sequence, w, u, b):
+    """reference_lstm_forward as the kernel computed it before its gates came
+    from one tanh call: the same recurrence to within rounding."""
+    return reference_lstm_forward(sequence, w, u, b, exp_form=True)
 
 
 def reference_lstm_backward(
