@@ -27,11 +27,11 @@ from .stores import EmbeddingStore, SummaryStore, atomic_write, utc_now, write_c
 # The names this module takes from the pipeline modules, by module. A module is
 # imported at the first use of its names (_bind and __getattr__ below), so a
 # stage process loads only the modules its command runs.
-# predict, roc_auc, classification_metrics: benchmark call sites only, dropped by ROADMAP item 4.
+# predict, roc_auc, classification_metrics: benchmark call sites only, dropped by ROADMAP item 1b.
 _LAZY = {
     "agents": ("AgentConfig", "embed_summaries", "orchestrate"),
     "backends": ("get_backend",),
-    "evaluation": ("baseline_logreg", "check_threshold", "classification_metrics",
+    "evaluation": ("SINGLE_CLASS", "baseline_logreg", "classification_metrics",
                    "fit_fold_pca", "fold_set", "holdout_split", "roc_auc", "run_cv",
                    "time_series_split", "write_report_csv", "write_roc_csv",
                    "write_summary_json"),
@@ -205,9 +205,12 @@ def _cmd_distill(args, out: Path):
     clock = _mock_clock(args.seed) if args.backend == "mock" else None
     store = SummaryStore(out / "summaries.jsonl")
     summaries = orchestrate(config, backend, store, clock)
+    # A year that ended without a summary spent every retry.
     return ["summaries.jsonl"], {"distill": [
         {"year": year, "retries": s.retries, "verified": s.verified}
-        for year, s in summaries.items()]}
+        if (s := summaries.get(year)) else
+        {"year": year, "retries": args.max_retries, "verified": False}
+        for year in sorted(config.years)]}
 
 
 def _cmd_embed(args, out: Path):
@@ -302,12 +305,16 @@ def _model_stats(args, per_variant) -> dict:
 
 
 def _cmd_train(args, out: Path):
-    check_threshold(args.threshold)  # unused here, but recorded in the manifest
     dataset = _load_aligned(args)
     samples = make_windows(dataset, args.k)
     if args.variant in PCA_VARIANTS:
-        samples = reduce_samples(samples, fit_fold_pca(samples, args.dim)[1])
+        basis = fit_fold_pca(samples, args.dim)[1]
+        if basis.d_prime < args.dim:
+            warnings.warn(cap_message(basis, args.dim))
+        samples = reduce_samples(samples, basis)
     fit = train([samples], _train_config(args), variant=args.variant)
+    if fit.stats[0].single_class:
+        warnings.warn(f"variant {args.variant}: {SINGLE_CLASS}")
     save_checkpoint(fit.models[0], out / "checkpoint.json")
     write_history_csv(fit.history, out / "history.csv")
     return ["checkpoint.json", "history.csv"], _model_stats(
@@ -404,7 +411,8 @@ def _cmd_report(args, out: Path):
 
 
 # command -> (body, its input files, the _LAZY modules it runs)
-_DATASET = (lambda a: [a.prices, a.labels, a.embeddings], ("ingest", "model", "evaluation"))
+_DATASET = (lambda a: [a.prices, a.labels, a.embeddings],
+            ("ingest", "model", "evaluation", "pca"))
 _COMMANDS = {
     "ingest": (_cmd_ingest, lambda a: [a.infile], ("ingest",)),
     "label": (_cmd_label, lambda a: [a.infile], ("ingest",)),
@@ -539,7 +547,8 @@ _OPTIONS = {
         ("--embeddings", dict(required=True)),
         ("--dim", dict(type=int, default=16)),
     ),
-    "train": _MODEL_OPTIONS + (_VARIANT_OPTION,),
+    # train fits and saves one model and scores nothing, so takes no --threshold.
+    "train": tuple(o for o in _MODEL_OPTIONS if o[0] != "--threshold") + (_VARIANT_OPTION,),
     "eval": _MODEL_OPTIONS + (
         _VARIANT_OPTION,
         ("--holdout", dict(type=float, default=0.20)),

@@ -20,7 +20,6 @@ import numpy as np
 from . import BASELINE_VARIANT
 from .errors import ConfigError, ContractError, InsufficientDataError, UndefinedMetricError
 from .model import (
-    SINGLE_CLASS,
     TrainConfig,
     TrainStats,
     PCA_VARIANTS,
@@ -236,15 +235,11 @@ def unique_year_rows(samples: Windows) -> tuple[tuple[int, ...], np.ndarray]:
     return years, samples.data.embeddings[covered]
 
 
-def fit_fold_pca(train_samples: Windows, d_prime: int, warn: bool = True):
-    """PCA basis from a fold's training rows only, capped to a feasible rank.
-    A cap warns unless `warn` is off, as a Fold has it: each variant scored
-    on the fold words its own warning."""
+def fit_fold_pca(train_samples: Windows, d_prime: int):
+    """PCA basis from a fold's training rows only, capped to a feasible rank;
+    a capped basis has a d_prime below the request, for the caller to word."""
     years, rows = unique_year_rows(train_samples)
-    basis = fit_pca(rows, min(d_prime, rows.shape[1], rows.shape[0] - 1))
-    if warn and basis.d_prime < d_prime:
-        warnings.warn(cap_message(basis, d_prime), stacklevel=2)
-    return years, basis
+    return years, fit_pca(rows, min(d_prime, rows.shape[1], rows.shape[0] - 1))
 
 
 @dataclass(frozen=True)
@@ -261,7 +256,7 @@ class Fold:
     def pca(self) -> tuple[tuple[int, ...], PcaBasis]:
         """PCA years and basis of the training rows, fitted at the first read;
         every variant scored on the fold shares them."""
-        return fit_fold_pca(self.train, self.d_prime, warn=False)
+        return fit_fold_pca(self.train, self.d_prime)
 
     @cached_property
     def projected(self) -> tuple[Windows, Windows]:
@@ -279,9 +274,8 @@ def fold_set(samples: Windows, plan: FoldPlan, d_prime: int) -> list[Fold]:
             for i, ((tr_lo, tr_hi), (te_lo, te_hi)) in enumerate(plan.folds, start=1)]
 
 
-def check_threshold(threshold: float) -> None:
-    if not 0.0 <= threshold <= 1.0:  # NaN fails too
-        raise ConfigError(f"threshold must be finite and in [0, 1], got {threshold}")
+SINGLE_CLASS = ("degenerate targets: training partition is single-class; "
+                "training proceeds but the classifier cannot rank")
 
 
 def _score(folds: list[Fold], variant: str, score_folds, threshold: float) -> EvalReport:
@@ -292,7 +286,8 @@ def _score(folds: list[Fold], variant: str, score_folds, threshold: float) -> Ev
     model was fitted (TrainStats or LogregStats), in fold order. The warnings
     name the caller of run_cv or baseline_logreg, whose frame calls this.
     """
-    check_threshold(threshold)
+    if not 0.0 <= threshold <= 1.0:  # NaN fails too
+        raise ConfigError(f"threshold must be finite and in [0, 1], got {threshold}")
     reduces = variant in (*PCA_VARIANTS, BASELINE_VARIANT)
     pcas = [fold.pca if reduces else (None, None) for fold in folds]
     for fold, (_, basis) in zip(folds, pcas):
@@ -336,7 +331,7 @@ def run_cv(folds: list[Fold], variant: str, config: TrainConfig,
         raise ConfigError(f"unknown variant {variant!r}")
 
     def score_folds(parts):
-        fit = train([part for part, _ in parts], config, variant, warn=False)
+        fit = train([part for part, _ in parts], config, variant)
         return [(predict(model, test), stats)
                 for model, (_, test), stats in zip(fit.models, parts, fit.stats)]
 

@@ -12,7 +12,6 @@ import base64
 import itertools
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from numbers import Integral, Real
 from typing import NamedTuple
@@ -438,16 +437,8 @@ class Fit(NamedTuple):
 # bounds the memory that training folds together adds to training one.
 STACK_VALUES = 2**15
 
-SINGLE_CLASS = ("degenerate targets: training partition is single-class; "
-                "training proceeds but the classifier cannot rank")
 
-
-def train(
-    folds: list[Windows],
-    config: TrainConfig,
-    variant: str = VARIANT_FULL,
-    warn: bool = True,
-) -> Fit:
+def train(folds: list[Windows], config: TrainConfig, variant: str = VARIANT_FULL) -> Fit:
     """Mini-batch Adam on BCE with early stopping on a chronological tail,
     for every window set of `folds` in one loop.
 
@@ -457,7 +448,7 @@ def train(
     training. A model's ModelHyper takes k and d_prime (the news width) from
     its windows and its other fields from `config`. Each model holds its
     best-validation-loss parameters. A fold whose training partition is one
-    class warns unless `warn` is off, as run_cv has it to word its own.
+    class is reported in its TrainStats, not warned of: the caller words it.
 
     Folds of one ModelHyper (all, unless a PCA rank cap narrowed some) train
     as stacks of models of at most STACK_VALUES values. Each fold keeps its
@@ -473,9 +464,8 @@ def train(
             raise InsufficientDataError(f"need >= 2 samples to train, got {n}")
         if (np.diff(windows.anchor_years) < 0).any():
             raise ContractError("samples must be ordered chronologically")
+        # validation_fraction < 0.5 leaves n >= 2 windows one to train on.
         n_train = n - max(1, math.ceil(config.validation_fraction * n))
-        if n_train < 1:
-            raise InsufficientDataError("validation split leaves no training samples")
         parts.append((windows, n_train))
         hypers.append(ModelHyper(k=windows.k, d_prime=windows.data.embeddings.shape[1],
                                  h=config.h, h_a=config.h_a, dropout=config.dropout,
@@ -495,13 +485,8 @@ def train(
             for i, fit in zip(stack, _fit_stack([parts[i] for i in stack], template, theta,
                                                 config)):
                 fits[i] = fit
-    fit = Fit([model for model, _, _ in fits], [row for _, rows, _ in fits for row in rows],
-              [stats for _, _, stats in fits])
-    for i, stats in enumerate(fit.stats if warn else ()):
-        if stats.single_class:
-            where = f" fold {i + 1}" if len(parts) > 1 else ""
-            warnings.warn(f"variant {variant}{where}: {SINGLE_CLASS}", stacklevel=2)
-    return fit
+    return Fit([model for model, _, _ in fits], [row for _, rows, _ in fits for row in rows],
+               [stats for _, _, stats in fits])
 
 
 @dataclass

@@ -4,8 +4,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def sigmoid(x, out=None):
-    """Numerically stable logistic function, written into `out` if given.
+def sigmoid(x):
+    """Numerically stable logistic function.
 
     exp is only taken of non-positive values, so it never overflows:
     exp(min(x, 0)) / (1 + exp(-|x|)), which is 1 / (1 + e) for x >= 0 and
@@ -18,7 +18,7 @@ def sigmoid(x, out=None):
     np.negative(x, out=denom)
     np.exp(np.minimum(x, e, out=e), out=e)
     denom += 1.0
-    return np.divide(num, denom, out=out)
+    return num / denom
 
 
 def relu(x):

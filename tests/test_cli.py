@@ -1,4 +1,5 @@
 """End-to-end command-line runs in scratch directories."""
+import ast
 import hashlib
 import inspect
 import json
@@ -14,11 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spikecast.cli
 import spikecast.evaluation
 import spikecast.model
 from spikecast.agents import AgentConfig
 from spikecast.backends import MockBackend
 from spikecast.cli import (
+    _LAZY,
     _dumps_indent2,
     _load_aligned,
     _train_config,
@@ -402,6 +405,27 @@ class TestTrain:
         assert doc["pca"] is None
         assert not [name for name in doc["arrays"] if name.startswith("news_lstm.")]
 
+    def test_cap_and_single_class_warn_at_the_command(self, corpus, tmp_path):
+        """fit_fold_pca and model.train report a capped basis and a
+        single-class training part; the command words each, once, at its
+        own line."""
+        header, *rows = corpus["labels"].read_text().splitlines()
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n".join([header, *(row[: row.rindex(",")] + ",0"
+                                               for row in rows)]) + "\n")
+        args = model_args(corpus, tmp_path / "train")
+        args[args.index("--labels") + 1] = labels
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("train", *args, "--dim", "10") == 0
+        cli = str(SRC / "spikecast" / "cli.py")
+        assert [(str(w.message), w.category, w.filename) for w in caught] == [
+            ("reduced dimension capped at 8 (requested 10) by 28 train rows of width 8",
+             UserWarning, cli),
+            ("variant full: degenerate targets: training partition is single-class; "
+             "training proceeds but the classifier cannot rank", UserWarning, cli),
+        ]
+
 
 class TestEval:
     @pytest.mark.parametrize("command", ["train", "eval"])
@@ -615,6 +639,20 @@ class TestManifestStats:
             {"year": r["year"], "retries": r["retries"], "verified": r["verified"]}
             for r in records]
 
+    @pytest.mark.parametrize("policy", ["skip", "placeholder"])
+    def test_distill_stats_record_every_requested_year(self, tmp_path, monkeypatch, policy):
+        """A year whose drafts were all rejected is recorded in the shape of
+        a placeholder record, whether or not the policy stores one."""
+        monkeypatch.setattr(spikecast.cli, "get_backend",
+                            lambda *args, **kwargs: MockBackend(verdict_mode="reject"))
+        out = tmp_path / "distill"
+        with pytest.warns(UserWarning, match="no year produced a verified summary"):
+            assert run_cli("distill", "--years", "1970:1972", "--max-retries", "2",
+                           "--fallback-policy", policy, "--out", out) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["stats"]["distill"] == [
+            {"year": year, "retries": 2, "verified": False} for year in (1970, 1971, 1972)]
+
     def test_other_commands_write_none(self, corpus):
         for stage in ("label", "embed"):
             doc = json.loads((corpus["root"] / stage / "manifest.json").read_text())
@@ -799,6 +837,23 @@ class TestColdStart:
         assert proc.stdout.split() == [want]
 
 
+class TestLazyNames:
+    def test_every_name_is_read_here_or_wrapped_by_the_benchmark(self, monkeypatch):
+        """Each _LAZY name is read by cli.py outside the table, or is a
+        spikecast.cli site that the benchmark wraps; any other is left over."""
+        monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
+        import bench
+        import tracing
+        tree = ast.parse((SRC / "spikecast" / "cli.py").read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        wrapped = {site.removeprefix("spikecast.cli:")
+                   for table in (tracing.SPANS, tracing.COUNTED, bench.CHECKPOINTS)
+                   for sites in table.values() for site in sites
+                   if site.startswith("spikecast.cli:")}
+        assert [name for names in _LAZY.values() for name in names
+                if name not in read | wrapped] == []
+
+
 class TestReadme:
     def test_library_use_block_runs(self, corpus, tmp_path, monkeypatch, capsys):
         """The README's "Library use" block, run in a directory holding the
@@ -932,14 +987,29 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
     def test_threshold_outside_unit_interval_exits_one(self, corpus, tmp_path, capsys,
                                                        monkeypatch, command, threshold):
+        """eval and ablate reject the threshold before any model trains;
+        train, which scores nothing, takes no --threshold at all."""
         trained = []
         monkeypatch.setattr(spikecast.evaluation, "train",
                             lambda *args, **kwargs: trained.append(args))
+        monkeypatch.setattr(spikecast.cli, "train",
+                            lambda *args, **kwargs: trained.append(args))
         out = tmp_path / "o"
         assert run_cli(command, *model_args(corpus, out), "--threshold", threshold) == 1
-        assert capsys.readouterr().err == (f"error: threshold must be finite and in [0, 1], "
-                                           f"got {float(threshold)}\n")
-        assert trained == [] and list(out.iterdir()) == []  # no metrics.json, no manifest
+        err = capsys.readouterr().err
+        if command == "train":
+            assert err.startswith(f"error: unrecognized arguments: --threshold {threshold}\n")
+            assert not out.exists()
+        else:
+            assert err == f"error: threshold must be finite and in [0, 1], got {float(threshold)}\n"
+            assert list(out.iterdir()) == []  # no metrics.json, no manifest
+        assert trained == []
+
+    def test_train_takes_no_threshold(self, corpus, tmp_path, capsys):
+        assert run_cli("train", *model_args(corpus, tmp_path / "o"), "--threshold", "0.5") == 1
+        assert capsys.readouterr().err.startswith(
+            "error: unrecognized arguments: --threshold 0.5\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
     def test_negative_seed_exits_one(self, corpus, tmp_path, capsys, command):
@@ -1125,6 +1195,21 @@ class TestConfigFile:
         assert run_cli("train", *args, "--config", cfg) == 1
         err = capsys.readouterr().err
         assert "the following arguments are required: --embeddings" in err
+
+    def test_label_threshold_in_a_shared_config(self, corpus, tmp_path, capsys):
+        """label's spike threshold in percent, in a file train, eval and ablate
+        share: train, which takes no threshold, runs; eval rejects it."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threshold = 25\n")
+        out = tmp_path / "train"
+        assert run_cli("train", *model_args(corpus, out), "--config", cfg) == 0
+        assert "threshold" not in json.loads((out / "manifest.json").read_text())["config"]
+        assert run_cli("label", "--in", corpus["prices"], "--config", cfg,
+                       "--out", tmp_path / "label") == 0
+        capsys.readouterr()
+        assert run_cli("eval", *model_args(corpus, tmp_path / "eval"), "--config", cfg) == 1
+        assert capsys.readouterr().err == (
+            "error: threshold must be finite and in [0, 1], got 25.0\n")
 
     def test_key_of_another_command_accepted(self, corpus, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -326,11 +326,14 @@ class TestUniqueYearRows:
 
 
 class TestFitFoldPca:
-    def test_rank_cap_warns(self):
+    def test_rank_cap_is_reported(self):
+        # The capped basis reports the cap by its d_prime; the scorer and the
+        # train command word it.
         samples = windows(n=8, k=3, d=4)[:3]  # 5 unique years
-        with pytest.warns(UserWarning, match="capped"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             years, basis = fit_fold_pca(samples, d_prime=10)
-        assert basis.components.shape[1] == 4  # min(10, d=4, rows-1=4)
+        assert basis.components.shape[1] == basis.d_prime == 4  # min(10, d=4, rows-1=4)
         assert len(years) == 5
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # tiny folds are single-class

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -586,22 +587,39 @@ class TestTrain:
         with pytest.raises(ContractError, match="chronolog"):
             train_one(shuffled, self.CONFIG, "full")
 
-    def test_single_class_training_warns(self):
+    def test_single_class_training_is_reported(self):
+        # train reports a single-class fold in its TrainStats and warns of
+        # nothing; run_cv, baseline_logreg and the train command word it.
         samples = tiny_samples(n=20)
         flat = with_targets(samples, np.zeros_like(samples.targets))
-        with pytest.warns(UserWarning, match="single-class") as caught:
-            fit = train([flat], self.CONFIG, "no_news")
-        (warning,) = caught
-        assert str(warning.message) == (
-            "variant no_news: degenerate targets: training partition is single-class; "
-            "training proceeds but the classifier cannot rank")
-        assert warning.filename == __file__  # the line that called train
-        assert fit.stats[0].single_class
-        with pytest.warns(UserWarning, match="single-class") as caught:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert train([flat], self.CONFIG, "no_news").stats[0].single_class
             fit = train([samples, flat], self.CONFIG, "no_news")
-        (warning,) = caught
-        assert str(warning.message).startswith("variant no_news fold 2: degenerate targets")
         assert [s.single_class for s in fit.stats] == [False, True]
+
+    def test_two_windows_train_on_one_and_validate_on_one(self, monkeypatch):
+        samples = tiny_samples(n=20)[:2]
+        batches, validated = [], []
+        forward, evaluate = model_module.forward_batch, model_module.evaluate_loss
+
+        def recording_forward(prices, news, params, train=False, rng=None):
+            batches.append(len(prices))
+            return forward(prices, news, params, train=train, rng=rng)
+
+        def recording_evaluate(params, windows, pos_weight=None):
+            validated.append(windows.starts.tolist())
+            return evaluate(params, windows, pos_weight)
+
+        monkeypatch.setattr(model_module, "forward_batch", recording_forward)
+        monkeypatch.setattr(model_module, "evaluate_loss", recording_evaluate)
+        config = replace(self.CONFIG, validation_fraction=0.49, epochs=2, patience=2)
+        fit = train([samples], config, "no_news")
+        assert fit.stats[0].epochs == 2
+        assert validated == [samples.starts[1:].tolist()] * 2
+        # Each epoch: one training forward of one window, then one of the
+        # validation window inside evaluate_loss.
+        assert batches == [1, 1] * 2
 
     def test_validation_tail_is_chronological(self):
         samples = tiny_samples(n=40)
@@ -714,8 +732,7 @@ class TestTrainFolds:
         for end in ends:
             part = samples[:end]
             if variant in PCA_VARIANTS:
-                part = reduce_samples(part, fit_fold_pca(part, 6 if end < capped else 3,
-                                                         warn=False)[1])
+                part = reduce_samples(part, fit_fold_pca(part, 6 if end < capped else 3)[1])
             out.append(part)
         return out
 
@@ -769,8 +786,7 @@ class TestTrainFolds:
         the PCA variants train several layouts."""
         folds = [self.CORPUS[:end] for end in ends]
         if variant in PCA_VARIANTS:
-            folds = [reduce_samples(part, fit_fold_pca(part, d_prime, warn=False)[1])
-                     for part in folds]
+            folds = [reduce_samples(part, fit_fold_pca(part, d_prime)[1]) for part in folds]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model_module, "STACK_VALUES", stack_values)
             self.check(folds, config, variant)
