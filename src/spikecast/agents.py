@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .backends import TextBackend, Verdict
-from .errors import BackendError, ConfigError, InvalidDraftError, ValidationError
+from .errors import BackendError, ConfigError, InvalidDraftError, ValidationError, check_count
 from .stores import EmbeddingStore, NewsSummary, SummaryStore, utc_now
 
 log = logging.getLogger(__name__)
@@ -39,14 +39,13 @@ class AgentConfig:
     commodities: tuple[str, ...] = ("crude oil", "natural gas", "coal")
 
     def __post_init__(self):
-        if self.max_retries < 1:
-            raise ConfigError(f"max_retries must be >= 1, got {self.max_retries}")
+        check_count("max_retries", self.max_retries, 1)
+        check_count("in_flight_limit", self.in_flight_limit, 1)
         if not self.years:
             raise ConfigError("years must be non-empty")
-        if self.in_flight_limit < 1:
-            raise ConfigError(
-                f"in_flight_limit must be >= 1, got {self.in_flight_limit}"
-            )
+        if len(set(self.years)) < len(self.years):  # each repeat is drafted again
+            repeats = sorted({y for y in self.years if self.years.count(y) > 1})
+            raise ConfigError(f"years must not repeat, got {repeats} more than once")
         if self.fallback_policy not in FALLBACK_POLICIES:
             raise ConfigError(
                 f"fallback_policy must be one of {FALLBACK_POLICIES}, "
@@ -83,12 +82,11 @@ def build_fact_check_prompt(summary: str) -> str:
 def generate_summary(
     year: int,
     backend: TextBackend,
-    config: AgentConfig | None = None,
+    config: AgentConfig,
     revision: int = 0,
-    clock: Callable[[], str] | None = None,
+    clock: Callable[[], str] = utc_now,
 ) -> NewsSummary:
     """One specialist call producing an unverified draft for a year."""
-    config = config or AgentConfig()
     if year not in config.years:
         raise ValidationError(
             f"year {year} outside configured range "
@@ -105,7 +103,7 @@ def generate_summary(
         verified=False,
         retries=revision,
         backend_id=backend.backend_id,
-        created_at=clock() if clock else utc_now(),
+        created_at=clock(),
     )
 
 
@@ -123,7 +121,7 @@ def _distill_year(
     year: int,
     config: AgentConfig,
     backend: TextBackend,
-    clock: Callable[[], str] | None,
+    clock: Callable[[], str] = utc_now,
 ) -> NewsSummary | None:
     """Generate/verify loop for one year; at most max_retries generate calls."""
     for attempt in range(config.max_retries):
@@ -152,7 +150,7 @@ def _distill_year(
             verified=False,
             retries=config.max_retries,
             backend_id=backend.backend_id,
-            created_at=clock() if clock else utc_now(),
+            created_at=clock(),
         )
     return None
 
@@ -161,7 +159,7 @@ def orchestrate(
     config: AgentConfig,
     backend: TextBackend,
     store: SummaryStore,
-    clock: Callable[[], str] | None = None,
+    clock: Callable[[], str] = utc_now,
 ) -> dict[int, NewsSummary]:
     """Produce a summary for every configured year and persist the store.
 

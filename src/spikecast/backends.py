@@ -16,7 +16,7 @@ from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from .errors import BackendError, ConfigError
+from .errors import BackendError, ConfigError, check_count
 
 _YEAR_RE = re.compile(r"\b(1[0-9]{3}|2[0-9]{3})\b")
 # Environment variable holding the credential of every non-mock backend.
@@ -77,8 +77,7 @@ class MockBackend:
         verdict_mode: str = "accept",
         accept_after: dict[int, int] | None = None,
     ):
-        if dim < 1:
-            raise ConfigError(f"embedding dim must be >= 1, got {dim}")
+        check_count("embedding dim", dim, 1)
         if verdict_mode not in ("accept", "reject", "scripted"):
             raise ConfigError(f"unknown verdict_mode {verdict_mode!r}")
         self.seed = seed

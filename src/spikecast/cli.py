@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import BASELINE_VARIANT, VARIANTS, __version__
 from .errors import (ConfigError, ContractError, InvalidDraftError, ParseError, RankError,
-                     SpikecastError, UndefinedMetricError, ValidationError)
+                     SpikecastError, UndefinedMetricError, ValidationError, check_count)
 from .stores import EmbeddingStore, SummaryStore, atomic_write, utc_now, write_csv, write_json
 
 # The names this module takes from the pipeline modules, by module. A module is
@@ -202,7 +202,7 @@ def _cmd_distill(args, out: Path):
         fallback_policy=args.fallback_policy,
         commodities=args.commodities,
     )
-    clock = _mock_clock(args.seed) if args.backend == "mock" else None
+    clock = _mock_clock(args.seed) if args.backend == "mock" else utc_now
     store = SummaryStore(out / "summaries.jsonl")
     summaries = orchestrate(config, backend, store, clock)
     # A year that ended without a summary spent every retry.
@@ -226,8 +226,7 @@ def _cmd_embed(args, out: Path):
 
 
 def _cmd_reduce(args, out: Path):
-    if args.dim < 1:
-        raise ConfigError(f"--dim must be >= 1, got {args.dim}")
+    check_count("--dim", args.dim, 1)
     years, rows = EmbeddingStore(args.embeddings).matrix()
     cap = min(args.dim, rows.shape[1], rows.shape[0] - 1)
     if cap < 1:

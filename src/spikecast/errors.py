@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all spikecast modules."""
+"""Exception hierarchy shared by all spikecast modules, and the one check
+of an integer setting."""
+from numbers import Integral
 
 
 class SpikecastError(Exception):
@@ -67,3 +69,11 @@ class CheckpointVersionError(SpikecastError):
 
 class UndefinedMetricError(SpikecastError):
     """Metric is undefined for the given inputs (e.g. single-class AUC)."""
+
+
+def check_count(name: str, value, least: int, error: type[SpikecastError] = ConfigError):
+    """Raise `error` unless value is an integer (a bool is not) and >= least."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")

@@ -18,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import BASELINE_VARIANT
-from .errors import ConfigError, ContractError, InsufficientDataError, UndefinedMetricError
+from .errors import (ConfigError, ContractError, InsufficientDataError, UndefinedMetricError,
+                     check_count)
 from .model import (
     TrainConfig,
     TrainStats,
@@ -72,8 +73,7 @@ def time_series_split(n: int, n_folds: int = 5) -> FoldPlan:
     its test range is the test_size indices that follow, so later folds
     train on strict supersets and every test block is strictly later.
     """
-    if n_folds < 1:
-        raise ConfigError(f"n_folds must be >= 1, got {n_folds}")
+    check_count("n_folds", n_folds, 1)
     if n < n_folds + 1:
         raise ConfigError(f"need n >= n_folds + 1 = {n_folds + 1} samples, got {n}")
     test_size = n // (n_folds + 1)

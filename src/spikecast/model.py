@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from numbers import Integral, Real
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import (
     ContractError,
     InsufficientDataError,
     NumericError,
+    check_count,
 )
 from .ingest import AlignedDataset
 from .nn import (
@@ -111,14 +112,8 @@ class ModelHyper:
     seed: int
 
     def __post_init__(self):
-        # bool is an Integral, but a checkpoint's `true` is no size or seed.
         for name in ("k", "d_prime", "h", "h_a", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            least = 0 if name == "seed" else 1
-            if value < least:
-                raise ConfigError(f"{name} must be >= {least}, got {value}")
+            check_count(name, getattr(self, name), 0 if name == "seed" else 1)
         if (isinstance(self.dropout, bool) or not isinstance(self.dropout, Real)
                 or not 0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
@@ -143,7 +138,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """What a training run is given; train checks h, h_a and dropout as ModelHyper."""
+    """What a training run is given; train checks dropout as ModelHyper."""
 
     h: int = 32
     h_a: int = 32
@@ -159,16 +154,10 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
+        for name in ("seed", "h", "h_a", "batch_size", "epochs", "patience"):
+            check_count(name, getattr(self, name), 0 if name == "seed" else 1)
         if not 0.0 < self.validation_fraction < 0.5:
             raise ConfigError("validation_fraction must be in (0, 0.5)")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
         # Each bound also rejects NaN, and `< math.inf` rejects infinity.
         if not 0.0 < self.alpha < math.inf:
             raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
@@ -189,8 +178,7 @@ def make_windows(dataset: AlignedDataset, k: int) -> Windows:
     consecutive calendar years, so no window spans a year the dataset lacks;
     a gap-free dataset of T years gives T - k windows.
     """
-    if k < 1:
-        raise ConfigError("window size k must be >= 1")
+    check_count("k", k, 1)
     years = np.array(dataset.years, dtype=int)
     starts = np.flatnonzero(years[k:] - years[:-k] == k)  # years ascend; none if T <= k
     if not starts.size:
@@ -712,9 +700,7 @@ def load_checkpoint(path) -> ModelParams:
             mean = _decode_array(p["mean"], "pca.mean")
             shapes = ((len(mean), hyper.d_prime), (hyper.d_prime,))
             fitted_on = p["fitted_on"]  # fit_pca needs at least 2 rows
-            if isinstance(fitted_on, bool) or not isinstance(fitted_on, int) or fitted_on < 2:
-                raise CheckpointIntegrityError(
-                    f"pca.fitted_on must be an integer >= 2, got {fitted_on!r}")
+            check_count("pca.fitted_on", fitted_on, 2, CheckpointIntegrityError)
             pca = PcaBasis(
                 mean, *(_decode_array(p[name], f"pca.{name}", shape)
                         for name, shape in zip(_PCA_ARRAYS[1:], shapes)),

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, RankError
+from .errors import ContractError, RankError, check_count
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,8 @@ def fit_pca(rows: np.ndarray, d_prime: int) -> PcaBasis:
         raise RankError(f"need >= 2 rows to fit PCA, got {n}")
     if not np.isfinite(rows).all():
         raise ContractError("embedding rows must be finite")
-    if d_prime < 1 or d_prime > min(d, n - 1):
+    check_count("d_prime", d_prime, 1, RankError)
+    if d_prime > min(d, n - 1):
         raise RankError(
             f"d_prime={d_prime} out of range for {n} rows of dim {d} "
             f"(max {min(d, n - 1)})"

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import StoreError, ValidationError
+from .errors import StoreError, ValidationError, check_count
 
 SUMMARY_FIELDS = (
     "year", "commodities", "summary", "verified", "retries",
@@ -94,8 +94,7 @@ class NewsSummary:
     created_at: str
 
     def __post_init__(self):
-        if self.retries < 0:
-            raise ValidationError(f"retries must be >= 0, got {self.retries}")
+        check_count("retries", self.retries, 0, ValidationError)
         if self.verified and not self.summary.strip():
             raise ValidationError("a verified summary must have non-empty text")
 

@@ -1,5 +1,6 @@
 """Backends, prompt assets, the generate/verify loop, and the stores."""
 import json
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -143,6 +144,10 @@ class TestGenerateSummary:
         assert draft.retries == 0
         assert draft.backend_id == b.backend_id
         assert draft.created_at == CLOCK()
+
+    def test_clock_defaults_to_utc(self):
+        stamp = generate_summary(1961, MockBackend(), config()).created_at
+        assert datetime.fromisoformat(stamp).utcoffset() == timedelta(0)
 
     def test_year_out_of_range(self):
         with pytest.raises(ValidationError, match="1985"):
@@ -722,3 +727,8 @@ class TestAgentConfig:
             AgentConfig(in_flight_limit=0)
         with pytest.raises(ConfigError):
             AgentConfig(fallback_policy="punt")
+
+    def test_repeated_years_rejected(self):
+        # Each repeat would be drafted and verified again: a paid call apiece.
+        with pytest.raises(ConfigError, match=r"years must not repeat, got \[1960, 1962\] "):
+            AgentConfig(years=(1960, 1962, 1960, 1961, 1962))
