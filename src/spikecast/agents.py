@@ -43,6 +43,8 @@ class AgentConfig:
         check_count("in_flight_limit", self.in_flight_limit, 1)
         if not self.years:
             raise ConfigError("years must be non-empty")
+        for year in self.years:  # each is written to the summary store as a year
+            check_count("year", year, 0)
         if len(set(self.years)) < len(self.years):  # each repeat is drafted again
             repeats = sorted({y for y in self.years if self.years.count(y) > 1})
             raise ConfigError(f"years must not repeat, got {repeats} more than once")

@@ -21,7 +21,8 @@ from pathlib import Path
 
 from . import BASELINE_VARIANT, VARIANTS, __version__
 from .errors import (ConfigError, ContractError, InvalidDraftError, ParseError, RankError,
-                     SpikecastError, UndefinedMetricError, ValidationError, check_count)
+                     SpikecastError, UndefinedMetricError, ValidationError, check_count,
+                     check_real)
 from .stores import EmbeddingStore, SummaryStore, atomic_write, utc_now, write_csv, write_json
 
 # The names this module takes from the pipeline modules, by module. A module is
@@ -371,21 +372,20 @@ def _copy_csv(src, dst: Path, header: str) -> None:
         fh.write(text)
 
 
-def _metric(value) -> float:  # a JSON number, not a boolean or a numeric string
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"metric {value!r} is not a number")
+def _metric(name: str, value) -> float:  # a finite JSON number, not a boolean or a string
+    check_real(name, value, error=ParseError)
     return float(value)
 
 
 def _plot_ablation(src, dst: Path) -> None:
-    rows = []
+    rows, text = [], _read_text(src)
     try:
-        doc = json.loads(_read_text(src))
+        doc = json.loads(text)
         for variant in sorted(doc):
             mean, std = doc[variant].get("mean", {}), doc[variant].get("std", {})
-            rows.append([variant] + [_metric(b[key]) if key in b else None
+            rows.append([variant] + [_metric(f"{variant} {key}", b[key]) if key in b else None
                                      for key in ("auc", "f1_w") for b in (mean, std)])
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError, ParseError) as exc:
         raise ParseError(f"{src}: not an ablation summary: {exc}") from None
     write_csv(dst, ["variant", "mean_auc", "std_auc", "mean_f1_w", "std_f1_w"], rows)
 

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all spikecast modules, and the one check
-of an integer setting."""
-from numbers import Integral
+of an integer setting and the one check of a real-valued one."""
+from math import inf
+from numbers import Integral, Real
 
 
 class SpikecastError(Exception):
@@ -77,3 +78,16 @@ def check_count(name: str, value, least: int, error: type[SpikecastError] = Conf
         raise error(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise error(f"{name} must be >= {least}, got {value}")
+
+
+def check_real(name: str, value, interval: str = "(-inf, inf)",
+               error: type[SpikecastError] = ConfigError):
+    """Raise `error` unless value is a finite real number (a bool is not) in
+    `interval`, written as in mathematics: "[0, 1)" is 0 <= value < 1."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not -inf < value < inf:
+        raise error(f"{name} must be a finite number, got {value!r}")
+    low, high = interval[1:-1].split(", ")
+    if not ((float(low) <= value if interval[0] == "[" else float(low) < value)
+            and (value <= float(high) if interval[-1] == "]" else value < float(high))):
+        above = (">= " if interval[0] == "[" else "> ") + low  # "(0, inf)" reads "> 0"
+        raise error(f"{name} must be {above if high == 'inf' else 'in ' + interval}, got {value}")

@@ -12,14 +12,13 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
 from . import BASELINE_VARIANT
 from .errors import (ConfigError, ContractError, InsufficientDataError, UndefinedMetricError,
-                     check_count)
+                     check_count, check_real)
 from .model import (
     TrainConfig,
     TrainStats,
@@ -58,8 +57,7 @@ class FoldPlan:
 
 def holdout_split(n: int, fraction: float = 0.20) -> FoldPlan:
     """Chronological one-fold plan: test = last ceil(fraction * n) samples."""
-    if not 0.0 < fraction <= 0.5:
-        raise ConfigError(f"holdout fraction must be in (0, 0.5], got {fraction}")
+    check_real("holdout fraction", fraction, "(0, 0.5]")
     if n < 5:
         raise InsufficientDataError(f"need at least 5 samples for a hold-out, got {n}")
     cut = n - math.ceil(fraction * n)
@@ -286,8 +284,7 @@ def _score(folds: list[Fold], variant: str, score_folds, threshold: float) -> Ev
     model was fitted (TrainStats or LogregStats), in fold order. The warnings
     name the caller of run_cv or baseline_logreg, whose frame calls this.
     """
-    if not 0.0 <= threshold <= 1.0:  # NaN fails too
-        raise ConfigError(f"threshold must be finite and in [0, 1], got {threshold}")
+    check_real("threshold", threshold, "[0, 1]")
     reduces = variant in (*PCA_VARIANTS, BASELINE_VARIANT)
     pcas = [fold.pca if reduces else (None, None) for fold in folds]
     for fold, (_, basis) in zip(folds, pcas):
@@ -361,8 +358,7 @@ def fit_logreg(x, y, l2: float = 1e-3) -> tuple[np.ndarray, float, LogregStats]:
     starts from zero and minimises the mean log-loss plus (l2/2)|w|^2; the
     bias is not penalised. Single-class labels have no finite bias: the fit
     stops at the tolerance, near |b| = 23."""
-    if not (isinstance(l2, Real) and math.isfinite(l2) and l2 > 0):
-        raise ConfigError(f"l2 must be finite and > 0, got {l2!r}")
+    check_real("l2", l2, "(0, inf)")
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim != 2 or y.shape != x.shape[:1]:
         raise ContractError(f"features of shape {x.shape} with labels of shape {y.shape}")

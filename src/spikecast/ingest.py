@@ -16,6 +16,7 @@ from .errors import (
     KindError,
     ParseError,
     ValidationError,
+    check_real,
 )
 
 DEFAULT_SPIKE_THRESHOLD_PCT = 25.0
@@ -239,8 +240,7 @@ def label_spikes(
             "spike labeling requires raw prices; percentage change on "
             "z-scores is undefined across zero"
         )
-    if not 0 < threshold_pct < math.inf:  # NaN fails too
-        raise ValidationError(f"threshold_pct must be finite and > 0, got {threshold_pct}")
+    check_real("threshold_pct", threshold_pct, "(0, inf)", ValidationError)
     changes = pct_changes(series)
     years = tuple(sorted(changes))
     labels = tuple(1 if changes[y] > threshold_pct else 0 for y in years)

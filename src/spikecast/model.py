@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (
     InsufficientDataError,
     NumericError,
     check_count,
+    check_real,
 )
 from .ingest import AlignedDataset
 from .nn import (
@@ -114,9 +114,7 @@ class ModelHyper:
     def __post_init__(self):
         for name in ("k", "d_prime", "h", "h_a", "seed"):
             check_count(name, getattr(self, name), 0 if name == "seed" else 1)
-        if (isinstance(self.dropout, bool) or not isinstance(self.dropout, Real)
-                or not 0.0 <= self.dropout < 1.0):
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
+        check_real("dropout", self.dropout, "[0, 1)")
 
 
 @dataclass
@@ -138,7 +136,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """What a training run is given; train checks dropout as ModelHyper."""
+    """What a training run is given; every value is checked when it is built."""
 
     h: int = 32
     h_a: int = 32
@@ -156,17 +154,13 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("seed", "h", "h_a", "batch_size", "epochs", "patience"):
             check_count(name, getattr(self, name), 0 if name == "seed" else 1)
-        if not 0.0 < self.validation_fraction < 0.5:
-            raise ConfigError("validation_fraction must be in (0, 0.5)")
-        # Each bound also rejects NaN, and `< math.inf` rejects infinity.
-        if not 0.0 < self.alpha < math.inf:
-            raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if not 0.0 <= self.clip_norm < math.inf:  # 0: no clipping
-            raise ConfigError(f"clip_norm must be finite and >= 0, got {self.clip_norm}")
-        if self.pos_weight is not None and not 0.0 < self.pos_weight < math.inf:
-            raise ConfigError(f"pos_weight must be finite and > 0, got {self.pos_weight}")
+        check_real("dropout", self.dropout, "[0, 1)")
+        check_real("alpha", self.alpha, "(0, inf)")
+        check_real("weight_decay", self.weight_decay, "[0, inf)")
+        check_real("clip_norm", self.clip_norm, "[0, inf)")  # 0: no clipping
+        check_real("validation_fraction", self.validation_fraction, "(0, 0.5)")
+        if self.pos_weight is not None:
+            check_real("pos_weight", self.pos_weight, "(0, inf)")
 
 
 def make_windows(dataset: AlignedDataset, k: int) -> Windows:
@@ -634,18 +628,6 @@ def _decode_array(obj, name: str, shape: tuple[int, ...] | None = None) -> np.nd
     return data
 
 
-def _decode_norm_stat(rec, name: str) -> tuple[float, float]:
-    """A series' stored (mean, std): finite numbers, not bools, std > 0."""
-    mean, std = rec["mean"], rec["std"]
-    for key, value in (("mean", mean), ("std", std)):
-        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-            raise CheckpointIntegrityError(
-                f"norm_stats {name!r}: {key} must be a finite number, got {value!r}")
-    if std <= 0:
-        raise CheckpointIntegrityError(f"norm_stats {name!r}: std must be > 0, got {std!r}")
-    return float(mean), float(std)
-
-
 def save_checkpoint(params: ModelParams, path) -> None:
     """Versioned JSON checkpoint; save -> load -> save is byte-identical.
 
@@ -708,8 +690,12 @@ def load_checkpoint(path) -> ModelParams:
             )
         norm_stats = None
         if doc.get("norm_stats") is not None:
-            norm_stats = {name: _decode_norm_stat(rec, name)
-                          for name, rec in doc["norm_stats"].items()}
+            norm_stats = {}
+            for name, rec in doc["norm_stats"].items():  # each series' (mean, std)
+                stat = f"norm_stats {name!r}: "
+                check_real(stat + "mean", rec["mean"], error=CheckpointIntegrityError)
+                check_real(stat + "std", rec["std"], "(0, inf)", CheckpointIntegrityError)
+                norm_stats[name] = (float(rec["mean"]), float(rec["std"]))
         params = init_model(hyper, doc["variant"], pca=pca, norm_stats=norm_stats)
         flat = flat_params(params)
         if extra := sorted(set(doc["arrays"]) - set(flat)):

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spikecast.cli
 import spikecast.evaluation
@@ -29,9 +31,10 @@ from spikecast.cli import (
     load_config_file,
     main,
 )
+from spikecast.errors import SpikecastError
 from spikecast.evaluation import LOGREG_STEPS, LOGREG_TOL, holdout_split, time_series_split
 from spikecast.ingest import DEFAULT_SPIKE_THRESHOLD_PCT
-from spikecast.model import VARIANTS, TrainConfig, make_windows
+from spikecast.model import VARIANTS, TrainConfig, load_checkpoint, make_windows, save_checkpoint
 
 from conftest import (assert_same_bits, brute_force_spikes, price_csv_text,
                       reference_holdout, window_years)
@@ -178,7 +181,7 @@ class TestLabel:
         prices.write_text(price_csv_text(n=12))
         out = tmp_path / "run"
         assert run_cli("label", "--in", prices, "--threshold", threshold, "--out", out) == 1
-        assert capsys.readouterr().err == (f"error: threshold_pct must be finite and > 0, "
+        assert capsys.readouterr().err == (f"error: threshold_pct must be a finite number, "
                                            f"got {float(threshold)}\n")
         assert not (out / "labels.csv").exists()
 
@@ -762,6 +765,20 @@ class TestReport:
         assert "not an ablation summary" in capsys.readouterr().err
         assert not (tmp_path / "r" / "plot_ablation.csv").exists()
 
+    @pytest.mark.parametrize("key,text", [("auc", "NaN"), ("f1_w", "Infinity"),
+                                          ("f1_w", "-Infinity")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_metric_exits_one(self, tmp_path, capsys, key, text):
+        """Python's json reads NaN and Infinity; a summary holding one is refused
+        rather than turned into an empty or an `inf` cell."""
+        summary = tmp_path / "summary.json"
+        summary.write_text('{"full": {"mean": {"auc": %(auc)s, "f1_w": %(f1_w)s}, "std": {}}}'
+                           % {"auc": "0.75", "f1_w": "0.5", key: text})
+        assert run_cli("report", "--summary", summary, "--out", tmp_path / "r") == 1
+        assert capsys.readouterr().err == (
+            f"error: {summary}: not an ablation summary: "
+            f"full {key} must be a finite number, got {float(text)!r}\n")
+        assert not (tmp_path / "r" / "plot_ablation.csv").exists()
+
 
 class TestArtifactFiles:
     @pytest.mark.filterwarnings("ignore::UserWarning")  # tiny folds may be single-class
@@ -1001,7 +1018,8 @@ class TestExitCodes:
             assert err.startswith(f"error: unrecognized arguments: --threshold {threshold}\n")
             assert not out.exists()
         else:
-            assert err == f"error: threshold must be finite and in [0, 1], got {float(threshold)}\n"
+            bound = "a finite number" if threshold in ("nan", "inf") else "in [0, 1]"
+            assert err == f"error: threshold must be {bound}, got {float(threshold)}\n"
             assert list(out.iterdir()) == []  # no metrics.json, no manifest
         assert trained == []
 
@@ -1209,7 +1227,7 @@ class TestConfigFile:
         capsys.readouterr()
         assert run_cli("eval", *model_args(corpus, tmp_path / "eval"), "--config", cfg) == 1
         assert capsys.readouterr().err == (
-            "error: threshold must be finite and in [0, 1], got 25.0\n")
+            "error: threshold must be in [0, 1], got 25.0\n")
 
     def test_key_of_another_command_accepted(self, corpus, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -1254,3 +1272,120 @@ class TestConfigFile:
         assert run_cli("distill", "--years", "1970:1970",
                        "--config", tmp_path / "nope.cfg",
                        "--out", tmp_path / "o") == 1
+
+
+# Values a mutant puts in place of a JSON value: most have the wrong type
+# for where they land, the rest a wrong value.
+WRONG_VALUES = (None, True, "x", "0.5", -1, 2.5, 10**400, float("nan"), [], {})
+
+
+def _json_paths(node, path):
+    """The path of `node` and of every value under it."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _json_paths(value, (*path, key))
+
+
+def _mutant(data, raw: bytes, suffix: str) -> bytes:
+    """`raw` truncated, with one byte overwritten or two swapped, or, for a
+    JSON document or a JSON-lines store, with one value replaced or one key
+    of an object dropped."""
+    kinds = ("truncate", "overwrite", "swap") + (("retype", "drop") if "json" in suffix else ())
+    kind = data.draw(st.sampled_from(kinds))
+    at = st.integers(0, len(raw) - 1)
+    if kind == "truncate":
+        return raw[:data.draw(at)]
+    if kind == "overwrite":
+        i = data.draw(at)
+        return raw[:i] + bytes([data.draw(st.integers(0, 255))]) + raw[i + 1:]
+    if kind == "swap":
+        i, j = sorted((data.draw(at), data.draw(at)))
+        return raw[:i] + raw[j:j + 1] + raw[i + 1:j] + raw[i:i + 1] + raw[j + 1:]
+    docs = [json.loads(line) for line in (raw.splitlines() if suffix == ".jsonl" else [raw])]
+    paths = list(_json_paths(docs, ()))[1:]
+    if kind == "drop":  # a key of an object
+        paths = [path for path in paths if isinstance(path[-1], str)]
+    *parents, last = data.draw(st.sampled_from(paths))
+    parent = docs
+    for key in parents:
+        parent = parent[key]
+    if kind == "retype":
+        parent[last] = data.draw(st.sampled_from(WRONG_VALUES))
+    else:
+        del parent[last]
+    return "".join(json.dumps(doc) + "\n" for doc in docs).encode()
+
+
+@pytest.fixture(scope="module")
+def valid_run(corpus, tmp_path_factory):
+    """The inputs of every reader, from one small valid run over `corpus`."""
+    root = tmp_path_factory.mktemp("valid-run")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # tiny folds may be single-class
+        assert run_cli("train", *model_args(corpus, root / "train")) == 0
+        assert run_cli("eval", *model_args(corpus, root / "eval"), "--variant", "no_news") == 0
+        assert run_cli("ablate", *model_args(corpus, root / "ablate"),
+                       "--variants", "logreg", "--folds", "3") == 0
+    params = load_checkpoint(root / "train" / "checkpoint.json")
+    params.norm_stats = {"composite": (10.0, 2.5)}  # so that mutants reach their reader
+    save_checkpoint(params, root / "checkpoint.json")
+    (root / "mutants").mkdir()
+    config = root / "run.cfg"
+    config.write_text("# shared by every command\nthreshold = 25\nseed = 3\n"
+                      "epochs = 3\ndropout = 0.1\nforce = yes\n")
+    return {"checkpoint": root / "checkpoint.json", "summaries": corpus["summaries"],
+            "embeddings": corpus["embeddings"], "prices": corpus["prices"],
+            "labels": corpus["labels"], "summary": root / "ablate" / "summary.json",
+            "roc": root / "eval" / "roc.csv", "history": root / "train" / "history.csv",
+            "config": config, "mutants": root / "mutants"}
+
+
+def _read_checkpoint(path, corpus, out):
+    try:
+        load_checkpoint(path)
+    except SpikecastError:
+        pass
+
+
+def _train_on_labels(path, corpus, out):
+    args = model_args(corpus, out)
+    args[args.index("--labels") + 1] = path
+    return run_cli("train", *args)
+
+
+# reader -> run(mutant, corpus, out): the library reader of a checkpoint,
+# which no command reads, and for every other input a command that reads it.
+READERS = {
+    "checkpoint": _read_checkpoint,
+    "summaries": lambda p, corpus, out: run_cli("embed", "--summaries", p, "--mock-dim", "8",
+                                                "--out", out),
+    "embeddings": lambda p, corpus, out: run_cli("reduce", "--embeddings", p, "--dim", "3",
+                                                 "--out", out),
+    "prices": lambda p, corpus, out: run_cli("label", "--in", p, "--out", out),
+    "labels": _train_on_labels,
+    **{f"report --{option}": (lambda p, corpus, out, option=option:
+                              run_cli("report", f"--{option}", p, "--out", out))
+       for option in ("labels", "summary", "roc", "history")},
+    "config": lambda p, corpus, out: run_cli("label", "--in", corpus["prices"], "--config", p,
+                                             "--out", out),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # tiny folds may be single-class
+    @pytest.mark.parametrize("reader", READERS)
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_a_mutant_fails_with_a_typed_error_or_an_exit_code(self, corpus, valid_run,
+                                                               reader, data):
+        """A truncated, byte-changed or retyped input ends in exit 0, 1 or 2
+        through `main`, or a SpikecastError from the library reader, never a
+        raw exception."""
+        source = valid_run[reader.removeprefix("report --")]
+        mutant = valid_run["mutants"] / source.name
+        mutant.write_bytes(_mutant(data, source.read_bytes(), source.suffix))
+        out = valid_run["mutants"] / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        assert READERS[reader](mutant, corpus, out) in (None, 0, 1, 2)

@@ -187,7 +187,9 @@ class TestLabels:
     @pytest.mark.parametrize("threshold", [0.0, -5.0, float("nan"), float("inf")])
     def test_threshold_must_be_finite_and_positive(self, threshold):
         s = PriceSeries("avg", (1960, 1961), np.array([100.0, 150.0]), RAW)
-        with pytest.raises(ValidationError, match="threshold_pct must be finite and > 0"):
+        bound = "> 0" if math.isfinite(threshold) else "a finite number"
+        with pytest.raises(ValidationError,
+                           match=f"threshold_pct must be {bound}, got {threshold}$"):
             label_spikes(s, threshold_pct=threshold)
 
     @given(
